@@ -128,6 +128,17 @@ class DecayFit:
     bound_satisfied: Optional[bool] = None
 
 
+def _log_linear_fit(times: np.ndarray, values: np.ndarray):
+    """Least-squares fit of log(values) against time over the positive
+    samples; returns (decay rate, amplitude at the first such sample)."""
+    mask = values > 0
+    if np.count_nonzero(mask) < 2:
+        raise InsufficientData("need at least two positive samples to fit a rate")
+    t = times[mask]
+    slope, intercept = np.polyfit(t - t[0], np.log(values[mask]), 1)
+    return -float(slope), float(np.exp(intercept))
+
+
 def decay_fit(times: np.ndarray, values: np.ndarray,
               c_ref: Optional[float] = None,
               bound_tol: float = 1e-6) -> DecayFit:
@@ -144,13 +155,12 @@ def decay_fit(times: np.ndarray, values: np.ndarray,
         raise InsufficientData("need at least 10 samples")
     if np.any(values <= 0):
         raise InsufficientData("decay fit needs strictly positive values")
-    t0 = times[0]
-    slope, intercept = np.polyfit(times - t0, np.log(values), 1)
+    c_fit, amplitude = _log_linear_fit(times, values)
     bound = None
     if c_ref is not None:
-        envelope = values[0] * np.exp(-c_ref * (times - t0)) * (1.0 + bound_tol)
+        envelope = values[0] * np.exp(-c_ref * (times - times[0])) * (1.0 + bound_tol)
         bound = bool(np.all(values <= envelope))
-    return DecayFit(-float(slope), float(np.exp(intercept)), bound)
+    return DecayFit(c_fit, amplitude, bound)
 
 
 def nonnormality(A: np.ndarray) -> float:

@@ -44,7 +44,8 @@ from .closedloop import (CouplingSpec, couple, assemble_plant, cubic_plant,
                          linear_plant, simulate_closed_loop)
 from .errors import ConfigError, FormatError, NotHurwitz, ToolkitError
 from .ocp import (CostSpec, LinearPlantModel, LogCoshStage, QuadraticStage,
-                  assemble_ocp, build_grid, kkt_residual, kkt_solve)
+                  assemble_ocp, build_grid, cost_and_gradient, kkt_residual,
+                  kkt_solve)
 from .optimizer import (IntegratorConfig, assemble_optimizer, constant_input,
                         convergence_report, default_initial_state,
                         default_outer_step, integrate_flow)
@@ -288,18 +289,31 @@ def run_solve(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     stat_gap = float(np.max(np.abs(
         ocp.cost.alpha * z_hat.u + lam_nodes @ ocp.model.B
     )))
+    cost, _, _ = cost_and_gradient(ocp.cost, ocp.grid, z_hat.x, z_hat.u)
     report = out_dir / "kkt_report.txt"
     report.write_text(
         "[kkt]\n"
         f"residual_norm: {norm:.6e}\n"
         f"stationarity_gap: {stat_gap:.6e}\n"
-        f"cost: {ocp.cost_value(ocp.join_primal(z_hat.x, z_hat.u)):.12g}\n",
+        f"cost: {cost:.12g}\n",
         newline="\n",
     )
     return [kkt_path, report]
 
 
-def _flow_outputs(ocp, sys, traj, z_hat, out_dir: Path, full_state: bool):
+def _optimizer_run(cfg, ocp):
+    """The stage shared by flow, audit and spectrum: the optimizer system,
+    the KKT oracle and the flow from the default initial state."""
+    icfg, T = build_integrator(cfg.get("integrator"), ocp)
+    sys = assemble_optimizer(ocp)
+    z_hat = kkt_solve(ocp)
+    traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
+                          icfg, T)
+    return sys, z_hat, traj
+
+
+def run_flow(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
+    sys, z_hat, traj = _optimizer_run(cfg, ocp)
     report = convergence_report(traj, z_hat, ocp)
     pb = power_balance_audit(sys, traj)
     residual_col = np.concatenate([[0.0], pb.residuals])
@@ -321,15 +335,6 @@ def _flow_outputs(ocp, sys, traj, z_hat, out_dir: Path, full_state: bool):
                   np.column_stack([traj.times, traj.states]))
         files.append(state_path)
     return files
-
-
-def run_flow(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    icfg, T = build_integrator(cfg.get("integrator"), ocp)
-    z_hat = kkt_solve(ocp)
-    sys = assemble_optimizer(ocp)
-    traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
-                          icfg, T)
-    return _flow_outputs(ocp, sys, traj, z_hat, out_dir, full_state)
 
 
 def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
@@ -365,11 +370,7 @@ def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
 
 
 def run_audit(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    icfg, T = build_integrator(cfg.get("integrator"), ocp)
-    sys = assemble_optimizer(ocp)
-    z_hat = kkt_solve(ocp)
-    traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
-                          icfg, T)
+    sys, z_hat, traj = _optimizer_run(cfg, ocp)
     pb = power_balance_audit(sys, traj)
     ss = SteadyStatePair(z_hat.vector, constant_input(ocp),
                          sys.output(z_hat.vector))
@@ -397,8 +398,7 @@ def run_audit(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
 
 
 def run_spectrum(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    sys = assemble_optimizer(ocp)
-    z_hat = kkt_solve(ocp)
+    sys, z_hat, traj = _optimizer_run(cfg, ocp)
     DM = sys.M.derivative(z_hat.vector)
     abscissa = spectral_abscissa(DM)
     gen = metric_generator(DM, sys.metric)
@@ -423,9 +423,6 @@ def run_spectrum(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     except NotHurwitz as exc:
         lines += ["valid: False", f"reason: {exc}"]
     lines.append("[rates]")
-    icfg, T = build_integrator(cfg.get("integrator"), ocp)
-    traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
-                          icfg, T)
     report = convergence_report(traj, z_hat, ocp)
     if report.indeterminate:
         lines.append("rate: indeterminate")

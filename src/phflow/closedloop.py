@@ -223,13 +223,9 @@ def simulate_closed_loop(cls: ClosedLoopSystem, cfg: IntegratorConfig, T: float,
     z_cl0 = cls.initial_state(x_p0, z0)
     u_open = np.zeros(cls.sys.input_dim)  # inhomogeneity port closed at zero
     traj = integrate_flow(cls.sys, z_cl0, u_open, cfg, T)
-    w = cls.sys.metric.weights
-    np_dim = cls.n_p
-    total = np.sqrt(np.einsum("ij,j,ij->i", traj.states, w, traj.states))
-    plant = np.sqrt(np.einsum(
-        "ij,j,ij->i", traj.states[:, :np_dim], w[:np_dim], traj.states[:, :np_dim]
-    ))
-    opt = np.sqrt(np.einsum(
-        "ij,j,ij->i", traj.states[:, np_dim:], w[np_dim:], traj.states[:, np_dim:]
-    ))
+    xp, z = cls.split(traj.states)
+    plant_metric, opt_metric = cls.sys.metric.split(cls.n_p)
+    total = np.sqrt(cls.sys.metric.row_inner(traj.states, traj.states))
+    plant = np.sqrt(plant_metric.row_inner(xp, xp))
+    opt = np.sqrt(opt_metric.row_inner(z, z))
     return ClosedLoopRun(traj, feedback_extract(cls, traj), total, plant, opt)

@@ -43,17 +43,15 @@ class Metric:
     def dim(self) -> int:
         return self.weights.size
 
-    def check_dim(self, v: np.ndarray, what: str = "vector"):
-        if v.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"{what} has dimension {v.shape[-1]}, metric expects {self.dim}"
-            )
-
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.dot(self.weights * a, b))
 
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(np.dot(self.weights * a, a)))
+
+    def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Inner products <a_i, b_i> of matching rows of two stacks."""
+        return np.einsum("ij,j,ij->i", a, self.weights, b)
 
     def to_orthonormal(self, v: np.ndarray) -> np.ndarray:
         """Coordinates in which this metric becomes the Euclidean one."""

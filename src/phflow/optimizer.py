@@ -27,16 +27,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
+from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
                      NonConvergence, StepRejected)
 from .ocp import DiscretizedOCP, OptimizerState, input_to_state
 from .operators import MonotoneOperatorSpec
-from .phcore import PHSystem, Trajectory
+from .phcore import PHSystem, Trajectory, _prefactored_linear_stepper, newton
 
 _SCHEMES = ("implicit_midpoint", "implicit_euler", "rk4")
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class IntegratorConfig:
     scheme: str = "implicit_midpoint"
     newton_tol: float = 1e-10
     max_steps: int = 1_000_000
-    newton_max_iter: int = 50
     rk4_audit_tol: Optional[float] = None
     store_every: int = 1
 
@@ -116,22 +115,6 @@ def default_outer_step(ocp: DiscretizedOCP) -> float:
     return 0.01 / (1.0 + a_norm + curve + ocp.cost.alpha)
 
 
-def _prefactored_linear_stepper(L, h: float, theta: float):
-    """Return z -> solve[(I + theta*h*L), (I - (1-theta)*h*L) z + h*b]."""
-    dim = L.shape[0]
-    if sparse.issparse(L):
-        lhs = sparse.identity(dim, format="csc") + (theta * h) * L.tocsc()
-        rhs = sparse.identity(dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
-        lu = splu(lhs)
-        return lambda z, add: lu.solve(rhs @ z + add)
-    from scipy.linalg import lu_factor, lu_solve
-
-    lhs = np.eye(dim) + (theta * h) * L
-    rhs = np.eye(dim) - ((1.0 - theta) * h) * L
-    fac = lu_factor(lhs)
-    return lambda z, add: lu_solve(fac, rhs @ z + add)
-
-
 def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
                    cfg: IntegratorConfig, T: float) -> Trajectory:
     """Integrate dz/dt = -M(z) + B u with a constant input on [0, T]."""
@@ -157,37 +140,35 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
         b_lin = b - M.offset  # constant part of the drift, offset included
     elif implicit and not M.has_derivative:
         raise InvalidParameter("implicit schemes need a derivative for nonlinear M")
+    elif implicit:
+        eye = np.eye(sys.dim)
+
+        # Newton on G(z+) = z+ - z - h*(-M(z_eval) + b), where z_eval is the
+        # midpoint for theta=1/2 and z+ itself for backward Euler; z is the
+        # state at the start of the current step
+        def stage(z_next):
+            return theta * z_next + (1.0 - theta) * z
+
+        def newton_residual(z_next):
+            return z_next - z - h * (-M(stage(z_next)) + b)
+
+        def newton_solve(z_next, g):
+            return np.linalg.solve(eye + (theta * h) * M.derivative(stage(z_next)), g)
 
     stored = [z0.copy()]
     stored_idx = [0]
     z = z0.copy()
-    eye = np.eye(sys.dim) if (implicit and not M.is_linear) else None
 
     for k in range(steps):
         if implicit and M.is_linear:
             z_new = step_fn(z, h * b_lin)
         elif implicit:
-            # Newton on G(z+) = z+ - z - h*(-M(z_eval) + b), where z_eval is
-            # the midpoint for theta=1/2 and z+ itself for backward Euler
-            def stage(z_next):
-                return theta * z_next + (1.0 - theta) * z
-
-            z_new = z + h * (-M(z) + b)  # explicit predictor
-            converged = False
-            for _ in range(cfg.newton_max_iter):
-                g = z_new - z - h * (-M(stage(z_new)) + b)
-                if sys.metric.norm(g) <= cfg.newton_tol:
-                    converged = True
-                    break
-                J = eye + (theta * h) * M.derivative(stage(z_new))
-                z_new = z_new - np.linalg.solve(J, g)
-            if not converged:
-                g = z_new - z - h * (-M(stage(z_new)) + b)
-                if sys.metric.norm(g) > cfg.newton_tol:
-                    raise NonConvergence(
-                        f"implicit step Newton failed at t={k * h:.4g}",
-                        residual=sys.metric.norm(g),
-                    )
+            z_new, res = newton(newton_residual, newton_solve,
+                                z + h * (-M(z) + b),  # explicit predictor
+                                sys.metric.norm, cfg.newton_tol, _NEWTON_MAX_ITER)
+            if res > cfg.newton_tol:
+                raise NonConvergence(
+                    f"implicit step Newton failed at t={k * h:.4g}", residual=res)
         else:  # rk4
             k1 = -M(z) + b
             k2 = -M(z + 0.5 * h * k1) + b
@@ -250,17 +231,6 @@ class ConvergenceReport:
 _AMPLITUDE_FLOOR = 1e-9
 
 
-def fit_decay_rate(times: np.ndarray, values: np.ndarray):
-    """Least-squares slope/intercept of log(values) against time."""
-    mask = values > 0
-    if np.count_nonzero(mask) < 2:
-        raise InsufficientData("need at least two positive samples to fit a rate")
-    t = times[mask]
-    logv = np.log(values[mask])
-    slope, intercept = np.polyfit(t - t[0], logv, 1)
-    return -float(slope), float(np.exp(intercept))
-
-
 def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
                        c_ref: Optional[float] = None,
                        bound_tol: float = 1e-6) -> ConvergenceReport:
@@ -276,12 +246,9 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
     vec = z_hat.vector if isinstance(z_hat, OptimizerState) else np.asarray(z_hat, dtype=float)
     p = ocp.primal_dim
     diff = traj.states - vec
-    wp = ocp.primal_metric.weights
-    wd = ocp.dual_metric.weights
-    w = ocp.state_metric.weights
-    errors = np.sqrt(np.einsum("ij,j,ij->i", diff, w, diff))
-    errors_primal = np.sqrt(np.einsum("ij,j,ij->i", diff[:, :p], wp, diff[:, :p]))
-    errors_dual = np.sqrt(np.einsum("ij,j,ij->i", diff[:, p:], wd, diff[:, p:]))
+    errors = np.sqrt(ocp.state_metric.row_inner(diff, diff))
+    errors_primal = np.sqrt(ocp.primal_metric.row_inner(diff[:, :p], diff[:, :p]))
+    errors_dual = np.sqrt(ocp.dual_metric.row_inner(diff[:, p:], diff[:, p:]))
 
     half = traj.times.size // 2
     tail_t, tail_e = traj.times[half:], errors[half:]
@@ -289,7 +256,7 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
     if indeterminate:
         rate, amplitude = None, float(np.max(tail_e, initial=0.0))
     else:
-        rate, amplitude = fit_decay_rate(tail_t, tail_e)
+        rate, amplitude = _log_linear_fit(tail_t, tail_e)
 
     g_sat = g_ratio = None
     if c_ref is not None:

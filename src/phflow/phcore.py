@@ -117,24 +117,58 @@ class Trajectory:
         return float(dt[0]) if dt.size else 0.0
 
 
-def _linear_resolvent_solver(M: MonotoneOperatorSpec, lam: float):
-    """For M(x) = Lx + g: returns z -> solution of x + lam*M(x) = z,
-    prefactored once."""
-    linear_part = M.linear_part
-    g = M.affine_offset
-    if sparse.issparse(linear_part):
-        op = sparse.identity(linear_part.shape[0], format="csc") + lam * linear_part.tocsc()
-        lu = splu(op)
-        solve = lu.solve
-    else:
-        from scipy.linalg import lu_factor, lu_solve
+def newton(residual, solve, x0, norm, tol, max_iter):
+    """Damped Newton iteration for residual(x) = 0.
 
-        mat = np.eye(linear_part.shape[0]) + lam * np.asarray(linear_part)
-        fac = lu_factor(mat)
-        solve = lambda rhs: lu_solve(fac, rhs)
-    if g is None:
-        return solve
-    return lambda z: solve(z - lam * g)
+    solve(x, r) returns the Newton step J(x)^{-1} r.  The full step is
+    taken whenever it lowers the residual norm; otherwise the step is
+    halved, with at most 40 trial steps per iteration.  Returns the last
+    iterate and its residual norm, stopping early when the norm reaches
+    tol, when the Newton matrix is singular, or when the line search
+    cannot lower the residual.  Callers judge the returned residual.
+    """
+    x = x0
+    r = residual(x)
+    res = norm(r)
+    for _ in range(max_iter):
+        if res <= tol:
+            break
+        try:
+            step = solve(x, r)
+        except np.linalg.LinAlgError:
+            break
+        t = 1.0
+        for _ in range(40):
+            x_trial = x - t * step
+            r_trial = residual(x_trial)
+            res_trial = norm(r_trial)
+            if res_trial < res:
+                x, r, res = x_trial, r_trial, res_trial
+                break
+            t *= 0.5
+        else:
+            break
+    return x, res
+
+
+def _prefactored_linear_stepper(L, h: float, theta: float):
+    """Return z, add -> solve[(I + theta*h*L), (I - (1-theta)*h*L) z + add].
+
+    theta = 1 is the resolvent (I + h*L)^{-1}; theta = 1/2 is the
+    implicit midpoint step.  The LU factorization is computed once.
+    """
+    dim = L.shape[0]
+    if sparse.issparse(L):
+        lhs = sparse.identity(dim, format="csc") + (theta * h) * L.tocsc()
+        rhs = sparse.identity(dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
+        lu = splu(lhs)
+        return lambda z, add: lu.solve(rhs @ z + add)
+    from scipy.linalg import lu_factor, lu_solve
+
+    lhs = np.eye(dim) + (theta * h) * L
+    rhs = np.eye(dim) - ((1.0 - theta) * h) * L
+    fac = lu_factor(lhs)
+    return lambda z, add: lu_solve(fac, rhs @ z + add)
 
 
 def resolvent(M: MonotoneOperatorSpec, lam: float, z: np.ndarray,
@@ -151,22 +185,19 @@ def resolvent(M: MonotoneOperatorSpec, lam: float, z: np.ndarray,
     z = np.asarray(z, dtype=float)
 
     if M.is_linear:
-        return _linear_resolvent_solver(M, lam)(z)
+        return _prefactored_linear_stepper(M.linear_part, lam, 1.0)(z, -lam * M.offset)
 
     if M.has_derivative:
-        x = z.copy()
         eye = np.eye(M.dim)
-        for _ in range(_NEWTON_MAX_ITER):
-            r = x + lam * M(x) - z
-            if metric.norm(r) <= tol:
-                return x
-            x = x - np.linalg.solve(eye + lam * M.derivative(x), r)
-        r = x + lam * M(x) - z
-        if metric.norm(r) <= tol:
-            return x
-        raise NonConvergence(
-            "resolvent Newton iteration exceeded its budget", residual=metric.norm(r)
+        x, res = newton(
+            lambda x: x + lam * M(x) - z,
+            lambda x, r: np.linalg.solve(eye + lam * M.derivative(x), r),
+            z.copy(), metric.norm, tol, _NEWTON_MAX_ITER,
         )
+        if res > tol:
+            raise NonConvergence("resolvent Newton iteration did not converge",
+                                 residual=res)
+        return x
 
     x = z.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,9 +230,10 @@ def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
         return x
     lam = t / n
     if M.is_linear:
-        solve = _linear_resolvent_solver(M, lam)
+        step = _prefactored_linear_stepper(M.linear_part, lam, 1.0)
+        add = -lam * M.offset
         for _ in range(n):
-            x = solve(x)
+            x = step(x, add)
         return x
     metric = metric or Metric.euclidean(M.dim)
     for _ in range(n):
@@ -303,13 +335,10 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
     if traj.inputs.shape[1] != sys.input_dim:
         raise DimensionMismatch("trajectory input dimension mismatch")
     h = traj.step
-    w = sys.metric.weights
-    energy = 0.5 * np.einsum("ij,j,ij->i", traj.states, w, traj.states)
+    energy = 0.5 * sys.metric.row_inner(traj.states, traj.states)
     xm, um = _midpoints(traj)
-    dissip = np.einsum("ij,j,ij->i", xm, w, _batch_eval(sys.M, xm))
-    supply = np.einsum(
-        "ij,j,ij->i", um, sys.input_metric.weights, xm @ sys.b_star.T
-    )
+    dissip = sys.metric.row_inner(xm, _batch_eval(sys.M, xm))
+    supply = sys.input_metric.row_inner(um, xm @ sys.b_star.T)
     residuals = np.diff(energy) / h - (-dissip + supply)
     return PowerBalanceReport(residuals, float(np.max(np.abs(residuals), initial=0.0)))
 
@@ -338,19 +367,14 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
     h = traj.step
-    w = sys.metric.weights
     dx = traj.states - ss.x_bar
-    energy = 0.5 * np.einsum("ij,j,ij->i", dx, w, dx)
+    energy = 0.5 * sys.metric.row_inner(dx, dx)
     xm, um = _midpoints(traj)
     mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
     dxm = xm - ss.x_bar
     dum = um - ss.u_bar
-    gap = np.einsum(
-        "ij,j,ij->i", dxm, w, _batch_eval(sys.M, xm) - mx_bar
-    )
-    supply = np.einsum(
-        "ij,j,ij->i", dum, sys.input_metric.weights, xm @ sys.b_star.T - ss.y_bar
-    )
+    gap = sys.metric.row_inner(dxm, _batch_eval(sys.M, xm) - mx_bar)
+    supply = sys.input_metric.row_inner(dum, xm @ sys.b_star.T - ss.y_bar)
     rate = np.diff(energy) / h
     eq_res = rate - (-gap + supply)
     ineq = rate - supply
@@ -386,28 +410,12 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
         if not np.all(np.isfinite(x)):
             raise NonConvergence("linear steady-state solve produced non-finite values")
     elif M.has_derivative:
-        x = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        r = M(x) - b
-        for _ in range(_NEWTON_MAX_ITER):
-            if sys.metric.norm(r) <= tol:
-                break
-            try:
-                step = np.linalg.solve(M.derivative(x), r)
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergence(f"steady-state Newton hit a singular Jacobian: {exc}")
-            # backtracking keeps the residual monotone
-            t = 1.0
-            base = sys.metric.norm(r)
-            for _ in range(40):
-                x_trial = x - t * step
-                r_trial = M(x_trial) - b
-                if sys.metric.norm(r_trial) < base:
-                    x, r = x_trial, r_trial
-                    break
-                t *= 0.5
-            else:
-                raise NonConvergence(
-                    "steady-state Newton stalled", residual=base)
+        x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
+        x, _ = newton(
+            lambda x: M(x) - b,
+            lambda x, r: np.linalg.solve(M.derivative(x), r),
+            x0, sys.metric.norm, tol, _NEWTON_MAX_ITER,
+        )
     else:
         # proximal-point fallback: long-time flow via iterated resolvents,
         # shrinking the step whenever the inner iteration stops contracting

@@ -152,6 +152,31 @@ def test_rk4_audit_rejects_unstable_step(small_ocp, small_sys):
                           pf.constant_input(small_ocp), cfg, 5.0)
 
 
+def _scalar_system(M):
+    return pf.PHSystem(M, np.zeros((1, 0)), pf.Metric.euclidean(1),
+                       pf.Metric.euclidean(0))
+
+
+def test_singular_newton_matrix_raises_nonconvergence():
+    # M(x) = -2x makes I + (h/2) DM vanish at h = 1 and I + lam DM at lam = 1/2
+    M = pf.MonotoneOperatorSpec(1, eval_fn=lambda x: -2.0 * x,
+                                derivative_fn=lambda x: np.array([[-2.0]]))
+    with pytest.raises(pf.NonConvergence):
+        pf.integrate_flow(_scalar_system(M), np.array([1.0]), np.zeros(0),
+                          pf.IntegratorConfig(h_t=1.0), 1.0)
+    with pytest.raises(pf.NonConvergence):
+        pf.resolvent(M, 0.5, np.array([1.0]), pf.Metric.euclidean(1))
+
+
+def test_implicit_step_newton_failure_reports_time_and_residual():
+    cfg = pf.IntegratorConfig(h_t=0.1, newton_tol=1e-30)
+    with pytest.raises(pf.NonConvergence) as info:
+        pf.integrate_flow(_scalar_system(pf.cubic(np.eye(1), 1.0)),
+                          np.array([1.0]), np.zeros(0), cfg, 1.0)
+    assert np.isfinite(info.value.residual)
+    assert "t=" in str(info.value)
+
+
 def test_integrator_config_validation():
     with pytest.raises(pf.InvalidParameter):
         pf.IntegratorConfig(h_t=0.0)
