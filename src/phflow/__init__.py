@@ -13,15 +13,15 @@ from .phcore import (PHSystem, ProbeReport, SteadyStatePair, Trajectory,
                      accretivity_probe, coupling_block, interconnect,
                      power_balance_audit, resolvent, semigroup_approx,
                      shifted_passivity_audit, steady_state)
-from .ocp import (AdjointVector, CostSpec, DiscretizedOCP, Grid,
-                  LinearPlantModel, LogCoshStage, OptimizerState,
-                  QuadraticStage, adjoint_apply, assemble_constraint,
-                  assemble_ocp, build_grid, cost_and_gradient, input_to_state,
+from .ocp import (CostSpec, DiscretizedOCP, Grid, LinearPlantModel,
+                  LogCoshStage, OptimizerState, QuadraticStage,
+                  assemble_constraint, assemble_ocp, build_grid,
+                  cost_and_gradient, default_initial_state, input_to_state,
                   kkt_residual, kkt_solve, reduced_cost)
 from .optimizer import (ConvergenceReport, IntegratorConfig,
                         assemble_optimizer, constant_input,
-                        convergence_report, default_initial_state,
-                        default_outer_step, integrate_flow)
+                        convergence_report, default_outer_step,
+                        integrate_flow)
 from .closedloop import (ClosedLoopRun, ClosedLoopSystem, CouplingSpec,
                          FeedbackSeries, PlantSpec, assemble_plant, couple,
                          cubic_plant, feedback_extract, linear_plant,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -42,7 +43,8 @@ from .analysis import (lyapunov_certificate, metric_generator,
                        nonnormality, saddle_blocks, spectral_abscissa)
 from .closedloop import (CouplingSpec, couple, assemble_plant, cubic_plant,
                          linear_plant, simulate_closed_loop)
-from .errors import ConfigError, FormatError, NotHurwitz, ToolkitError
+from .errors import (ConfigError, DimensionMismatch, FormatError,
+                     InvalidParameter, NotHurwitz, ToolkitError)
 from .ocp import (CostSpec, LinearPlantModel, LogCoshStage, QuadraticStage,
                   assemble_ocp, build_grid, cost_and_gradient, kkt_residual,
                   kkt_solve)
@@ -59,17 +61,52 @@ _MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 # configuration parsing
 
 
+_REQUIRED = object()
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("must be a JSON object", field=path)
+    return value
+
+
 def _need(cfg: dict, key: str, path: str):
     if key not in cfg:
         raise ConfigError("missing required field", field=f"{path}{key}")
     return cfg[key]
 
 
-def _as_matrix(value, path: str) -> np.ndarray:
+def _number(cfg: dict, key: str, path: str, default=_REQUIRED,
+            integer: bool = False, low=None):
+    """The finite number cfg[key] (or the default), as an int when
+    `integer`; it must be at least `low`, or positive when `low` is None."""
+    value = _need(cfg, key, path) if default is _REQUIRED else cfg.get(key, default)
+    field = f"{path}{key}"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("must be a number", field=field)
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, huge ints
+        raise ConfigError("must be finite", field=field)
+    if integer and value != int(value):
+        raise ConfigError("must be an integer", field=field)
+    if low is None and value <= 0:
+        raise ConfigError("must be positive", field=field)
+    if low is not None and value < low:
+        raise ConfigError(f"must be at least {low}", field=field)
+    return int(value) if integer else float(value)
+
+
+def _array(value, path: str) -> np.ndarray:
     try:
-        mat = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("expected a numeric array", field=path)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("must be finite", field=path)
+    return arr
+
+
+def _as_matrix(value, path: str) -> np.ndarray:
+    mat = _array(value, path)
     if mat.ndim == 1:
         mat = mat.reshape(-1, 1)
     return mat
@@ -78,31 +115,29 @@ def _as_matrix(value, path: str) -> np.ndarray:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    return _object(cfg, "config")
 
 
 def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
-    alpha = float(_need(cfg, "alpha", path))
-    if alpha <= 0:
-        raise ConfigError("must be positive", field=path + "alpha")
-    stage_cfg = _need(cfg, "stage", path)
+    cfg = _object(cfg, path[:-1])
+    alpha = _number(cfg, "alpha", path)
+    stage_cfg = _object(_need(cfg, "stage", path), path + "stage")
     if "quadratic" in stage_cfg:
-        qc = stage_cfg["quadratic"]
-        Q = np.array(_need(qc, "Q", path + "stage.quadratic."), dtype=float)
-        q = np.array(qc.get("q", np.zeros(Q.shape[0])), dtype=float)
+        qc = _object(stage_cfg["quadratic"], path + "stage.quadratic")
+        Q = _array(_need(qc, "Q", path + "stage.quadratic."), path + "stage.quadratic.Q")
+        q = _array(qc["q"], path + "stage.quadratic.q") if "q" in qc else None
         try:
             stage = QuadraticStage(Q, q)
         except ToolkitError as exc:
             raise ConfigError(str(exc), field=path + "stage.quadratic")
     elif "logcosh" in stage_cfg:
-        scale = float(stage_cfg["logcosh"].get("scale", 1.0))
-        if scale <= 0:
-            raise ConfigError("must be positive", field=path + "stage.logcosh.scale")
-        stage = LogCoshStage(scale)
+        lc = _object(stage_cfg["logcosh"], path + "stage.logcosh")
+        stage = LogCoshStage(_number(lc, "scale", path + "stage.logcosh.", 1.0))
     else:
         raise ConfigError("stage must be 'quadratic' or 'logcosh'",
                           field=path + "stage")
@@ -110,16 +145,13 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
 
 
 def build_ocp(cfg: dict):
-    t_f = float(_need(cfg, "t_f", "ocp."))
-    N = int(_need(cfg, "N", "ocp."))
-    if t_f <= 0:
-        raise ConfigError("must be positive", field="ocp.t_f")
-    if N < 2:
-        raise ConfigError("must be at least 2", field="ocp.N")
+    cfg = _object(cfg, "ocp")
+    t_f = _number(cfg, "t_f", "ocp.")
+    N = _number(cfg, "N", "ocp.", integer=True, low=2)
     A = _as_matrix(_need(cfg, "A", "ocp."), "ocp.A")
     B = _as_matrix(_need(cfg, "B", "ocp."), "ocp.B")
-    x0 = np.array(_need(cfg, "x0", "ocp."), dtype=float).reshape(-1)
-    f = np.array(cfg.get("f", 0.0), dtype=float)
+    x0 = _array(_need(cfg, "x0", "ocp."), "ocp.x0").reshape(-1)
+    f = _array(cfg.get("f", 0.0), "ocp.f")
     cost = build_cost(_need(cfg, "cost", "ocp."))
     try:
         model = LinearPlantModel(A, B, f, x0)
@@ -130,42 +162,40 @@ def build_ocp(cfg: dict):
 
 
 def build_plant(cfg: dict, ocp):
-    kind = _need(cfg, "kind", "plant.")
+    cfg = _object(cfg, "plant")
+    kind = _object(_need(cfg, "kind", "plant."), "plant.kind")
     B_p = _as_matrix(cfg.get("B_p", ocp.model.B), "plant.B_p")
-    x_p0 = np.array(_need(cfg, "x_p0", "plant."), dtype=float).reshape(-1)
+    x_p0 = _array(_need(cfg, "x_p0", "plant."), "plant.x_p0").reshape(-1)
     try:
         if "linear" in kind:
-            lc = kind["linear"]
+            lc = _object(kind["linear"], "plant.kind.linear")
             R = _as_matrix(_need(lc, "R", "plant.kind.linear."), "plant.kind.linear.R")
             J = lc.get("J")
             return linear_plant(R, B_p, x_p0, J=None if J is None else _as_matrix(J, "plant.kind.linear.J"))
         if "cubic" in kind:
-            cc = kind["cubic"]
+            cc = _object(kind["cubic"], "plant.kind.cubic")
             R = _as_matrix(_need(cc, "R", "plant.kind.cubic."), "plant.kind.cubic.R")
-            kappa = float(cc.get("kappa", 0.0))
+            kappa = _number(cc, "kappa", "plant.kind.cubic.", 0.0, low=0.0)
             return cubic_plant(R, kappa, B_p, x_p0)
-    except ToolkitError as exc:
+    except (InvalidParameter, DimensionMismatch) as exc:
         raise ConfigError(str(exc), field="plant.kind")
     raise ConfigError("kind must be 'linear' or 'cubic'", field="plant.kind")
 
 
 def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:
-    cfg = cfg or {}
-    h_t = float(cfg.get("h_t", default_outer_step(ocp)))
-    T = float(cfg.get("T", 10.0))
-    if T <= 0:
-        raise ConfigError("must be positive", field="integrator.T")
+    cfg = _object(cfg or {}, "integrator")
+    path = "integrator."
     try:
         icfg = IntegratorConfig(
-            h_t=h_t,
+            h_t=_number(cfg, "h_t", path, default_outer_step(ocp)),
             scheme=cfg.get("scheme", "implicit_midpoint"),
-            newton_tol=float(cfg.get("newton_tol", 1e-10)),
-            max_steps=int(cfg.get("max_steps", 1_000_000)),
-            store_every=int(cfg.get("store_every", 1)),
+            newton_tol=_number(cfg, "newton_tol", path, 1e-10),
+            max_steps=_number(cfg, "max_steps", path, 1_000_000, integer=True, low=1),
+            store_every=_number(cfg, "store_every", path, 1, integer=True, low=1),
         )
-    except ToolkitError as exc:
+    except InvalidParameter as exc:
         raise ConfigError(str(exc), field="integrator")
-    return icfg, T
+    return icfg, _number(cfg, "T", path, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +372,11 @@ def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
         raise ConfigError("missing required field", field="plant")
     spec = build_plant(cfg["plant"], ocp)
     plant_sys = assemble_plant(spec, rng=seed)
-    cspec = CouplingSpec(cfg.get("coupling", {}).get("gamma", "inv_alpha"))
+    coupling = _object(cfg.get("coupling", {}), "coupling")
+    gamma = coupling.get("gamma", "inv_alpha")
+    if gamma != "inv_alpha":
+        gamma = _number(coupling, "gamma", "coupling.")
+    cspec = CouplingSpec(gamma)
     cls = couple(assemble_optimizer(ocp), plant_sys, ocp, cspec)
     icfg, T = build_integrator(cfg.get("integrator"), ocp)
     run = simulate_closed_loop(cls, icfg, T, x_p0=spec.x_p0)
@@ -452,10 +486,14 @@ def run(config_path, out_dir, seed=None, full_state=None, mode=None) -> int:
         if cfg_mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}", field="mode")
         ocp = build_ocp(_need(cfg, "ocp", ""))
-        seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-        full = bool(cfg.get("output", {}).get("full_state", False)) \
+        seed = _number(cfg, "seed", "", 0, integer=True, low=0) if seed is None else int(seed)
+        output = _object(cfg.get("output", {}), "output")
+        full = bool(output.get("full_state", False)) \
             if full_state is None else bool(full_state)
-        out = Path(out_dir or cfg.get("output", {}).get("dir", "out"))
+        out_dir = out_dir or output.get("dir", "out")
+        if not isinstance(out_dir, (str, os.PathLike)):
+            raise ConfigError("must be a path string", field="output.dir")
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         files = _RUNNERS[cfg_mode](cfg, ocp, out, seed, full)
         files.append(write_manifest(out, cfg, files, t0))
@@ -503,8 +541,9 @@ def main(argv=None) -> int:
     if len(configs) == 1:
         return run(configs[0], args.out, args.seed, args.full_state,
                    mode=args.command)
-    # several configs: one subdirectory each, optionally in parallel
-    jobs = max(1, args.jobs)
+    # several configs: one subdirectory each, optionally in parallel; the
+    # pool starts all its workers at once, so never more than can be busy
+    jobs = min(max(1, args.jobs), len(configs), os.cpu_count() or 1)
     tasks = [(c, str(Path(args.out) / Path(c).stem)) for c in configs]
     if jobs == 1:
         codes = [run(c, o, args.seed, args.full_state, mode=args.command)

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import AccretivityViolation, DimensionMismatch, InvalidParameter
 from .metric import Metric
-from .ocp import DiscretizedOCP
+from .ocp import DiscretizedOCP, default_initial_state
 from .operators import MonotoneOperatorSpec, cubic as cubic_operator, linear as linear_operator
-from .optimizer import IntegratorConfig, default_initial_state, integrate_flow
+from .optimizer import IntegratorConfig, integrate_flow
 from .phcore import PHSystem, Trajectory, accretivity_probe, interconnect
 
 
@@ -130,22 +130,15 @@ class ClosedLoopSystem:
     def split(self, z_cl: np.ndarray):
         return z_cl[..., :self.n_p], z_cl[..., self.n_p:]
 
-    def lam0_block(self, z_cl: np.ndarray) -> np.ndarray:
-        return z_cl[..., -self.ocp.n:]
-
-    def first_interval_lam(self, z_cl: np.ndarray) -> np.ndarray:
-        start = self.n_p + self.ocp.primal_dim
-        return z_cl[..., start:start + self.ocp.n]
-
     def feedback(self, z_cl: np.ndarray) -> np.ndarray:
         """Control applied to the plant: -gamma * B^T lam0."""
-        return -(self.gamma) * (self.lam0_block(z_cl) @ self.ocp.model.B)
+        lam0 = self.ocp.blocks(self.split(z_cl)[1]).lam0
+        return -(self.gamma) * (lam0 @ self.ocp.model.B)
 
     def mpc_signal(self, z_cl: np.ndarray) -> np.ndarray:
         """-(1/alpha) B^T lambda at the first grid node (node-registered)."""
-        return -(1.0 / self.ocp.cost.alpha) * (
-            self.first_interval_lam(z_cl) @ self.ocp.model.B
-        )
+        lam_1 = self.ocp.blocks(self.split(z_cl)[1]).lam[..., 0, :]
+        return -(1.0 / self.ocp.cost.alpha) * (lam_1 @ self.ocp.model.B)
 
     def initial_state(self, x_p0: Optional[np.ndarray] = None,
                       z0: Optional[np.ndarray] = None) -> np.ndarray:
@@ -173,9 +166,10 @@ def couple(opt_sys: PHSystem, plant_sys: PHSystem, ocp: DiscretizedOCP,
         warnings.warn("plant input matrix differs from the model B; "
                       "the loop is power-preserving but model-mismatched")
 
-    # reorder optimizer ports so the initial-condition port comes first
-    nf = ocp.N * n
-    perm = np.concatenate([np.arange(nf, nf + n), np.arange(nf)])
+    # reorder optimizer ports (the dual block) so the initial-condition
+    # port comes first
+    ports = ocp.blocks(np.arange(ocp.state_dim) - ocp.primal_dim)
+    perm = np.concatenate([ports.lam0, ports.lam.ravel()])
     opt_reordered = PHSystem(
         opt_sys.M,
         opt_sys.B[:, perm],

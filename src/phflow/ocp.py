@@ -214,9 +214,10 @@ class CostSpec:
 class DiscretizedOCP:
     """Grid, model, cost, sparse constraint C_h and the quadrature metrics.
 
-    Vector layout (all flat, node-major):
+    Vector layout (all flat, node-major), owned by `blocks`; no other
+    code computes an offset into it:
       primal  z_p = [x_0..x_N | u_0..u_N]               (N+1)(n+m)
-      dual    d   = [mu_1..mu_N | lam0]                 (N+1) n
+      dual    d   = [lam_1..lam_N | lam0]               (N+1) n
       state   z   = [z_p | d]
     """
 
@@ -264,55 +265,47 @@ class DiscretizedOCP:
     def state_metric(self) -> Metric:
         return self.primal_metric.concat(self.dual_metric)
 
-    def split_primal(self, zp: np.ndarray):
-        nx = (self.N + 1) * self.n
-        return (zp[:nx].reshape(self.N + 1, self.n),
-                zp[nx:].reshape(self.N + 1, self.m))
+    def blocks(self, z: np.ndarray) -> "OptimizerState":
+        """Views of a state vector z, or of each row of a stack of them.
 
-    def join_primal(self, x_nodes: np.ndarray, u_nodes: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.ravel(x_nodes), np.ravel(u_nodes)])
-
-    def split_state(self, z: np.ndarray):
-        p = self.primal_dim
-        return z[:p], z[p:]
+        The views share memory with z, so writing into the views of a
+        zero vector builds a state block by block.
+        """
+        return _state_blocks(z, self.N, self.n, self.m)
 
     # -- cost and optimality operator ---------------------------------------
-    def grad_cost(self, zp: np.ndarray) -> np.ndarray:
-        """Metric gradient of the discrete cost: nodewise (grad l, alpha*u)."""
-        x, u = self.split_primal(zp)
-        return self.join_primal(self.cost.stage.grad(x), self.cost.alpha * u)
+    def grad_cost(self, z: np.ndarray) -> np.ndarray:
+        """Metric gradient of the discrete cost at the primal part of the
+        state z: nodewise (grad l, alpha*u), a primal vector."""
+        s, g = self.blocks(z), self.blocks(np.zeros(self.state_dim))
+        g.x[:] = self.cost.stage.grad(s.x)
+        g.u[:] = self.cost.alpha * s.u
+        return g.primal
 
-    def hessian_primal(self, zp: np.ndarray) -> sparse.csr_matrix:
-        """Block-diagonal Hessian of the metric cost gradient."""
-        x, _ = self.split_primal(zp)
-        Hx = sparse.block_diag(self.cost.stage.hess(x), format="csr")
+    def hessian_primal(self, z: np.ndarray) -> sparse.csr_matrix:
+        """Block-diagonal Hessian of the metric cost gradient at the
+        primal part of the state z."""
+        Hx = sparse.block_diag(self.cost.stage.hess(self.blocks(z).x), format="csr")
         Hu = self.cost.alpha * sparse.identity((self.N + 1) * self.m, format="csr")
         return sparse.block_diag([Hx, Hu], format="csr")
 
     def m_opt(self, z: np.ndarray) -> np.ndarray:
         """The optimality-system operator (gradient row, constraint row)."""
-        zp, d = self.split_state(z)
-        return np.concatenate([
-            self.grad_cost(zp) - self.C_star @ d,
-            self.C @ zp,
-        ])
-
-    def m_opt_matrix(self) -> sparse.csr_matrix:
-        """Matrix of m_opt; only available for quadratic stage costs."""
-        if not self.cost.stage.is_quadratic:
-            raise InvalidParameter("optimality operator is nonlinear for this cost")
-        H = self.hessian_primal(np.zeros(self.primal_dim))
-        return sparse.bmat([[H, -self.C_star], [self.C, None]], format="csr")
+        s, out = self.blocks(z), self.blocks(np.empty(self.state_dim))
+        out.primal[:] = self.grad_cost(z) - self.C_star @ s.dual
+        out.dual[:] = self.C @ s.primal
+        return out.vector
 
     def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        zp, _ = self.split_state(z)
         return sparse.bmat(
-            [[self.hessian_primal(zp), -self.C_star], [self.C, None]], format="csr"
+            [[self.hessian_primal(z), -self.C_star], [self.C, None]], format="csr"
         )
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""
-        return np.concatenate([np.zeros(self.primal_dim), self.rhs])
+        out = self.blocks(np.zeros(self.state_dim))
+        out.dual[:] = self.rhs
+        return out.vector
 
     def node_adjoint(self, lam: np.ndarray, lam0: np.ndarray = None) -> np.ndarray:
         """Re-register interval multipliers at the N+1 grid nodes.
@@ -331,64 +324,37 @@ class DiscretizedOCP:
 
 
 @dataclass(frozen=True)
-class AdjointVector:
-    """Multiplier pair: one block per interval plus the initial-condition
-    block lam0; interval blocks represent the adjoint at midpoints."""
-
-    lam: np.ndarray
-    lam0: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        return np.concatenate([np.ravel(self.lam), np.ravel(self.lam0)])
-
-
-@dataclass(frozen=True)
 class OptimizerState:
-    """Stacked (x, u, lam, lam0) vector with shape-aware views."""
+    """A stacked state vector z = [x | u | lam | lam0] (or a stack of
+    them, one per row) with its block views; made by
+    `DiscretizedOCP.blocks`."""
 
     vector: np.ndarray
-    n: int
-    m: int
-    N: int
+    x: np.ndarray       # (..., N+1, n) states at the nodes
+    u: np.ndarray       # (..., N+1, m) controls at the nodes
+    lam: np.ndarray     # (..., N, n) interval multipliers
+    lam0: np.ndarray    # (..., n) initial-condition multiplier
+    primal: np.ndarray  # (..., (N+1)(n+m)) flat [x | u]
+    dual: np.ndarray    # (..., (N+1) n) flat [lam | lam0]
 
-    @classmethod
-    def from_blocks(cls, x_nodes, u_nodes, lam, lam0) -> "OptimizerState":
-        x_nodes = np.atleast_2d(np.asarray(x_nodes, dtype=float))
-        u_nodes = np.atleast_2d(np.asarray(u_nodes, dtype=float))
-        lam = np.atleast_2d(np.asarray(lam, dtype=float))
-        lam0 = np.asarray(lam0, dtype=float).reshape(-1)
-        N = x_nodes.shape[0] - 1
-        vec = np.concatenate(
-            [np.ravel(x_nodes), np.ravel(u_nodes), np.ravel(lam), lam0]
-        )
-        return cls(vec, x_nodes.shape[1], u_nodes.shape[1], N)
 
-    @classmethod
-    def from_vector(cls, vector, ocp: DiscretizedOCP) -> "OptimizerState":
-        vector = np.asarray(vector, dtype=float)
-        if vector.size != ocp.state_dim:
-            raise DimensionMismatch("state vector length mismatch")
-        return cls(vector, ocp.n, ocp.m, ocp.N)
-
-    @property
-    def x(self) -> np.ndarray:
-        nx = (self.N + 1) * self.n
-        return self.vector[:nx].reshape(self.N + 1, self.n)
-
-    @property
-    def u(self) -> np.ndarray:
-        nx = (self.N + 1) * self.n
-        nu = (self.N + 1) * self.m
-        return self.vector[nx:nx + nu].reshape(self.N + 1, self.m)
-
-    @property
-    def lam(self) -> np.ndarray:
-        start = (self.N + 1) * (self.n + self.m)
-        return self.vector[start:start + self.N * self.n].reshape(self.N, self.n)
-
-    @property
-    def lam0(self) -> np.ndarray:
-        return self.vector[-self.n:]
+def _state_blocks(z, N: int, n: int, m: int) -> OptimizerState:
+    """The layout of `DiscretizedOCP.blocks`; the one function that
+    computes the offsets of x, u, lam and lam0."""
+    z = np.asarray(z)
+    p = (N + 1) * (n + m)
+    if z.shape[-1] != p + (N + 1) * n:
+        raise DimensionMismatch("state vector length mismatch")
+    lead, nx = z.shape[:-1], (N + 1) * n
+    return OptimizerState(
+        z,
+        z[..., :nx].reshape(lead + (N + 1, n)),
+        z[..., nx:p].reshape(lead + (N + 1, m)),
+        z[..., p:-n].reshape(lead + (N, n)),
+        z[..., -n:],
+        z[..., :p],
+        z[..., p:],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,56 +370,45 @@ def assemble_constraint(model: LinearPlantModel, grid: Grid):
     dxr = eye / h - 0.5 * A    # right-endpoint x coefficient
     du = -0.5 * B
 
-    rows_x, cols_x, vals = [], [], []
-    x_off = 0
-    u_off = (N + 1) * n
+    # C maps the primal part of a state to its dual part; these index the
+    # columns and rows of each block
+    dim = (N + 1) * (2 * n + m)
+    col = _state_blocks(np.arange(dim), N, n, m)
+    row = _state_blocks(np.arange(dim) - col.primal.size, N, n, m)
+    rows, cols, vals = [], [], []
 
-    def put(block, r0, c0):
-        r, c = np.nonzero(block)
-        rows_x.extend(r + r0)
-        cols_x.extend(c + c0)
-        vals.extend(block[r, c])
+    def put(block, r, c):
+        i, j = np.nonzero(block)
+        rows.extend(r[i])
+        cols.extend(c[j])
+        vals.extend(block[i, j])
 
     for i in range(1, N + 1):
-        r0 = (i - 1) * n
-        put(dxl, r0, x_off + (i - 1) * n)
-        put(dxr, r0, x_off + i * n)
-        if m:
-            put(du, r0, u_off + (i - 1) * m)
-            put(du, r0, u_off + i * m)
-    put(eye, N * n, x_off)  # initial-condition extraction, final row block
+        put(dxl, row.lam[i - 1], col.x[i - 1])
+        put(dxr, row.lam[i - 1], col.x[i])
+        put(du, row.lam[i - 1], col.u[i - 1])
+        put(du, row.lam[i - 1], col.u[i])
+    put(eye, row.lam0, col.x[0])  # initial-condition extraction, final row block
 
-    C = sparse.csr_matrix(
-        (vals, (rows_x, cols_x)),
-        shape=((N + 1) * n, (N + 1) * (n + m)),
-    )
+    C = sparse.csr_matrix((vals, (rows, cols)), shape=(col.dual.size, col.primal.size))
     f = model.f_nodes(grid)
-    fbar = 0.5 * (f[1:] + f[:-1])
-    rhs = np.concatenate([np.ravel(fbar), model.x0])
-    return C, rhs
+    rhs = _state_blocks(np.zeros(dim), N, n, m)
+    rhs.lam[:] = 0.5 * (f[1:] + f[:-1])
+    rhs.lam0[:] = model.x0
+    return C, rhs.dual.copy()
 
 
 def assemble_ocp(model: LinearPlantModel, grid: Grid, cost: CostSpec) -> DiscretizedOCP:
     C, rhs = assemble_constraint(model, grid)
-    n, m, N = model.n, model.m, grid.N
-    w = grid.weights
-    primal = Metric(np.concatenate([np.repeat(w, n), np.repeat(w, m)]))
-    dual = Metric(np.concatenate([np.full(N * n, grid.h), np.ones(n)]))
-    return DiscretizedOCP(grid, model, cost, C, rhs, primal, dual)
-
-
-def adjoint_apply(ocp: DiscretizedOCP, adj: AdjointVector) -> np.ndarray:
-    """Apply the metric adjoint C_h* to a multiplier pair.
-
-    For midpoint samples of a smooth lambda with lambda(t_f) = 0 and
-    lam0 = lambda(0), the x part approximates -dlambda/dtau - A^T lambda
-    and the u part approximates -B^T lambda at the grid nodes, second
-    order in the interior.
-    """
-    d = adj.stack()
-    if d.size != ocp.dual_dim:
-        raise DimensionMismatch("adjoint vector dimension mismatch")
-    return ocp.C_star @ d
+    w = _state_blocks(np.empty(sum(C.shape)), grid.N, model.n, model.m)
+    # trapezoidal weights on the primal side, interval weights h on the
+    # interval multipliers, Euclidean on lam0
+    w.x[:] = grid.weights[:, None]
+    w.u[:] = grid.weights[:, None]
+    w.lam[:] = grid.h
+    w.lam0[:] = 1.0
+    return DiscretizedOCP(grid, model, cost, C, rhs,
+                          Metric(w.primal.copy()), Metric(w.dual.copy()))
 
 
 def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> np.ndarray:
@@ -480,6 +435,16 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     if not np.all(np.isfinite(x)):
         raise SingularStep("forward marching produced non-finite states")
     return x
+
+
+def default_initial_state(ocp: DiscretizedOCP) -> np.ndarray:
+    """Free response in x, zero control and multipliers.
+
+    Coincides with the KKT point whenever the stage cost vanishes.
+    """
+    z = np.zeros(ocp.state_dim)
+    ocp.blocks(z).x[:] = input_to_state(ocp.model, np.zeros((ocp.N + 1, ocp.m)), ocp.grid)
+    return z
 
 
 def cost_and_gradient(cost: CostSpec, grid: Grid, x_nodes: np.ndarray,
@@ -540,36 +505,28 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     for the starting residual r0 and accepts any residual within tol.
     """
     if ocp.cost.stage.is_quadratic:
-        z = _solve_saddle(
-            ocp,
-            ocp.hessian_primal(np.zeros(ocp.primal_dim)),
-            -np.concatenate([
-                np.ravel(ocp.cost.stage.grad(np.zeros((ocp.N + 1, ocp.n)))),
-                np.zeros((ocp.N + 1) * ocp.m),
-            ]),
-            ocp.rhs,
-        )
         # stationarity with the affine gradient reads H z_p + g0 = C* d,
         # so the constant offset -g0 lands on the primal right-hand side
+        zero = np.zeros(ocp.state_dim)
+        z = _solve_saddle(ocp, ocp.hessian_primal(zero), -ocp.grad_cost(zero), ocp.rhs)
         _, norm = kkt_residual(ocp, z)
         if norm > tol:
             raise NonConvergence("direct KKT solve residual above tolerance",
                                  residual=norm)
-        return OptimizerState.from_vector(z, ocp)
+        return ocp.blocks(z)
 
-    x_free = input_to_state(ocp.model, np.zeros((ocp.N + 1, ocp.m)), ocp.grid)
-    z0 = np.concatenate([
-        np.ravel(x_free),
-        np.zeros((ocp.N + 1) * ocp.m + ocp.dual_dim),
-    ])
+    z0 = default_initial_state(ocp)
     _, norm0 = kkt_residual(ocp, z0)
-    p = ocp.primal_dim
     target_rhs = ocp.kkt_target()
+
+    def solve(z, r):
+        r = ocp.blocks(r)
+        return _solve_saddle(ocp, ocp.hessian_primal(z), r.primal, r.dual)
+
     z, norm = newton(
-        lambda z: ocp.m_opt(z) - target_rhs,
-        lambda z, r: _solve_saddle(ocp, ocp.hessian_primal(z[:p]), r[:p], r[p:]),
+        lambda z: ocp.m_opt(z) - target_rhs, solve,
         z0, ocp.state_metric.norm, min(tol, 1e-11 * (1.0 + norm0)), _NEWTON_MAX_ITER,
     )
     if norm > tol:
         raise NonConvergence("KKT Newton did not reach tolerance", residual=norm)
-    return OptimizerState.from_vector(z, ocp)
+    return ocp.blocks(z)

@@ -31,7 +31,8 @@ import numpy as np
 from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
                      NonConvergence, StepRejected)
-from .ocp import DiscretizedOCP, OptimizerState, input_to_state
+# default_initial_state lives with the layout in ocp; it is re-exported here
+from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec
 from .phcore import PHSystem, Trajectory, _prefactored_linear_stepper, newton
 
@@ -66,46 +67,27 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
     its matrix, which lets the integrators prefactor one sparse LU for
     the whole run.
     """
-    p = ocp.primal_dim
-    d = ocp.dual_dim
-
     if ocp.cost.stage.is_quadratic:
-        g0 = None
-        if np.any(ocp.cost.stage.q):
-            # constant gradient offset from the linear cost term
-            g0 = np.concatenate([
-                np.tile(ocp.cost.stage.q, ocp.N + 1),
-                np.zeros((ocp.N + 1) * ocp.m + d),
-            ])
-        M = MonotoneOperatorSpec(p + d, linear_part=ocp.m_opt_matrix(),
-                                 affine_offset=g0)
+        zero = np.zeros(ocp.state_dim)
+        g0 = ocp.m_opt(zero)  # constant gradient offset from the linear cost term
+        M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.m_opt_jacobian(zero),
+                                 affine_offset=g0 if np.any(g0) else None)
     else:
         M = MonotoneOperatorSpec(
-            p + d,
+            ocp.state_dim,
             eval_fn=ocp.m_opt,
             derivative_fn=lambda z: ocp.m_opt_jacobian(z).toarray(),
         )
 
-    B_opt = np.zeros((p + d, d))
-    B_opt[p:, :] = np.eye(d)
+    # each column of B_opt is a state: the port drives the multiplier block
+    B_opt = np.zeros((ocp.state_dim, ocp.dual_dim))
+    ocp.blocks(B_opt.T).dual[:] = np.eye(ocp.dual_dim)
     return PHSystem(M, B_opt, ocp.state_metric, ocp.dual_metric)
 
 
 def constant_input(ocp: DiscretizedOCP) -> np.ndarray:
     """The standing port input (fbar, x0) that reproduces the KKT rhs."""
     return ocp.rhs.copy()
-
-
-def default_initial_state(ocp: DiscretizedOCP) -> np.ndarray:
-    """Free response in x, zero control and multipliers.
-
-    Coincides with the KKT point whenever the stage cost vanishes.
-    """
-    x_free = input_to_state(ocp.model, np.zeros((ocp.N + 1, ocp.m)), ocp.grid)
-    return np.concatenate([
-        np.ravel(x_free),
-        np.zeros((ocp.N + 1) * ocp.m + ocp.dual_dim),
-    ])
 
 
 def default_outer_step(ocp: DiscretizedOCP) -> float:
@@ -253,11 +235,11 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
     if traj.times.size < 10:
         raise InsufficientData("need at least 10 samples past the transient")
     vec = z_hat.vector if isinstance(z_hat, OptimizerState) else np.asarray(z_hat, dtype=float)
-    p = ocp.primal_dim
     diff = traj.states - vec
+    d = ocp.blocks(diff)
     errors = np.sqrt(ocp.state_metric.row_inner(diff, diff))
-    errors_primal = np.sqrt(ocp.primal_metric.row_inner(diff[:, :p], diff[:, :p]))
-    errors_dual = np.sqrt(ocp.dual_metric.row_inner(diff[:, p:], diff[:, p:]))
+    errors_primal = np.sqrt(ocp.primal_metric.row_inner(d.primal, d.primal))
+    errors_dual = np.sqrt(ocp.dual_metric.row_inner(d.dual, d.dual))
 
     half = traj.times.size // 2
     tail_t, tail_e = traj.times[half:], errors[half:]

@@ -25,6 +25,15 @@ def make_logcosh(N=32, t_f=1.0, alpha=0.5, scale=0.7, x0=(1.0, 0.0)):
     return pf.assemble_ocp(model, grid, cost)
 
 
+def state_from(ocp, **blocks):
+    """The OCP state whose named blocks (x, u, lam, lam0, primal, dual)
+    hold the given values and whose other entries are zero."""
+    s = ocp.blocks(np.zeros(ocp.state_dim))
+    for name, value in blocks.items():
+        getattr(s, name)[...] = value
+    return s
+
+
 @pytest.fixture(scope="session")
 def di_ocp():
     return make_double_integrator()

@@ -13,7 +13,8 @@ from scipy import optimize
 from scipy.linalg import expm
 
 import phflow as pf
-from conftest import DI_A, DI_B, make_double_integrator, make_logcosh
+from conftest import (DI_A, DI_B, make_double_integrator, make_logcosh,
+                      state_from)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -156,7 +157,7 @@ def test_criterion_04_adjoint_consistency():
         ocp = make_double_integrator(N=N, t_f=t_f)
         grid = ocp.grid
         lam = np.array([lam_fn(t) for t in grid.midpoints])
-        out = pf.adjoint_apply(ocp, pf.AdjointVector(lam, lam_fn(0.0)))
+        out = ocp.C_star @ state_from(ocp, lam=lam, lam0=lam_fn(0.0)).dual
         x_part = out[:(N + 1) * 2].reshape(N + 1, 2)
         u_part = out[(N + 1) * 2:].reshape(N + 1, 1)
         xt = np.array([-dlam_fn(t) - DI_A.T @ lam_fn(t) for t in grid.nodes])
@@ -311,14 +312,14 @@ def test_criterion_10_gradient_and_jacobian_checks():
         for _ in range(20):
             zp = rng.standard_normal(ocp.primal_dim)
             v = rng.standard_normal(ocp.primal_dim)
-            x, u = ocp.split_primal(zp)
-            _, gx, gu = pf.cost_and_gradient(ocp.cost, ocp.grid, x, u)
-            g = ocp.join_primal(gx, gu)
+            s = state_from(ocp, primal=zp)
+            _, gx, gu = pf.cost_and_gradient(ocp.cost, ocp.grid, s.x, s.u)
+            g = state_from(ocp, x=gx, u=gu).primal
             eps = 1e-6
-            xp, up = ocp.split_primal(zp + eps * v)
-            xm, um = ocp.split_primal(zp - eps * v)
-            Jp, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, xp, up)
-            Jm, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, xm, um)
+            sp = state_from(ocp, primal=zp + eps * v)
+            sm = state_from(ocp, primal=zp - eps * v)
+            Jp, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, sp.x, sp.u)
+            Jm, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, sm.x, sm.u)
             fd = (Jp - Jm) / (2 * eps)
             pairing = ocp.primal_metric.inner(g, v)
             worst_grad = max(worst_grad,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from phflow.cli import compare, main, read_table_csv
 
@@ -216,6 +217,68 @@ def test_multiple_configs_parallel(tmp_path):
     assert code == 0
     assert (out / "one" / "kkt.csv").exists()
     assert (out / "two" / "kkt.csv").exists()
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("ocp", "N", "abc", "ocp.N"),
+    ("integrator", "T", float("inf"), "integrator.T"),
+    ("integrator", "h_t", float("nan"), "integrator.h_t"),
+    (None, "integrator", "fast", "integrator"),
+    ("ocp", "x0", ["a", 1], "ocp.x0"),
+    ("ocp.cost", "alpha", float("nan"), "ocp.cost.alpha"),
+    ("ocp", "N", 8.7, "ocp.N"),
+])
+def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
+                                                 key, value, field):
+    cfg = json.loads(write_config(tmp_path, mode="flow").read_text())
+    target = cfg
+    for part in section.split(".") if section else []:
+        target = target[part]
+    target[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+
+
+def test_jobs_capped_by_configs_and_cpus(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    from phflow import cli
+
+    pools = []
+
+    class InlinePool:
+        """Records max_workers and runs each task at submit; starts nothing."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    configs = [str(write_config(tmp_path, name=f"c{i}.json")) for i in range(3)]
+    for cpus, n_configs, expected in [(8, 2, 2), (2, 3, 2)]:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["solve", "--config", *configs[:n_configs],
+                     "--out", str(tmp_path / "multi"), "--jobs", "64"]) == 0
+        assert pools.pop() == expected
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial
+    assert main(["solve", "--config", *configs,
+                 "--out", str(tmp_path / "multi"), "--jobs", "64"]) == 0
+    assert pools == []
+    assert (tmp_path / "multi" / "c2" / "kkt.csv").exists()
 
 
 def test_console_entry_point_runs():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import phflow as pf
-from conftest import DI_A, DI_B, make_double_integrator, make_logcosh
+from conftest import (DI_A, DI_B, make_double_integrator, make_logcosh,
+                      state_from)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_adjoint_kernel_trivial():
 # adjoint application
 
 
-def test_adjoint_apply_linear_multiplier():
+def test_adjoint_linear_multiplier():
     # A=0, B=1: lambda(tau) = t_f - tau gives -dlambda/dtau = 1 and
     # control part -(t_f - tau) at the nodes
     t_f, N = 1.0, 16
@@ -120,16 +121,16 @@ def test_adjoint_apply_linear_multiplier():
     model = scalar_model()
     ocp = pf.assemble_ocp(model, grid, pf.CostSpec(1.0, pf.QuadraticStage(np.eye(1))))
     lam = (t_f - grid.midpoints).reshape(-1, 1)
-    out = pf.adjoint_apply(ocp, pf.AdjointVector(lam, np.array([t_f])))
+    out = ocp.C_star @ state_from(ocp, lam=lam, lam0=np.array([t_f])).dual
     x_part = out[:N + 1]
     u_part = out[N + 1:]
     assert np.allclose(x_part[1:-1], 1.0, atol=1e-12)
     assert np.allclose(u_part[1:-1], -(t_f - grid.nodes[1:-1]), atol=1e-12)
 
 
-def test_adjoint_apply_zero():
+def test_adjoint_zero():
     ocp = make_double_integrator(N=8)
-    out = pf.adjoint_apply(ocp, pf.AdjointVector(np.zeros((8, 2)), np.zeros(2)))
+    out = ocp.C_star @ state_from(ocp, lam=np.zeros((8, 2)), lam0=np.zeros(2)).dual
     assert np.allclose(out, 0.0)
 
 
@@ -154,7 +155,7 @@ def test_adjoint_second_order_interior():
         ocp = make_double_integrator(N=N, t_f=t_f)
         grid = ocp.grid
         lam = np.array([lam_fn(t) for t in grid.midpoints])
-        out = pf.adjoint_apply(ocp, pf.AdjointVector(lam, lam_fn(0.0)))
+        out = ocp.C_star @ state_from(ocp, lam=lam, lam0=lam_fn(0.0)).dual
         x_part = out[:(N + 1) * 2].reshape(N + 1, 2)
         u_part = out[(N + 1) * 2:].reshape(N + 1, 1)
         xt = np.array([-dlam_fn(t) - DI_A.T @ lam_fn(t) for t in grid.nodes])
@@ -189,7 +190,7 @@ def test_input_to_state_feasibility(di_ocp):
     rng = np.random.default_rng(2)
     u = rng.standard_normal((di_ocp.N + 1, 1))
     x = pf.input_to_state(di_ocp.model, u, di_ocp.grid)
-    out = di_ocp.C @ di_ocp.join_primal(x, u)
+    out = di_ocp.C @ state_from(di_ocp, x=x, u=u).primal
     assert np.max(np.abs(out - di_ocp.rhs)) <= 1e-12
 
 
@@ -230,16 +231,16 @@ def test_cost_gradient_matches_finite_differences(make):
     ocp = make(N=8)
     rng = np.random.default_rng(3)
     zp = rng.standard_normal(ocp.primal_dim)
-    x, u = ocp.split_primal(zp)
-    J, gx, gu = pf.cost_and_gradient(ocp.cost, ocp.grid, x, u)
-    g = ocp.join_primal(gx, gu)
+    s = state_from(ocp, primal=zp)
+    J, gx, gu = pf.cost_and_gradient(ocp.cost, ocp.grid, s.x, s.u)
+    g = state_from(ocp, x=gx, u=gu).primal
     for _ in range(10):
         v = rng.standard_normal(ocp.primal_dim)
         eps = 1e-6
-        xp, up = ocp.split_primal(zp + eps * v)
-        xm, um = ocp.split_primal(zp - eps * v)
-        Jp, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, xp, up)
-        Jm, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, xm, um)
+        sp = state_from(ocp, primal=zp + eps * v)
+        sm = state_from(ocp, primal=zp - eps * v)
+        Jp, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, sp.x, sp.u)
+        Jm, _, _ = pf.cost_and_gradient(ocp.cost, ocp.grid, sm.x, sm.u)
         fd = (Jp - Jm) / (2 * eps)
         pairing = ocp.primal_metric.inner(g, v)
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-9)
@@ -305,8 +306,7 @@ def test_kkt_residual_at_solution(di_ocp, di_zhat):
 def test_kkt_residual_free_response_zero_stage():
     ocp = make_double_integrator(N=16, Q=np.zeros((2, 2)))
     x_free = pf.input_to_state(ocp.model, np.zeros((17, 1)), ocp.grid)
-    z = pf.OptimizerState.from_blocks(x_free, np.zeros((17, 1)),
-                                      np.zeros((16, 2)), np.zeros(2))
+    z = state_from(ocp, x=x_free)
     _, norm = pf.kkt_residual(ocp, z)
     assert norm <= 1e-10
 
@@ -409,7 +409,7 @@ def test_input_to_state_per_node_inhomogeneity():
     ocp = pf.assemble_ocp(model, grid, pf.CostSpec(1.0, pf.QuadraticStage(np.eye(2))))
     u = rng.standard_normal((13, 1))
     x = pf.input_to_state(model, u, grid)
-    out = ocp.C @ ocp.join_primal(x, u)
+    out = ocp.C @ state_from(ocp, x=x, u=u).primal
     assert np.max(np.abs(out - ocp.rhs)) <= 1e-12
 
 
