@@ -386,9 +386,8 @@ def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
               + [f"xp_{j + 1}" for j in range(cls.n_p)]
               + [f"up_{j + 1}" for j in range(ocp.m)]
               + ["norm_total", "norm_plant", "norm_optimizer", "power_residual"])
-    xp = run.traj.states[:, :cls.n_p]
     rows = np.column_stack([
-        run.traj.times, xp, run.feedback.u_p,
+        run.traj.times, cls.split(run.traj.states)[0], run.feedback.u_p,
         run.norm_total, run.norm_plant, run.norm_optimizer, residual_col,
     ])
     path = out_dir / "closedloop.csv"

@@ -142,9 +142,12 @@ class ClosedLoopSystem:
 
     def initial_state(self, x_p0: Optional[np.ndarray] = None,
                       z0: Optional[np.ndarray] = None) -> np.ndarray:
-        xp = np.zeros(self.n_p) if x_p0 is None else np.asarray(x_p0, dtype=float).reshape(self.n_p)
-        z = default_initial_state(self.ocp) if z0 is None else np.asarray(z0, dtype=float)
-        return np.concatenate([xp, z])
+        z_cl = np.zeros(self.dim)
+        xp, z = self.split(z_cl)
+        if x_p0 is not None:
+            xp[:] = np.asarray(x_p0, dtype=float).reshape(self.n_p)
+        z[:] = default_initial_state(self.ocp) if z0 is None else z0
+        return z_cl
 
 
 def couple(opt_sys: PHSystem, plant_sys: PHSystem, ocp: DiscretizedOCP,
@@ -218,8 +221,7 @@ def simulate_closed_loop(cls: ClosedLoopSystem, cfg: IntegratorConfig, T: float,
     u_open = np.zeros(cls.sys.input_dim)  # inhomogeneity port closed at zero
     traj = integrate_flow(cls.sys, z_cl0, u_open, cfg, T)
     xp, z = cls.split(traj.states)
-    plant_metric, opt_metric = cls.sys.metric.split(cls.n_p)
     total = np.sqrt(cls.sys.metric.row_inner(traj.states, traj.states))
-    plant = np.sqrt(plant_metric.row_inner(xp, xp))
-    opt = np.sqrt(opt_metric.row_inner(z, z))
+    plant = np.sqrt(cls.plant_sys.metric.row_inner(xp, xp))
+    opt = np.sqrt(cls.opt_sys.metric.row_inner(z, z))
     return ClosedLoopRun(traj, feedback_extract(cls, traj), total, plant, opt)

@@ -39,8 +39,6 @@ from .errors import (DimensionMismatch, InvalidParameter, NonConvergence,
 from .metric import Metric
 from .phcore import _prefactored_linear_stepper, newton
 
-_NEWTON_MAX_ITER = 50
-
 
 # ---------------------------------------------------------------------------
 # grid
@@ -307,7 +305,7 @@ class DiscretizedOCP:
         out.dual[:] = self.rhs
         return out.vector
 
-    def node_adjoint(self, lam: np.ndarray, lam0: np.ndarray = None) -> np.ndarray:
+    def node_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """Re-register interval multipliers at the N+1 grid nodes.
 
         Node j gets the average of the two adjacent interval values
@@ -510,7 +508,7 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
         zero = np.zeros(ocp.state_dim)
         z = _solve_saddle(ocp, ocp.hessian_primal(zero), -ocp.grad_cost(zero), ocp.rhs)
         _, norm = kkt_residual(ocp, z)
-        if norm > tol:
+        if not norm <= tol:
             raise NonConvergence("direct KKT solve residual above tolerance",
                                  residual=norm)
         return ocp.blocks(z)
@@ -525,8 +523,8 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
 
     z, norm = newton(
         lambda z: ocp.m_opt(z) - target_rhs, solve,
-        z0, ocp.state_metric.norm, min(tol, 1e-11 * (1.0 + norm0)), _NEWTON_MAX_ITER,
+        z0, ocp.state_metric.norm, min(tol, 1e-11 * (1.0 + norm0)),
     )
-    if norm > tol:
+    if not norm <= tol:
         raise NonConvergence("KKT Newton did not reach tolerance", residual=norm)
     return ocp.blocks(z)

@@ -76,20 +76,6 @@ class MonotoneOperatorSpec:
             raise DimensionMismatch("operator carries no derivative")
         return np.asarray(self.derivative_fn(x), dtype=float)
 
-    def shifted(self, b: np.ndarray) -> "MonotoneOperatorSpec":
-        """The operator x -> M(x) - b (same derivative)."""
-        b = np.asarray(b, dtype=float)
-        if self.linear_part is not None:
-            return MonotoneOperatorSpec(
-                self.dim, linear_part=self.linear_part,
-                affine_offset=self.offset - b,
-            )
-        return MonotoneOperatorSpec(
-            self.dim,
-            eval_fn=lambda x: self.eval_fn(x) - b,
-            derivative_fn=self.derivative_fn,
-        )
-
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:
     """Wrap a matrix (plus optional constant) as an operator;

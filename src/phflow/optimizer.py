@@ -34,10 +34,9 @@ from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec
-from .phcore import PHSystem, Trajectory, _prefactored_linear_stepper, newton
+from .phcore import PHSystem, Trajectory, implicit_stepper
 
 _SCHEMES = ("implicit_midpoint", "implicit_euler", "rk4")
-_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -115,42 +114,21 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     b = sys.B @ u_const
     M = sys.M
 
-    implicit = cfg.scheme in ("implicit_midpoint", "implicit_euler")
-    theta = 0.5 if cfg.scheme == "implicit_midpoint" else 1.0
-    if implicit and M.is_linear:
-        step_fn = _prefactored_linear_stepper(M.linear_part, h, theta)
-        b_lin = b - M.offset  # constant part of the drift, offset included
-    elif implicit and not M.has_derivative:
-        raise InvalidParameter("implicit schemes need a derivative for nonlinear M")
-    elif implicit:
-        eye = np.eye(sys.dim)
-
-        # Newton on G(z+) = z+ - z - h*(-M(z_eval) + b), where z_eval is the
-        # midpoint for theta=1/2 and z+ itself for backward Euler; z is the
-        # state at the start of the current step
-        def stage(z_next):
-            return theta * z_next + (1.0 - theta) * z
-
-        def newton_residual(z_next):
-            return z_next - z - h * (-M(stage(z_next)) + b)
-
-        def newton_solve(z_next, g):
-            return np.linalg.solve(eye + (theta * h) * M.derivative(stage(z_next)), g)
+    implicit = cfg.scheme != "rk4"
+    if implicit:
+        theta = 0.5 if cfg.scheme == "implicit_midpoint" else 1.0
+        step = implicit_stepper(M, h, theta, sys.metric.norm, cfg.newton_tol)
 
     stored = [z0.copy()]
     stored_idx = [0]
     z = z0.copy()
 
     for k in range(steps):
-        if implicit and M.is_linear:
-            z_new = step_fn(z, h * b_lin)
-        elif implicit:
-            z_new, res = newton(newton_residual, newton_solve,
-                                z + h * (-M(z) + b),  # explicit predictor
-                                sys.metric.norm, cfg.newton_tol, _NEWTON_MAX_ITER)
-            if res > cfg.newton_tol:
+        if implicit:
+            z_new, res = step(z, b)
+            if not res <= cfg.newton_tol:
                 raise NonConvergence(
-                    f"implicit step Newton failed at t={k * h:.4g}", residual=res)
+                    f"implicit step failed at t={k * h:.4g}", residual=res)
         else:  # rk4
             k1 = -M(z) + b
             k2 = -M(z + 0.5 * h * k1) + b

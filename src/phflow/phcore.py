@@ -26,9 +26,7 @@ from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
 from .operators import MonotoneOperatorSpec, _as_dense
 
-_FIXED_POINT_DAMPING = 0.5
-_FIXED_POINT_MAX_ITER = 10_000
-_NEWTON_MAX_ITER = 100
+_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -117,20 +115,21 @@ class Trajectory:
         return float(dt[0]) if dt.size else 0.0
 
 
-def newton(residual, solve, x0, norm, tol, max_iter):
+def newton(residual, solve, x0, norm, tol):
     """Damped Newton iteration for residual(x) = 0.
 
     solve(x, r) returns the Newton step J(x)^{-1} r.  The full step is
     taken whenever it lowers the residual norm; otherwise the step is
     halved, with at most 40 trial steps per iteration.  Returns the last
     iterate and its residual norm, stopping early when the norm reaches
-    tol, when the Newton matrix is singular, or when the line search
-    cannot lower the residual.  Callers judge the returned residual.
+    tol, when the Newton matrix is singular, when the line search cannot
+    lower the residual, or after _NEWTON_MAX_ITER iterations.  Callers
+    judge the returned residual; a non-finite one fails `res <= tol`.
     """
     x = x0
     r = residual(x)
     res = norm(r)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
         try:
@@ -149,6 +148,12 @@ def newton(residual, solve, x0, norm, tol, max_iter):
         else:
             break
     return x, res
+
+
+def _damped_step(x, r):
+    """Newton step for operators without a derivative: with newton's
+    backtracking this is the damped fixed-point iteration x - r/2."""
+    return 0.5 * r
 
 
 def _prefactored_linear_stepper(L, h: float, theta: float):
@@ -171,47 +176,58 @@ def _prefactored_linear_stepper(L, h: float, theta: float):
     return lambda z, add: lu_solve(fac, rhs @ z + add)
 
 
+def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
+    """Return step(z, b) -> (z_next, residual) solving the implicit step
+
+        z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b).
+
+    theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
+    is the implicit midpoint rule.  Linear M reuses one prefactored LU
+    and reports residual 0, or inf when the result is not finite.
+    Otherwise the step runs `newton` from the explicit predictor
+    z + h*(-M(z) + b), with the Newton matrix I + theta*h*DM(stage) when
+    M has a derivative and the damped fixed-point step when it has not;
+    the residual is the norm of the step equation's defect.
+    """
+    if M.is_linear:
+        solve_linear = _prefactored_linear_stepper(M.linear_part, h, theta)
+        offset = M.offset
+
+        def step(z, b):
+            z_next = solve_linear(z, h * (b - offset))
+            return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
+
+        return step
+
+    eye = np.eye(M.dim)
+
+    def step(z, b):
+        def stage(z_next):
+            return theta * z_next + (1.0 - theta) * z
+
+        def residual(z_next):
+            return z_next - z - h * (-M(stage(z_next)) + b)
+
+        def solve(z_next, r):
+            return np.linalg.solve(eye + (theta * h) * M.derivative(stage(z_next)), r)
+
+        return newton(residual, solve if M.has_derivative else _damped_step,
+                      z + h * (-M(z) + b), norm, tol)
+
+    return step
+
+
 def resolvent(M: MonotoneOperatorSpec, lam: float, z: np.ndarray,
               metric: Metric, tol: float = 1e-12) -> np.ndarray:
     """Solve x + lam*M(x) = z to within tol in the metric norm.
 
-    Uses a direct solve for linear M, Newton when an analytic derivative
-    is available, and a damped fixed-point iteration otherwise.
+    One step of `implicit_stepper` at theta = 1: a direct solve for
+    linear M, Newton when an analytic derivative is available, and the
+    damped fixed-point step otherwise.
     """
     if lam <= 0:
         raise InvalidParameter("resolvent parameter lam must be positive")
-    if tol <= 0:
-        raise InvalidParameter("resolvent tolerance must be positive")
-    z = np.asarray(z, dtype=float)
-
-    if M.is_linear:
-        return _prefactored_linear_stepper(M.linear_part, lam, 1.0)(z, -lam * M.offset)
-
-    if M.has_derivative:
-        eye = np.eye(M.dim)
-        x, res = newton(
-            lambda x: x + lam * M(x) - z,
-            lambda x, r: np.linalg.solve(eye + lam * M.derivative(x), r),
-            z.copy(), metric.norm, tol, _NEWTON_MAX_ITER,
-        )
-        if res > tol:
-            raise NonConvergence("resolvent Newton iteration did not converge",
-                                 residual=res)
-        return x
-
-    x = z.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            r = x + lam * M(x) - z
-            if not np.all(np.isfinite(r)):
-                raise NonConvergence("resolvent fixed-point iteration diverged")
-            if metric.norm(r) <= tol:
-                return x
-            x = x - _FIXED_POINT_DAMPING * r
-        raise NonConvergence(
-            "resolvent fixed-point iteration exceeded its budget",
-            residual=metric.norm(x + lam * M(x) - z),
-        )
+    return semigroup_approx(M, lam, 1, z, metric, tol)
 
 
 def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
@@ -219,25 +235,24 @@ def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
     """Approximate the flow of dx/dt = -M(x) by n chained resolvent steps.
 
     Returns (I + (t/n) M)^{-n} x0, which converges to the exact solution
-    operator as n grows.
+    operator as n grows.  Each resolvent is solved to tol in the metric
+    norm (Euclidean by default).
     """
     if t < 0:
         raise InvalidParameter("time t must be nonnegative")
     if n < 1:
         raise InvalidParameter("substep count n must be at least 1")
+    if tol <= 0:
+        raise InvalidParameter("resolvent tolerance must be positive")
     x = np.asarray(x0, dtype=float).copy()
     if t == 0.0:
         return x
-    lam = t / n
-    if M.is_linear:
-        step = _prefactored_linear_stepper(M.linear_part, lam, 1.0)
-        add = -lam * M.offset
-        for _ in range(n):
-            x = step(x, add)
-        return x
-    metric = metric or Metric.euclidean(M.dim)
-    for _ in range(n):
-        x = resolvent(M, lam, x, metric, tol=tol)
+    step = implicit_stepper(M, t / n, 1.0, (metric or Metric.euclidean(M.dim)).norm, tol)
+    for k in range(n):
+        x, res = step(x, 0.0)
+        if not res <= tol:
+            raise NonConvergence(f"resolvent step {k + 1} of {n} did not converge",
+                                 residual=res)
     return x
 
 
@@ -390,9 +405,9 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
                  x_init: Optional[np.ndarray] = None) -> SteadyStatePair:
     """Solve M(x_bar) = B u_bar.
 
-    Newton with damping when a derivative is available; otherwise a
-    proximal-point fallback (long-time iterated resolvents of the
-    shifted operator).
+    A direct solve for linear M; otherwise one damped `newton` run with
+    the Jacobian of M when it has one and the damped fixed-point step
+    when it has not.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
@@ -409,31 +424,14 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
             x = np.linalg.solve(lp, rhs)
         if not np.all(np.isfinite(x)):
             raise NonConvergence("linear steady-state solve produced non-finite values")
-    elif M.has_derivative:
-        x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        x, _ = newton(
-            lambda x: M(x) - b,
-            lambda x, r: np.linalg.solve(M.derivative(x), r),
-            x0, sys.metric.norm, tol, _NEWTON_MAX_ITER,
-        )
     else:
-        # proximal-point fallback: long-time flow via iterated resolvents,
-        # shrinking the step whenever the inner iteration stops contracting
-        shifted = M.shifted(b)
-        x = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        lam = 1.0
-        for _ in range(5000):
-            if sys.metric.norm(M(x) - b) <= tol:
-                break
-            try:
-                x = resolvent(shifted, lam, x, sys.metric, tol=0.1 * tol)
-            except NonConvergence:
-                lam *= 0.5
-                if lam < 1e-6:
-                    raise
+        x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
+        solve = ((lambda x, r: np.linalg.solve(M.derivative(x), r)) if M.has_derivative
+                 else _damped_step)
+        x, _ = newton(lambda x: M(x) - b, solve, x0, sys.metric.norm, tol)
 
     res = sys.metric.norm(M(x) - b)
-    if res > tol:
+    if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
     return SteadyStatePair(x, u_bar, sys.output(x))
 

@@ -130,6 +130,29 @@ def test_closedloop_mode_csv_header(tmp_path):
     assert data[-1, 4] < data[0, 4]  # total norm decays
 
 
+def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
+    # x_p0 = 1e120 overflows the cubic plant in the first step; a NaN
+    # Newton residual must fail the step, not pass into the CSV
+    ocp = json.loads(json.dumps(BASE_OCP))
+    ocp["N"] = 8
+    cfg = write_config(
+        tmp_path, mode="closedloop", ocp=ocp,
+        plant={"kind": {"cubic": {"R": [[1, 0], [0, 1]], "kappa": 1.0}},
+               "B_p": [[0], [1]], "x_p0": [1e120, 0.0]},
+        coupling={"gamma": "inv_alpha"},
+        integrator={"h_t": 0.02, "T": 0.1},
+    )
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["closedloop", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err and "t=" in err
+    assert "Traceback" not in err
+
+
 def test_audit_mode_report(tmp_path):
     cfg = write_config(tmp_path, mode="audit",
                        integrator={"h_t": 0.02, "T": 5.0})

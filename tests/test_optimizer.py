@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,34 @@ def test_singular_newton_matrix_raises_nonconvergence():
                           pf.IntegratorConfig(h_t=1.0), 1.0)
     with pytest.raises(pf.NonConvergence):
         pf.resolvent(M, 0.5, np.array([1.0]), pf.Metric.euclidean(1))
+
+
+def test_singular_linear_step_raises_nonconvergence_with_time():
+    # I + (h/2) L vanishes for L = -2 at h = 1: the prefactored step
+    # yields a non-finite state, which must fail the step where it happens
+    sys = _scalar_system(pf.linear(np.array([[-2.0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(pf.NonConvergence) as info:
+            pf.integrate_flow(sys, np.array([1.0]), np.zeros(0),
+                              pf.IntegratorConfig(h_t=1.0), 3.0)
+    assert "t=" in str(info.value)
+
+
+def test_implicit_schemes_run_without_derivative():
+    # without a derivative the shared step takes the damped fixed-point
+    # step; it must reach the same states as Newton to the step tolerance
+    def eval_fn(x):
+        return x + np.tanh(x)
+
+    bare = pf.MonotoneOperatorSpec(1, eval_fn=eval_fn)
+    full = pf.MonotoneOperatorSpec(1, eval_fn=eval_fn,
+                                   derivative_fn=lambda x: np.diag(2.0 - np.tanh(x) ** 2))
+    for scheme in ("implicit_midpoint", "implicit_euler"):
+        cfg = pf.IntegratorConfig(h_t=0.1, scheme=scheme)
+        a, b = (pf.integrate_flow(_scalar_system(M), np.array([2.0]), np.zeros(0), cfg, 2.0)
+                for M in (bare, full))
+        assert np.max(np.abs(a.states - b.states)) <= 1e-8
 
 
 def test_implicit_step_newton_failure_reports_time_and_residual():

@@ -1,7 +1,8 @@
 """Property tests over random small problems: the state layout of
-`DiscretizedOCP.blocks` and the discrete identities the flow rests on
+`DiscretizedOCP.blocks`, the discrete identities the flow rests on
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
-closed-loop coupling)."""
+closed-loop coupling), and the shared implicit step behind the
+resolvent, the semigroup and the implicit-midpoint flow."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -96,3 +97,87 @@ def test_closed_loop_coupling_skew_in_product_metric(problem, gamma):
                                                    cls.opt_sys.M(zo)])
     form = cls.sys.metric.inner(coupling_only, z)
     assert abs(form) <= 1e-12 * (1.0 + cls.sys.metric.inner(z, z))
+
+
+# rounding slack, relative to the magnitudes a check adds up
+_ROUND = 64 * np.finfo(float).eps
+
+
+@st.composite
+def cubic_operators(draw):
+    """A random monotone M(x) = R x + kappa x^3 in dimension 1..4 with a
+    random diagonal metric W; plus an rng for vectors.  R = W^{-1} S with
+    S = G G^T/k + c I is self-adjoint and positive in W, so M is monotone
+    in W; kappa = 0 gives the linear operator R."""
+    k = draw(st.integers(1, 4))
+    kappa = draw(st.floats(0.0, 2.0))
+    c = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.5, 2.0, k)
+    G = rng.standard_normal((k, k))
+    R = (G @ G.T / k + c * np.eye(k)) / w[:, None]
+    return pf.cubic(R, kappa), pf.Metric(w), rng
+
+
+@PROFILE
+@given(cubic_operators(), st.floats(0.1, 2.0))
+def test_resolvent_solves_its_equation(op, lam):
+    M, metric, rng = op
+    z = 2.0 * rng.standard_normal(M.dim)
+    tol = 1e-12
+    x = pf.resolvent(M, lam, z, metric, tol=tol)
+    scale = metric.norm(x) + lam * metric.norm(M(x)) + metric.norm(z)
+    assert metric.norm(x + lam * M(x) - z) <= tol + _ROUND * scale
+
+
+@PROFILE
+@given(cubic_operators(), st.floats(0.1, 2.0))
+def test_resolvent_nonexpansive_in_metric(op, lam):
+    # each result is the exact resolvent of z_i + e_i with ||e_i|| <= tol
+    M, metric, rng = op
+    z1, z2 = 2.0 * rng.standard_normal((2, M.dim))
+    tol = 1e-12
+    x1 = pf.resolvent(M, lam, z1, metric, tol=tol)
+    x2 = pf.resolvent(M, lam, z2, metric, tol=tol)
+    scale = metric.norm(z1) + metric.norm(z2) + lam * (metric.norm(M(x1)) + metric.norm(M(x2)))
+    assert metric.norm(x1 - x2) <= metric.norm(z1 - z2) + 2 * tol + _ROUND * scale
+
+
+@PROFILE
+@given(cubic_operators(), st.floats(0.1, 2.0))
+def test_one_step_semigroup_is_the_resolvent(op, lam):
+    M, metric, rng = op
+    z = 2.0 * rng.standard_normal(M.dim)
+    assert np.array_equal(pf.semigroup_approx(M, lam, 1, z, metric, 1e-12),
+                          pf.resolvent(M, lam, z, metric, 1e-12))
+
+
+@PROFILE
+@given(cubic_operators(), st.integers(1, 2), st.floats(0.01, 0.5))
+def test_midpoint_step_power_balance(op, m, h):
+    # z1 - z0 = h(-M(z_m) + B u) + e with ||e|| <= newton_tol, so the
+    # balance defect is <e, z_m>/h, at most ||z_m|| newton_tol / h
+    M, metric, rng = op
+    sys = pf.PHSystem(M, rng.standard_normal((M.dim, m)), metric,
+                      pf.Metric(rng.uniform(0.5, 2.0, m)))
+    cfg = pf.IntegratorConfig(h_t=h)
+    traj = pf.integrate_flow(sys, 2.0 * rng.standard_normal(M.dim),
+                             rng.standard_normal(m), cfg, h)
+    assert traj.states.shape[0] == 2
+    z0, z1 = traj.states
+    energy = metric.inner(z0, z0) + metric.inner(z1, z1)
+    bound = metric.norm(0.5 * (z0 + z1)) * cfg.newton_tol / h + _ROUND * (1.0 + energy) / h
+    assert pf.power_balance_audit(sys, traj).max_residual <= bound
+
+
+@PROFILE
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_metric_adjoint_of_rectangular_map(n_x, n_u, seed):
+    rng = np.random.default_rng(seed)
+    X = pf.Metric(rng.uniform(0.1, 10.0, n_x))
+    U = pf.Metric(rng.uniform(0.1, 10.0, n_u))
+    B = rng.standard_normal((n_x, n_u))
+    u, x = rng.standard_normal(n_u), rng.standard_normal(n_x)
+    lhs = X.inner(B @ u, x)
+    rhs = U.inner(u, pf.adjoint(B, U, X) @ x)
+    assert abs(lhs - rhs) <= _ROUND * (1.0 + X.norm(B @ u) * X.norm(x))
