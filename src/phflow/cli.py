@@ -502,7 +502,9 @@ def run(config_path, out_dir, seed=None, full_state=None, mode=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        residual = getattr(exc, "residual", None)
+        where = "" if residual is None else f", residual {residual:.3e}"
+        print(f"numerical failure: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -282,10 +283,25 @@ class DiscretizedOCP:
 
     def hessian_primal(self, z: np.ndarray) -> sparse.csr_matrix:
         """Block-diagonal Hessian of the metric cost gradient at the
-        primal part of the state z."""
-        Hx = sparse.block_diag(self.cost.stage.hess(self.blocks(z).x), format="csr")
-        Hu = self.cost.alpha * sparse.identity((self.N + 1) * self.m, format="csr")
-        return sparse.block_diag([Hx, Hu], format="csr")
+        primal part of the state z: the stage Hessian at each node and
+        alpha*I on the controls, one CSR on a fixed pattern."""
+        indices, indptr = self._hessian_pattern
+        return sparse.csr_matrix((self._hessian_data(z), indices.copy(), indptr.copy()),
+                                 shape=(self.primal_dim, self.primal_dim))
+
+    def _hessian_data(self, z: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.cost.stage.hess(self.blocks(z).x).ravel(),
+                               np.full((self.N + 1) * self.m, self.cost.alpha)])
+
+    @cached_property
+    def _hessian_pattern(self):
+        """CSR indices and indptr of the Hessian: full n x n node blocks,
+        zeros included, then the diagonal of the control block."""
+        n, nodes, nx = self.n, self.N + 1, (self.N + 1) * self.n
+        node_cols = (np.arange(nodes)[:, None] * n + np.arange(n)).repeat(n, axis=0)
+        indices = np.concatenate([node_cols.ravel(), np.arange(nx, self.primal_dim)])
+        indptr = np.concatenate([np.arange(0, nx * n, n), nx * n + np.arange(nodes * self.m + 1)])
+        return indices.astype(np.int32), indptr.astype(np.int32)
 
     def m_opt(self, z: np.ndarray) -> np.ndarray:
         """The optimality-system operator (gradient row, constraint row)."""
@@ -295,9 +311,26 @@ class DiscretizedOCP:
         return out.vector
 
     def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        return sparse.bmat(
-            [[self.hessian_primal(z), -self.C_star], [self.C, None]], format="csr"
-        )
+        """Jacobian [[H(z), -C*], [C, 0]] of m_opt, as CSR: the Hessian
+        values written into a prebuilt frame of the whole pattern."""
+        frame, slots = self._jacobian_frame
+        data = frame.data.copy()
+        data[slots] = self._hessian_data(z)
+        return sparse.csr_matrix((data, frame.indices.copy(), frame.indptr.copy()),
+                                 shape=frame.shape)
+
+    @cached_property
+    def _jacobian_frame(self):
+        """[[1, -C*], [C, 0]] on the pattern of m_opt_jacobian, with 1 on
+        each Hessian entry, and the positions of the Hessian entries in
+        its data, in the order of the Hessian's data."""
+        indices, indptr = self._hessian_pattern
+        ones = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                                 shape=(self.primal_dim, self.primal_dim))
+        frame = sparse.bmat([[ones, -self.C_star], [self.C, None]], format="csr")
+        where = frame.copy()
+        where.data = np.arange(frame.nnz)
+        return frame, where[:self.primal_dim, :self.primal_dim].data
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""

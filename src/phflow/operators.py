@@ -30,9 +30,10 @@ class MonotoneOperatorSpec:
 
     eval_fn must be deterministic: identical input arrays produce
     bitwise-identical outputs.  derivative_fn, when given, returns the
-    dense Jacobian at a point.  linear_part, when given, takes priority
-    and fixes M(x) = linear_part @ x (+ affine_offset); resolvents and
-    implicit integrators then prefactor a single matrix.
+    Jacobian at a point as a dense array or a scipy sparse matrix; the
+    Newton solves factor it in that format.  linear_part, when given,
+    takes priority and fixes M(x) = linear_part @ x (+ affine_offset);
+    resolvents and implicit integrators then prefactor a single matrix.
     """
 
     dim: int
@@ -69,12 +70,17 @@ class MonotoneOperatorSpec:
         return self.is_linear or self.derivative_fn is not None
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Dense Jacobian DM(x)."""
+        """Dense Jacobian DM(x), for analysis."""
+        return _as_dense(self._jacobian(x))
+
+    def _jacobian(self, x: np.ndarray):
+        """DM(x) in the format its source keeps it: sparse or dense."""
         if self.linear_part is not None:
-            return _as_dense(self.linear_part)
+            return self.linear_part
         if self.derivative_fn is None:
             raise DimensionMismatch("operator carries no derivative")
-        return np.asarray(self.derivative_fn(x), dtype=float)
+        J = self.derivative_fn(x)
+        return J if sparse.issparse(J) else np.asarray(J, dtype=float)
 
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:

@@ -64,7 +64,8 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
 
     For quadratic stage costs the drift operator is linear and carries
     its matrix, which lets the integrators prefactor one sparse LU for
-    the whole run.
+    the whole run.  Other stages supply the sparse Jacobian, which the
+    implicit step's Newton solve factors sparse.
     """
     if ocp.cost.stage.is_quadratic:
         zero = np.zeros(ocp.state_dim)
@@ -75,7 +76,7 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
         M = MonotoneOperatorSpec(
             ocp.state_dim,
             eval_fn=ocp.m_opt,
-            derivative_fn=lambda z: ocp.m_opt_jacobian(z).toarray(),
+            derivative_fn=ocp.m_opt_jacobian,
         )
 
     # each column of B_opt is a state: the port drives the multiplier block

@@ -15,11 +15,13 @@ interconnection of two systems through a skew coupling.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
@@ -115,26 +117,26 @@ class Trajectory:
         return float(dt[0]) if dt.size else 0.0
 
 
-def newton(residual, solve, x0, norm, tol):
+def newton(residual, solve, x0, norm, tol, r0=None):
     """Damped Newton iteration for residual(x) = 0.
 
-    solve(x, r) returns the Newton step J(x)^{-1} r.  The full step is
-    taken whenever it lowers the residual norm; otherwise the step is
-    halved, with at most 40 trial steps per iteration.  Returns the last
-    iterate and its residual norm, stopping early when the norm reaches
-    tol, when the Newton matrix is singular, when the line search cannot
-    lower the residual, or after _NEWTON_MAX_ITER iterations.  Callers
-    judge the returned residual; a non-finite one fails `res <= tol`.
+    solve(x, r) returns the Newton step J(x)^{-1} r; r0, when given, is
+    residual(x0).  The full step is taken whenever it lowers the
+    residual norm; otherwise the step is halved, with at most 40 trial
+    steps per iteration.  Returns the last iterate and its residual
+    norm, stopping early when the norm reaches tol, when the step is not
+    finite (a singular Newton matrix), when the line search cannot lower
+    the residual, or after _NEWTON_MAX_ITER iterations.  Callers judge
+    the returned residual; a non-finite one fails `res <= tol`.
     """
     x = x0
-    r = residual(x)
+    r = residual(x) if r0 is None else r0
     res = norm(r)
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
-        try:
-            step = solve(x, r)
-        except np.linalg.LinAlgError:
+        step = solve(x, r)
+        if not np.all(np.isfinite(step)):
             break
         t = 1.0
         for _ in range(40):
@@ -156,6 +158,24 @@ def _damped_step(x, r):
     return 0.5 * r
 
 
+def _lu_solver(A):
+    """Return solve(r) = A^{-1} r from one LU factorization of A in A's
+    own format: SuperLU for a sparse A, LAPACK for a dense one.
+
+    An exactly singular A yields non-finite solutions in both formats,
+    which the callers report as a failed solve.
+    """
+    if sparse.issparse(A):
+        try:
+            return splu(A.tocsc()).solve
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return lambda r: np.full(np.shape(r), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
+        fac = lu_factor(A, check_finite=False)
+    return lambda r: lu_solve(fac, r, check_finite=False)
+
+
 def _prefactored_linear_stepper(L, h: float, theta: float):
     """Return z, add -> solve[(I + theta*h*L), (I - (1-theta)*h*L) z + add].
 
@@ -166,14 +186,11 @@ def _prefactored_linear_stepper(L, h: float, theta: float):
     if sparse.issparse(L):
         lhs = sparse.identity(dim, format="csc") + (theta * h) * L.tocsc()
         rhs = sparse.identity(dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
-        lu = splu(lhs)
-        return lambda z, add: lu.solve(rhs @ z + add)
-    from scipy.linalg import lu_factor, lu_solve
-
-    lhs = np.eye(dim) + (theta * h) * L
-    rhs = np.eye(dim) - ((1.0 - theta) * h) * L
-    fac = lu_factor(lhs)
-    return lambda z, add: lu_solve(fac, rhs @ z + add)
+    else:
+        lhs = np.eye(dim) + (theta * h) * L
+        rhs = np.eye(dim) - ((1.0 - theta) * h) * L
+    solve = _lu_solver(lhs)
+    return lambda z, add: solve(rhs @ z + add)
 
 
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
@@ -184,10 +201,12 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
     theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
     is the implicit midpoint rule.  Linear M reuses one prefactored LU
     and reports residual 0, or inf when the result is not finite.
-    Otherwise the step runs `newton` from the explicit predictor
-    z + h*(-M(z) + b), with the Newton matrix I + theta*h*DM(stage) when
-    M has a derivative and the damped fixed-point step when it has not;
-    the residual is the norm of the step equation's defect.
+    Otherwise the step runs `newton` from whichever of z and the
+    explicit predictor z + h*(-M(z) + b) has the smaller residual.  The
+    Newton matrix I + theta*h*DM(stage) is factored in the format of the
+    Jacobian, sparse or dense; without a derivative the step is the
+    damped fixed-point step.  The residual is the norm of the step
+    equation's defect.
     """
     if M.is_linear:
         solve_linear = _prefactored_linear_stepper(M.linear_part, h, theta)
@@ -199,7 +218,10 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
 
         return step
 
-    eye = np.eye(M.dim)
+    # (I + c J) s = r is solved as (I/c + J) s = r/c: one sparse
+    # operation per Newton matrix instead of two
+    c = theta * h
+    eye_c = sparse.identity(M.dim, format="csc") / c
 
     def step(z, b):
         def stage(z_next):
@@ -209,10 +231,19 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
             return z_next - z - h * (-M(stage(z_next)) + b)
 
         def solve(z_next, r):
-            return np.linalg.solve(eye + (theta * h) * M.derivative(stage(z_next)), r)
+            J = M._jacobian(stage(z_next))
+            shift = eye_c if sparse.issparse(J) else np.eye(M.dim) / c
+            return _lu_solver(shift + J)(r / c)
 
+        # the step residual at z_next = z is -drift, so the start costs
+        # no more evaluations of M than the predictor alone
+        drift = h * (-M(z) + b)
+        predictor = z + drift
+        r_pred = residual(predictor)
+        x0, r0 = ((predictor, r_pred) if norm(r_pred) <= norm(drift)
+                  else (z, -drift))
         return newton(residual, solve if M.has_derivative else _damped_step,
-                      z + h * (-M(z) + b), norm, tol)
+                      x0, norm, tol, r0)
 
     return step
 
@@ -414,19 +445,12 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     M = sys.M
 
     if M.is_linear:
-        lp = M.linear_part
-        rhs = b - M.offset
-        if sparse.issparse(lp):
-            from scipy.sparse.linalg import spsolve
-
-            x = spsolve(lp.tocsc(), rhs)
-        else:
-            x = np.linalg.solve(lp, rhs)
+        x = _lu_solver(M.linear_part)(b - M.offset)
         if not np.all(np.isfinite(x)):
             raise NonConvergence("linear steady-state solve produced non-finite values")
     else:
         x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        solve = ((lambda x, r: np.linalg.solve(M.derivative(x), r)) if M.has_derivative
+        solve = ((lambda x, r: _lu_solver(M._jacobian(x))(r)) if M.has_derivative
                  else _damped_step)
         x, _ = newton(lambda x: M(x) - b, solve, x0, sys.metric.norm, tol)
 
@@ -492,11 +516,7 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
     elif M1.has_derivative and M2.has_derivative:
-        def derivative_fn(x):
-            J = K.copy()
-            J[:d1, :d1] += M1.derivative(x[:d1])
-            J[d1:, d1:] += M2.derivative(x[d1:])
-            return J
+        derivative_fn = _interconnect_jacobian(K, ((0, M1), (d1, M2)))
 
     B = np.zeros((d1 + d2, (sys1.input_dim - split1) + (sys2.input_dim - split2)))
     n1_open = sys1.input_dim - split1
@@ -512,3 +532,59 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),
     )
+
+
+def _interconnect_jacobian(K, members):
+    """Sparse Jacobian K + diag(DM_1, DM_2) of an interconnection.
+
+    members lists (offset, M) for each member's diagonal block.  K and
+    the matrices of the linear members form one constant CSC part, built
+    once.  A nonlinear member whose Jacobian is dense (judged at its
+    zero state) has its full block stored there as zeros, and each call
+    adds its Jacobian into a copy of the constant data; a sparse
+    Jacobian is added as a sparse matrix.
+    """
+    dim = K.shape[0]
+    nonlinear = [(lo, M, not sparse.issparse(M._jacobian(np.zeros(M.dim))))
+                 for lo, M in members if not M.is_linear]
+    const = sparse.csc_matrix(K) + sparse.block_diag(
+        [M.linear_part if M.is_linear else sparse.csc_matrix((M.dim, M.dim))
+         for _, M in members], format="csc")
+    for lo, M, dense in nonlinear:
+        if dense:
+            const = const + _embedded(np.ones((M.dim, M.dim)), lo, dim)
+    where = const.copy()
+    where.data = np.arange(const.nnz)
+    # positions in const.data of each dense member block, then zeroed
+    slots = [(lo, M, where[lo:lo + M.dim, lo:lo + M.dim].toarray() if dense else None)
+             for lo, M, dense in nonlinear]
+    for _, _, pos in slots:
+        if pos is not None:
+            const.data[pos] = 0.0
+
+    def derivative_fn(x):
+        data = const.data.copy()
+        extra = []
+        for lo, M, pos in slots:
+            J = M._jacobian(x[lo:lo + M.dim])
+            if pos is None:
+                extra.append(_embedded(J, lo, dim))
+            else:
+                data[pos] += _as_dense(J)
+        J = sparse.csc_matrix((data, const.indices.copy(), const.indptr.copy()),
+                              shape=const.shape)
+        for E in extra:
+            J = J + E
+        return J
+
+    return derivative_fn
+
+
+def _embedded(block, lo: int, dim: int) -> sparse.csc_matrix:
+    """The square block placed at rows and columns lo.. of a dim x dim
+    CSC matrix of zeros."""
+    B = sparse.csc_matrix(block)
+    d = B.shape[1]
+    indptr = np.concatenate([np.zeros(lo, B.indptr.dtype), B.indptr,
+                             np.full(dim - lo - d, B.nnz, B.indptr.dtype)])
+    return sparse.csc_matrix((B.data, B.indices + lo, indptr), shape=(dim, dim))

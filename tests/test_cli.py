@@ -131,8 +131,9 @@ def test_closedloop_mode_csv_header(tmp_path):
 
 
 def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
-    # x_p0 = 1e120 overflows the cubic plant in the first step; a NaN
-    # Newton residual must fail the step, not pass into the CSV
+    # x_p0 = 1e120 overflows the cubic plant in the first step; a
+    # non-finite residual must fail the step, not pass into the CSV, and the
+    # exit-3 line names where it failed and the residual it reached
     ocp = json.loads(json.dumps(BASE_OCP))
     ocp["N"] = 8
     cfg = write_config(
@@ -149,7 +150,7 @@ def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
         code = main(["closedloop", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "numerical failure" in err and "t=" in err
+    assert "numerical failure" in err and "t=" in err and "residual" in err
     assert "Traceback" not in err
 
 

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import phflow as pf
-from conftest import make_double_integrator, make_logcosh
+from conftest import DI_B, make_double_integrator, make_logcosh
+from phflow import phcore
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +182,54 @@ def test_singular_linear_step_raises_nonconvergence_with_time():
             pf.integrate_flow(sys, np.array([1.0]), np.zeros(0),
                               pf.IntegratorConfig(h_t=1.0), 3.0)
     assert "t=" in str(info.value)
+
+
+def test_singular_sparse_newton_matrix_raises_nonconvergence():
+    # the sparse twin of the dense case above: SuperLU's "exactly
+    # singular" must end the step as NonConvergence, not a RuntimeError
+    M = pf.MonotoneOperatorSpec(3, eval_fn=lambda x: -2.0 * x,
+                                derivative_fn=lambda x: -2.0 * sparse.identity(3, format="csr"))
+    sys = pf.PHSystem(M, np.zeros((3, 0)), pf.Metric.euclidean(3), pf.Metric.euclidean(0))
+    with pytest.raises(pf.NonConvergence) as info:
+        pf.integrate_flow(sys, np.ones(3), np.zeros(0), pf.IntegratorConfig(h_t=1.0), 1.0)
+    assert "t=" in str(info.value)
+    assert np.isfinite(info.value.residual)
+    with pytest.raises(pf.NonConvergence):
+        pf.resolvent(M, 0.5, np.ones(3), pf.Metric.euclidean(3))
+
+
+def test_resolvent_converges_at_large_input():
+    # the explicit predictor z - M(z) lies near -1e9 here; Newton must
+    # start from z, whose residual is smaller
+    M = pf.cubic(np.eye(1), 1.0)
+    z = np.array([1e3])
+    tol = 1e-12
+    x = pf.resolvent(M, 1.0, z, pf.Metric.euclidean(1), tol)
+    assert abs(x[0] + M(x)[0] - z[0]) <= tol
+
+
+def test_nonlinear_steps_never_factor_dense(monkeypatch):
+    # structural guard: logcosh flows and cubic closed loops must run
+    # their Newton solves on sparse matrices, so any dense solve or dense
+    # LU during the steps fails the test
+    flow_ocp = make_logcosh(N=64)
+    flow_sys = pf.assemble_optimizer(flow_ocp)
+    flow_z0 = pf.default_initial_state(flow_ocp)
+    loop_ocp = make_double_integrator(N=64)
+    plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+    cls = pf.couple(pf.assemble_optimizer(loop_ocp), plant, loop_ocp,
+                    pf.CouplingSpec("inv_alpha"))
+    loop_z0 = cls.initial_state(np.array([1.0, 0.0]))
+
+    def dense_solve(*args, **kwargs):
+        raise AssertionError("dense solve in a sparse Newton step")
+
+    monkeypatch.setattr(np.linalg, "solve", dense_solve)
+    monkeypatch.setattr(phcore, "lu_factor", dense_solve)
+    cfg = pf.IntegratorConfig(h_t=0.01)
+    flow = pf.integrate_flow(flow_sys, flow_z0, pf.constant_input(flow_ocp), cfg, 0.05)
+    loop = pf.integrate_flow(cls.sys, loop_z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
+    assert flow.times.size == loop.times.size == 6
 
 
 def test_implicit_schemes_run_without_derivative():

@@ -1,11 +1,13 @@
 """Property tests over random small problems: the state layout of
 `DiscretizedOCP.blocks`, the discrete identities the flow rests on
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
-closed-loop coupling), and the shared implicit step behind the
-resolvent, the semigroup and the implicit-midpoint flow."""
+closed-loop coupling), the shared implicit step behind the
+resolvent, the semigroup and the implicit-midpoint flow, and the sparse
+Jacobians its Newton solve factors."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import phflow as pf
 
@@ -13,9 +15,10 @@ PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, logcosh=False):
     """A random small quadratic OCP: N in 2..8, n in 1..3, m in 1..2,
-    random A, B, x0 and q, SPD Q and alpha > 0; plus an rng for vectors."""
+    random A, B, x0 and q, SPD Q and alpha > 0; plus an rng for vectors.
+    With logcosh the stage is logcosh at a random scale instead."""
     N = draw(st.integers(2, 8))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
@@ -26,7 +29,10 @@ def problems(draw):
     model = pf.LinearPlantModel(0.5 * rng.standard_normal((n, n)),
                                 rng.standard_normal((n, m)), 0.0,
                                 rng.standard_normal(n))
-    cost = pf.CostSpec(alpha, pf.QuadraticStage(Q, rng.standard_normal(n)))
+    stage = pf.QuadraticStage(Q, rng.standard_normal(n))
+    if logcosh:
+        stage = pf.LogCoshStage(draw(st.floats(0.3, 2.0)))
+    cost = pf.CostSpec(alpha, stage)
     return pf.assemble_ocp(model, pf.build_grid(1.0, N), cost), rng
 
 
@@ -181,3 +187,69 @@ def test_metric_adjoint_of_rectangular_map(n_x, n_u, seed):
     lhs = X.inner(B @ u, x)
     rhs = U.inner(u, pf.adjoint(B, U, X) @ x)
     assert abs(lhs - rhs) <= _ROUND * (1.0 + X.norm(B @ u) * X.norm(x))
+
+
+def _states(rng, dim):
+    """Random states, some with entries large enough to saturate tanh."""
+    return [rng.standard_normal(dim), 40.0 * rng.standard_normal(dim)]
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
+def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
+    # the fixed-pattern builds against the sparse.block_diag and
+    # sparse.bmat constructions they replace: same indptr, indices, data
+    ocp, rng = problem
+    for z in _states(rng, ocp.state_dim):
+        Hx = sparse.block_diag(ocp.cost.stage.hess(ocp.blocks(z).x), format="csr")
+        Hu = ocp.cost.alpha * sparse.identity((ocp.N + 1) * ocp.m, format="csr")
+        H_old = sparse.block_diag([Hx, Hu], format="csr")
+        J_old = sparse.bmat([[H_old, -ocp.C_star], [ocp.C, None]], format="csr")
+        for new, old in ((ocp.hessian_primal(z), H_old), (ocp.m_opt_jacobian(z), J_old)):
+            assert new.format == "csr" and new.shape == old.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(new, name), getattr(old, name))
+
+
+@PROFILE
+@given(problems(logcosh=True))
+def test_logcosh_flow_jacobian_is_sparse_and_exact(problem):
+    ocp, rng = problem
+    M = pf.assemble_optimizer(ocp).M
+    p = ocp.primal_dim
+    for z in _states(rng, ocp.state_dim):
+        J = M._jacobian(z)
+        assert sparse.issparse(J)
+        dense = np.zeros((ocp.state_dim, ocp.state_dim))
+        dense[:p, :p] = ocp.hessian_primal(z).toarray()
+        dense[:p, p:] = -ocp.C_star.toarray()
+        dense[p:, :p] = ocp.C.toarray()
+        assert np.max(np.abs(J.toarray() - dense)) <= 1e-14
+        assert isinstance(M.derivative(z), np.ndarray)
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh)), st.floats(0.1, 10.0))
+def test_cubic_closed_loop_jacobian_is_sparse_and_exact(problem, gamma):
+    # against the dense K + diag(DM_plant, DM_opt) the loop used to build;
+    # a logcosh optimizer adds a sparse block, a quadratic one is constant
+    ocp, rng = problem
+    n = ocp.n
+    G = rng.standard_normal((n, n))
+    plant = pf.assemble_plant(pf.cubic_plant(G @ G.T / n + 0.1 * np.eye(n), 1.3,
+                                             ocp.model.B, np.zeros(n)))
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec(gamma))
+
+    def coupling_only(z):
+        xp, zo = cls.split(z)
+        return cls.sys.M(z) - np.concatenate([cls.plant_sys.M(xp), cls.opt_sys.M(zo)])
+
+    K = np.column_stack([coupling_only(e) for e in np.eye(cls.dim)])
+    for z in _states(rng, cls.dim):
+        J = cls.sys.M._jacobian(z)
+        assert sparse.issparse(J)
+        xp, zo = cls.split(z)
+        dense = K.copy()
+        dense[:n, :n] += plant.M.derivative(xp)
+        dense[n:, n:] += cls.opt_sys.M.derivative(zo)
+        assert np.max(np.abs(J.toarray() - dense)) <= 1e-14 * (1.0 + np.max(np.abs(dense)))
