@@ -107,8 +107,10 @@ def _array(value, path: str) -> np.ndarray:
 
 def _as_matrix(value, path: str) -> np.ndarray:
     mat = _array(value, path)
-    if mat.ndim == 1:
+    if mat.ndim < 2:
         mat = mat.reshape(-1, 1)
+    if mat.ndim != 2:
+        raise ConfigError("must be a matrix", field=path)
     return mat
 
 
@@ -159,6 +161,8 @@ def build_ocp(cfg: dict):
         return assemble_ocp(model, grid, cost)
     except ToolkitError as exc:
         raise ConfigError(str(exc), field="ocp")
+    except MemoryError:  # the grid size drives every allocation here
+        raise ConfigError("too large to allocate", field="ocp.N")
 
 
 def build_plant(cfg: dict, ocp):
@@ -505,6 +509,9 @@ def run(config_path, out_dir, seed=None, full_state=None, mode=None) -> int:
         residual = getattr(exc, "residual", None)
         where = "" if residual is None else f", residual {residual:.3e}"
         print(f"numerical failure: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # Python-level overflow of a finite input
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -72,14 +72,25 @@ class Metric:
         return Metric(np.concatenate([self.weights, other.weights]))
 
 
-def adjoint(B: np.ndarray, domain: Metric, codomain: Metric) -> np.ndarray:
+def adjoint(B, domain: Metric, codomain: Metric):
     """Metric adjoint of B: domain -> codomain.
 
     Satisfies <B u, x>_codomain = <u, adjoint(B) x>_domain for all u, x.
+    A sparse B gives a sparse (CSR) adjoint: the two diagonal scalings
+    act on the stored entries of B^T alone, entry for entry as in the
+    dense formula.
     """
-    B = np.asarray(B, dtype=float)
+    from scipy import sparse  # loaded with the package; local to keep this module numpy-only
+
+    if not sparse.issparse(B):
+        B = np.asarray(B, dtype=float)
     if B.shape != (codomain.dim, domain.dim):
         raise DimensionMismatch(
             f"B has shape {B.shape}, expected ({codomain.dim}, {domain.dim})"
         )
+    if sparse.issparse(B):
+        Bt = B.T.tocsr().astype(float)  # astype copies, so B is never touched
+        rows = np.repeat(np.arange(Bt.shape[0]), np.diff(Bt.indptr))
+        Bt.data = (Bt.data * codomain.weights[Bt.indices]) / domain.weights[rows]
+        return Bt
     return (B.T * codomain.weights[None, :]) / domain.weights[:, None]

@@ -65,6 +65,8 @@ def build_grid(t_f: float, N: int) -> Grid:
         raise InvalidParameter("horizon t_f must be positive")
     if N < 2:
         raise InvalidParameter("grid needs at least N=2 intervals")
+    if N >= np.iinfo(np.intp).max:
+        raise InvalidParameter("grid size N exceeds the largest array index")
     h = t_f / N
     nodes = np.linspace(0.0, t_f, N + 1)
     weights = np.full(N + 1, h)

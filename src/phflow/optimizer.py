@@ -34,7 +34,8 @@ from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec
-from .phcore import PHSystem, Trajectory, implicit_stepper
+from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, implicit_stepper,
+                     selection_port)
 
 _SCHEMES = ("implicit_midpoint", "implicit_euler", "rk4")
 
@@ -79,9 +80,8 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
             derivative_fn=ocp.m_opt_jacobian,
         )
 
-    # each column of B_opt is a state: the port drives the multiplier block
-    B_opt = np.zeros((ocp.state_dim, ocp.dual_dim))
-    ocp.blocks(B_opt.T).dual[:] = np.eye(ocp.dual_dim)
+    # the port drives the multiplier block: B_opt = [0; I], a sparse selection
+    B_opt = selection_port(ocp.state_dim, np.arange(ocp.primal_dim, ocp.state_dim))
     return PHSystem(M, B_opt, ocp.state_metric, ocp.dual_metric)
 
 
@@ -105,12 +105,13 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.size != sys.dim:
         raise DimensionMismatch("initial state dimension mismatch")
-    u_const = np.asarray(u_const, dtype=float).reshape(sys.input_dim)
-    steps = max(1, int(round(T / cfg.h_t)))
-    if steps > cfg.max_steps:
+    u_const = np.array(u_const, dtype=float).reshape(sys.input_dim)
+    ratio = T / cfg.h_t  # inf when h_t is negligible against T
+    if not (np.isfinite(ratio) and round(ratio) <= cfg.max_steps):
         raise InvalidParameter(
-            f"{steps} steps exceed max_steps={cfg.max_steps}; increase h_t"
+            f"{ratio:.6g} steps exceed max_steps={cfg.max_steps}; increase h_t"
         )
+    steps = max(1, int(round(ratio)))
     h = cfg.h_t
     b = sys.B @ u_const
     M = sys.M
@@ -120,8 +121,11 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
         theta = 0.5 if cfg.scheme == "implicit_midpoint" else 1.0
         step = implicit_stepper(M, h, theta, sys.metric.norm, cfg.newton_tol)
 
-    stored = [z0.copy()]
-    stored_idx = [0]
+    # the stored step indices: every store_every-th step and the last
+    stored = np.append(np.arange(0, steps, min(cfg.store_every, steps)), steps)
+    states = np.empty((stored.size, sys.dim))
+    states[0] = z0
+    j = 1
     z = z0.copy()
 
     for k in range(steps):
@@ -149,14 +153,13 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
                         f"residual {abs(rate - balance):.3e}"
                     )
         z = z_new
-        if (k + 1) % cfg.store_every == 0 or k + 1 == steps:
-            stored.append(z.copy())
-            stored_idx.append(k + 1)
+        if k + 1 == stored[j]:
+            states[j] = z
+            j += 1
 
-    times = h * np.asarray(stored_idx, dtype=float)
-    states = np.asarray(stored)
-    inputs = np.tile(u_const, (len(stored), 1))
-    return Trajectory(times, states, inputs)
+    # the input is constant: one read-only row repeated, never copied
+    inputs = np.broadcast_to(u_const, (stored.size, u_const.size))
+    return Trajectory(h * stored.astype(float), states, inputs)
 
 
 @dataclass(frozen=True)
@@ -214,11 +217,14 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
     if traj.times.size < 10:
         raise InsufficientData("need at least 10 samples past the transient")
     vec = z_hat.vector if isinstance(z_hat, OptimizerState) else np.asarray(z_hat, dtype=float)
-    diff = traj.states - vec
-    d = ocp.blocks(diff)
-    errors = np.sqrt(ocp.state_metric.row_inner(diff, diff))
-    errors_primal = np.sqrt(ocp.primal_metric.row_inner(d.primal, d.primal))
-    errors_dual = np.sqrt(ocp.dual_metric.row_inner(d.dual, d.dual))
+    errors, errors_primal, errors_dual = np.empty((3, traj.times.size))
+    for lo in range(0, traj.times.size, _ROW_BLOCK):  # a block of rows at a time
+        rows = slice(lo, lo + _ROW_BLOCK)
+        diff = traj.states[rows] - vec
+        d = ocp.blocks(diff)
+        errors[rows] = np.sqrt(ocp.state_metric.row_inner(diff, diff))
+        errors_primal[rows] = np.sqrt(ocp.primal_metric.row_inner(d.primal, d.primal))
+        errors_dual[rows] = np.sqrt(ocp.dual_metric.row_inner(d.dual, d.dual))
 
     half = traj.times.size // 2
     tail_t, tail_e = traj.times[half:], errors[half:]

@@ -33,18 +33,25 @@ _NEWTON_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class PHSystem:
-    """Monotone pH system (M, B) with declared state and port metrics."""
+    """Monotone pH system (M, B) with declared state and port metrics.
+
+    B may be dense or scipy sparse; b_star, its metric adjoint, keeps
+    B's format (a sparse B is stored as CSC, its adjoint as CSR).
+    """
 
     M: MonotoneOperatorSpec
-    B: np.ndarray
+    B: object  # ndarray or scipy sparse
     metric: Metric
     input_metric: Metric
-    b_star: np.ndarray = field(init=False, repr=False, compare=False)
+    b_star: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
-        if B.ndim != 2:
-            B = B.reshape(self.M.dim, -1)
+        if sparse.issparse(self.B):
+            B = sparse.csc_matrix(self.B, dtype=float)
+        else:
+            B = np.asarray(self.B, dtype=float)
+            if B.ndim != 2:
+                B = B.reshape(self.M.dim, -1)
         if B.shape[0] != self.M.dim:
             raise DimensionMismatch(
                 f"B has {B.shape[0]} rows, state dimension is {self.M.dim}"
@@ -70,14 +77,24 @@ class PHSystem:
         return self.B.shape[1]
 
     def output(self, x: np.ndarray) -> np.ndarray:
-        """Collocated output y = B* x."""
-        return self.b_star @ x
+        """Collocated output y = B* x; for a stack of states, one output
+        per row."""
+        x = np.asarray(x, dtype=float)
+        return self.b_star @ x if x.ndim == 1 else x @ self.b_star.T
 
     def drift(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return -self.M(x) + self.B @ u
 
     def supplied_power(self, x: np.ndarray, u: np.ndarray) -> float:
         return self.input_metric.inner(u, self.output(x))
+
+
+def selection_port(dim: int, rows) -> sparse.csc_matrix:
+    """Sparse input matrix whose column k is the unit vector of state
+    coordinate rows[k]: a port that acts on those coordinates alone."""
+    rows = np.asarray(rows, dtype=int)
+    return sparse.csc_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
+                             shape=(dim, rows.size))
 
 
 @dataclass(frozen=True)
@@ -353,10 +370,22 @@ class PowerBalanceReport:
     max_residual: float
 
 
-def _midpoints(traj: Trajectory):
-    x = traj.states
-    u = traj.inputs
-    return 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+# intervals per block of the audits' row-wise work: their temporaries
+# stay this many rows whatever the trajectory's length
+_ROW_BLOCK = 64
+
+
+def _interval_blocks(traj: Trajectory):
+    """Yield (rows, x, xm, um) for consecutive blocks of at most
+    _ROW_BLOCK sampling intervals: the slice of their indices, a view of
+    their endpoint states (one row more than the block), and their
+    midpoint states and inputs (averaged endpoints)."""
+    states, inputs = traj.states, traj.inputs
+    n = states.shape[0] - 1
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        x, u = states[lo:hi + 1], inputs[lo:hi + 1]
+        yield slice(lo, hi), x, 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
@@ -374,18 +403,20 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
 
     The rate side is evaluated at midpoint states (averaged endpoints),
     so trajectories produced by the implicit midpoint rule satisfy the
-    identity to solver precision.
+    identity to solver precision.  The intervals are walked in blocks of
+    _ROW_BLOCK rows, so no temporary grows with the trajectory.
     """
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
     if traj.inputs.shape[1] != sys.input_dim:
         raise DimensionMismatch("trajectory input dimension mismatch")
     h = traj.step
-    energy = 0.5 * sys.metric.row_inner(traj.states, traj.states)
-    xm, um = _midpoints(traj)
-    dissip = sys.metric.row_inner(xm, _batch_eval(sys.M, xm))
-    supply = sys.input_metric.row_inner(um, xm @ sys.b_star.T)
-    residuals = np.diff(energy) / h - (-dissip + supply)
+    residuals = np.empty(traj.times.size - 1)
+    for rows, x, xm, um in _interval_blocks(traj):
+        energy = 0.5 * sys.metric.row_inner(x, x)
+        dissip = sys.metric.row_inner(xm, _batch_eval(sys.M, xm))
+        supply = sys.input_metric.row_inner(um, sys.output(xm))
+        residuals[rows] = np.diff(energy) / h - (-dissip + supply)
     return PowerBalanceReport(residuals, float(np.max(np.abs(residuals), initial=0.0)))
 
 
@@ -413,17 +444,19 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
     h = traj.step
-    dx = traj.states - ss.x_bar
-    energy = 0.5 * sys.metric.row_inner(dx, dx)
-    xm, um = _midpoints(traj)
     mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
-    dxm = xm - ss.x_bar
-    dum = um - ss.u_bar
-    gap = sys.metric.row_inner(dxm, _batch_eval(sys.M, xm) - mx_bar)
-    supply = sys.input_metric.row_inner(dum, xm @ sys.b_star.T - ss.y_bar)
-    rate = np.diff(energy) / h
-    eq_res = rate - (-gap + supply)
-    ineq = rate - supply
+    eq_res = np.empty(traj.times.size - 1)
+    ineq = np.empty_like(eq_res)
+    for rows, x, xm, um in _interval_blocks(traj):
+        dx = x - ss.x_bar
+        energy = 0.5 * sys.metric.row_inner(dx, dx)
+        dxm = xm - ss.x_bar
+        dum = um - ss.u_bar
+        gap = sys.metric.row_inner(dxm, _batch_eval(sys.M, xm) - mx_bar)
+        supply = sys.input_metric.row_inner(dum, sys.output(xm) - ss.y_bar)
+        rate = np.diff(energy) / h
+        eq_res[rows] = rate - (-gap + supply)
+        ineq[rows] = rate - supply
     return ShiftedPassivityReport(
         eq_res,
         ineq,
@@ -461,8 +494,14 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
 
 
 def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
-                   split1: int, split2: int) -> np.ndarray:
-    """Dense skew coupling block added to diag(M1, M2) by interconnect."""
+                   split1: int, split2: int) -> sparse.csr_matrix:
+    """Sparse skew coupling block added to diag(M1, M2) by interconnect.
+
+    Its two blocks, B1c F b2c* in the rows of system 1 and its partner
+    -B2c F* b1c* in the rows of system 2, have rank at most
+    min(split1, split2) and are nonzero only in the rows and columns
+    that the coupled ports touch.
+    """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if not (0 <= split1 <= sys1.input_dim and 0 <= split2 <= sys2.input_dim):
         raise DimensionMismatch("port split outside the input dimension")
@@ -470,18 +509,16 @@ def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         raise DimensionMismatch(
             f"coupling map F has shape {F.shape}, expected ({split1}, {split2})"
         )
-    B1c = sys1.B[:, :split1]
-    B2c = sys2.B[:, :split2]
+    B1c = sparse.csc_matrix(sys1.B[:, :split1])
+    B2c = sparse.csc_matrix(sys2.B[:, :split2])
     p1, _ = sys1.input_metric.split(split1)
     p2, _ = sys2.input_metric.split(split2)
     b1c_star = adjoint(B1c, p1, sys1.metric)
     b2c_star = adjoint(B2c, p2, sys2.metric)
-    f_star = adjoint(F, p2, p1)
-    d1, d2 = sys1.dim, sys2.dim
-    K = np.zeros((d1 + d2, d1 + d2))
-    K[:d1, d1:] = B1c @ F @ b2c_star
-    K[d1:, :d1] = -B2c @ f_star @ b1c_star
-    return K
+    f_star = sparse.csr_matrix(adjoint(F, p2, p1))
+    F = sparse.csr_matrix(F)
+    return sparse.bmat([[None, B1c @ F @ b2c_star],
+                        [-B2c @ f_star @ b1c_star, None]], format="csr")
 
 
 def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
@@ -496,36 +533,34 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
 
     whose added block is exactly skew in the product metric, so the
     composition is again monotone whenever the constituents are.  The
-    remaining ports survive as B = diag(B1^2, B2^2).
+    remaining ports survive as B = diag(B1^2, B2^2), sparse when either
+    B_i is.  Two linear members give a sparse linear part.
     """
     K = coupling_block(sys1, sys2, F, split1, split2)
-    d1, d2 = sys1.dim, sys2.dim
+    d1 = sys1.dim
     M1, M2 = sys1.M, sys2.M
 
-    def eval_fn(x, K12=K[:d1, d1:], K21=K[d1:, :d1]):
-        x1, x2 = x[:d1], x[d1:]
-        return np.concatenate([M1(x1) + K12 @ x2, M2(x2) + K21 @ x1])
+    def eval_fn(x):
+        return np.concatenate([M1(x[:d1]), M2(x[d1:])]) + K @ x
 
     linear_part = None
     affine = None
     derivative_fn = None
     if M1.is_linear and M2.is_linear:
-        linear_part = K.copy()
-        linear_part[:d1, :d1] += _as_dense(M1.linear_part)
-        linear_part[d1:, d1:] += _as_dense(M2.linear_part)
+        linear_part = K + sparse.block_diag([M1.linear_part, M2.linear_part],
+                                            format="csr")
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
     elif M1.has_derivative and M2.has_derivative:
         derivative_fn = _interconnect_jacobian(K, ((0, M1), (d1, M2)))
 
-    B = np.zeros((d1 + d2, (sys1.input_dim - split1) + (sys2.input_dim - split2)))
-    n1_open = sys1.input_dim - split1
-    B[:d1, :n1_open] = sys1.B[:, split1:]
-    B[d1:, n1_open:] = sys2.B[:, split2:]
+    B = sparse.block_diag([sys1.B[:, split1:], sys2.B[:, split2:]], format="csc")
+    if not (sparse.issparse(sys1.B) or sparse.issparse(sys2.B)):
+        B = B.toarray()
     _, open1 = sys1.input_metric.split(split1)
     _, open2 = sys2.input_metric.split(split2)
     return PHSystem(
-        MonotoneOperatorSpec(d1 + d2, eval_fn=eval_fn,
+        MonotoneOperatorSpec(sys1.dim + sys2.dim, eval_fn=eval_fn,
                              derivative_fn=derivative_fn, linear_part=linear_part,
                              affine_offset=affine),
         B,
@@ -537,17 +572,17 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
 def _interconnect_jacobian(K, members):
     """Sparse Jacobian K + diag(DM_1, DM_2) of an interconnection.
 
-    members lists (offset, M) for each member's diagonal block.  K and
-    the matrices of the linear members form one constant CSC part, built
-    once.  A nonlinear member whose Jacobian is dense (judged at its
-    zero state) has its full block stored there as zeros, and each call
-    adds its Jacobian into a copy of the constant data; a sparse
-    Jacobian is added as a sparse matrix.
+    members lists (offset, M) for each member's diagonal block.  The
+    sparse coupling block K and the matrices of the linear members form
+    one constant CSC part, built once.  A nonlinear member whose
+    Jacobian is dense (judged at its zero state) has its full block
+    stored there as zeros, and each call adds its Jacobian into a copy
+    of the constant data; a sparse Jacobian is added as a sparse matrix.
     """
     dim = K.shape[0]
     nonlinear = [(lo, M, not sparse.issparse(M._jacobian(np.zeros(M.dim))))
                  for lo, M in members if not M.is_linear]
-    const = sparse.csc_matrix(K) + sparse.block_diag(
+    const = K.tocsc() + sparse.block_diag(
         [M.linear_part if M.is_linear else sparse.csc_matrix((M.dim, M.dim))
          for _, M in members], format="csc")
     for lo, M, dense in nonlinear:

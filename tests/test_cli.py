@@ -267,6 +267,29 @@ def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode, section, key, value, code, message", [
+    ("solve", "ocp", "N", 1e300, 2, "ocp: grid size N exceeds"),
+    ("solve", "ocp", "N", 10**18, 2, "ocp.N: too large to allocate"),
+    ("solve", "ocp", "B", True, 2, "ocp: B row count"),
+    ("flow", "integrator", "h_t", 5e-324, 3, "inf steps exceed max_steps"),
+    ("solve", "ocp.cost", "stage", {"logcosh": {"scale": 1e300}}, 3, "OverflowError"),
+])
+def test_extreme_inputs_exit_cleanly(tmp_path, capsys, mode, section, key,
+                                     value, code, message):
+    # values the config fuzzer (test_config_fuzz.py) turned into tracebacks
+    cfg = json.loads(write_config(tmp_path, mode=mode).read_text())
+    target = cfg
+    for part in section.split("."):
+        target = target[part]
+    target[key] = value
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(cfg))
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_jobs_capped_by_configs_and_cpus(tmp_path, monkeypatch):
     import concurrent.futures
 

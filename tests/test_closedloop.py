@@ -84,7 +84,7 @@ def test_closed_loop_matches_hand_assembled_matrix(loop_ocp):
     plant = pf.assemble_plant(spec)
     cls = pf.couple(pf.assemble_optimizer(loop_ocp), plant, loop_ocp,
                     pf.CouplingSpec(1.0))
-    L = np.asarray(cls.sys.M.linear_part)
+    L = cls.sys.M.linear_part.toarray()
     n_p, p, d = 2, loop_ocp.primal_dim, loop_ocp.dual_dim
     n = loop_ocp.n
     hand = np.zeros_like(L)

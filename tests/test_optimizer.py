@@ -232,6 +232,54 @@ def test_nonlinear_steps_never_factor_dense(monkeypatch):
     assert flow.times.size == loop.times.size == 6
 
 
+def test_linear_closed_loop_never_factors_dense(monkeypatch):
+    # structural guard: a linear plant closed against an LQ optimizer has
+    # a sparse linear part, factored once by splu; any dense solve or
+    # dense LU during the steps fails the test
+    ocp = make_double_integrator(N=64)
+    plant = pf.assemble_plant(pf.linear_plant(np.eye(2), DI_B, [1.0, 0.0]))
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
+    assert sparse.issparse(cls.sys.M.linear_part)
+    z0 = cls.initial_state(np.array([1.0, 0.0]))
+
+    def dense_solve(*args, **kwargs):
+        raise AssertionError("dense solve in a sparse linear step")
+
+    monkeypatch.setattr(np.linalg, "solve", dense_solve)
+    monkeypatch.setattr(phcore, "lu_factor", dense_solve)
+    cfg = pf.IntegratorConfig(h_t=0.01)
+    traj = pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
+    assert traj.times.size == 6
+
+
+def test_optimizer_port_is_a_sparse_selection(small_ocp, small_sys):
+    assert sparse.issparse(small_sys.B) and sparse.issparse(small_sys.b_star)
+    assert small_sys.B.nnz == small_sys.b_star.nnz == small_ocp.dual_dim
+    z = np.random.default_rng(3).standard_normal(small_ocp.state_dim)
+    assert np.array_equal(small_sys.output(z), small_ocp.blocks(z).dual)
+
+
+def test_power_balance_audit_memory_is_bounded():
+    # structural guard: the audit walks the intervals in fixed row blocks,
+    # so its peak allocation stays far below one copy of the trajectory
+    import tracemalloc
+
+    ocp = make_double_integrator(N=256)
+    sys = pf.assemble_optimizer(ocp)
+    cfg = pf.IntegratorConfig(h_t=0.01)
+    traj = pf.integrate_flow(sys, pf.default_initial_state(ocp), pf.constant_input(ocp),
+                             cfg, 12.0)
+    tracemalloc.start()
+    try:
+        pb = pf.power_balance_audit(sys, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    z0 = traj.states[0]
+    assert pb.max_residual <= 1e-10 * (1.0 + sys.metric.inner(z0, z0))
+    assert peak < traj.states.nbytes / 4
+
+
 def test_implicit_schemes_run_without_derivative():
     # without a derivative the shared step takes the damped fixed-point
     # step; it must reach the same states as Newton to the step tolerance

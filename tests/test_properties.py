@@ -2,8 +2,9 @@
 `DiscretizedOCP.blocks`, the discrete identities the flow rests on
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
 closed-loop coupling), the shared implicit step behind the
-resolvent, the semigroup and the implicit-midpoint flow, and the sparse
-Jacobians its Newton solve factors."""
+resolvent, the semigroup and the implicit-midpoint flow, the sparse
+Jacobians its Newton solve factors, and the sparse ports and coupling
+block against their dense counterparts."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -253,3 +254,82 @@ def test_cubic_closed_loop_jacobian_is_sparse_and_exact(problem, gamma):
         dense[:n, :n] += plant.M.derivative(xp)
         dense[n:, n:] += cls.opt_sys.M.derivative(zo)
         assert np.max(np.abs(J.toarray() - dense)) <= 1e-14 * (1.0 + np.max(np.abs(dense)))
+
+
+@st.composite
+def port_maps(draw):
+    """A random B: R^n_u -> R^n_x with about half its entries zero, in
+    both formats (dense and CSC), with random diagonal metrics X and U;
+    plus an rng for vectors."""
+    n_x, n_u = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n_x, n_u)) * (rng.uniform(size=(n_x, n_u)) < 0.5)
+    X = pf.Metric(rng.uniform(0.1, 10.0, n_x))
+    U = pf.Metric(rng.uniform(0.1, 10.0, n_u))
+    return B, sparse.csc_matrix(B), X, U, rng
+
+
+@PROFILE
+@given(port_maps())
+def test_sparse_and_dense_adjoint_agree(ports):
+    B, B_sparse, X, U, _ = ports
+    dense, scaled = pf.adjoint(B, U, X), pf.adjoint(B_sparse, U, X)
+    assert isinstance(dense, np.ndarray) and sparse.issparse(scaled)
+    assert scaled.nnz == B_sparse.nnz
+    assert np.max(np.abs(scaled.toarray() - dense), initial=0.0) <= 1e-15 * (
+        1.0 + np.max(np.abs(dense), initial=0.0))
+
+
+@PROFILE
+@given(port_maps())
+def test_metric_adjoint_pairing_in_both_formats(ports):
+    B, B_sparse, X, U, rng = ports
+    u, x = rng.standard_normal(B.shape[1]), rng.standard_normal(B.shape[0])
+    for mat in (B, B_sparse):
+        lhs = X.inner(mat @ u, x)
+        rhs = U.inner(u, pf.adjoint(mat, U, X) @ x)
+        assert abs(lhs - rhs) <= _ROUND * (1.0 + X.norm(B @ u) * X.norm(x))
+
+
+@PROFILE
+@given(port_maps(), st.integers(1, 5))
+def test_output_of_a_row_stack_is_the_row_by_row_output(ports, rows):
+    B, B_sparse, X, U, rng = ports
+    xs = rng.standard_normal((rows, B.shape[0]))
+    for mat in (B, B_sparse):
+        sys = pf.PHSystem(pf.identity(B.shape[0]), mat, X, U)
+        assert sparse.issparse(sys.b_star) == sparse.issparse(mat)
+        stacked = sys.output(xs)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (rows, B.shape[1])
+        by_row = np.array([sys.output(x) for x in xs])
+        scale = 1.0 + np.max(np.abs(sys.b_star)) * np.max(np.abs(xs)) * B.shape[0]
+        assert np.max(np.abs(stacked - by_row)) <= _ROUND * scale
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh)), st.floats(0.1, 10.0))
+def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
+    # K = J - diag(DM_plant, DM_opt) is the closed loop's coupling block:
+    # sparse, nonzero only between the plant and the lam0 block, and skew
+    # in the product metric, W K = -(W K)^T
+    ocp, rng = problem
+    n = ocp.n
+    G = rng.standard_normal((n, n))
+    plant = pf.assemble_plant(pf.cubic_plant(G @ G.T / n + 0.1 * np.eye(n), 1.3,
+                                             ocp.model.B, np.zeros(n)))
+    opt = pf.assemble_optimizer(ocp)
+    cls = pf.couple(opt, plant, ocp, pf.CouplingSpec(gamma))
+    z = rng.standard_normal(cls.dim)
+    xp, zo = cls.split(z)
+    K = cls.sys.M._jacobian(z) - sparse.block_diag([plant.M._jacobian(xp),
+                                                    opt.M._jacobian(zo)])
+    lam0 = n + ocp.blocks(np.arange(ocp.state_dim)).lam0
+    inside = np.zeros(K.shape, dtype=bool)
+    inside[:n, lam0] = inside[lam0, :n] = True
+    assert not np.any(K.toarray()[~inside])
+    # coupling_block itself, here on the optimizer's first n ports
+    direct = pf.coupling_block(plant, opt, gamma * ocp.model.B.T, ocp.m, n)
+    assert sparse.issparse(direct) and direct.nnz <= 2 * n * n
+    for block in (K, direct):
+        WK = cls.sys.metric.weights[:, None] * block.toarray()
+        assert np.max(np.abs(WK + WK.T)) <= 1e-14 * (1.0 + np.max(np.abs(WK)))
