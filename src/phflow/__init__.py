@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (AccretivityViolation, ConfigError, DimensionMismatch,
                      EigenFailure, FormatError, InsufficientData,
                      InvalidParameter, NonConvergence, NotHurwitz,
-                     SingularStep, StepRejected, ToolkitError)
+                     SingularStep, ToolkitError)
 from .metric import Metric, adjoint
 from .operators import MonotoneOperatorSpec, cubic, identity, linear, zero
 from .phcore import (PHSystem, ProbeReport, SteadyStatePair, Trajectory,

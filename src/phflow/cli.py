@@ -189,16 +189,17 @@ def build_plant(cfg: dict, ocp):
 def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:
     cfg = _object(cfg or {}, "integrator")
     path = "integrator."
-    try:
-        icfg = IntegratorConfig(
-            h_t=_number(cfg, "h_t", path, default_outer_step(ocp)),
-            scheme=cfg.get("scheme", "implicit_midpoint"),
-            newton_tol=_number(cfg, "newton_tol", path, 1e-10),
-            max_steps=_number(cfg, "max_steps", path, 1_000_000, integer=True, low=1),
-            store_every=_number(cfg, "store_every", path, 1, integer=True, low=1),
-        )
+    for key in cfg:
+        if key not in ("h_t", "scheme", "newton_tol", "max_steps", "T"):
+            raise ConfigError("unknown field", field=path + key)
+    h_t = _number(cfg, "h_t", path, default_outer_step(ocp))
+    newton_tol = _number(cfg, "newton_tol", path, 1e-10)
+    max_steps = _number(cfg, "max_steps", path, 1_000_000, integer=True, low=1)
+    try:  # the numbers are checked above: only the scheme is left to fail
+        icfg = IntegratorConfig(h_t, cfg.get("scheme", "implicit_midpoint"),
+                                newton_tol, max_steps)
     except InvalidParameter as exc:
-        raise ConfigError(str(exc), field="integrator")
+        raise ConfigError(str(exc), field=path + "scheme")
     return icfg, _number(cfg, "T", path, 10.0)
 
 
@@ -346,28 +347,34 @@ def _optimizer_run(cfg, ocp):
     return sys, z_hat, traj
 
 
+def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
+                      columns: list, full_state: bool) -> list[Path]:
+    """Write <name>.csv with the columns t, `columns` (named by `header`)
+    and each step's power_residual, 0 at t = 0; with `full_state` also
+    <name>_state.csv, the time and every state coordinate."""
+    pb = power_balance_audit(sys, traj)
+    path = out_dir / f"{name}.csv"
+    write_csv(path, ["t", *header, "power_residual"], np.column_stack(
+        [traj.times, *columns, np.concatenate([[0.0], pb.residuals])]))
+    files = [path]
+    if full_state:
+        state_path = out_dir / f"{name}_state.csv"
+        write_csv(state_path,
+                  ["t"] + [f"z_{j + 1}" for j in range(traj.states.shape[1])],
+                  np.column_stack([traj.times, traj.states]))
+        files.append(state_path)
+    return files
+
+
 def run_flow(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     sys, z_hat, traj = _optimizer_run(cfg, ocp)
     report = convergence_report(traj, z_hat, ocp)
-    pb = power_balance_audit(sys, traj)
-    residual_col = np.concatenate([[0.0], pb.residuals])
-    rows = np.column_stack([
-        traj.times, report.errors, report.errors_primal, report.errors_dual,
-        residual_col,
-    ])
-    flow_path = out_dir / "flow.csv"
-    write_csv(flow_path, ["t", "err_total", "err_primal", "err_dual",
-                          "power_residual"], rows)
-    files = [flow_path]
+    files = _write_trajectory(
+        out_dir, "flow", sys, traj, ["err_total", "err_primal", "err_dual"],
+        [report.errors, report.errors_primal, report.errors_dual], full_state)
     rpt = out_dir / "convergence_report.txt"
     rpt.write_text("[convergence]\n" + report.summary() + "\n", newline="\n")
-    files.append(rpt)
-    if full_state:
-        state_path = out_dir / "flow_state.csv"
-        header = ["t"] + [f"z_{j + 1}" for j in range(traj.states.shape[1])]
-        write_csv(state_path, header,
-                  np.column_stack([traj.times, traj.states]))
-        files.append(state_path)
+    files.insert(1, rpt)  # keep the listed order: flow.csv, the report, flow_state.csv
     return files
 
 
@@ -384,26 +391,13 @@ def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     cls = couple(assemble_optimizer(ocp), plant_sys, ocp, cspec)
     icfg, T = build_integrator(cfg.get("integrator"), ocp)
     run = simulate_closed_loop(cls, icfg, T, x_p0=spec.x_p0)
-    pb = power_balance_audit(cls.sys, run.traj)
-    residual_col = np.concatenate([[0.0], pb.residuals])
-    header = (["t"]
-              + [f"xp_{j + 1}" for j in range(cls.n_p)]
+    header = ([f"xp_{j + 1}" for j in range(cls.n_p)]
               + [f"up_{j + 1}" for j in range(ocp.m)]
-              + ["norm_total", "norm_plant", "norm_optimizer", "power_residual"])
-    rows = np.column_stack([
-        run.traj.times, cls.split(run.traj.states)[0], run.feedback.u_p,
-        run.norm_total, run.norm_plant, run.norm_optimizer, residual_col,
-    ])
-    path = out_dir / "closedloop.csv"
-    write_csv(path, header, rows)
-    files = [path]
-    if full_state:
-        state_path = out_dir / "closedloop_state.csv"
-        header = ["t"] + [f"z_{j + 1}" for j in range(run.traj.states.shape[1])]
-        write_csv(state_path, header,
-                  np.column_stack([run.traj.times, run.traj.states]))
-        files.append(state_path)
-    return files
+              + ["norm_total", "norm_plant", "norm_optimizer"])
+    columns = [cls.split(run.traj.states)[0], run.feedback.u_p,
+               run.norm_total, run.norm_plant, run.norm_optimizer]
+    return _write_trajectory(out_dir, "closedloop", cls.sys, run.traj,
+                             header, columns, full_state)
 
 
 def run_audit(cfg, ocp, out_dir: Path, seed: int, full_state: bool):

@@ -26,11 +26,8 @@ class NonConvergence(ToolkitError, RuntimeError):
 
 
 class SingularStep(ToolkitError, RuntimeError):
-    """A one-step implicit solve hit a singular matrix (step too large)."""
-
-
-class StepRejected(ToolkitError, RuntimeError):
-    """An explicit integrator step failed its residual audit."""
+    """The trapezoid march of `ocp.input_to_state` hit a singular
+    I - (h/2) A or produced non-finite states (grid step too large)."""
 
 
 class AccretivityViolation(ToolkitError, RuntimeError):

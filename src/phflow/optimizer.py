@@ -30,14 +30,15 @@ import numpy as np
 
 from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
-                     NonConvergence, StepRejected)
+                     NonConvergence)
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec
 from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, implicit_stepper,
                      selection_port)
 
-_SCHEMES = ("implicit_midpoint", "implicit_euler", "rk4")
+# each scheme is the implicit theta-step of `implicit_stepper`
+_SCHEMES = {"implicit_midpoint": 0.5, "implicit_euler": 1.0}
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,13 @@ class IntegratorConfig:
     scheme: str = "implicit_midpoint"
     newton_tol: float = 1e-10
     max_steps: int = 1_000_000
-    rk4_audit_tol: Optional[float] = None
-    store_every: int = 1
 
     def __post_init__(self):
         if self.h_t <= 0:
             raise InvalidParameter("outer step h_t must be positive")
-        if self.scheme not in _SCHEMES:
-            raise InvalidParameter(f"unknown scheme {self.scheme!r}; pick one of {_SCHEMES}")
-        if self.store_every < 1:
-            raise InvalidParameter("store_every must be at least 1")
+        if not (isinstance(self.scheme, str) and self.scheme in _SCHEMES):
+            raise InvalidParameter(
+                f"unknown scheme {self.scheme!r}; pick one of {tuple(_SCHEMES)}")
 
 
 def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
@@ -99,7 +97,11 @@ def default_outer_step(ocp: DiscretizedOCP) -> float:
 
 def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
                    cfg: IntegratorConfig, T: float) -> Trajectory:
-    """Integrate dz/dt = -M(z) + B u with a constant input on [0, T]."""
+    """Integrate dz/dt = -M(z) + B u with a constant input on [0, T].
+
+    Each step is the implicit theta-step of the scheme (theta = 1/2 for
+    midpoint, 1 for Euler), and every step is stored, so the per-step
+    audits see the whole run."""
     if T <= 0:
         raise InvalidParameter("integration horizon T must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -113,53 +115,21 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
         )
     steps = max(1, int(round(ratio)))
     h = cfg.h_t
+    step = implicit_stepper(sys.M, h, _SCHEMES[cfg.scheme], sys.metric.norm,
+                            cfg.newton_tol)
     b = sys.B @ u_const
-    M = sys.M
 
-    implicit = cfg.scheme != "rk4"
-    if implicit:
-        theta = 0.5 if cfg.scheme == "implicit_midpoint" else 1.0
-        step = implicit_stepper(M, h, theta, sys.metric.norm, cfg.newton_tol)
-
-    # the stored step indices: every store_every-th step and the last
-    stored = np.append(np.arange(0, steps, min(cfg.store_every, steps)), steps)
-    states = np.empty((stored.size, sys.dim))
+    states = np.empty((steps + 1, sys.dim))
     states[0] = z0
-    j = 1
-    z = z0.copy()
-
     for k in range(steps):
-        if implicit:
-            z_new, res = step(z, b)
-            if not res <= cfg.newton_tol:
-                raise NonConvergence(
-                    f"implicit step failed at t={k * h:.4g}", residual=res)
-        else:  # rk4
-            k1 = -M(z) + b
-            k2 = -M(z + 0.5 * h * k1) + b
-            k3 = -M(z + 0.5 * h * k2) + b
-            k4 = -M(z + h * k3) + b
-            z_new = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z_new)):
-                raise StepRejected(f"rk4 step produced non-finite state at t={k * h:.4g}")
-            if cfg.rk4_audit_tol is not None:
-                zm = 0.5 * (z + z_new)
-                um = u_const
-                rate = (sys.metric.inner(z_new, z_new) - sys.metric.inner(z, z)) / (2.0 * h)
-                balance = -sys.metric.inner(zm, M(zm)) + sys.input_metric.inner(um, sys.output(zm))
-                if abs(rate - balance) > cfg.rk4_audit_tol:
-                    raise StepRejected(
-                        f"rk4 power-balance audit failed at t={k * h:.4g}: "
-                        f"residual {abs(rate - balance):.3e}"
-                    )
-        z = z_new
-        if k + 1 == stored[j]:
-            states[j] = z
-            j += 1
+        states[k + 1], res = step(states[k], b)
+        if not res <= cfg.newton_tol:
+            raise NonConvergence(
+                f"implicit step failed at t={k * h:.4g}", residual=res)
 
     # the input is constant: one read-only row repeated, never copied
-    inputs = np.broadcast_to(u_const, (stored.size, u_const.size))
-    return Trajectory(h * stored.astype(float), states, inputs)
+    inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))
+    return Trajectory(h * np.arange(steps + 1, dtype=float), states, inputs)
 
 
 @dataclass(frozen=True)
@@ -173,9 +143,6 @@ class ConvergenceReport:
     rate: Optional[float]
     amplitude: float
     indeterminate: bool
-    gronwall_c_ref: Optional[float] = None
-    gronwall_satisfied: Optional[bool] = None
-    gronwall_max_ratio: Optional[float] = None
 
     def summary(self) -> str:
         lines = []
@@ -185,34 +152,18 @@ class ConvergenceReport:
             lines.append(f"rate: {self.rate:.6g}")
             lines.append(f"amplitude: {self.amplitude:.6g}")
         lines.append(f"final_error: {self.errors[-1]:.6e}")
-        if self.gronwall_c_ref is not None:
-            lines.append(f"gronwall_c_ref: {self.gronwall_c_ref:.6g}")
-            lines.append(f"gronwall_satisfied: {self.gronwall_satisfied}")
-            lines.append(f"gronwall_max_ratio: {self.gronwall_max_ratio:.6g}")
         return "\n".join(lines)
 
 
 _AMPLITUDE_FLOOR = 1e-9
 
 
-def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
-                       c_ref: Optional[float] = None,
-                       bound_tol: float = 1e-6) -> ConvergenceReport:
-    """Error series against the oracle, tail rate fit, and the optional
-    primal-block exponential bound check.
+def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP) -> ConvergenceReport:
+    """Error series against the oracle and the tail rate fit.
 
     The rate is fitted on the last half of the series to skip
     transients; it is reported as indeterminate when the tail amplitude
     sits below 1e-9 (fitting there would only model roundoff).
-
-    With ``c_ref`` given, the report checks the pointwise envelope
-    ``||h_p(t)|| <= ||h(0)|| exp(-c_ref t)``: the primal error against the
-    total initial error, at every stored time, to a ratio of
-    ``1 + bound_tol``.  Strong monotonicity of the primal block with
-    constant ``c_ref`` does not imply this envelope for the primal-dual
-    flow; it bounds only the time integral of the primal error, and the
-    skew coupling lets the primal error decay at the slower rate of the
-    coupled spectrum (see README.md, "Criterion 7").
     """
     if traj.times.size < 10:
         raise InsufficientData("need at least 10 samples past the transient")
@@ -234,15 +185,5 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP,
     else:
         rate, amplitude = _log_linear_fit(tail_t, tail_e)
 
-    g_sat = g_ratio = None
-    if c_ref is not None:
-        bound = errors[0] * np.exp(-c_ref * (traj.times - traj.times[0]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(bound > 0, errors_primal / bound, np.inf)
-        g_ratio = float(np.max(ratios))
-        g_sat = bool(g_ratio <= 1.0 + bound_tol)
-
-    return ConvergenceReport(
-        traj.times, errors, errors_primal, errors_dual,
-        rate, amplitude, indeterminate, c_ref, g_sat, g_ratio,
-    )
+    return ConvergenceReport(traj.times, errors, errors_primal, errors_dual,
+                             rate, amplitude, indeterminate)

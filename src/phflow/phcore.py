@@ -85,9 +85,6 @@ class PHSystem:
     def drift(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return -self.M(x) + self.B @ u
 
-    def supplied_power(self, x: np.ndarray, u: np.ndarray) -> float:
-        return self.input_metric.inner(u, self.output(x))
-
 
 def selection_port(dim: int, rows) -> sparse.csc_matrix:
     """Sparse input matrix whose column k is the unit vector of state

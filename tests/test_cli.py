@@ -251,6 +251,9 @@ def test_multiple_configs_parallel(tmp_path):
     ("ocp", "x0", ["a", 1], "ocp.x0"),
     ("ocp.cost", "alpha", float("nan"), "ocp.cost.alpha"),
     ("ocp", "N", 8.7, "ocp.N"),
+    ("integrator", "store_every", 3, "integrator.store_every"),
+    ("integrator", "scheme", "rk4", "integrator.scheme"),
+    ("integrator", "scheme", [], "integrator.scheme"),
 ])
 def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
                                                  key, value, field):
