@@ -26,7 +26,6 @@ from .closedloop import (ClosedLoopRun, ClosedLoopSystem, CouplingSpec,
                          FeedbackSeries, PlantSpec, assemble_plant, couple,
                          cubic_plant, feedback_extract, linear_plant,
                          simulate_closed_loop)
-from .analysis import (DecayFit, Linearization, LyapunovCertificate,
-                       SaddleBlocks, decay_fit, linearize,
-                       lyapunov_certificate, metric_generator, nonnormality,
-                       saddle_blocks, spectral_abscissa)
+from .analysis import (DecayFit, LyapunovCertificate, SaddleBlocks,
+                       decay_fit, lyapunov_certificate, metric_generator,
+                       nonnormality, saddle_blocks, spectral_abscissa)

@@ -8,31 +8,25 @@ exponential stability, and a positive-definite solution P of
     A^T P + P A = -I
 
 certifies it constructively.  Because the toolkit's inner products are
-weighted, certificates are computed in orthonormalized coordinates
-(W^(1/2)-similarity); eigenvalues are unaffected, Lyapunov quadratic
+weighted, certificates are computed in the Euclidean coordinates
+W^(1/2) x (a similarity); eigenvalues are unaffected, Lyapunov quadratic
 forms are evaluated in the transformed frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import (EigenFailure, InsufficientData, InvalidParameter,
                      NotHurwitz)
 from .metric import Metric, adjoint as metric_adjoint
-from .operators import MonotoneOperatorSpec
 
 _DENSE_DIM_CAP = 2000
 
 
 def _check_square(mat) -> np.ndarray:
-    from scipy import sparse
-
-    if sparse.issparse(mat):
-        mat = mat.toarray()
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.shape[0] != mat.shape[1]:
         raise InvalidParameter("matrix must be square")
@@ -41,30 +35,6 @@ def _check_square(mat) -> np.ndarray:
             f"dense solves are capped at dimension {_DENSE_DIM_CAP}"
         )
     return mat
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Jacobian of a drift operator at an expansion point."""
-
-    x_bar: np.ndarray
-    DM: np.ndarray
-
-
-def linearize(M: MonotoneOperatorSpec, x_bar: np.ndarray,
-              eps: Optional[float] = None) -> Linearization:
-    """DM(x_bar); analytic when available, central differences otherwise."""
-    x_bar = np.asarray(x_bar, dtype=float).reshape(M.dim)
-    if M.has_derivative:
-        return Linearization(x_bar, M.derivative(x_bar))
-    scale = 1.0 + float(np.max(np.abs(x_bar)))
-    eps = eps if eps is not None else 1e-6 * scale
-    cols = []
-    for j in range(M.dim):
-        e = np.zeros(M.dim)
-        e[j] = eps
-        cols.append((M(x_bar + e) - M(x_bar - e)) / (2.0 * eps))
-    return Linearization(x_bar, np.column_stack(cols))
 
 
 def spectral_abscissa(DM: np.ndarray) -> float:
@@ -125,7 +95,6 @@ class DecayFit:
 
     c_fit: float
     amplitude: float
-    bound_satisfied: Optional[bool] = None
 
 
 def _log_linear_fit(times: np.ndarray, values: np.ndarray):
@@ -139,14 +108,8 @@ def _log_linear_fit(times: np.ndarray, values: np.ndarray):
     return -float(slope), float(np.exp(intercept))
 
 
-def decay_fit(times: np.ndarray, values: np.ndarray,
-              c_ref: Optional[float] = None,
-              bound_tol: float = 1e-6) -> DecayFit:
-    """Least-squares fit of log(value) against time.
-
-    With c_ref given, also checks the pointwise reference bound
-    value(t) <= value(t0) * exp(-c_ref (t - t0)) * (1 + bound_tol).
-    """
+def decay_fit(times: np.ndarray, values: np.ndarray) -> DecayFit:
+    """Least-squares fit of log(value) against time."""
     times = np.asarray(times, dtype=float).reshape(-1)
     values = np.asarray(values, dtype=float).reshape(-1)
     if times.size != values.size:
@@ -155,12 +118,7 @@ def decay_fit(times: np.ndarray, values: np.ndarray,
         raise InsufficientData("need at least 10 samples")
     if np.any(values <= 0):
         raise InsufficientData("decay fit needs strictly positive values")
-    c_fit, amplitude = _log_linear_fit(times, values)
-    bound = None
-    if c_ref is not None:
-        envelope = values[0] * np.exp(-c_ref * (times - times[0])) * (1.0 + bound_tol)
-        bound = bool(np.all(values <= envelope))
-    return DecayFit(c_fit, amplitude, bound)
+    return DecayFit(*_log_linear_fit(times, values))
 
 
 def nonnormality(A: np.ndarray) -> float:
@@ -210,5 +168,5 @@ def saddle_blocks(DM: np.ndarray, primal_dim: int, primal_metric: Metric,
 
 
 def metric_generator(DM: np.ndarray, metric: Metric) -> np.ndarray:
-    """Generator -DM expressed in orthonormal (W^(1/2)) coordinates."""
+    """Generator -DM in the Euclidean coordinates W^(1/2) x."""
     return -metric.similarity(_check_square(DM))

@@ -64,9 +64,14 @@ _MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 _REQUIRED = object()
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys) -> dict:
+    """value, which must be a JSON object with no key outside `keys`;
+    path names it in errors ("" for the whole config)."""
     if not isinstance(value, dict):
-        raise ConfigError("must be a JSON object", field=path)
+        raise ConfigError("must be a JSON object", field=path or "config")
+    for key in value:
+        if key not in keys:
+            raise ConfigError("unknown field", field=f"{path}.{key}" if path else key)
     return value
 
 
@@ -122,15 +127,16 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return _object(cfg, "config")
+    return _object(cfg, "", ("mode", "ocp", "plant", "coupling", "integrator",
+                             "output", "seed"))
 
 
 def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
-    cfg = _object(cfg, path[:-1])
+    cfg = _object(cfg, path[:-1], ("alpha", "stage"))
     alpha = _number(cfg, "alpha", path)
-    stage_cfg = _object(_need(cfg, "stage", path), path + "stage")
+    stage_cfg = _object(_need(cfg, "stage", path), path + "stage", ("quadratic", "logcosh"))
     if "quadratic" in stage_cfg:
-        qc = _object(stage_cfg["quadratic"], path + "stage.quadratic")
+        qc = _object(stage_cfg["quadratic"], path + "stage.quadratic", ("Q", "q"))
         Q = _array(_need(qc, "Q", path + "stage.quadratic."), path + "stage.quadratic.Q")
         q = _array(qc["q"], path + "stage.quadratic.q") if "q" in qc else None
         try:
@@ -138,7 +144,7 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
         except ToolkitError as exc:
             raise ConfigError(str(exc), field=path + "stage.quadratic")
     elif "logcosh" in stage_cfg:
-        lc = _object(stage_cfg["logcosh"], path + "stage.logcosh")
+        lc = _object(stage_cfg["logcosh"], path + "stage.logcosh", ("scale",))
         stage = LogCoshStage(_number(lc, "scale", path + "stage.logcosh.", 1.0))
     else:
         raise ConfigError("stage must be 'quadratic' or 'logcosh'",
@@ -147,7 +153,7 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
 
 
 def build_ocp(cfg: dict):
-    cfg = _object(cfg, "ocp")
+    cfg = _object(cfg, "ocp", ("t_f", "N", "A", "B", "f", "x0", "cost"))
     t_f = _number(cfg, "t_f", "ocp.")
     N = _number(cfg, "N", "ocp.", integer=True, low=2)
     A = _as_matrix(_need(cfg, "A", "ocp."), "ocp.A")
@@ -166,18 +172,18 @@ def build_ocp(cfg: dict):
 
 
 def build_plant(cfg: dict, ocp):
-    cfg = _object(cfg, "plant")
-    kind = _object(_need(cfg, "kind", "plant."), "plant.kind")
+    cfg = _object(cfg, "plant", ("kind", "B_p", "x_p0"))
+    kind = _object(_need(cfg, "kind", "plant."), "plant.kind", ("linear", "cubic"))
     B_p = _as_matrix(cfg.get("B_p", ocp.model.B), "plant.B_p")
     x_p0 = _array(_need(cfg, "x_p0", "plant."), "plant.x_p0").reshape(-1)
     try:
         if "linear" in kind:
-            lc = _object(kind["linear"], "plant.kind.linear")
+            lc = _object(kind["linear"], "plant.kind.linear", ("R", "J"))
             R = _as_matrix(_need(lc, "R", "plant.kind.linear."), "plant.kind.linear.R")
             J = lc.get("J")
             return linear_plant(R, B_p, x_p0, J=None if J is None else _as_matrix(J, "plant.kind.linear.J"))
         if "cubic" in kind:
-            cc = _object(kind["cubic"], "plant.kind.cubic")
+            cc = _object(kind["cubic"], "plant.kind.cubic", ("R", "kappa"))
             R = _as_matrix(_need(cc, "R", "plant.kind.cubic."), "plant.kind.cubic.R")
             kappa = _number(cc, "kappa", "plant.kind.cubic.", 0.0, low=0.0)
             return cubic_plant(R, kappa, B_p, x_p0)
@@ -187,17 +193,14 @@ def build_plant(cfg: dict, ocp):
 
 
 def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:
-    cfg = _object(cfg or {}, "integrator")
+    cfg = _object({} if cfg is None else cfg, "integrator",
+                  ("h_t", "scheme", "newton_tol", "T"))
     path = "integrator."
-    for key in cfg:
-        if key not in ("h_t", "scheme", "newton_tol", "max_steps", "T"):
-            raise ConfigError("unknown field", field=path + key)
     h_t = _number(cfg, "h_t", path, default_outer_step(ocp))
-    newton_tol = _number(cfg, "newton_tol", path, 1e-10)
-    max_steps = _number(cfg, "max_steps", path, 1_000_000, integer=True, low=1)
+    newton_tol = _number(cfg, "newton_tol", path, IntegratorConfig.newton_tol)
     try:  # the numbers are checked above: only the scheme is left to fail
-        icfg = IntegratorConfig(h_t, cfg.get("scheme", "implicit_midpoint"),
-                                newton_tol, max_steps)
+        icfg = IntegratorConfig(h_t, cfg.get("scheme", IntegratorConfig.scheme),
+                                newton_tol)
     except InvalidParameter as exc:
         raise ConfigError(str(exc), field=path + "scheme")
     return icfg, _number(cfg, "T", path, 10.0)
@@ -383,7 +386,7 @@ def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
         raise ConfigError("missing required field", field="plant")
     spec = build_plant(cfg["plant"], ocp)
     plant_sys = assemble_plant(spec, rng=seed)
-    coupling = _object(cfg.get("coupling", {}), "coupling")
+    coupling = _object(cfg.get("coupling", {}), "coupling", ("gamma",))
     gamma = coupling.get("gamma", "inv_alpha")
     if gamma != "inv_alpha":
         gamma = _number(coupling, "gamma", "coupling.")
@@ -474,7 +477,7 @@ _RUNNERS = {
 }
 
 
-def run(config_path, out_dir, seed=None, full_state=None, mode=None) -> int:
+def run(config_path, out_dir, mode=None) -> int:
     """Execute one scenario; returns the process exit code."""
     t0 = time.time()
     try:
@@ -483,10 +486,9 @@ def run(config_path, out_dir, seed=None, full_state=None, mode=None) -> int:
         if cfg_mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}", field="mode")
         ocp = build_ocp(_need(cfg, "ocp", ""))
-        seed = _number(cfg, "seed", "", 0, integer=True, low=0) if seed is None else int(seed)
-        output = _object(cfg.get("output", {}), "output")
-        full = bool(output.get("full_state", False)) \
-            if full_state is None else bool(full_state)
+        seed = _number(cfg, "seed", "", 0, integer=True, low=0)
+        output = _object(cfg.get("output", {}), "output", ("dir", "full_state"))
+        full = bool(output.get("full_state", False))
         out_dir = out_dir or output.get("dir", "out")
         if not isinstance(out_dir, (str, os.PathLike)):
             raise ConfigError("must be a path string", field="output.dir")
@@ -520,8 +522,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, nargs="+",
                        help="scenario JSON file(s)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--full-state", action="store_true", default=None)
         p.add_argument("--jobs", type=int, default=1,
                        help="run multiple configs in parallel processes")
     pc = sub.add_parser("compare", help="compare two CSV files columnwise")
@@ -541,23 +541,18 @@ def main(argv=None) -> int:
 
     configs = args.config
     if len(configs) == 1:
-        return run(configs[0], args.out, args.seed, args.full_state,
-                   mode=args.command)
+        return run(configs[0], args.out, mode=args.command)
     # several configs: one subdirectory each, optionally in parallel; the
     # pool starts all its workers at once, so never more than can be busy
     jobs = min(max(1, args.jobs), len(configs), os.cpu_count() or 1)
     tasks = [(c, str(Path(args.out) / Path(c).stem)) for c in configs]
     if jobs == 1:
-        codes = [run(c, o, args.seed, args.full_state, mode=args.command)
-                 for c, o in tasks]
+        codes = [run(c, o, mode=args.command) for c, o in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run, c, o, args.seed, args.full_state, args.command)
-                for c, o in tasks
-            ]
+            futures = [pool.submit(run, c, o, args.command) for c, o in tasks]
             codes = [f.result() for f in futures]
     return max(codes)
 

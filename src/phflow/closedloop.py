@@ -82,12 +82,11 @@ def cubic_plant(R, kappa, B_p, x_p0) -> PlantSpec:
     return PlantSpec(cubic_operator(np.atleast_2d(np.asarray(R, dtype=float)), kappa), B_p, x_p0)
 
 
-def assemble_plant(spec: PlantSpec, rng=0, n_pairs: int = 64,
-                   probe_scale: float = 1.0) -> PHSystem:
-    """Euclidean-metric pH system for the plant; probes accretivity first."""
+def assemble_plant(spec: PlantSpec, rng=0) -> PHSystem:
+    """Euclidean-metric pH system for the plant; probes accretivity on 64
+    sampled pairs first."""
     metric = Metric.euclidean(spec.n_p)
-    report = accretivity_probe(spec.M, metric, rng=rng, n_pairs=n_pairs,
-                               scale=probe_scale)
+    report = accretivity_probe(spec.M, metric, rng=rng, n_pairs=64)
     if report.violation:
         raise AccretivityViolation(
             f"plant operator failed the accretivity probe: {report}"

@@ -53,13 +53,6 @@ class Metric:
         """Inner products <a_i, b_i> of matching rows of two stacks."""
         return np.einsum("ij,j,ij->i", a, self.weights, b)
 
-    def to_orthonormal(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates in which this metric becomes the Euclidean one."""
-        return self._sqrt * v
-
-    def from_orthonormal(self, v: np.ndarray) -> np.ndarray:
-        return v / self._sqrt
-
     def similarity(self, mat: np.ndarray) -> np.ndarray:
         """Return W^(1/2) M W^(-1/2) as a dense array."""
         mat = np.asarray(mat)

@@ -1,10 +1,10 @@
 """Pointwise-evaluable monotone operator candidates.
 
-An operator is described by its evaluation map, optionally an analytic
-Jacobian, and optionally an exact linear part.  Linear operators get a
-dedicated representation (dense or sparse matrix) so that resolvents and
-implicit integrators can prefactor a single matrix instead of running
-Newton at every step.
+An operator is described either by an exact linear part or by its
+evaluation map together with its analytic Jacobian.  Linear operators get
+a dedicated representation (dense or sparse matrix) so that resolvents
+and implicit integrators can prefactor a single matrix; every other
+operator is solved by Newton with its Jacobian.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 
 
 def _as_dense(mat) -> np.ndarray:
@@ -29,11 +29,12 @@ class MonotoneOperatorSpec:
     """Candidate accretive map M on R^dim.
 
     eval_fn must be deterministic: identical input arrays produce
-    bitwise-identical outputs.  derivative_fn, when given, returns the
-    Jacobian at a point as a dense array or a scipy sparse matrix; the
-    Newton solves factor it in that format.  linear_part, when given,
-    takes priority and fixes M(x) = linear_part @ x (+ affine_offset);
-    resolvents and implicit integrators then prefactor a single matrix.
+    bitwise-identical outputs.  derivative_fn returns the Jacobian at a
+    point as a dense array or a scipy sparse matrix; the Newton solves
+    factor it in that format.  linear_part, when given, takes priority
+    and fixes M(x) = linear_part @ x (+ affine_offset); resolvents and
+    implicit integrators then prefactor a single matrix.  Without it,
+    both eval_fn and derivative_fn are required.
     """
 
     dim: int
@@ -41,6 +42,10 @@ class MonotoneOperatorSpec:
     derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     linear_part: Optional[object] = None  # ndarray or scipy sparse
     affine_offset: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.linear_part is None and (self.eval_fn is None or self.derivative_fn is None):
+            raise InvalidParameter("a nonlinear operator needs eval_fn and derivative_fn")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -65,10 +70,6 @@ class MonotoneOperatorSpec:
         return (np.zeros(self.dim) if self.affine_offset is None
                 else self.affine_offset)
 
-    @property
-    def has_derivative(self) -> bool:
-        return self.is_linear or self.derivative_fn is not None
-
     def derivative(self, x: np.ndarray) -> np.ndarray:
         """Dense Jacobian DM(x), for analysis."""
         return _as_dense(self._jacobian(x))
@@ -77,8 +78,6 @@ class MonotoneOperatorSpec:
         """DM(x) in the format its source keeps it: sparse or dense."""
         if self.linear_part is not None:
             return self.linear_part
-        if self.derivative_fn is None:
-            raise DimensionMismatch("operator carries no derivative")
         J = self.derivative_fn(x)
         return J if sparse.issparse(J) else np.asarray(J, dtype=float)
 

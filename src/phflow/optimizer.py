@@ -39,6 +39,7 @@ from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, implicit_stepper,
 
 # each scheme is the implicit theta-step of `implicit_stepper`
 _SCHEMES = {"implicit_midpoint": 0.5, "implicit_euler": 1.0}
+_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class IntegratorConfig:
     h_t: float
     scheme: str = "implicit_midpoint"
     newton_tol: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.h_t <= 0:
@@ -101,7 +101,7 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
 
     Each step is the implicit theta-step of the scheme (theta = 1/2 for
     midpoint, 1 for Euler), and every step is stored, so the per-step
-    audits see the whole run."""
+    audits see the whole run at the scheme's stage."""
     if T <= 0:
         raise InvalidParameter("integration horizon T must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -109,14 +109,13 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
         raise DimensionMismatch("initial state dimension mismatch")
     u_const = np.array(u_const, dtype=float).reshape(sys.input_dim)
     ratio = T / cfg.h_t  # inf when h_t is negligible against T
-    if not (np.isfinite(ratio) and round(ratio) <= cfg.max_steps):
+    if not (np.isfinite(ratio) and round(ratio) <= _MAX_STEPS):
         raise InvalidParameter(
-            f"{ratio:.6g} steps exceed max_steps={cfg.max_steps}; increase h_t"
+            f"{ratio:.6g} steps exceed max_steps={_MAX_STEPS}; increase h_t"
         )
     steps = max(1, int(round(ratio)))
-    h = cfg.h_t
-    step = implicit_stepper(sys.M, h, _SCHEMES[cfg.scheme], sys.metric.norm,
-                            cfg.newton_tol)
+    h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
+    step = implicit_stepper(sys.M, h, theta, sys.metric.norm, cfg.newton_tol)
     b = sys.B @ u_const
 
     states = np.empty((steps + 1, sys.dim))
@@ -129,7 +128,7 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
 
     # the input is constant: one read-only row repeated, never copied
     inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))
-    return Trajectory(h * np.arange(steps + 1, dtype=float), states, inputs)
+    return Trajectory(h * np.arange(steps + 1, dtype=float), states, inputs, theta)
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,6 @@ class PHSystem:
         x = np.asarray(x, dtype=float)
         return self.b_star @ x if x.ndim == 1 else x @ self.b_star.T
 
-    def drift(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return -self.M(x) + self.B @ u
-
 
 def selection_port(dim: int, rows) -> sparse.csc_matrix:
     """Sparse input matrix whose column k is the unit vector of state
@@ -105,11 +102,14 @@ class SteadyStatePair:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: strictly increasing times, one state/input per time."""
+    """Sampled solution: strictly increasing times, one state/input per
+    time, and the theta of the implicit theta-step that produced it (the
+    audits evaluate each interval at that stage)."""
 
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
+    theta: float = 0.5
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -166,12 +166,6 @@ def newton(residual, solve, x0, norm, tol, r0=None):
     return x, res
 
 
-def _damped_step(x, r):
-    """Newton step for operators without a derivative: with newton's
-    backtracking this is the damped fixed-point iteration x - r/2."""
-    return 0.5 * r
-
-
 def _lu_solver(A):
     """Return solve(r) = A^{-1} r from one LU factorization of A in A's
     own format: SuperLU for a sparse A, LAPACK for a dense one.
@@ -218,8 +212,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
     Otherwise the step runs `newton` from whichever of z and the
     explicit predictor z + h*(-M(z) + b) has the smaller residual.  The
     Newton matrix I + theta*h*DM(stage) is factored in the format of the
-    Jacobian, sparse or dense; without a derivative the step is the
-    damped fixed-point step.  The residual is the norm of the step
+    Jacobian, sparse or dense.  The residual is the norm of the step
     equation's defect.
     """
     if M.is_linear:
@@ -256,8 +249,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
         r_pred = residual(predictor)
         x0, r0 = ((predictor, r_pred) if norm(r_pred) <= norm(drift)
                   else (z, -drift))
-        return newton(residual, solve if M.has_derivative else _damped_step,
-                      x0, norm, tol, r0)
+        return newton(residual, solve, x0, norm, tol, r0)
 
     return step
 
@@ -267,8 +259,7 @@ def resolvent(M: MonotoneOperatorSpec, lam: float, z: np.ndarray,
     """Solve x + lam*M(x) = z to within tol in the metric norm.
 
     One step of `implicit_stepper` at theta = 1: a direct solve for
-    linear M, Newton when an analytic derivative is available, and the
-    damped fixed-point step otherwise.
+    linear M, Newton with the Jacobian of M otherwise.
     """
     if lam <= 0:
         raise InvalidParameter("resolvent parameter lam must be positive")
@@ -324,7 +315,7 @@ def _as_rng(rng) -> np.random.Generator:
 
 def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
                       n_pairs: int = 100, x_bar: Optional[np.ndarray] = None,
-                      scale: float = 1.0, tol: float = 1e-10) -> ProbeReport:
+                      tol: float = 1e-10) -> ProbeReport:
     """Sample pairs and report the worst monotonicity gap of M.
 
     min_gap is the smallest <M(x1)-M(x2), x1-x2> over the sampled pairs,
@@ -341,12 +332,12 @@ def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
     c_estimate = np.inf
     violation = False
     for _ in range(n_pairs):
-        x1 = scale * gen.standard_normal(M.dim)
+        x1 = gen.standard_normal(M.dim)
         if x_bar is not None:
             x2 = np.asarray(x_bar, dtype=float)
             x1 = x2 + x1
         else:
-            x2 = scale * gen.standard_normal(M.dim)
+            x2 = gen.standard_normal(M.dim)
         d = x1 - x2
         nd2 = metric.inner(d, d)
         if nd2 == 0.0:
@@ -372,17 +363,27 @@ class PowerBalanceReport:
 _ROW_BLOCK = 64
 
 
-def _interval_blocks(traj: Trajectory):
-    """Yield (rows, x, xm, um) for consecutive blocks of at most
+def _interval_blocks(traj: Trajectory, h: float, metric: Metric):
+    """Yield (rows, x, lag, xs, us) for consecutive blocks of at most
     _ROW_BLOCK sampling intervals: the slice of their indices, a view of
-    their endpoint states (one row more than the block), and their
-    midpoint states and inputs (averaged endpoints)."""
+    their endpoint states (one row more than the block), the term
+    lag = (1 - 2 theta) ||x+ - x||^2 / (2h) by which the theta-step's
+    energy rate exceeds its stage balance (0 at midpoint), and their
+    stage states and inputs theta x+ + (1 - theta) x."""
+    theta = traj.theta
     states, inputs = traj.states, traj.inputs
     n = states.shape[0] - 1
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         x, u = states[lo:hi + 1], inputs[lo:hi + 1]
-        yield slice(lo, hi), x, 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+        if theta == 0.5:  # midpoint: the plain average, and no lag
+            lag, xs, us = 0.0, 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+        else:
+            dx = np.diff(x, axis=0)
+            lag = (1.0 - 2.0 * theta) * metric.row_inner(dx, dx) / (2.0 * h)
+            xs = theta * x[1:] + (1.0 - theta) * x[:-1]
+            us = theta * u[1:] + (1.0 - theta) * u[:-1]
+        yield slice(lo, hi), x, lag, xs, us
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
@@ -398,10 +399,13 @@ def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
 def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
     """Check d/dt 1/2||x||^2 = -<x, M(x)> + <u, y> interval by interval.
 
-    The rate side is evaluated at midpoint states (averaged endpoints),
-    so trajectories produced by the implicit midpoint rule satisfy the
-    identity to solver precision.  The intervals are walked in blocks of
-    _ROW_BLOCK rows, so no temporary grows with the trajectory.
+    The rate side is evaluated at the trajectory's theta stage
+    x_s = theta x+ + (1 - theta) x, and the energy rate is taken less
+    (1 - 2 theta) ||x+ - x||^2 / (2h), so trajectories of the implicit
+    theta-step satisfy the identity to solver precision; at theta = 1/2
+    (midpoint) the stage is the average and the extra term vanishes.
+    The intervals are walked in blocks of _ROW_BLOCK rows, so no
+    temporary grows with the trajectory.
     """
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
@@ -409,11 +413,11 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
         raise DimensionMismatch("trajectory input dimension mismatch")
     h = traj.step
     residuals = np.empty(traj.times.size - 1)
-    for rows, x, xm, um in _interval_blocks(traj):
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric):
         energy = 0.5 * sys.metric.row_inner(x, x)
-        dissip = sys.metric.row_inner(xm, _batch_eval(sys.M, xm))
-        supply = sys.input_metric.row_inner(um, sys.output(xm))
-        residuals[rows] = np.diff(energy) / h - (-dissip + supply)
+        dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
+        supply = sys.input_metric.row_inner(us, sys.output(xs))
+        residuals[rows] = (np.diff(energy) / h - lag) - (-dissip + supply)
     return PowerBalanceReport(residuals, float(np.max(np.abs(residuals), initial=0.0)))
 
 
@@ -437,6 +441,8 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     Equality: d/dt 1/2||x-x_bar||^2 = -<x-x_bar, M(x)-M(x_bar)>
                                       + <u-u_bar, y-y_bar>.
     Inequality: the same rate is bounded by the shifted supply alone.
+    Both take the theta stage and the energy-rate term of
+    `power_balance_audit`.
     """
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
@@ -444,14 +450,14 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
     eq_res = np.empty(traj.times.size - 1)
     ineq = np.empty_like(eq_res)
-    for rows, x, xm, um in _interval_blocks(traj):
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric):
         dx = x - ss.x_bar
         energy = 0.5 * sys.metric.row_inner(dx, dx)
-        dxm = xm - ss.x_bar
-        dum = um - ss.u_bar
-        gap = sys.metric.row_inner(dxm, _batch_eval(sys.M, xm) - mx_bar)
-        supply = sys.input_metric.row_inner(dum, sys.output(xm) - ss.y_bar)
-        rate = np.diff(energy) / h
+        dxs = xs - ss.x_bar
+        dus = us - ss.u_bar
+        gap = sys.metric.row_inner(dxs, _batch_eval(sys.M, xs) - mx_bar)
+        supply = sys.input_metric.row_inner(dus, sys.output(xs) - ss.y_bar)
+        rate = np.diff(energy) / h - lag
         eq_res[rows] = rate - (-gap + supply)
         ineq[rows] = rate - supply
     return ShiftedPassivityReport(
@@ -467,8 +473,7 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     """Solve M(x_bar) = B u_bar.
 
     A direct solve for linear M; otherwise one damped `newton` run with
-    the Jacobian of M when it has one and the damped fixed-point step
-    when it has not.
+    the Jacobian of M.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
@@ -480,9 +485,8 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
             raise NonConvergence("linear steady-state solve produced non-finite values")
     else:
         x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        solve = ((lambda x, r: _lu_solver(M._jacobian(x))(r)) if M.has_derivative
-                 else _damped_step)
-        x, _ = newton(lambda x: M(x) - b, solve, x0, sys.metric.norm, tol)
+        x, _ = newton(lambda x: M(x) - b, lambda x, r: _lu_solver(M._jacobian(x))(r),
+                      x0, sys.metric.norm, tol)
 
     res = sys.metric.norm(M(x) - b)
     if not res <= tol:
@@ -548,7 +552,7 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
                                             format="csr")
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
-    elif M1.has_derivative and M2.has_derivative:
+    else:
         derivative_fn = _interconnect_jacobian(K, ((0, M1), (d1, M2)))
 
     B = sparse.block_diag([sys1.B[:, split1:], sys2.B[:, split2:]], format="csc")

@@ -12,36 +12,28 @@ from phflow.operators import MonotoneOperatorSpec
 def test_linearize_cubic_scalar():
     op = MonotoneOperatorSpec(1, eval_fn=lambda x: x**3,
                               derivative_fn=lambda x: np.array([[3 * x[0] ** 2]]))
-    lin = pf.linearize(op, np.array([1.0]))
-    assert lin.DM[0, 0] == pytest.approx(3.0)
+    DM = op.derivative(np.array([1.0]))
+    assert DM[0, 0] == pytest.approx(3.0)
 
 
 def test_linearize_linear_exact():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    lin = pf.linearize(pf.linear(A), np.zeros(2))
-    assert np.array_equal(lin.DM, A)
-
-
-def test_linearize_finite_difference_fallback():
-    op = MonotoneOperatorSpec(2, eval_fn=lambda x: x + x**3)
-    x_bar = np.array([0.5, -1.0])
-    lin = pf.linearize(op, x_bar)
-    exact = np.eye(2) + np.diag(3 * x_bar**2)
-    assert np.max(np.abs(lin.DM - exact)) <= 1e-6
+    DM = pf.linear(A).derivative(np.zeros(2))
+    assert np.array_equal(DM, A)
 
 
 def test_linearize_remainder_vanishes():
     op = MonotoneOperatorSpec(1, eval_fn=lambda x: x**3,
                               derivative_fn=lambda x: np.array([[3 * x[0] ** 2]]))
     x_bar = np.array([1.0])
-    lin = pf.linearize(op, x_bar)
+    DM = op.derivative(x_bar)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(1)
     v /= np.linalg.norm(v)
     prev = np.inf
     for scale in (1e-2, 1e-3, 1e-4):
         h = scale * v
-        rem = np.linalg.norm(op(x_bar + h) - op(x_bar) - lin.DM @ h) / scale
+        rem = np.linalg.norm(op(x_bar + h) - op(x_bar) - DM @ h) / scale
         assert rem < prev
         prev = rem
 
@@ -124,18 +116,10 @@ def test_decay_fit_exponential():
     assert fit.amplitude == pytest.approx(3.0, abs=1e-2)
 
 
-def test_decay_fit_bound_check():
-    t = np.linspace(0.0, 5.0, 60)
-    v = np.exp(-1.0 * t)
-    assert pf.decay_fit(t, v, c_ref=0.9).bound_satisfied is True
-    assert pf.decay_fit(t, v, c_ref=1.5).bound_satisfied is False
-
-
 def test_decay_fit_constant_series():
     t = np.linspace(0.0, 5.0, 30)
-    fit = pf.decay_fit(t, np.full(30, 2.0), c_ref=0.5)
+    fit = pf.decay_fit(t, np.full(30, 2.0))
     assert abs(fit.c_fit) <= 1e-12
-    assert fit.bound_satisfied is False
 
 
 def test_decay_fit_input_validation():
@@ -172,8 +156,7 @@ def test_lyapunov_form_decreases_along_nonlinear_flow():
         derivative_fn=lambda x: np.eye(2) + np.diag(3 * x**2))
     sys = pf.PHSystem(op, np.zeros((2, 0)), pf.Metric.euclidean(2),
                       pf.Metric.euclidean(0))
-    lin = pf.linearize(op, np.zeros(2))
-    cert = pf.lyapunov_certificate(-lin.DM)
+    cert = pf.lyapunov_certificate(-op.derivative(np.zeros(2)))
     cfg = pf.IntegratorConfig(h_t=0.01)
     traj = pf.integrate_flow(sys, np.array([5e-3, -8e-3]), np.zeros(0),
                              cfg, 3.0)

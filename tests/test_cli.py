@@ -16,6 +16,9 @@ BASE_OCP = {
              "stage": {"quadratic": {"Q": [[1, 0], [0, 1]], "q": [0, 0]}}},
 }
 
+CUBIC_PLANT = {"kind": {"cubic": {"R": [[1, 0], [0, 1]], "kappa": 1.0}},
+               "B_p": [[0], [1]], "x_p0": [1.0, 0.0]}
+
 
 def write_config(tmp_path, name="scenario.json", **overrides):
     cfg = {
@@ -116,9 +119,7 @@ def test_flow_full_state_dump(tmp_path):
 
 def test_closedloop_mode_csv_header(tmp_path):
     cfg = write_config(
-        tmp_path, mode="closedloop",
-        plant={"kind": {"cubic": {"R": [[1, 0], [0, 1]], "kappa": 1.0}},
-               "B_p": [[0], [1]], "x_p0": [1.0, 0.0]},
+        tmp_path, mode="closedloop", plant=CUBIC_PLANT,
         coupling={"gamma": "inv_alpha"},
         integrator={"h_t": 0.05, "T": 5.0},
     )
@@ -254,17 +255,24 @@ def test_multiple_configs_parallel(tmp_path):
     ("integrator", "store_every", 3, "integrator.store_every"),
     ("integrator", "scheme", "rk4", "integrator.scheme"),
     ("integrator", "scheme", [], "integrator.scheme"),
+    ("integrator", "max_steps", 10, "integrator.max_steps"),
+    ("coupling", "gama", 5.0, "coupling.gama"),
+    ("output", "full_sate", True, "output.full_sate"),
+    ("ocp.cost", "alhpa", 3.0, "ocp.cost.alhpa"),
+    (None, "integrator", [], "integrator"),
 ])
 def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
                                                  key, value, field):
-    cfg = json.loads(write_config(tmp_path, mode="flow").read_text())
+    # a closed-loop config: every section is read, the coupling too
+    cfg = json.loads(write_config(tmp_path, mode="closedloop", plant=CUBIC_PLANT,
+                                  coupling={"gamma": "inv_alpha"}).read_text())
     target = cfg
     for part in section.split(".") if section else []:
         target = target[part]
     target[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
-    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert main(["closedloop", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"{field}:" in err
     assert "Traceback" not in err

@@ -45,11 +45,3 @@ def test_split_concat_roundtrip():
     m = pf.Metric(np.array([1.0, 2.0, 3.0, 4.0]))
     a, b = m.split(1)
     assert np.array_equal(a.concat(b).weights, m.weights)
-
-
-def test_orthonormal_transform_preserves_norm():
-    rng = np.random.default_rng(2)
-    m = pf.Metric(rng.uniform(0.1, 5.0, size=6))
-    v = rng.standard_normal(6)
-    assert np.linalg.norm(m.to_orthonormal(v)) == pytest.approx(m.norm(v), rel=1e-14)
-    assert np.allclose(m.from_orthonormal(m.to_orthonormal(v)), v)

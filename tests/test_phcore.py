@@ -45,18 +45,13 @@ def test_resolvent_rejects_bad_parameters():
         pf.resolvent(pf.identity(1), 1.0, np.array([1.0]), EUC1, tol=0.0)
 
 
-def test_resolvent_fixed_point_nonconvergence_for_expansive_map():
-    bad = MonotoneOperatorSpec(1, eval_fn=lambda x: -4.0 * x)
-    with pytest.raises(pf.NonConvergence):
-        pf.resolvent(bad, 1.0, np.array([1.0]), EUC1)
-
-
-def test_resolvent_fixed_point_route():
-    # derivative-free but contractive: damped iteration must find the root
-    op = MonotoneOperatorSpec(1, eval_fn=lambda x: np.tanh(x))
-    z = np.array([0.8])
-    x = pf.resolvent(op, 1.0, z, EUC1, tol=1e-12)
-    assert x + np.tanh(x) == pytest.approx(z, abs=1e-11)
+def test_nonlinear_operator_requires_derivative():
+    # every Newton solve factors the Jacobian: a nonlinear operator
+    # without derivative_fn (or without eval_fn) is refused at once
+    with pytest.raises(pf.InvalidParameter):
+        MonotoneOperatorSpec(1, eval_fn=np.tanh)
+    with pytest.raises(pf.InvalidParameter):
+        MonotoneOperatorSpec(1, derivative_fn=lambda x: np.eye(1))
 
 
 def test_resolvent_contraction_on_sampled_pairs():
@@ -258,13 +253,6 @@ def test_steady_state_cubic_newton():
     assert ss.x_bar[0] == pytest.approx(2.0, abs=1e-10)
 
 
-def test_steady_state_derivative_free_fallback():
-    op = MonotoneOperatorSpec(1, eval_fn=lambda x: x + np.tanh(x))
-    sys = pf.PHSystem(op, np.array([[1.0]]), EUC1, pf.Metric.euclidean(1))
-    ss = pf.steady_state(sys, np.array([1.5]), tol=1e-9)
-    assert abs(ss.x_bar[0] + np.tanh(ss.x_bar[0]) - 1.5) <= 1e-9
-
-
 # ---------------------------------------------------------------------------
 # interconnection
 
@@ -368,7 +356,6 @@ def test_phsystem_autonomous_port():
                       pf.Metric.euclidean(2), pf.Metric.euclidean(0))
     assert sys.input_dim == 0
     assert sys.output(np.ones(2)).shape == (0,)
-    assert np.allclose(sys.drift(np.ones(2), np.zeros(0)), -np.ones(2))
 
 
 # ---------------------------------------------------------------------------

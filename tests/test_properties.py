@@ -160,20 +160,24 @@ def test_one_step_semigroup_is_the_resolvent(op, lam):
 
 
 @PROFILE
-@given(cubic_operators(), st.integers(1, 2), st.floats(0.01, 0.5))
-def test_midpoint_step_power_balance(op, m, h):
-    # z1 - z0 = h(-M(z_m) + B u) + e with ||e|| <= newton_tol, so the
-    # balance defect is <e, z_m>/h, at most ||z_m|| newton_tol / h
+@given(cubic_operators(), st.integers(1, 2), st.floats(0.01, 0.5),
+       st.sampled_from(["implicit_midpoint", "implicit_euler"]))
+def test_midpoint_step_power_balance(op, m, h, scheme):
+    # z1 - z0 = h(-M(z_s) + B u) + e at the stage z_s = theta z1 + (1-theta) z0
+    # with ||e|| <= newton_tol; less the theta term of the energy rate, the
+    # balance defect is <e, z_s>/h, at most ||z_s|| newton_tol / h
     M, metric, rng = op
     sys = pf.PHSystem(M, rng.standard_normal((M.dim, m)), metric,
                       pf.Metric(rng.uniform(0.5, 2.0, m)))
-    cfg = pf.IntegratorConfig(h_t=h)
+    cfg = pf.IntegratorConfig(h_t=h, scheme=scheme)
     traj = pf.integrate_flow(sys, 2.0 * rng.standard_normal(M.dim),
                              rng.standard_normal(m), cfg, h)
     assert traj.states.shape[0] == 2
     z0, z1 = traj.states
+    theta = 1.0 if scheme == "implicit_euler" else 0.5
     energy = metric.inner(z0, z0) + metric.inner(z1, z1)
-    bound = metric.norm(0.5 * (z0 + z1)) * cfg.newton_tol / h + _ROUND * (1.0 + energy) / h
+    bound = (metric.norm(theta * z1 + (1 - theta) * z0) * cfg.newton_tol / h
+             + _ROUND * (1.0 + energy) / h)
     assert pf.power_balance_audit(sys, traj).max_residual <= bound
 
 
