@@ -34,20 +34,22 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .analysis import (lyapunov_certificate, metric_generator,
                        nonnormality, saddle_blocks, spectral_abscissa)
-from .closedloop import (CouplingSpec, couple, assemble_plant, cubic_plant,
-                         linear_plant, simulate_closed_loop)
+from .closedloop import (CouplingSpec, PlantSpec, couple, assemble_plant,
+                         cubic_plant, linear_plant, simulate_closed_loop)
 from .errors import (ConfigError, DimensionMismatch, FormatError,
                      InvalidParameter, NotHurwitz, ToolkitError)
-from .ocp import (CostSpec, LinearPlantModel, LogCoshStage, QuadraticStage,
-                  assemble_ocp, build_grid, cost_and_gradient, kkt_residual,
-                  kkt_solve)
+from .ocp import (CostSpec, DiscretizedOCP, LinearPlantModel, LogCoshStage,
+                  QuadraticStage, assemble_ocp, build_grid, cost_and_gradient,
+                  kkt_residual, kkt_solve)
 from .optimizer import (IntegratorConfig, assemble_optimizer, constant_input,
                         convergence_report, default_initial_state,
                         default_outer_step, integrate_flow)
@@ -206,6 +208,29 @@ def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:
     return icfg, _number(cfg, "T", path, 10.0)
 
 
+def build_coupling(cfg: dict) -> CouplingSpec:
+    cfg = _object(cfg, "coupling", ("gamma",))
+    gamma = cfg.get("gamma", "inv_alpha")
+    if gamma != "inv_alpha":
+        gamma = _number(cfg, "gamma", "coupling.")
+    return CouplingSpec(gamma)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A config with every section it carries parsed by its builder,
+    whatever the mode runs: a typo in a section the mode leaves unused
+    fails as one in a section it reads."""
+
+    ocp: DiscretizedOCP
+    integrator: IntegratorConfig
+    T: float
+    plant: Optional[PlantSpec]
+    coupling: CouplingSpec
+    seed: int
+    full_state: bool
+
+
 # ---------------------------------------------------------------------------
 # deterministic CSV output
 
@@ -318,7 +343,8 @@ def write_manifest(out_dir: Path, cfg: dict, files: list[Path], t0: float):
 # mode runners
 
 
-def run_solve(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
+def run_solve(scn: Scenario, out_dir: Path):
+    ocp = scn.ocp
     z_hat = kkt_solve(ocp)
     _, norm = kkt_residual(ocp, z_hat)
     kkt_path = out_dir / "kkt.csv"
@@ -339,14 +365,14 @@ def run_solve(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     return [kkt_path, report]
 
 
-def _optimizer_run(cfg, ocp):
+def _optimizer_run(scn: Scenario):
     """The stage shared by flow, audit and spectrum: the optimizer system,
     the KKT oracle and the flow from the default initial state."""
-    icfg, T = build_integrator(cfg.get("integrator"), ocp)
+    ocp = scn.ocp
     sys = assemble_optimizer(ocp)
     z_hat = kkt_solve(ocp)
     traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
-                          icfg, T)
+                          scn.integrator, scn.T)
     return sys, z_hat, traj
 
 
@@ -369,47 +395,41 @@ def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
     return files
 
 
-def run_flow(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    sys, z_hat, traj = _optimizer_run(cfg, ocp)
-    report = convergence_report(traj, z_hat, ocp)
+def run_flow(scn: Scenario, out_dir: Path):
+    sys, z_hat, traj = _optimizer_run(scn)
+    report = convergence_report(traj, z_hat, scn.ocp)
     files = _write_trajectory(
         out_dir, "flow", sys, traj, ["err_total", "err_primal", "err_dual"],
-        [report.errors, report.errors_primal, report.errors_dual], full_state)
+        [report.errors, report.errors_primal, report.errors_dual], scn.full_state)
     rpt = out_dir / "convergence_report.txt"
     rpt.write_text("[convergence]\n" + report.summary() + "\n", newline="\n")
     files.insert(1, rpt)  # keep the listed order: flow.csv, the report, flow_state.csv
     return files
 
 
-def run_closedloop(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    if "plant" not in cfg:
+def run_closedloop(scn: Scenario, out_dir: Path):
+    ocp, spec = scn.ocp, scn.plant
+    if spec is None:
         raise ConfigError("missing required field", field="plant")
-    spec = build_plant(cfg["plant"], ocp)
-    plant_sys = assemble_plant(spec, rng=seed)
-    coupling = _object(cfg.get("coupling", {}), "coupling", ("gamma",))
-    gamma = coupling.get("gamma", "inv_alpha")
-    if gamma != "inv_alpha":
-        gamma = _number(coupling, "gamma", "coupling.")
-    cspec = CouplingSpec(gamma)
-    cls = couple(assemble_optimizer(ocp), plant_sys, ocp, cspec)
-    icfg, T = build_integrator(cfg.get("integrator"), ocp)
-    run = simulate_closed_loop(cls, icfg, T, x_p0=spec.x_p0)
+    plant_sys = assemble_plant(spec, rng=scn.seed)
+    cls = couple(assemble_optimizer(ocp), plant_sys, ocp, scn.coupling)
+    run = simulate_closed_loop(cls, scn.integrator, scn.T, x_p0=spec.x_p0)
     header = ([f"xp_{j + 1}" for j in range(cls.n_p)]
               + [f"up_{j + 1}" for j in range(ocp.m)]
               + ["norm_total", "norm_plant", "norm_optimizer"])
     columns = [cls.split(run.traj.states)[0], run.feedback.u_p,
                run.norm_total, run.norm_plant, run.norm_optimizer]
     return _write_trajectory(out_dir, "closedloop", cls.sys, run.traj,
-                             header, columns, full_state)
+                             header, columns, scn.full_state)
 
 
-def run_audit(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    sys, z_hat, traj = _optimizer_run(cfg, ocp)
+def run_audit(scn: Scenario, out_dir: Path):
+    sys, z_hat, traj = _optimizer_run(scn)
     pb = power_balance_audit(sys, traj)
-    ss = SteadyStatePair(z_hat.vector, constant_input(ocp),
+    ss = SteadyStatePair(z_hat.vector, constant_input(scn.ocp),
                          sys.output(z_hat.vector))
     sh = shifted_passivity_audit(sys, traj, ss)
-    probe = accretivity_probe(sys.M, sys.metric, rng=seed, n_pairs=200)
+    probe = accretivity_probe(sys.M, sys.metric, rng=scn.seed, n_pairs=200)
     z0 = traj.states[0]
     z0_scale = 1.0 + sys.metric.inner(z0, z0)
     path = out_dir / "audit.txt"
@@ -431,8 +451,9 @@ def run_audit(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
     return [path]
 
 
-def run_spectrum(cfg, ocp, out_dir: Path, seed: int, full_state: bool):
-    sys, z_hat, traj = _optimizer_run(cfg, ocp)
+def run_spectrum(scn: Scenario, out_dir: Path):
+    ocp = scn.ocp
+    sys, z_hat, traj = _optimizer_run(scn)
     DM = sys.M.derivative(z_hat.vector)
     abscissa = spectral_abscissa(DM)
     gen = metric_generator(DM, sys.metric)
@@ -486,15 +507,18 @@ def run(config_path, out_dir, mode=None) -> int:
         if cfg_mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}", field="mode")
         ocp = build_ocp(_need(cfg, "ocp", ""))
-        seed = _number(cfg, "seed", "", 0, integer=True, low=0)
+        icfg, T = build_integrator(cfg.get("integrator"), ocp)
+        plant = build_plant(cfg["plant"], ocp) if "plant" in cfg else None
         output = _object(cfg.get("output", {}), "output", ("dir", "full_state"))
-        full = bool(output.get("full_state", False))
+        scn = Scenario(ocp, icfg, T, plant, build_coupling(cfg.get("coupling", {})),
+                       _number(cfg, "seed", "", 0, integer=True, low=0),
+                       bool(output.get("full_state", False)))
         out_dir = out_dir or output.get("dir", "out")
         if not isinstance(out_dir, (str, os.PathLike)):
             raise ConfigError("must be a path string", field="output.dir")
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        files = _RUNNERS[cfg_mode](cfg, ocp, out, seed, full)
+        files = _RUNNERS[cfg_mode](scn, out)
         files.append(write_manifest(out, cfg, files, t0))
         print(f"{cfg_mode}: wrote {', '.join(f.name for f in files)} to {out}")
         return 0

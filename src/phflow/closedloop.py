@@ -19,8 +19,8 @@ block of the optimizer state.  At an optimizer equilibrium the
 node-zero registration of the interval multipliers satisfies the exact
 discrete stationarity  alpha*u(0) + B^T lambda(0) = 0,  so
 -(1/alpha) B^T lambda(0) reproduces the optimal control at the first
-grid node; the multiplier block itself matches it to O(h).  Both
-signals are reported.
+grid node; the multiplier block itself matches it to O(h).
+`ClosedLoopSystem.mpc_signal` gives that comparison signal.
 """
 
 from __future__ import annotations
@@ -186,19 +186,14 @@ def couple(opt_sys: PHSystem, plant_sys: PHSystem, ocp: DiscretizedOCP,
 
 @dataclass(frozen=True)
 class FeedbackSeries:
-    """Applied feedback and the node-zero comparison signal over time."""
+    """Applied feedback over time."""
 
     times: np.ndarray
     u_p: np.ndarray
-    mpc_signal: np.ndarray
 
 
 def feedback_extract(cls: ClosedLoopSystem, traj: Trajectory) -> FeedbackSeries:
-    return FeedbackSeries(
-        traj.times,
-        cls.feedback(traj.states),
-        cls.mpc_signal(traj.states),
-    )
+    return FeedbackSeries(traj.times, cls.feedback(traj.states))
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,16 @@ stationarity relation  alpha*u + B^T lambda = 0  exact at every node.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import (DimensionMismatch, InvalidParameter, NonConvergence,
                      SingularStep)
 from .metric import Metric
-from .phcore import _prefactored_linear_stepper, newton
+from .phcore import _lu_solver, _prefactored_linear_stepper, newton
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +281,6 @@ class DiscretizedOCP:
         g.u[:] = self.cost.alpha * s.u
         return g.primal
 
-    def hessian_primal(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Block-diagonal Hessian of the metric cost gradient at the
-        primal part of the state z: the stage Hessian at each node and
-        alpha*I on the controls, one CSR on a fixed pattern."""
-        indices, indptr = self._hessian_pattern
-        return sparse.csr_matrix((self._hessian_data(z), indices.copy(), indptr.copy()),
-                                 shape=(self.primal_dim, self.primal_dim))
-
     def _hessian_data(self, z: np.ndarray) -> np.ndarray:
         return np.concatenate([self.cost.stage.hess(self.blocks(z).x).ravel(),
                                np.full((self.N + 1) * self.m, self.cost.alpha)])
@@ -507,59 +497,26 @@ def kkt_residual(ocp: DiscretizedOCP, z) -> tuple[np.ndarray, float]:
     return r, ocp.state_metric.norm(r)
 
 
-def _solve_saddle(ocp: DiscretizedOCP, H: sparse.spmatrix, rhs_primal: np.ndarray,
-                  rhs_dual: np.ndarray) -> np.ndarray:
-    """Solve [[H, -C*], [C, 0]] z = (rhs_primal, rhs_dual) via the
-    row-weighted symmetric form."""
-    Wp = sparse.diags(ocp.primal_metric.weights)
-    Wd = sparse.diags(ocp.dual_metric.weights)
-    S = sparse.bmat(
-        [[Wp @ H, -(ocp.C.T @ Wd)], [-(Wd @ ocp.C), None]], format="csc"
-    )
-    b = np.concatenate([
-        ocp.primal_metric.weights * rhs_primal,
-        -ocp.dual_metric.weights * rhs_dual,
-    ])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sparse.SparseEfficiencyWarning)
-        out = spsolve(S, b)
-    if not np.all(np.isfinite(out)):
-        raise NonConvergence("saddle solve produced non-finite values")
-    return out
-
-
 def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
-    """Direct solve of the discrete optimality system.
+    """Solve the discrete optimality system m_opt(z) = kkt_target().
 
-    Quadratic stage costs reduce to one sparse symmetric-indefinite
-    factorization.  Convex nonlinear stages run a damped Newton
-    iteration started from the zero-stage solution (u = 0, x the free
-    response, multipliers zero); it aims at min(tol, 1e-11 (1 + |r0|))
-    for the starting residual r0 and accepts any residual within tol.
+    One damped `newton` run from z = 0 that factors the Jacobian
+    `m_opt_jacobian` at each iterate.  A quadratic stage makes m_opt
+    affine, so its first full step is exact.  The run aims at
+    min(tol, 1e-11 (1 + |r0|)) for the starting residual r0 and accepts
+    any residual within tol; otherwise it raises NonConvergence with
+    the residual it reached.
     """
-    if ocp.cost.stage.is_quadratic:
-        # stationarity with the affine gradient reads H z_p + g0 = C* d,
-        # so the constant offset -g0 lands on the primal right-hand side
-        zero = np.zeros(ocp.state_dim)
-        z = _solve_saddle(ocp, ocp.hessian_primal(zero), -ocp.grad_cost(zero), ocp.rhs)
-        _, norm = kkt_residual(ocp, z)
-        if not norm <= tol:
-            raise NonConvergence("direct KKT solve residual above tolerance",
-                                 residual=norm)
-        return ocp.blocks(z)
+    target = ocp.kkt_target()
 
-    z0 = default_initial_state(ocp)
-    _, norm0 = kkt_residual(ocp, z0)
-    target_rhs = ocp.kkt_target()
+    def residual(z):
+        return ocp.m_opt(z) - target
 
-    def solve(z, r):
-        r = ocp.blocks(r)
-        return _solve_saddle(ocp, ocp.hessian_primal(z), r.primal, r.dual)
-
-    z, norm = newton(
-        lambda z: ocp.m_opt(z) - target_rhs, solve,
-        z0, ocp.state_metric.norm, min(tol, 1e-11 * (1.0 + norm0)),
-    )
-    if not norm <= tol:
-        raise NonConvergence("KKT Newton did not reach tolerance", residual=norm)
+    z0 = np.zeros(ocp.state_dim)
+    r0 = residual(z0)
+    norm = ocp.state_metric.norm
+    z, res = newton(residual, lambda z, r: _lu_solver(ocp.m_opt_jacobian(z))(r),
+                    z0, norm, min(tol, 1e-11 * (1.0 + norm(r0))), r0)
+    if not res <= tol:
+        raise NonConvergence("KKT Newton did not reach tolerance", residual=res)
     return ocp.blocks(z)

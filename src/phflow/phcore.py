@@ -470,25 +470,16 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
 
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
                  x_init: Optional[np.ndarray] = None) -> SteadyStatePair:
-    """Solve M(x_bar) = B u_bar.
-
-    A direct solve for linear M; otherwise one damped `newton` run with
-    the Jacobian of M.
+    """Solve M(x_bar) = B u_bar by one damped `newton` run from x_init
+    (zero by default) that factors the Jacobian of M at each iterate.
+    A linear M is its own Jacobian, so its first full step is exact.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
     M = sys.M
-
-    if M.is_linear:
-        x = _lu_solver(M.linear_part)(b - M.offset)
-        if not np.all(np.isfinite(x)):
-            raise NonConvergence("linear steady-state solve produced non-finite values")
-    else:
-        x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-        x, _ = newton(lambda x: M(x) - b, lambda x, r: _lu_solver(M._jacobian(x))(r),
-                      x0, sys.metric.norm, tol)
-
-    res = sys.metric.norm(M(x) - b)
+    x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
+    x, res = newton(lambda x: M(x) - b, lambda x, r: _lu_solver(M._jacobian(x))(r),
+                    x0, sys.metric.norm, tol)
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
     return SteadyStatePair(x, u_bar, sys.output(x))

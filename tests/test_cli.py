@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phflow
 from phflow.cli import compare, main, read_table_csv
 
 
@@ -276,6 +279,49 @@ def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert f"{field}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, section, key, value, field", [
+    ("flow", "coupling", "gama", 5.0, "coupling.gama"),
+    ("solve", "integrator", "h_tt", 0.1, "integrator.h_tt"),
+    ("audit", "plant", "knd", 1, "plant.knd"),
+])
+def test_sections_the_mode_leaves_unused_are_checked(tmp_path, capsys, mode,
+                                                     section, key, value, field):
+    cfg = json.loads(write_config(tmp_path, mode=mode, plant=CUBIC_PLANT,
+                                  coupling={"gamma": "inv_alpha"}).read_text())
+    cfg[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["solve", "flow", "closedloop", "audit", "spectrum"])
+def test_closedloop_config_runs_in_every_mode(tmp_path, mode):
+    config = Path(__file__).resolve().parents[1] / "configs" / "closedloop_cubic.json"
+    assert main([mode, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_singular_kkt_system_exits_3_with_residual(tmp_path):
+    # h = 1/2, A = 4I and B = 0 make the KKT Jacobian exactly singular; the
+    # run reports the residual it reached, with no warning from the solver
+    ocp = json.loads(json.dumps(BASE_OCP))
+    ocp.update(N=2, A=[[4.0, 0.0], [0.0, 4.0]], B=[[0.0], [0.0]])
+    cfg = write_config(tmp_path, ocp=ocp)
+    src = str(Path(phflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phflow.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert "residual" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("mode, section, key, value, code, message", [

@@ -202,5 +202,4 @@ def test_feedback_extract_series(cubic_loop):
     run = pf.simulate_closed_loop(cls, cfg, 2.0, x_p0=[1.0, 0.0])
     series = pf.feedback_extract(cls, run.traj)
     assert series.u_p.shape == (run.traj.times.size, 1)
-    assert series.mpc_signal.shape == (run.traj.times.size, 1)
     assert np.allclose(series.u_p, run.feedback.u_p)

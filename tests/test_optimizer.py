@@ -53,8 +53,12 @@ def test_collocated_output_reads_multiplier_block(small_ocp, small_sys):
 
 
 def test_steady_state_equals_kkt(small_ocp, small_sys, small_zhat):
-    ss = pf.steady_state(small_sys, pf.constant_input(small_ocp), tol=1e-10)
-    assert np.max(np.abs(ss.x_bar - small_zhat.vector)) <= 1e-8
+    # both stage kinds: a linear drift (quadratic) and a nonlinear one (logcosh)
+    logcosh = make_logcosh(N=16)
+    for ocp, sys, z_hat in ((small_ocp, small_sys, small_zhat),
+                            (logcosh, pf.assemble_optimizer(logcosh), pf.kkt_solve(logcosh))):
+        ss = pf.steady_state(sys, pf.constant_input(ocp), tol=1e-10)
+        assert np.max(np.abs(ss.x_bar - z_hat.vector)) <= 1e-8
 
 
 def test_flow_constant_at_oracle(small_ocp, small_sys, small_zhat):

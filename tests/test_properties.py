@@ -210,7 +210,9 @@ def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
         Hu = ocp.cost.alpha * sparse.identity((ocp.N + 1) * ocp.m, format="csr")
         H_old = sparse.block_diag([Hx, Hu], format="csr")
         J_old = sparse.bmat([[H_old, -ocp.C_star], [ocp.C, None]], format="csr")
-        for new, old in ((ocp.hessian_primal(z), H_old), (ocp.m_opt_jacobian(z), J_old)):
+        J = ocp.m_opt_jacobian(z)
+        p = ocp.primal_dim
+        for new, old in ((J[:p, :p], H_old), (J, J_old)):
             assert new.format == "csr" and new.shape == old.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
@@ -226,7 +228,9 @@ def test_logcosh_flow_jacobian_is_sparse_and_exact(problem):
         J = M._jacobian(z)
         assert sparse.issparse(J)
         dense = np.zeros((ocp.state_dim, ocp.state_dim))
-        dense[:p, :p] = ocp.hessian_primal(z).toarray()
+        dense[:p, :p] = sparse.block_diag(
+            [*ocp.cost.stage.hess(ocp.blocks(z).x),
+             ocp.cost.alpha * np.eye((ocp.N + 1) * ocp.m)]).toarray()
         dense[:p, p:] = -ocp.C_star.toarray()
         dense[p:, :p] = ocp.C.toarray()
         assert np.max(np.abs(J.toarray() - dense)) <= 1e-14
