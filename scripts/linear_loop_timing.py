@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Time the linear closed loop's implicit-midpoint factorization and step.
+"""Time the closed loop's implicit-midpoint factorization and step.
 
 Run from the repository root:
 
-    python scripts/linear_loop_timing.py [--N 256 1024] [--reps 5] [--steps 20]
+    python scripts/linear_loop_timing.py [--N 256 1024] [--n 2] [--m 1] [--reps 5] [--steps 20]
 
-The problem is the double integrator (n = 2, m = 1) with Q = I,
-alpha = 1 and t_f = 1, closed against the linear plant R = I, B_p = B
-at gamma = 1/alpha.  For each N the script builds the loop with
+The problem is the chain of n integrators driven in its last m states
+(for n = 2, m = 1 the double integrator) with Q = I, alpha = 1 and
+t_f = 1, closed against the linear plant R = I, B_p = B at
+gamma = 1/alpha.  For each N the script builds the loop with
 ``phflow.couple`` and prints one JSON line with the minimum over
 ``--reps`` repeats of:
 
@@ -15,6 +16,9 @@ at gamma = 1/alpha.  For each N the script builds the loop with
 - ``factor_s``: building the implicit-midpoint stepper, which factors
   I + h/2 L once;
 - ``step_ms``: one step, the mean over ``--steps`` consecutive steps;
+- ``cubic_step_ms``: one step of the same loop closed against the
+  cubic plant R = I, kappa = 1 instead (a Newton solve per step), the
+  mean over the ``--steps`` steps of one ``phflow.integrate_flow`` run;
 
 and the same factor and step timings for the LQ optimizer on its own
 (``opt_factor_s``, ``opt_step_ms``).  BLAS is pinned to one thread, and
@@ -43,14 +47,15 @@ from phflow.phcore import implicit_stepper  # noqa: E402
 H_T = 0.01
 
 
-def _problem(N: int):
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([[0.0], [1.0]])
-    ocp = pf.assemble_ocp(pf.LinearPlantModel(A, B, 0.0, np.array([1.0, 0.0])),
-                          pf.build_grid(1.0, N),
-                          pf.CostSpec(1.0, pf.QuadraticStage(np.eye(2))))
-    plant = pf.assemble_plant(pf.linear_plant(np.eye(2), B, [1.0, 0.0]))
-    return ocp, plant
+def _problem(N: int, n: int, m: int):
+    A = np.eye(n, k=1)
+    B = np.eye(n)[:, n - m:]
+    x0 = np.eye(n)[0]
+    ocp = pf.assemble_ocp(pf.LinearPlantModel(A, B, 0.0, x0), pf.build_grid(1.0, N),
+                          pf.CostSpec(1.0, pf.QuadraticStage(np.eye(n))))
+    plant = pf.assemble_plant(pf.linear_plant(np.eye(n), B, x0))
+    cubic = pf.assemble_plant(pf.cubic_plant(np.eye(n), 1.0, B, x0))
+    return ocp, plant, cubic
 
 
 def _timed(fn):
@@ -68,31 +73,44 @@ def _factor_and_step(sys, z0, b, steps: int):
     return factor_s, (time.perf_counter() - t) / steps
 
 
-def measure(N: int, reps: int, steps: int) -> dict:
-    ocp, plant = _problem(N)
-    best = dict.fromkeys(("couple_s", "factor_s", "step_ms", "opt_factor_s", "opt_step_ms"),
-                         np.inf)
+def _cubic_step(opt, cubic, ocp, steps: int) -> float:
+    cls = pf.couple(opt, cubic, ocp, pf.CouplingSpec("inv_alpha"))
+    z0 = cls.initial_state(cubic.dim * [1.0])
+    cfg = pf.IntegratorConfig(h_t=H_T)
+    _, run_s = _timed(lambda: pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim),
+                                                cfg, steps * H_T))
+    return run_s / steps
+
+
+def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
+    ocp, plant, cubic = _problem(N, n, m)
+    best = dict.fromkeys(("couple_s", "factor_s", "step_ms", "cubic_step_ms",
+                          "opt_factor_s", "opt_step_ms"), np.inf)
     for _ in range(reps):
         opt = pf.assemble_optimizer(ocp)
         cls, couple_s = _timed(lambda: pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")))
         loop = _factor_and_step(cls.sys, cls.initial_state(plant.dim * [1.0]),
                                 np.zeros(cls.dim), steps)
+        cubic_s = _cubic_step(opt, cubic, ocp, steps)
         alone = _factor_and_step(opt, pf.default_initial_state(ocp),
                                  opt.B @ pf.constant_input(ocp), steps)
-        for key, value in zip(best, (couple_s, loop[0], 1e3 * loop[1],
+        for key, value in zip(best, (couple_s, loop[0], 1e3 * loop[1], 1e3 * cubic_s,
                                      alone[0], 1e3 * alone[1])):
             best[key] = min(best[key], value)
-    return {"N": N, "dim": ocp.state_dim + plant.dim, "reps": reps, "steps": steps, **best}
+    return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
+            "steps": steps, **best}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--N", type=int, nargs="+", default=[256, 1024])
+    parser.add_argument("--n", type=int, default=2)
+    parser.add_argument("--m", type=int, default=1)
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--steps", type=int, default=20)
     args = parser.parse_args(argv)
     for N in args.N:
-        print(json.dumps(measure(N, args.reps, args.steps)), flush=True)
+        print(json.dumps(measure(N, args.n, args.m, args.reps, args.steps)), flush=True)
     return 0
 
 

@@ -218,6 +218,9 @@ class DiscretizedOCP:
       primal  z_p = [x_0..x_N | u_0..u_N]               (N+1)(n+m)
       dual    d   = [lam_1..lam_N | lam0]               (N+1) n
       state   z   = [z_p | d]
+    This stored layout is what every output sees.  The solvers factor in
+    `stage_order`, a permutation of it built from `blocks`, in which the
+    optimizer's matrices are banded.
     """
 
     grid: Grid
@@ -271,6 +274,21 @@ class DiscretizedOCP:
         zero vector builds a state block by block.
         """
         return _state_blocks(z, self.N, self.n, self.m)
+
+    @cached_property
+    def stage_order(self) -> np.ndarray:
+        """Permutation of the state into time-stage order
+
+            [lam0 | x_0 u_0 lam_1 | x_1 u_1 lam_2 | ... | x_N u_N]:
+
+        z[stage_order] lists z stage by stage.  The optimizer's operator
+        couples only neighbouring stages, so its Jacobian and every step
+        matrix built from it have kl = ku <= 2n + m - 1 in this order,
+        whatever N is.
+        """
+        b, N = self.blocks(np.arange(self.state_dim)), self.N
+        stages = np.concatenate([b.x[:N], b.u[:N], b.lam], axis=1)
+        return np.concatenate([b.lam0, stages.ravel(), b.x[N], b.u[N]])
 
     # -- cost and optimality operator ---------------------------------------
     def grad_cost(self, z: np.ndarray) -> np.ndarray:
@@ -501,11 +519,11 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     """Solve the discrete optimality system m_opt(z) = kkt_target().
 
     One damped `newton` run from z = 0 that factors the Jacobian
-    `m_opt_jacobian` at each iterate.  A quadratic stage makes m_opt
-    affine, so its first full step is exact.  The run aims at
-    min(tol, 1e-11 (1 + |r0|)) for the starting residual r0 and accepts
-    any residual within tol; otherwise it raises NonConvergence with
-    the residual it reached.
+    `m_opt_jacobian` at each iterate, banded in `stage_order`.  A
+    quadratic stage makes m_opt affine, so its first full step is
+    exact.  The run aims at min(tol, 1e-11 (1 + |r0|)) for the starting
+    residual r0 and accepts any residual within tol; otherwise it raises
+    NonConvergence with the residual it reached.
     """
     target = ocp.kkt_target()
 
@@ -515,7 +533,8 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     z0 = np.zeros(ocp.state_dim)
     r0 = residual(z0)
     norm = ocp.state_metric.norm
-    z, res = newton(residual, lambda z, r: _lu_solver(ocp.m_opt_jacobian(z))(r),
+    order = ocp.stage_order
+    z, res = newton(residual, lambda z, r: _lu_solver(ocp.m_opt_jacobian(z), order)(r),
                     z0, norm, min(tol, 1e-11 * (1.0 + norm(r0))), r0)
     if not res <= tol:
         raise NonConvergence("KKT Newton did not reach tolerance", residual=res)

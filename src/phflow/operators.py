@@ -9,7 +9,7 @@ operator is solved by Newton with its Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +35,12 @@ class MonotoneOperatorSpec:
     and fixes M(x) = linear_part @ x (+ affine_offset); resolvents and
     implicit integrators then prefactor a single matrix.  Without it,
     both eval_fn and derivative_fn are required.
+
+    order, set only inside the package, is a permutation of the state
+    in which every Jacobian of M is banded: the time-stage order of an
+    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.  The
+    sparse solves then factor in that order with LAPACK's banded LU; an
+    operator without one is factored by SuperLU.
     """
 
     dim: int
@@ -42,6 +48,7 @@ class MonotoneOperatorSpec:
     derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     linear_part: Optional[object] = None  # ndarray or scipy sparse
     affine_offset: Optional[np.ndarray] = None
+    order: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.linear_part is None and (self.eval_fn is None or self.derivative_fn is None):

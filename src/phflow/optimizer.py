@@ -62,20 +62,23 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
     """Build the gradient-flow pH system for a discretized problem.
 
     For quadratic stage costs the drift operator is linear and carries
-    its matrix, which lets the integrators prefactor one sparse LU for
-    the whole run.  Other stages supply the sparse Jacobian, which the
-    implicit step's Newton solve factors sparse.
+    its matrix, which lets the integrators prefactor one LU for the
+    whole run.  Other stages supply the sparse Jacobian, which the
+    implicit step's Newton solve factors.  The operator carries the
+    problem's `stage_order`, so both factor banded in time-stage order.
     """
     if ocp.cost.stage.is_quadratic:
         zero = np.zeros(ocp.state_dim)
         g0 = ocp.m_opt(zero)  # constant gradient offset from the linear cost term
         M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.m_opt_jacobian(zero),
-                                 affine_offset=g0 if np.any(g0) else None)
+                                 affine_offset=g0 if np.any(g0) else None,
+                                 order=ocp.stage_order)
     else:
         M = MonotoneOperatorSpec(
             ocp.state_dim,
             eval_fn=ocp.m_opt,
             derivative_fn=ocp.m_opt_jacobian,
+            order=ocp.stage_order,
         )
 
     # the port drives the multiplier block: B_opt = [0; I], a sparse selection

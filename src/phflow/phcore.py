@@ -11,6 +11,12 @@ machinery (resolvents, the iterated-resolvent semigroup approximation,
 accretivity probes), trajectory audits of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
+
+Every linear solve goes through `_lu_solver`.  An operator that carries
+an `order` (the optimizer's time-stage order, or a closed loop's) has
+banded matrices in that order, and they are factored by LAPACK's banded
+LU (`dgbtrf`/`dgbtrs`); SuperLU is the fallback for sparse matrices
+without one.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
-from .operators import MonotoneOperatorSpec, _as_dense
+from .operators import MonotoneOperatorSpec
 
 _NEWTON_MAX_ITER = 50
 
@@ -166,14 +173,111 @@ def newton(residual, solve, x0, norm, tol, r0=None):
     return x, res
 
 
-def _lu_solver(A):
-    """Return solve(r) = A^{-1} r from one LU factorization of A in A's
-    own format: SuperLU for a sparse A, LAPACK for a dense one.
+def _coords(A):
+    """Row and column of each stored entry of a CSR or CSC matrix, in
+    the order of its data."""
+    major = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return (major, A.indices) if A.format == "csr" else (A.indices, major)
 
-    An exactly singular A yields non-finite solutions in both formats,
+
+def _pattern(A):
+    """Where A stores its entries: the format and index arrays of a
+    sparse A, the shape of a dense one."""
+    if sparse.issparse(A):
+        return (A.format, A.indptr.copy(), A.indices.copy())
+    return ("dense", np.shape(A))
+
+
+def _same_pattern(A, pattern) -> bool:
+    fmt = A.format if sparse.issparse(A) else "dense"
+    if fmt != pattern[0]:
+        return False
+    if fmt == "dense":
+        return np.shape(A) == pattern[1]
+    return np.array_equal(A.indptr, pattern[1]) and np.array_equal(A.indices, pattern[2])
+
+
+class _BandedLU:
+    """LU factors of sparse matrices permuted to `order`, by LAPACK's
+    banded dgbtrf and dgbtrs.
+
+    The bandwidths and the band position of every stored entry are
+    computed once per sparsity pattern, so a run of matrices on one
+    pattern (the Newton matrices of one stepper) reuses them and one
+    preallocated band array: each `solver` call zero-fills the array,
+    scatters the matrix's data into it, adds the shift on the diagonal
+    and factors it in place.  A solver stays valid until the next
+    `solver` call.  An exactly singular matrix (dgbtrf's info > 0) gives
+    a solver that returns non-finite values.
+    """
+
+    def __init__(self, order):
+        self.order = np.asarray(order)
+        self.rank = np.empty_like(self.order)  # position of each state index in the order
+        self.rank[self.order] = np.arange(self.order.size)
+        self.pattern = None
+
+    def _layout(self, A):
+        rows, cols = _coords(A)
+        i, j = self.rank[rows], self.rank[cols]
+        self.kl, self.ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+        # LAPACK band storage, column-major: entry (i, j) at row kl + ku + i - j
+        # of column j; the top kl rows hold the fill of the row interchanges
+        ldab = 2 * self.kl + self.ku + 1
+        self.flat = np.zeros(ldab * A.shape[0])
+        self.ab = self.flat.reshape((ldab, A.shape[0]), order="F")
+        self.pos = self.kl + self.ku + i - j + ldab * j
+        self.unique = A.has_canonical_format  # no entry stored twice
+        self.pattern = _pattern(A)
+
+    def _fill(self, A, shift: float):
+        """The band array of A + shift I, over the previous contents."""
+        if A.format not in ("csr", "csc"):
+            A = A.tocsr()
+        if self.pattern is None or not _same_pattern(A, self.pattern):
+            self._layout(A)
+        self.flat.fill(0.0)
+        if self.unique:
+            self.flat[self.pos] = A.data
+        else:  # duplicate entries add up
+            np.add.at(self.flat, self.pos, A.data)
+        if shift:
+            self.ab[self.kl + self.ku] += shift
+        return self.ab
+
+    def solver(self, A, shift: float = 0.0):
+        """Return solve(r) = (A + shift I)^{-1} r for a sparse A."""
+        lu, piv, info = dgbtrf(self._fill(A, shift), self.kl, self.ku, overwrite_ab=True)
+        if info > 0:  # U has an exact zero on its diagonal
+            return lambda r: np.full(np.shape(r), np.nan)
+        kl, ku, order = self.kl, self.ku, self.order
+
+        def solve(r):
+            x, _ = dgbtrs(lu, kl, ku, np.asarray(r, dtype=float)[order], piv,
+                          overwrite_b=True)
+            out = np.empty_like(x)
+            out[order] = x
+            return out
+
+        return solve
+
+
+def _lu_solver(A, order=None):
+    """Return solve(r) = A^{-1} r from one LU factorization of A.
+
+    - A sparse A with an order (the time-stage order of an optimizer or
+      a closed loop, in which A is banded) is factored by LAPACK's
+      banded LU in that order.
+    - A dense A is factored by LAPACK's dense LU.
+    - A sparse A without an order (an operator built outside the
+      package) is factored by SuperLU, the one generic sparse fallback.
+
+    An exactly singular A yields non-finite solutions on every path,
     which the callers report as a failed solve.
     """
     if sparse.issparse(A):
+        if order is not None:
+            return _BandedLU(order).solver(A)
         try:
             return splu(A.tocsc()).solve
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -184,11 +288,12 @@ def _lu_solver(A):
     return lambda r: lu_solve(fac, r, check_finite=False)
 
 
-def _prefactored_linear_stepper(L, h: float, theta: float):
+def _prefactored_linear_stepper(L, h: float, theta: float, order=None):
     """Return z, add -> solve[(I + theta*h*L), (I - (1-theta)*h*L) z + add].
 
     theta = 1 is the resolvent (I + h*L)^{-1}; theta = 1/2 is the
-    implicit midpoint step.  The LU factorization is computed once.
+    implicit midpoint step.  The LU factorization is computed once, in
+    `order` when L is sparse and carries one.
     """
     dim = L.shape[0]
     if sparse.issparse(L):
@@ -197,7 +302,7 @@ def _prefactored_linear_stepper(L, h: float, theta: float):
     else:
         lhs = np.eye(dim) + (theta * h) * L
         rhs = np.eye(dim) - ((1.0 - theta) * h) * L
-    solve = _lu_solver(lhs)
+    solve = _lu_solver(lhs, order)
     return lambda z, add: solve(rhs @ z + add)
 
 
@@ -211,12 +316,16 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
     and reports residual 0, or inf when the result is not finite.
     Otherwise the step runs `newton` from whichever of z and the
     explicit predictor z + h*(-M(z) + b) has the smaller residual.  The
-    Newton matrix I + theta*h*DM(stage) is factored in the format of the
-    Jacobian, sparse or dense.  The residual is the norm of the step
-    equation's defect.
+    Newton matrix I + theta*h*DM(stage) is factored through
+    `_lu_solver`'s paths.  When M carries an order and its Jacobian is
+    sparse, the stepper keeps one `_BandedLU`: the band positions of
+    the Jacobian's entries are computed at the first Newton iteration,
+    and every later one scatters into the same band array, so no
+    iteration allocates a factorization workspace.  The residual is the
+    norm of the step equation's defect.
     """
     if M.is_linear:
-        solve_linear = _prefactored_linear_stepper(M.linear_part, h, theta)
+        solve_linear = _prefactored_linear_stepper(M.linear_part, h, theta, M.order)
         offset = M.offset
 
         def step(z, b):
@@ -225,10 +334,17 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
 
         return step
 
-    # (I + c J) s = r is solved as (I/c + J) s = r/c: one sparse
-    # operation per Newton matrix instead of two
+    # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
+    # addition on the diagonal
     c = theta * h
-    eye_c = sparse.identity(M.dim, format="csc") / c
+    banded = None if M.order is None else _BandedLU(M.order)
+
+    def newton_matrix_solver(J):
+        if not sparse.issparse(J):
+            return _lu_solver(np.eye(M.dim) / c + J)
+        if banded is not None:
+            return banded.solver(J, 1.0 / c)
+        return _lu_solver(sparse.identity(M.dim, format="csc") / c + J)
 
     def step(z, b):
         def stage(z_next):
@@ -238,9 +354,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
             return z_next - z - h * (-M(stage(z_next)) + b)
 
         def solve(z_next, r):
-            J = M._jacobian(stage(z_next))
-            shift = eye_c if sparse.issparse(J) else np.eye(M.dim) / c
-            return _lu_solver(shift + J)(r / c)
+            return newton_matrix_solver(M._jacobian(stage(z_next)))(r / c)
 
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
@@ -471,14 +585,16 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
                  x_init: Optional[np.ndarray] = None) -> SteadyStatePair:
     """Solve M(x_bar) = B u_bar by one damped `newton` run from x_init
-    (zero by default) that factors the Jacobian of M at each iterate.
-    A linear M is its own Jacobian, so its first full step is exact.
+    (zero by default) that factors the Jacobian of M at each iterate,
+    banded in M's order when it carries one.  A linear M is its own
+    Jacobian, so its first full step is exact.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
     M = sys.M
     x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    x, res = newton(lambda x: M(x) - b, lambda x, r: _lu_solver(M._jacobian(x))(r),
+    x, res = newton(lambda x: M(x) - b,
+                    lambda x, r: _lu_solver(M._jacobian(x), M.order)(r),
                     x0, sys.metric.norm, tol)
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
@@ -526,7 +642,11 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     whose added block is exactly skew in the product metric, so the
     composition is again monotone whenever the constituents are.  The
     remaining ports survive as B = diag(B1^2, B2^2), sparse when either
-    B_i is.  Two linear members give a sparse linear part.
+    B_i is.  Two linear members give a sparse linear part.  When either
+    member carries an order, the composition carries their
+    concatenation (the identity for a member without one): `couple`
+    puts the plant first, so a closed loop's order is the plant ahead of
+    the optimizer's time stages, and its matrices stay banded.
     """
     K = coupling_block(sys1, sys2, F, split1, split2)
     d1 = sys1.dim
@@ -544,7 +664,11 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
     else:
-        derivative_fn = _interconnect_jacobian(K, ((0, M1), (d1, M2)))
+        derivative_fn = _InterconnectJacobian(K, ((0, M1), (d1, M2)))
+    order = None
+    if M1.order is not None or M2.order is not None:
+        order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
+                                d1 + (np.arange(M2.dim) if M2.order is None else M2.order)])
 
     B = sparse.block_diag([sys1.B[:, split1:], sys2.B[:, split2:]], format="csc")
     if not (sparse.issparse(sys1.B) or sparse.issparse(sys2.B)):
@@ -554,64 +678,94 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     return PHSystem(
         MonotoneOperatorSpec(sys1.dim + sys2.dim, eval_fn=eval_fn,
                              derivative_fn=derivative_fn, linear_part=linear_part,
-                             affine_offset=affine),
+                             affine_offset=affine, order=order),
         B,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),
     )
 
 
-def _interconnect_jacobian(K, members):
-    """Sparse Jacobian K + diag(DM_1, DM_2) of an interconnection.
+class _InterconnectJacobian:
+    """Sparse Jacobian K + diag(DM_1, DM_2) of an interconnection, on
+    one CSC pattern that every call shares.
 
     members lists (offset, M) for each member's diagonal block.  The
     sparse coupling block K and the matrices of the linear members form
-    one constant CSC part, built once.  A nonlinear member whose
-    Jacobian is dense (judged at its zero state) has its full block
-    stored there as zeros, and each call adds its Jacobian into a copy
-    of the constant data; a sparse Jacobian is added as a sparse matrix.
+    one constant part, built once, with a slot of stored zeros for each
+    nonlinear member: its whole block when its Jacobian is dense
+    (judged at its zero state), the stored pattern of that Jacobian
+    when it is sparse.  Each call writes the members' Jacobians into a
+    copy of the constant data, so the Newton solves see one fixed
+    pattern.  A sparse Jacobian with an entry outside its slot widens
+    the slot to hold it, once.
     """
-    dim = K.shape[0]
-    nonlinear = [(lo, M, not sparse.issparse(M._jacobian(np.zeros(M.dim))))
-                 for lo, M in members if not M.is_linear]
-    const = K.tocsc() + sparse.block_diag(
-        [M.linear_part if M.is_linear else sparse.csc_matrix((M.dim, M.dim))
-         for _, M in members], format="csc")
-    for lo, M, dense in nonlinear:
-        if dense:
-            const = const + _embedded(np.ones((M.dim, M.dim)), lo, dim)
-    where = const.copy()
-    where.data = np.arange(const.nnz)
-    # positions in const.data of each dense member block, then zeroed
-    slots = [(lo, M, where[lo:lo + M.dim, lo:lo + M.dim].toarray() if dense else None)
-             for lo, M, dense in nonlinear]
-    for _, _, pos in slots:
-        if pos is not None:
-            const.data[pos] = 0.0
 
-    def derivative_fn(x):
-        data = const.data.copy()
-        extra = []
-        for lo, M, pos in slots:
-            J = M._jacobian(x[lo:lo + M.dim])
-            if pos is None:
-                extra.append(_embedded(J, lo, dim))
-            else:
-                data[pos] += _as_dense(J)
-        J = sparse.csc_matrix((data, const.indices.copy(), const.indptr.copy()),
-                              shape=const.shape)
-        for E in extra:
-            J = J + E
-        return J
+    def __init__(self, K, members):
+        self.dim = K.shape[0]
+        self.constant = K.tocsc() + sparse.block_diag(
+            [M.linear_part if M.is_linear else sparse.csc_matrix((M.dim, M.dim))
+             for _, M in members], format="csc")
+        self.members = [(lo, M) for lo, M in members if not M.is_linear]
+        self.slots = [self._keys(lo, self._native(M._jacobian(np.zeros(M.dim))))
+                      for lo, M in self.members]
+        self._build()
 
-    return derivative_fn
+    @staticmethod
+    def _native(J):
+        return J.tocsr() if sparse.issparse(J) and J.format not in ("csr", "csc") else J
 
+    def _keys(self, lo, J):
+        """Key col * dim + row of each entry of a member's Jacobian J in
+        the composed matrix, in the order of J's data (row-major for a
+        dense J)."""
+        if sparse.issparse(J):
+            rows, cols = _coords(J)
+        else:
+            rows, cols = np.divmod(np.arange(J.size), J.shape[1])
+        return (cols.astype(np.int64) + lo) * self.dim + (rows + lo)
 
-def _embedded(block, lo: int, dim: int) -> sparse.csc_matrix:
-    """The square block placed at rows and columns lo.. of a dim x dim
-    CSC matrix of zeros."""
-    B = sparse.csc_matrix(block)
-    d = B.shape[1]
-    indptr = np.concatenate([np.zeros(lo, B.indptr.dtype), B.indptr,
-                             np.full(dim - lo - d, B.nnz, B.indptr.dtype)])
-    return sparse.csc_matrix((B.data, B.indices + lo, indptr), shape=(dim, dim))
+    def _build(self):
+        """The frame: the constant part with stored zeros on every slot,
+        its sorted entry keys, and no member positions yet."""
+        keys = np.unique(np.concatenate(self.slots))
+        ones = sparse.csc_matrix((np.ones(keys.size), (keys % self.dim, keys // self.dim)),
+                                 shape=(self.dim, self.dim))
+        frame = self.constant + ones
+        frame.sum_duplicates()
+        rows, cols = _coords(frame)
+        self.keys = cols.astype(np.int64) * self.dim + rows
+        self.data = frame.data
+        self.data[np.searchsorted(self.keys, keys)] = 0.0
+        self.indices, self.indptr = frame.indices, frame.indptr
+        self.seen = [None] * len(self.members)  # (pattern, (positions, unique))
+
+    def _positions(self, k, J):
+        """Positions in the frame's data of the entries of member k's
+        Jacobian J, or None after widening the slot for entries outside it."""
+        seen = self.seen[k]
+        if seen is not None and _same_pattern(J, seen[0]):
+            return seen[1]
+        keys = self._keys(self.members[k][0], J)
+        pos = np.searchsorted(self.keys, keys)
+        if not (np.all(pos < self.keys.size) and np.array_equal(self.keys[pos], keys)):
+            self.slots[k] = np.union1d(self.slots[k], keys)
+            return None
+        unique = not sparse.issparse(J) or J.has_canonical_format
+        self.seen[k] = (_pattern(J), (pos, unique))
+        return self.seen[k][1]
+
+    def __call__(self, x):
+        jacs = [self._native(M._jacobian(x[lo:lo + M.dim])) for lo, M in self.members]
+        positions = [self._positions(k, J) for k, J in enumerate(jacs)]
+        if any(p is None for p in positions):
+            self._build()
+            positions = [self._positions(k, J) for k, J in enumerate(jacs)]
+        data = self.data.copy()
+        for (pos, unique), J in zip(positions, jacs):
+            values = J.data if sparse.issparse(J) else np.asarray(J, dtype=float).ravel()
+            if unique:
+                data[pos] += values
+            else:  # duplicate entries add up
+                np.add.at(data, pos, values)
+        return sparse.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
+                                 shape=(self.dim, self.dim))

@@ -203,10 +203,20 @@ def test_resolvent_converges_at_large_input():
     assert abs(x[0] + M(x)[0] - z[0]) <= tol
 
 
+def _forbid_dense_and_superlu(monkeypatch, what):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"dense solve or SuperLU in {what}")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(phcore, "lu_factor", forbidden)
+    monkeypatch.setattr(phcore, "splu", forbidden)
+
+
 def test_nonlinear_steps_never_factor_dense(monkeypatch):
-    # structural guard: logcosh flows and cubic closed loops must run
-    # their Newton solves on sparse matrices, so any dense solve or dense
-    # LU during the steps fails the test
+    # structural guard: logcosh flows and cubic closed loops carry their
+    # time-stage order, so their Newton solves, the KKT point and a
+    # steady state of the optimizer are factored banded; any dense solve,
+    # dense LU or SuperLU during them fails the test
     flow_ocp = make_logcosh(N=64)
     flow_sys = pf.assemble_optimizer(flow_ocp)
     flow_z0 = pf.default_initial_state(flow_ocp)
@@ -216,35 +226,50 @@ def test_nonlinear_steps_never_factor_dense(monkeypatch):
                     pf.CouplingSpec("inv_alpha"))
     loop_z0 = cls.initial_state(np.array([1.0, 0.0]))
 
-    def dense_solve(*args, **kwargs):
-        raise AssertionError("dense solve in a sparse Newton step")
-
-    monkeypatch.setattr(np.linalg, "solve", dense_solve)
-    monkeypatch.setattr(phcore, "lu_factor", dense_solve)
+    _forbid_dense_and_superlu(monkeypatch, "a nonlinear solve")
     cfg = pf.IntegratorConfig(h_t=0.01)
     flow = pf.integrate_flow(flow_sys, flow_z0, pf.constant_input(flow_ocp), cfg, 0.05)
     loop = pf.integrate_flow(cls.sys, loop_z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
     assert flow.times.size == loop.times.size == 6
+    z_hat = pf.kkt_solve(flow_ocp)
+    ss = pf.steady_state(flow_sys, pf.constant_input(flow_ocp))
+    assert flow_ocp.state_metric.norm(ss.x_bar - z_hat.vector) <= 1e-8
 
 
 def test_linear_closed_loop_never_factors_dense(monkeypatch):
     # structural guard: a linear plant closed against an LQ optimizer has
-    # a sparse linear part, factored once by splu; any dense solve or
-    # dense LU during the steps fails the test
+    # a sparse linear part in the loop's time-stage order, factored once
+    # banded, and the LQ KKT point and steady state are banded solves
+    # too; any dense solve, dense LU or SuperLU during them fails the test
     ocp = make_double_integrator(N=64)
     plant = pf.assemble_plant(pf.linear_plant(np.eye(2), DI_B, [1.0, 0.0]))
     cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
     assert sparse.issparse(cls.sys.M.linear_part)
     z0 = cls.initial_state(np.array([1.0, 0.0]))
+    opt = cls.opt_sys
 
-    def dense_solve(*args, **kwargs):
-        raise AssertionError("dense solve in a sparse linear step")
-
-    monkeypatch.setattr(np.linalg, "solve", dense_solve)
-    monkeypatch.setattr(phcore, "lu_factor", dense_solve)
+    _forbid_dense_and_superlu(monkeypatch, "a linear solve")
     cfg = pf.IntegratorConfig(h_t=0.01)
     traj = pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
     assert traj.times.size == 6
+    z_hat = pf.kkt_solve(ocp)
+    ss = pf.steady_state(opt, pf.constant_input(ocp))
+    assert ocp.state_metric.norm(ss.x_bar - z_hat.vector) <= 1e-8
+
+
+def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
+    # a tridiagonal matrix with an exactly zero column: dgbtrf reports
+    # info > 0, and the solver returns non-finite values for the callers
+    # to report, as SuperLU's "exactly singular" path does
+    A = sparse.diags([np.ones(4), 2.0 * np.ones(5), np.ones(4)], [-1, 0, 1], format="lil")
+    A[:, 2] = 0.0
+    order = np.array([4, 3, 2, 1, 0])
+    x = phcore._lu_solver(A.tocsr(), order)(np.ones(5))
+    assert x.shape == (5,) and not np.all(np.isfinite(x))
+    regular = sparse.diags([np.ones(4), 3.0 * np.ones(5), np.ones(4)], [-1, 0, 1],
+                           format="csr")
+    r = np.arange(5.0)
+    assert np.allclose(regular @ phcore._lu_solver(regular, order)(r), r, atol=1e-14)
 
 
 def test_optimizer_port_is_a_sparse_selection(small_ocp, small_sys):

@@ -321,6 +321,31 @@ def test_interconnect_open_ports_survive():
     assert np.allclose(coupled.B[3:, 0], 0.0)
 
 
+def test_interconnect_jacobian_keeps_one_pattern_for_a_sparse_member():
+    # a sparse member whose Jacobian drops its zero diagonal at the zero
+    # state: the first state with a nonzero diagonal widens the member's
+    # slot once, and from then on every Jacobian shares one pattern
+    from scipy import sparse
+
+    R = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    M1 = MonotoneOperatorSpec(3, eval_fn=lambda x: R @ x + x**3,
+                              derivative_fn=lambda x: R + sparse.diags(3.0 * x**2))
+    sys1 = pf.PHSystem(M1, np.eye(3)[:, :2], pf.Metric.euclidean(3), pf.Metric.euclidean(2))
+    _, sys2, F = _two_port_systems()
+    coupled = pf.interconnect(sys1, sys2, F, 2, 2)
+    assert coupled.M.order is None  # neither member carries one
+    rng = np.random.default_rng(9)
+    patterns = []
+    for z in [np.zeros(5)] + [rng.standard_normal(5) for _ in range(3)]:
+        J = coupled.M._jacobian(z)
+        assert sparse.issparse(J)
+        fd = np.column_stack([(coupled.M(z + 1e-6 * e) - coupled.M(z - 1e-6 * e)) / 2e-6
+                              for e in np.eye(5)])
+        assert np.max(np.abs(J.toarray() - fd)) <= 1e-6
+        patterns.append((J.indptr.tolist(), J.indices.tolist()))
+    assert patterns[1] == patterns[2] == patterns[3]
+
+
 def test_interconnect_dimension_check():
     sys1, sys2, F = _two_port_systems()
     with pytest.raises(pf.DimensionMismatch):

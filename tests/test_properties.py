@@ -3,14 +3,17 @@
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
 closed-loop coupling), the shared implicit step behind the
 resolvent, the semigroup and the implicit-midpoint flow, the sparse
-Jacobians its Newton solve factors, and the sparse ports and coupling
-block against their dense counterparts."""
+Jacobians its Newton solve factors, the time-stage order in which they
+are banded, and the sparse ports and coupling block against their
+dense counterparts."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import phflow as pf
+from phflow import phcore
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -341,3 +344,89 @@ def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
     for block in (K, direct):
         WK = cls.sys.metric.weights[:, None] * block.toarray()
         assert np.max(np.abs(WK + WK.T)) <= 1e-14 * (1.0 + np.max(np.abs(WK)))
+
+
+@st.composite
+def staged_problems(draw):
+    """A random OCP with N in 2..64, n in 1..4 and m in 1..2, a quadratic
+    or logcosh stage, and with or without a cubic plant of dimension n
+    closed against it; returns (ocp, optimizer, closed loop or None, rng)."""
+    N, n, m = draw(st.integers(2, 64)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T / n + 0.1 * np.eye(n)
+    stage = (pf.LogCoshStage(draw(st.floats(0.3, 2.0))) if draw(st.booleans())
+             else pf.QuadraticStage(Q, rng.standard_normal(n)))
+    model = pf.LinearPlantModel(0.5 * rng.standard_normal((n, n)),
+                                rng.standard_normal((n, m)), 0.0, rng.standard_normal(n))
+    ocp = pf.assemble_ocp(model, pf.build_grid(1.0, N), pf.CostSpec(1.0, stage))
+    opt = pf.assemble_optimizer(ocp)
+    cls = None
+    if draw(st.booleans()):
+        plant = pf.assemble_plant(pf.cubic_plant(Q, 1.3, model.B, np.zeros(n)))
+        cls = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha"))
+    return ocp, opt, cls, rng
+
+
+def _bandwidths(A, order):
+    rank = np.argsort(order)
+    A = A.tocoo()
+    d = rank[A.row] - rank[A.col]
+    return int(d.max()), int(-d.min())
+
+
+@PROFILE
+@given(staged_problems())
+def test_stage_order_makes_every_solve_banded(problem):
+    # kl = ku = 2n + m - 1 whatever N: x_k's first entry reaches the last
+    # entry of lam_{k+1} across u_k, and a closed loop's plant block sits
+    # ahead of lam0 within that reach
+    ocp, opt, cls, rng = problem
+    order = ocp.stage_order
+    assert np.array_equal(np.sort(order), np.arange(ocp.state_dim))
+    assert opt.M.order is order
+    width = 2 * ocp.n + ocp.m - 1
+    c = 0.5 * 0.01  # theta h of a midpoint step at h_t = 0.01
+    z = rng.standard_normal(ocp.state_dim)
+    J = ocp.m_opt_jacobian(z)
+    step = sparse.identity(ocp.state_dim, format="csr") + c * J
+    cases = [(J, order, False), (step, order, True)]
+    if cls is not None:
+        z_cl = rng.standard_normal(cls.dim)
+        newton = sparse.identity(cls.dim, format="csc") / c + cls.sys.M._jacobian(z_cl)
+        cases.append((newton, cls.sys.M.order, True))
+        assert np.array_equal(cls.sys.M.order[:ocp.n], np.arange(ocp.n))
+        assert np.array_equal(cls.sys.M.order[ocp.n:], ocp.n + order)
+    for A, o, compare in cases:
+        assert _bandwidths(A, o) == (width, width)
+        band = phcore._BandedLU(o)
+        solve = band.solver(A)
+        assert (band.kl, band.ku) == (width, width)
+        if compare:  # the step matrices are well conditioned
+            r = rng.standard_normal(A.shape[0])
+            ref = splu(A.tocsc()).solve(r)
+            assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROFILE
+@given(staged_problems())
+def test_band_positions_reproduce_a_coo_scatter(problem):
+    # the positions computed from the Jacobian at the zero state serve
+    # every later state: the pattern stays fixed, and scattering J.data
+    # into the band gives what permuting J's COO entries gives
+    ocp, opt, cls, rng = problem
+    M = opt.M if cls is None else cls.sys.M
+    band = phcore._BandedLU(M.order)
+    band.solver(M._jacobian(np.zeros(M.dim)), 1.0)
+    pos = band.pos
+    rank = np.argsort(M.order)
+    for z in _states(rng, M.dim):
+        J = M._jacobian(z)
+        ab = band._fill(J, 2.0).copy()
+        assert band.pos is pos
+        coo = J.tocoo()
+        i, j = rank[coo.row], rank[coo.col]
+        ref = np.zeros_like(ab)
+        np.add.at(ref, (band.kl + band.ku + i - j, j), coo.data)
+        ref[band.kl + band.ku] += 2.0
+        assert np.array_equal(ab, ref)
