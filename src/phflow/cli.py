@@ -510,9 +510,11 @@ def run(config_path, out_dir, mode=None) -> int:
         icfg, T = build_integrator(cfg.get("integrator"), ocp)
         plant = build_plant(cfg["plant"], ocp) if "plant" in cfg else None
         output = _object(cfg.get("output", {}), "output", ("dir", "full_state"))
+        full_state = output.get("full_state", False)
+        if not isinstance(full_state, bool):
+            raise ConfigError("must be true or false", field="output.full_state")
         scn = Scenario(ocp, icfg, T, plant, build_coupling(cfg.get("coupling", {})),
-                       _number(cfg, "seed", "", 0, integer=True, low=0),
-                       bool(output.get("full_state", False)))
+                       _number(cfg, "seed", "", 0, integer=True, low=0), full_state)
         out_dir = out_dir or output.get("dir", "out")
         if not isinstance(out_dir, (str, os.PathLike)):
             raise ConfigError("must be a path string", field="output.dir")

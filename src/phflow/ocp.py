@@ -36,7 +36,8 @@ from scipy import sparse
 from .errors import (DimensionMismatch, InvalidParameter, NonConvergence,
                      SingularStep)
 from .metric import Metric
-from .phcore import _lu_solver, _prefactored_linear_stepper, newton
+from .operators import linear
+from .phcore import _Factor, implicit_stepper, newton
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +466,15 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     # exact singularity and near-singularity both invalidate the step
     if abs(np.linalg.det(lhs)) < 1e-14 * max(1.0, np.linalg.norm(lhs)) ** n:
         raise SingularStep("I - (h/2) A is singular; reduce the step h")
-    step = _prefactored_linear_stepper(-A, h, 0.5)  # trapezoid = implicit midpoint
+    # the trapezoid step is the implicit midpoint step of dx/dtau = A x + b
+    step = implicit_stepper(linear(-A), h, 0.5, np.linalg.norm, 0.0)
     f = model.f_nodes(grid)
     x = np.empty((N + 1, n))
     x[0] = model.x0
     for i in range(1, N + 1):
         fbar = 0.5 * (f[i] + f[i - 1])
         ubar = 0.5 * (u_nodes[i] + u_nodes[i - 1]) if m else np.zeros(0)
-        x[i] = step(x[i - 1], h * (B @ ubar + fbar))
+        x[i], _ = step(x[i - 1], B @ ubar + fbar)
     if not np.all(np.isfinite(x)):
         raise SingularStep("forward marching produced non-finite states")
     return x
@@ -533,8 +535,8 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     z0 = np.zeros(ocp.state_dim)
     r0 = residual(z0)
     norm = ocp.state_metric.norm
-    order = ocp.stage_order
-    z, res = newton(residual, lambda z, r: _lu_solver(ocp.m_opt_jacobian(z), order)(r),
+    factor = _Factor(ocp.stage_order)
+    z, res = newton(residual, lambda z, r: factor.solver(ocp.m_opt_jacobian(z))(r),
                     z0, norm, min(tol, 1e-11 * (1.0 + norm(r0))), r0)
     if not res <= tol:
         raise NonConvergence("KKT Newton did not reach tolerance", residual=res)

@@ -3,7 +3,7 @@
 An operator is described either by an exact linear part or by its
 evaluation map together with its analytic Jacobian.  Linear operators get
 a dedicated representation (dense or sparse matrix) so that resolvents
-and implicit integrators can prefactor a single matrix; every other
+and implicit integrators factor a single matrix once; every other
 operator is solved by Newton with its Jacobian.
 """
 
@@ -28,19 +28,22 @@ def _as_dense(mat) -> np.ndarray:
 class MonotoneOperatorSpec:
     """Candidate accretive map M on R^dim.
 
-    eval_fn must be deterministic: identical input arrays produce
-    bitwise-identical outputs.  derivative_fn returns the Jacobian at a
-    point as a dense array or a scipy sparse matrix; the Newton solves
-    factor it in that format.  linear_part, when given, takes priority
-    and fixes M(x) = linear_part @ x (+ affine_offset); resolvents and
-    implicit integrators then prefactor a single matrix.  Without it,
-    both eval_fn and derivative_fn are required.
+    M is evaluated on one state vector of shape (dim,); a stack of
+    states is rejected.  eval_fn must be deterministic: identical input
+    arrays produce bitwise-identical outputs.  derivative_fn returns the
+    Jacobian at a point as a dense array or a scipy sparse matrix.
+    linear_part, when given, takes priority and fixes
+    M(x) = linear_part @ x (+ affine_offset); resolvents and implicit
+    integrators then factor a single matrix once.  Without it, both
+    eval_fn and derivative_fn are required.
 
+    Every solve with M's matrices goes through one `phcore._Factor` per
+    solve site, which picks its path from what it sees: a dense matrix
+    is factored by LAPACK's dense LU, a sparse one in M's `order` by
+    LAPACK's banded LU, and a sparse one without an order by SuperLU.
     order, set only inside the package, is a permutation of the state
     in which every Jacobian of M is banded: the time-stage order of an
-    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.  The
-    sparse solves then factor in that order with LAPACK's banded LU; an
-    operator without one is factored by SuperLU.
+    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.
     """
 
     dim: int
@@ -56,9 +59,9 @@ class MonotoneOperatorSpec:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape != (self.dim,):
             raise DimensionMismatch(
-                f"state has dimension {x.shape[-1]}, operator expects {self.dim}"
+                f"state has shape {x.shape}, operator expects ({self.dim},)"
             )
         if self.linear_part is not None:
             out = self.linear_part @ x

@@ -12,11 +12,14 @@ accretivity probes), trajectory audits of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
-Every linear solve goes through `_lu_solver`.  An operator that carries
-an `order` (the optimizer's time-stage order, or a closed loop's) has
+Every linear solve goes through one `_Factor` per solve site (an
+implicit stepper, a steady-state solve, a KKT solve), which factors
+A + shift I for the site's matrices.  An operator that carries an
+`order` (the optimizer's time-stage order, or a closed loop's) has
 banded matrices in that order, and they are factored by LAPACK's banded
-LU (`dgbtrf`/`dgbtrs`); SuperLU is the fallback for sparse matrices
-without one.
+LU (`dgbtrf`/`dgbtrs`) in one band array laid out once per sparsity
+pattern; a dense matrix is factored by LAPACK's dense LU, and SuperLU
+is the fallback for sparse matrices without an order.
 """
 
 from __future__ import annotations
@@ -197,29 +200,41 @@ def _same_pattern(A, pattern) -> bool:
     return np.array_equal(A.indptr, pattern[1]) and np.array_equal(A.indices, pattern[2])
 
 
-class _BandedLU:
-    """LU factors of sparse matrices permuted to `order`, by LAPACK's
-    banded dgbtrf and dgbtrs.
+def _singular(r):
+    """The solve of an exactly singular factor: non-finite values."""
+    return np.full(np.shape(r), np.nan)
 
-    The bandwidths and the band position of every stored entry are
-    computed once per sparsity pattern, so a run of matrices on one
-    pattern (the Newton matrices of one stepper) reuses them and one
-    preallocated band array: each `solver` call zero-fills the array,
-    scatters the matrix's data into it, adds the shift on the diagonal
-    and factors it in place.  A solver stays valid until the next
-    `solver` call.  An exactly singular matrix (dgbtrf's info > 0) gives
-    a solver that returns non-finite values.
+
+class _Factor:
+    """LU factors of A + shift I for one solve site, by one of three paths.
+
+    - A sparse A with an order (the time-stage order of an optimizer or
+      a closed loop, in which A is banded) is factored by LAPACK's
+      banded LU (dgbtrf/dgbtrs) in that order.
+    - A dense A is factored by LAPACK's dense LU.
+    - A sparse A without an order (an operator built outside the
+      package) is factored by SuperLU, the one generic sparse fallback.
+
+    On the banded path the bandwidths and the band position of every
+    stored entry are computed once per sparsity pattern, so a run of
+    matrices on one pattern (the Newton matrices of one stepper or one
+    equilibrium solve) reuses them and one preallocated band array:
+    each `solver` call zero-fills the array, scatters the matrix's data
+    into it, adds the shift on the diagonal and factors it in place, so
+    a banded solver stays valid until the next `solver` call.  An
+    exactly singular matrix yields non-finite solutions on every path,
+    which the callers report as a failed solve.
     """
 
-    def __init__(self, order):
-        self.order = np.asarray(order)
-        self.rank = np.empty_like(self.order)  # position of each state index in the order
-        self.rank[self.order] = np.arange(self.order.size)
+    def __init__(self, order=None):
+        self.order = None if order is None else np.asarray(order)
         self.pattern = None
 
     def _layout(self, A):
+        rank = np.empty_like(self.order)  # position of each state index in the order
+        rank[self.order] = np.arange(self.order.size)
         rows, cols = _coords(A)
-        i, j = self.rank[rows], self.rank[cols]
+        i, j = rank[rows], rank[cols]
         self.kl, self.ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
         # LAPACK band storage, column-major: entry (i, j) at row kl + ku + i - j
         # of column j; the top kl rows hold the fill of the row interchanges
@@ -246,10 +261,24 @@ class _BandedLU:
         return self.ab
 
     def solver(self, A, shift: float = 0.0):
-        """Return solve(r) = (A + shift I)^{-1} r for a sparse A."""
+        """Return solve(r) = (A + shift I)^{-1} r."""
+        if not sparse.issparse(A):
+            if shift:
+                A = shift * np.eye(A.shape[0]) + A
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
+                fac = lu_factor(A, check_finite=False)
+            return lambda r: lu_solve(fac, r, check_finite=False)
+        if self.order is None:
+            if shift:
+                A = shift * sparse.identity(A.shape[0], format="csc") + A
+            try:
+                return splu(A.tocsc()).solve
+            except RuntimeError:  # SuperLU: "Factor is exactly singular"
+                return _singular
         lu, piv, info = dgbtrf(self._fill(A, shift), self.kl, self.ku, overwrite_ab=True)
         if info > 0:  # U has an exact zero on its diagonal
-            return lambda r: np.full(np.shape(r), np.nan)
+            return _singular
         kl, ku, order = self.kl, self.ku, self.order
 
         def solve(r):
@@ -262,89 +291,37 @@ class _BandedLU:
         return solve
 
 
-def _lu_solver(A, order=None):
-    """Return solve(r) = A^{-1} r from one LU factorization of A.
-
-    - A sparse A with an order (the time-stage order of an optimizer or
-      a closed loop, in which A is banded) is factored by LAPACK's
-      banded LU in that order.
-    - A dense A is factored by LAPACK's dense LU.
-    - A sparse A without an order (an operator built outside the
-      package) is factored by SuperLU, the one generic sparse fallback.
-
-    An exactly singular A yields non-finite solutions on every path,
-    which the callers report as a failed solve.
-    """
-    if sparse.issparse(A):
-        if order is not None:
-            return _BandedLU(order).solver(A)
-        try:
-            return splu(A.tocsc()).solve
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            return lambda r: np.full(np.shape(r), np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
-        fac = lu_factor(A, check_finite=False)
-    return lambda r: lu_solve(fac, r, check_finite=False)
-
-
-def _prefactored_linear_stepper(L, h: float, theta: float, order=None):
-    """Return z, add -> solve[(I + theta*h*L), (I - (1-theta)*h*L) z + add].
-
-    theta = 1 is the resolvent (I + h*L)^{-1}; theta = 1/2 is the
-    implicit midpoint step.  The LU factorization is computed once, in
-    `order` when L is sparse and carries one.
-    """
-    dim = L.shape[0]
-    if sparse.issparse(L):
-        lhs = sparse.identity(dim, format="csc") + (theta * h) * L.tocsc()
-        rhs = sparse.identity(dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
-    else:
-        lhs = np.eye(dim) + (theta * h) * L
-        rhs = np.eye(dim) - ((1.0 - theta) * h) * L
-    solve = _lu_solver(lhs, order)
-    return lambda z, add: solve(rhs @ z + add)
-
-
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
     """Return step(z, b) -> (z_next, residual) solving the implicit step
 
         z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b).
 
     theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
-    is the implicit midpoint rule.  Linear M reuses one prefactored LU
-    and reports residual 0, or inf when the result is not finite.
-    Otherwise the step runs `newton` from whichever of z and the
-    explicit predictor z + h*(-M(z) + b) has the smaller residual.  The
-    Newton matrix I + theta*h*DM(stage) is factored through
-    `_lu_solver`'s paths.  When M carries an order and its Jacobian is
-    sparse, the stepper keeps one `_BandedLU`: the band positions of
-    the Jacobian's entries are computed at the first Newton iteration,
-    and every later one scatters into the same band array, so no
-    iteration allocates a factorization workspace.  The residual is the
-    norm of the step equation's defect.
+    is the implicit midpoint rule.  The stepper holds one `_Factor` in
+    M's order.  Linear M factors I + theta*h*L once and reports residual
+    0, or inf when the result is not finite.  Otherwise the step runs
+    `newton` from whichever of z and the explicit predictor
+    z + h*(-M(z) + b) has the smaller residual, factoring the Newton
+    matrix I + theta*h*DM(stage) at each iteration; on the banded path
+    every iteration scatters into the band array laid out at the first.
+    The residual is the norm of the step equation's defect.
     """
+    factor = _Factor(M.order)
+    c = theta * h
     if M.is_linear:
-        solve_linear = _prefactored_linear_stepper(M.linear_part, h, theta, M.order)
+        L = M.linear_part
+        solve_linear = factor.solver(c * L, 1.0)
+        if sparse.issparse(L):
+            rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
+        else:
+            rhs = np.eye(M.dim) - ((1.0 - theta) * h) * L
         offset = M.offset
 
         def step(z, b):
-            z_next = solve_linear(z, h * (b - offset))
+            z_next = solve_linear(rhs @ z + h * (b - offset))
             return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
 
         return step
-
-    # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
-    # addition on the diagonal
-    c = theta * h
-    banded = None if M.order is None else _BandedLU(M.order)
-
-    def newton_matrix_solver(J):
-        if not sparse.issparse(J):
-            return _lu_solver(np.eye(M.dim) / c + J)
-        if banded is not None:
-            return banded.solver(J, 1.0 / c)
-        return _lu_solver(sparse.identity(M.dim, format="csc") / c + J)
 
     def step(z, b):
         def stage(z_next):
@@ -353,8 +330,10 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
         def residual(z_next):
             return z_next - z - h * (-M(stage(z_next)) + b)
 
+        # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
+        # addition on the diagonal
         def solve(z_next, r):
-            return newton_matrix_solver(M._jacobian(stage(z_next)))(r / c)
+            return factor.solver(M._jacobian(stage(z_next)), 1.0 / c)(r / c)
 
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
@@ -593,8 +572,8 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     b = sys.B @ u_bar
     M = sys.M
     x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    x, res = newton(lambda x: M(x) - b,
-                    lambda x, r: _lu_solver(M._jacobian(x), M.order)(r),
+    factor = _Factor(M.order)
+    x, res = newton(lambda x: M(x) - b, lambda x, r: factor.solver(M._jacobian(x))(r),
                     x0, sys.metric.norm, tol)
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)

@@ -263,6 +263,8 @@ def test_multiple_configs_parallel(tmp_path):
     ("output", "full_sate", True, "output.full_sate"),
     ("ocp.cost", "alhpa", 3.0, "ocp.cost.alhpa"),
     (None, "integrator", [], "integrator"),
+    ("output", "full_state", "false", "output.full_state"),
+    ("output", "full_state", 1, "output.full_state"),
 ])
 def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
                                                  key, value, field):

@@ -257,6 +257,34 @@ def test_linear_closed_loop_never_factors_dense(monkeypatch):
     assert ocp.state_metric.norm(ss.x_bar - z_hat.vector) <= 1e-8
 
 
+def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
+    # the Jacobian's pattern never changes within a Newton run, so its
+    # band positions are computed at the first iteration only
+    ocp = make_logcosh(N=32)
+    sys = pf.assemble_optimizer(ocp)
+    layouts, factors = [], []
+    layout, solver = phcore._Factor._layout, phcore._Factor.solver
+
+    def counted_layout(self, A):
+        layouts.append(self)
+        return layout(self, A)
+
+    def counted_solver(self, A, shift=0.0):
+        factors.append(self)
+        return solver(self, A, shift)
+
+    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
+    monkeypatch.setattr(phcore._Factor, "solver", counted_solver)
+    for solve in (lambda: pf.kkt_solve(ocp),
+                  lambda: pf.steady_state(sys, pf.constant_input(ocp))):
+        layouts.clear()
+        factors.clear()
+        solve()
+        assert len(factors) >= 2  # logcosh takes several Newton iterations
+        assert len(set(map(id, factors))) == 1
+        assert len(layouts) == 1
+
+
 def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     # a tridiagonal matrix with an exactly zero column: dgbtrf reports
     # info > 0, and the solver returns non-finite values for the callers
@@ -264,12 +292,12 @@ def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     A = sparse.diags([np.ones(4), 2.0 * np.ones(5), np.ones(4)], [-1, 0, 1], format="lil")
     A[:, 2] = 0.0
     order = np.array([4, 3, 2, 1, 0])
-    x = phcore._lu_solver(A.tocsr(), order)(np.ones(5))
+    x = phcore._Factor(order).solver(A.tocsr())(np.ones(5))
     assert x.shape == (5,) and not np.all(np.isfinite(x))
     regular = sparse.diags([np.ones(4), 3.0 * np.ones(5), np.ones(4)], [-1, 0, 1],
                            format="csr")
     r = np.arange(5.0)
-    assert np.allclose(regular @ phcore._lu_solver(regular, order)(r), r, atol=1e-14)
+    assert np.allclose(regular @ phcore._Factor(order).solver(regular)(r), r, atol=1e-14)
 
 
 def test_optimizer_port_is_a_sparse_selection(small_ocp, small_sys):

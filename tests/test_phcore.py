@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 import phflow as pf
+from phflow import phcore
 from phflow.operators import MonotoneOperatorSpec, derivative_gap
 
 
@@ -15,6 +17,42 @@ def cubic_scalar():
         eval_fn=lambda x: x**3,
         derivative_fn=lambda x: np.array([[3.0 * x[0] ** 2]]),
     )
+
+
+def test_operator_takes_one_state_vector():
+    # a stack of states is refused: L @ X of a 2x2 stack would be the
+    # transpose of the row-wise result, and a 3-row stack a numpy error
+    L = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for M in (pf.linear(L), pf.cubic(L, 1.0)):
+        for bad in (np.ones((2, 2)), np.ones((3, 2)), np.ones(3), np.float64(1.0)):
+            with pytest.raises(pf.DimensionMismatch):
+                M(bad)
+
+
+# ---------------------------------------------------------------------------
+# LU factors
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+@pytest.mark.parametrize("path, lu", [("banded", "dgbtrf"), ("dense", "lu_factor"),
+                                      ("superlu", "splu")])
+def test_factor_solves_the_shifted_matrix_on_each_path(monkeypatch, path, lu, shift):
+    rng = np.random.default_rng(7)
+    dim = 12
+    A = sparse.random(dim, dim, density=0.3, random_state=rng, format="csr")
+    A = A + sparse.diags(4.0 + rng.random(dim))  # well conditioned
+    calls = {}
+    for name in ("dgbtrf", "lu_factor", "splu"):
+        def counted(*args, _f=getattr(phcore, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(phcore, name, counted)
+    order = rng.permutation(dim) if path == "banded" else None
+    solve = phcore._Factor(order).solver(A.toarray() if path == "dense" else A, shift)
+    assert calls == {lu: 1}
+    r = rng.standard_normal(dim)
+    ref = np.linalg.solve(A.toarray() + shift * np.eye(dim), r)
+    assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -399,7 +399,7 @@ def test_stage_order_makes_every_solve_banded(problem):
         assert np.array_equal(cls.sys.M.order[ocp.n:], ocp.n + order)
     for A, o, compare in cases:
         assert _bandwidths(A, o) == (width, width)
-        band = phcore._BandedLU(o)
+        band = phcore._Factor(o)
         solve = band.solver(A)
         assert (band.kl, band.ku) == (width, width)
         if compare:  # the step matrices are well conditioned
@@ -416,7 +416,7 @@ def test_band_positions_reproduce_a_coo_scatter(problem):
     # into the band gives what permuting J's COO entries gives
     ocp, opt, cls, rng = problem
     M = opt.M if cls is None else cls.sys.M
-    band = phcore._BandedLU(M.order)
+    band = phcore._Factor(M.order)
     band.solver(M._jacobian(np.zeros(M.dim)), 1.0)
     pos = band.pos
     rank = np.argsort(M.order)
