@@ -11,6 +11,14 @@ certifies it constructively.  Because the toolkit's inner products are
 weighted, certificates are computed in the Euclidean coordinates
 W^(1/2) x (a similarity); eigenvalues are unaffected, Lyapunov quadratic
 forms are evaluated in the transformed frame.
+
+The certificate factors A once: the real Schur form A^T = U T U^T gives
+both the Hurwitz test (the largest diagonal entry of T) and the
+Bartels-Stewart reduction T Y + Y T^T = U^T (-I) U, P = U Y U^T.  That
+triangular Sylvester equation is solved by recursive blocking (Jonsson
+and Kagstrom, ACM TOMS 28(4), 2002): halve the larger side, update the
+off-diagonal block with one matrix product, and hand blocks of at most
+_LEAF rows to LAPACK's `dtrsyl`.
 """
 
 from __future__ import annotations
@@ -18,12 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import (EigenFailure, InsufficientData, InvalidParameter,
                      NotHurwitz)
 from .metric import Metric, adjoint as metric_adjoint
 
 _DENSE_DIM_CAP = 2000
+
+# largest side of a block of the recursive Sylvester solve that goes to
+# LAPACK's level-2 dtrsyl; everything above it is matrix products
+_LEAF = 64
 
 
 def _check_square(mat) -> np.ndarray:
@@ -67,24 +81,66 @@ class LyapunovCertificate:
         return np.einsum("...i,ij,...j->...", h, self.P, h)
 
 
+def _split(T: np.ndarray) -> int:
+    """Half the order of the quasi-triangular T, moved down one row
+    where it would cut a 2x2 block."""
+    k = T.shape[0] // 2
+    return k + 1 if T[k, k - 1] != 0.0 else k
+
+
+def _sylvester(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> None:
+    """Overwrite C with the solution X of A X + X B^T = C, for A and B
+    in standardized real Schur form (upper quasi-triangular).
+
+    The larger side of C is halved: with A = [[A11, A12], [0, A22]] the
+    lower block row is solved first and A12 X2 taken off the upper one;
+    with B split alike the right block column is solved first and
+    X2 B12^T taken off the left one.  Blocks of at most _LEAF rows and
+    columns go to `dtrsyl`, whose scale factor must be 1: LAPACK sets it
+    below 1 to avoid an overflow, and that is reported, never rescaled.
+    """
+    m, n = C.shape
+    if m <= _LEAF and n <= _LEAF:
+        x, scale, info = dtrsyl(A, B, C, tranb="T")
+        if info < 0 or scale != 1.0:
+            raise EigenFailure(
+                f"triangular Sylvester solve failed (info {info}, scale {scale:.3e})")
+        C[...] = x
+    elif m >= n:
+        k = _split(A)
+        _sylvester(A[k:, k:], B, C[k:])
+        C[:k] -= A[:k, k:] @ C[k:]
+        _sylvester(A[:k, :k], B, C[:k])
+    else:
+        k = _split(B)
+        _sylvester(A, B[k:, k:], C[:, k:])
+        C[:, :k] -= C[:, k:] @ B[:k, k:].T
+        _sylvester(A, B[:k, :k], C[:, :k])
+
+
 def lyapunov_certificate(A: np.ndarray) -> LyapunovCertificate:
     """Certificate for the generator A (the flow matrix, A = -DM).
 
-    Raises NotHurwitz when the spectrum of A touches the closed right
-    half plane.
+    One real Schur factorization A^T = U T U^T serves the Hurwitz test
+    and the solve.  In the standardized form each 2x2 block of T has
+    equal diagonal entries, the real part of its eigenvalue pair, so
+    the abscissa of A is the largest diagonal entry of T.  Raises
+    NotHurwitz when it is not below -1e-13, before any solve.
     """
     A = _check_square(A)
+    n = A.shape[0]
     try:
-        abscissa = float(np.max(np.linalg.eigvals(A).real))
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"eigensolve failed: {exc}")
+        T, U = schur(A.T, output="real")
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise EigenFailure(f"Schur factorization failed: {exc}")
+    abscissa = float(np.max(np.diag(T)))
     if abscissa >= -1e-13:
         raise NotHurwitz(f"generator abscissa {abscissa:.3e} is not negative")
-    from scipy.linalg import solve_continuous_lyapunov
-
-    P = solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
+    Y = U.T @ -U  # U^T (-I) U
+    _sylvester(T, T, Y)
+    P = U @ Y @ U.T
     P = 0.5 * (P + P.T)
-    residual = float(np.max(np.abs(A.T @ P + P @ A + np.eye(A.shape[0]))))
+    residual = float(np.max(np.abs(A.T @ P + P @ A + np.eye(n))))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
     return LyapunovCertificate(P, residual, min_eig)
 

@@ -41,8 +41,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (lyapunov_certificate, metric_generator,
-                       nonnormality, saddle_blocks, spectral_abscissa)
+from .analysis import (_DENSE_DIM_CAP, lyapunov_certificate,
+                       metric_generator, nonnormality, saddle_blocks,
+                       spectral_abscissa)
 from .closedloop import (CouplingSpec, PlantSpec, couple, assemble_plant,
                          cubic_plant, linear_plant, simulate_closed_loop)
 from .errors import (ConfigError, DimensionMismatch, FormatError,
@@ -453,6 +454,10 @@ def run_audit(scn: Scenario, out_dir: Path):
 
 def run_spectrum(scn: Scenario, out_dir: Path):
     ocp = scn.ocp
+    if ocp.state_dim > _DENSE_DIM_CAP:  # before the KKT solve and the flow
+        raise ConfigError(
+            f"state dimension {ocp.state_dim} exceeds the dense analysis cap "
+            f"{_DENSE_DIM_CAP} of spectrum mode", field="ocp.N")
     sys, z_hat, traj = _optimizer_run(scn)
     DM = sys.M.derivative(z_hat.vector)
     abscissa = spectral_abscissa(DM)

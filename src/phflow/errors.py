@@ -35,7 +35,8 @@ class AccretivityViolation(ToolkitError, RuntimeError):
 
 
 class EigenFailure(ToolkitError, RuntimeError):
-    """A dense eigensolve did not converge."""
+    """A dense eigensolve or Schur factorization did not converge, or
+    a triangular Sylvester solve had to scale its solution down."""
 
 
 class NotHurwitz(ToolkitError, RuntimeError):

@@ -456,35 +456,57 @@ class PowerBalanceReport:
 _ROW_BLOCK = 64
 
 
-def _interval_blocks(traj: Trajectory, h: float, metric: Metric):
+def _interval_blocks(traj: Trajectory, h: float, metric: Metric,
+                     column_major: bool):
     """Yield (rows, x, lag, xs, us) for consecutive blocks of at most
     _ROW_BLOCK sampling intervals: the slice of their indices, a view of
     their endpoint states (one row more than the block), the term
     lag = (1 - 2 theta) ||x+ - x||^2 / (2h) by which the theta-step's
     energy rate exceeds its stage balance (0 at midpoint), and their
-    stage states and inputs theta x+ + (1 - theta) x."""
+    stage states and inputs theta x+ + (1 - theta) x.
+
+    The stage stacks are views of buffers allocated once per walk, and
+    the next block overwrites them.  With column_major the state stage
+    is copied into a column-major buffer, the layout in which a product
+    S @ xs.T with a sparse S (a linear drift, the output map) reads it
+    without a transposed copy; the per-row nonlinear path keeps rows.
+    """
     theta = traj.theta
     states, inputs = traj.states, traj.inputs
     n = states.shape[0] - 1
+    rows = min(n, _ROW_BLOCK)
+    xs_buf = np.empty((rows, states.shape[1]))
+    xs_cols = np.empty_like(xs_buf, order="F") if column_major else None
+    us_buf = np.empty((rows, inputs.shape[1]))
+    width = max(states.shape[1], inputs.shape[1])
+    tmp = None if theta == 0.5 else np.empty((rows, width))
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         x, u = states[lo:hi + 1], inputs[lo:hi + 1]
+        xs, us = xs_buf[:hi - lo], us_buf[:hi - lo]
         if theta == 0.5:  # midpoint: the plain average, and no lag
-            lag, xs, us = 0.0, 0.5 * (x[1:] + x[:-1]), 0.5 * (u[1:] + u[:-1])
+            lag = 0.0
+            for s, v in ((xs, x), (us, u)):
+                np.multiply(np.add(v[1:], v[:-1], out=s), 0.5, out=s)
         else:
-            dx = np.diff(x, axis=0)
+            dx = np.subtract(x[1:], x[:-1], out=tmp[:hi - lo, :x.shape[1]])
             lag = (1.0 - 2.0 * theta) * metric.row_inner(dx, dx) / (2.0 * h)
-            xs = theta * x[1:] + (1.0 - theta) * x[:-1]
-            us = theta * u[1:] + (1.0 - theta) * u[:-1]
+            for s, v in ((xs, x), (us, u)):
+                np.multiply(v[1:], theta, out=s)
+                s += np.multiply(v[:-1], 1.0 - theta, out=tmp[:hi - lo, :v.shape[1]])
+        if column_major:
+            xs = xs_cols[:hi - lo]
+            np.copyto(xs, xs_buf[:hi - lo])
         yield slice(lo, hi), x, lag, xs, us
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate M on each row of X; one matrix product when M is linear."""
+    """Evaluate M on each row of X into a new array; one matrix product
+    when M is linear."""
     if M.is_linear:
         out = (M.linear_part @ X.T).T
         if M.affine_offset is not None:
-            out = out + M.affine_offset
+            out += M.affine_offset
         return out
     return np.apply_along_axis(M, 1, X)
 
@@ -506,7 +528,7 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
         raise DimensionMismatch("trajectory input dimension mismatch")
     h = traj.step
     residuals = np.empty(traj.times.size - 1)
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric):
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.is_linear):
         energy = 0.5 * sys.metric.row_inner(x, x)
         dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
         supply = sys.input_metric.row_inner(us, sys.output(xs))
@@ -543,13 +565,18 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
     eq_res = np.empty(traj.times.size - 1)
     ineq = np.empty_like(eq_res)
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric):
-        dx = x - ss.x_bar
+    dx_buf = np.empty((min(eq_res.size, _ROW_BLOCK) + 1, sys.dim))
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.is_linear):
+        dx = np.subtract(x, ss.x_bar, out=dx_buf[:x.shape[0]])
         energy = 0.5 * sys.metric.row_inner(dx, dx)
-        dxs = xs - ss.x_bar
-        dus = us - ss.u_bar
-        gap = sys.metric.row_inner(dxs, _batch_eval(sys.M, xs) - mx_bar)
-        supply = sys.input_metric.row_inner(dus, sys.output(xs) - ss.y_bar)
+        dm = _batch_eval(sys.M, xs)
+        dm -= mx_bar
+        dy = sys.output(xs)
+        dy -= ss.y_bar
+        xs -= ss.x_bar  # the walk's buffers: shifted in place, then overwritten
+        us -= ss.u_bar
+        gap = sys.metric.row_inner(xs, dm)
+        supply = sys.input_metric.row_inner(us, dy)
         rate = np.diff(energy) / h - lag
         eq_res[rows] = rate - (-gap + supply)
         ineq[rows] = rate - supply

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 import phflow as pf
+from phflow import analysis
 from phflow.operators import MonotoneOperatorSpec
 
 
@@ -96,6 +98,95 @@ def test_lyapunov_rejects_marginal_generator():
     A = np.array([[0.0, 1.0], [0.0, -1.0]])  # eigenvalue at 0
     with pytest.raises(pf.NotHurwitz):
         pf.lyapunov_certificate(A)
+
+
+def quasi_triangular(n, first_pair, rng):
+    """Hurwitz T in standardized real Schur form: a 2x2 block [[a, b],
+    [c, a]] (b c < 0) on rows j, j + 1 for j = first_pair, first_pair + 2,
+    ..., negative reals elsewhere on the diagonal, random above it."""
+    T = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    d = -(0.5 + rng.random(n))
+    T[np.diag_indices(n)] = d
+    for j in range(first_pair, n - 1, 2):
+        T[j:j + 2, j:j + 2] = [[d[j], 1.0 + rng.random()],
+                               [-(1.0 + rng.random()), d[j]]]
+    return T
+
+
+def assert_matches_scipy(A):
+    cert = pf.lyapunov_certificate(A)
+    P = solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
+    scale = np.max(np.abs(P))
+    assert np.max(np.abs(cert.P - P)) <= 1e-12 * scale
+    assert cert.residual <= 1e-10 * (1.0 + scale)
+    assert cert.valid()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 257])
+@pytest.mark.parametrize("first_pair", [0, 1])
+def test_lyapunov_matches_scipy_with_pairs_on_the_split_points(n, first_pair):
+    # pairs on rows (0, 1), (2, 3), ... or (1, 2), (3, 4), ...: every
+    # split point of the recursion either falls inside a pair, and must
+    # move past it, or between two
+    rng = np.random.default_rng(n + 1000 * first_pair)
+    T = quasi_triangular(n, first_pair, rng)
+    assert_matches_scipy(T.T)  # dgees returns this T itself as the factor
+    if n > 64:
+        k = n // 2
+        assert (T[k, k - 1] != 0.0) == (k % 2 != first_pair % 2)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    assert_matches_scipy(Q @ T.T @ Q.T)
+
+
+def test_lyapunov_factors_once_and_never_calls_eigvals(monkeypatch):
+    calls = []
+
+    def counted_schur(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    schur = analysis.schur
+    monkeypatch.setattr(analysis, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    rng = np.random.default_rng(3)
+    A = quasi_triangular(90, 1, rng).T
+    assert pf.lyapunov_certificate(A).valid()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1.0], [0.0, -1.0]],   # eigenvalue 0
+    [[0.0, 1.0], [-1.0, 0.0]],   # pure rotation: the pair +-i
+    [[-1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, -2.0, 0.0]],
+])
+def test_lyapunov_rejects_marginal_generators_before_solving(A, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("Sylvester solve reached")
+
+    monkeypatch.setattr(analysis, "_sylvester", no_solve)
+    with pytest.raises(pf.NotHurwitz):
+        pf.lyapunov_certificate(np.array(A))
+
+
+def test_sylvester_leaf_reports_a_scaled_solution():
+    # the solution 1e10 / (-2e-300) overflows: dtrsyl scales it down
+    T = np.array([[-1e-300]])
+    with pytest.raises(pf.EigenFailure, match="scale"):
+        analysis._sylvester(T, T, np.array([[1e10]]))
+
+
+def test_sylvester_leaf_reports_an_illegal_argument(monkeypatch):
+    monkeypatch.setattr(analysis, "dtrsyl", lambda a, b, c, tranb: (c, 1.0, -3))
+    with pytest.raises(pf.EigenFailure, match="info -3"):
+        pf.lyapunov_certificate(-np.eye(3))
+
+
+def test_lyapunov_of_a_nonfinite_generator_is_an_eigen_failure():
+    with pytest.raises(pf.EigenFailure):
+        pf.lyapunov_certificate(np.array([[np.nan, 0.0], [0.0, -1.0]]))
 
 
 def test_lyapunov_quadratic_form_batch():

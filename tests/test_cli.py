@@ -182,6 +182,22 @@ def test_spectrum_mode_report(tmp_path):
     assert abscissa < 0
 
 
+def test_spectrum_past_the_dense_cap_exits_2_before_the_flow(tmp_path, capsys,
+                                                             monkeypatch):
+    # (N + 1)(2n + m) = 401 * 5 = 2005 > analysis._DENSE_DIM_CAP
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the KKT solve or the flow started")
+
+    monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
+    monkeypatch.setattr(phflow.cli, "kkt_solve", not_reached)
+    ocp = json.loads(json.dumps(BASE_OCP))
+    ocp["N"] = 400
+    cfg = write_config(tmp_path, mode="spectrum", ocp=ocp)
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "ocp.N" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path, mode="flow",
                        integrator={"h_t": 0.02, "T": 3.0})

@@ -10,10 +10,12 @@ dense counterparts."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import splu
 
 import phflow as pf
-from phflow import phcore
+from phflow import analysis, phcore
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -430,3 +432,54 @@ def test_band_positions_reproduce_a_coo_scatter(problem):
         np.add.at(ref, (band.kl + band.ku + i - j, j), coo.data)
         ref[band.kl + band.ku] += 2.0
         assert np.array_equal(ab, ref)
+
+
+@st.composite
+def schur_forms(draw, max_dim=150):
+    """A Hurwitz matrix in standardized real Schur form, with 2x2 blocks
+    [[a, b], [c, a]] (b c < 0) at drawn rows and random entries above
+    the diagonal."""
+    n = draw(st.integers(1, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair_frac = draw(st.floats(0.0, 1.0))
+    T = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    d = -(0.1 + rng.random(n))
+    T[np.diag_indices(n)] = d
+    j = 0
+    while j < n - 1:
+        if rng.random() < pair_frac:
+            T[j:j + 2, j:j + 2] = [[d[j], 0.5 + rng.random()],
+                                   [-(0.5 + rng.random()), d[j]]]
+            j += 2
+        else:
+            j += 1
+    return T, rng
+
+
+@PROFILE
+@given(schur_forms(), schur_forms())
+def test_blocked_sylvester_matches_dtrsyl(a, b):
+    # A X + X B^T = C with independent sides, so the recursion splits
+    # rows and columns alike; the unblocked LAPACK solve is the oracle
+    (A, rng), (B, _) = a, b
+    C = rng.standard_normal((A.shape[0], B.shape[0]))
+    ref, scale, info = dtrsyl(A, B, C, tranb="T")
+    assert scale == 1.0 and info == 0
+    X = C.copy()
+    analysis._sylvester(A, B, X)
+    assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROFILE
+@given(schur_forms())
+def test_lyapunov_certificate_matches_scipy(form):
+    T, rng = form
+    n = T.shape[0]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ T.T @ Q.T
+    cert = pf.lyapunov_certificate(A)
+    P = solve_continuous_lyapunov(A.T, -np.eye(n))
+    scale = np.max(np.abs(P))
+    assert np.max(np.abs(cert.P - P)) <= 1e-12 * scale
+    assert cert.residual <= 1e-10 * (1.0 + scale)
+    assert cert.min_eig_P > 0
