@@ -51,9 +51,9 @@ from .errors import (ConfigError, DimensionMismatch, FormatError,
 from .ocp import (CostSpec, DiscretizedOCP, LinearPlantModel, LogCoshStage,
                   QuadraticStage, assemble_ocp, build_grid, cost_and_gradient,
                   kkt_residual, kkt_solve)
-from .optimizer import (IntegratorConfig, assemble_optimizer, constant_input,
-                        convergence_report, default_initial_state,
-                        default_outer_step, integrate_flow)
+from .optimizer import (_MIN_REPORT_SAMPLES, IntegratorConfig, _step_count,
+                        assemble_optimizer, constant_input, convergence_report,
+                        default_initial_state, default_outer_step, integrate_flow)
 from .phcore import (accretivity_probe, power_balance_audit,
                      shifted_passivity_audit, SteadyStatePair)
 
@@ -366,6 +366,15 @@ def run_solve(scn: Scenario, out_dir: Path):
     return [kkt_path, report]
 
 
+def _check_report_horizon(scn: Scenario):
+    """Fail before any solve when the flow would give the convergence
+    report of flow and spectrum too few samples."""
+    if _step_count(scn.integrator.h_t, scn.T) + 1 < _MIN_REPORT_SAMPLES:
+        raise ConfigError(f"too short for the {_MIN_REPORT_SAMPLES} samples of the "
+                          f"convergence report at h_t = {scn.integrator.h_t:g}",
+                          field="integrator.T")
+
+
 def _optimizer_run(scn: Scenario):
     """The stage shared by flow, audit and spectrum: the optimizer system,
     the KKT oracle and the flow from the default initial state."""
@@ -397,6 +406,7 @@ def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
 
 
 def run_flow(scn: Scenario, out_dir: Path):
+    _check_report_horizon(scn)
     sys, z_hat, traj = _optimizer_run(scn)
     report = convergence_report(traj, z_hat, scn.ocp)
     files = _write_trajectory(
@@ -458,6 +468,7 @@ def run_spectrum(scn: Scenario, out_dir: Path):
         raise ConfigError(
             f"state dimension {ocp.state_dim} exceeds the dense analysis cap "
             f"{_DENSE_DIM_CAP} of spectrum mode", field="ocp.N")
+    _check_report_horizon(scn)
     sys, z_hat, traj = _optimizer_run(scn)
     DM = sys.M.derivative(z_hat.vector)
     abscissa = spectral_abscissa(DM)

@@ -300,10 +300,6 @@ class DiscretizedOCP:
         g.u[:] = self.cost.alpha * s.u
         return g.primal
 
-    def _hessian_data(self, z: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.cost.stage.hess(self.blocks(z).x).ravel(),
-                               np.full((self.N + 1) * self.m, self.cost.alpha)])
-
     @cached_property
     def _hessian_pattern(self):
         """CSR indices and indptr of the Hessian: full n x n node blocks,
@@ -321,27 +317,26 @@ class DiscretizedOCP:
         out.dual[:] = self.C @ s.primal
         return out.vector
 
-    def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Jacobian [[H(z), -C*], [C, 0]] of m_opt, as CSR: the Hessian
-        values written into a prebuilt frame of the whole pattern."""
-        frame, slots = self._jacobian_frame
-        data = frame.data.copy()
-        data[slots] = self._hessian_data(z)
-        return sparse.csr_matrix((data, frame.indices.copy(), frame.indptr.copy()),
-                                 shape=frame.shape)
+    def _hessian(self, z: np.ndarray) -> sparse.csr_matrix:
+        """The Hessian block diag(l''(x_0), ..., l''(x_N), alpha I) of m_opt
+        at z, as CSR."""
+        data = np.concatenate([self.cost.stage.hess(self.blocks(z).x).ravel(),
+                               np.full((self.N + 1) * self.m, self.cost.alpha)])
+        return sparse.csr_matrix((data, *self._hessian_pattern), shape=(self.primal_dim,) * 2)
 
     @cached_property
-    def _jacobian_frame(self):
-        """[[1, -C*], [C, 0]] on the pattern of m_opt_jacobian, with 1 on
-        each Hessian entry, and the positions of the Hessian entries in
-        its data, in the order of the Hessian's data."""
-        indices, indptr = self._hessian_pattern
-        ones = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                                 shape=(self.primal_dim, self.primal_dim))
-        frame = sparse.bmat([[ones, -self.C_star], [self.C, None]], format="csr")
-        where = frame.copy()
-        where.data = np.arange(frame.nnz)
-        return frame, where[:self.primal_dim, :self.primal_dim].data
+    def _saddle(self) -> sparse.csr_matrix:
+        """The constant part [[0, -C*], [C, 0]] of m_opt's Jacobian."""
+        return sparse.bmat([[None, -self.C_star], [self.C, None]], format="csr")
+
+    def m_opt_terms(self, z: np.ndarray) -> list:
+        """Jacobian of m_opt as the terms [(0, saddle part), (0, H(z))]
+        that `phcore._Factor` scatters; their sum is `m_opt_jacobian`."""
+        return [(0, self._saddle), (0, self._hessian(z))]
+
+    def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
+        """Jacobian [[H(z), -C*], [C, 0]] of m_opt, as CSR."""
+        return sparse.bmat([[self._hessian(z), -self.C_star], [self.C, None]], format="csr")
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""
@@ -520,8 +515,8 @@ def kkt_residual(ocp: DiscretizedOCP, z) -> tuple[np.ndarray, float]:
 def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     """Solve the discrete optimality system m_opt(z) = kkt_target().
 
-    One damped `newton` run from z = 0 that factors the Jacobian
-    `m_opt_jacobian` at each iterate, banded in `stage_order`.  A
+    One damped `newton` run from z = 0 that factors the Jacobian terms
+    `m_opt_terms` at each iterate, banded in `stage_order`.  A
     quadratic stage makes m_opt affine, so its first full step is
     exact.  The run aims at min(tol, 1e-11 (1 + |r0|)) for the starting
     residual r0 and accepts any residual within tol; otherwise it raises
@@ -536,7 +531,7 @@ def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
     r0 = residual(z0)
     norm = ocp.state_metric.norm
     factor = _Factor(ocp.stage_order)
-    z, res = newton(residual, lambda z, r: factor.solver(ocp.m_opt_jacobian(z))(r),
+    z, res = newton(residual, lambda z, r: factor.solver(ocp.m_opt_terms(z))(r),
                     z0, norm, min(tol, 1e-11 * (1.0 + norm(r0))), r0)
     if not res <= tol:
         raise NonConvergence("KKT Newton did not reach tolerance", residual=res)

@@ -18,10 +18,32 @@ from scipy import sparse
 from .errors import DimensionMismatch, InvalidParameter
 
 
-def _as_dense(mat) -> np.ndarray:
-    if sparse.issparse(mat):
-        return mat.toarray()
-    return np.asarray(mat, dtype=float)
+def _native(block):
+    """A Jacobian term's block as the solvers read it: CSR, CSC or dense."""
+    if not sparse.issparse(block):
+        return np.asarray(block, dtype=float)
+    return block if block.format in ("csr", "csc") else block.tocsr()
+
+
+def _coords(A):
+    """Row and column of each entry of a CSR or CSC A, or of a dense A in
+    row-major order, in the order of its data."""
+    if not sparse.issparse(A):
+        return np.divmod(np.arange(A.size), A.shape[1])
+    major = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
+    return (major, A.indices) if A.format == "csr" else (A.indices, major)
+
+
+def _summed(terms):
+    """The sum of Jacobian terms: a lone full-size term as it is, any
+    other list as one CSR matrix."""
+    dim = max(lo + block.shape[0] for lo, block in terms)
+    if len(terms) == 1 and terms[0][1].shape[0] == dim:
+        return terms[0][1]
+    rows, cols = np.hstack([lo + np.array(_coords(block)) for lo, block in terms])
+    data = np.concatenate([block.data if sparse.issparse(block) else block.ravel()
+                           for _, block in terms])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
 
 
 @dataclass(frozen=True)
@@ -31,19 +53,20 @@ class MonotoneOperatorSpec:
     M is evaluated on one state vector of shape (dim,); a stack of
     states is rejected.  eval_fn must be deterministic: identical input
     arrays produce bitwise-identical outputs.  derivative_fn returns the
-    Jacobian at a point as a dense array or a scipy sparse matrix.
-    linear_part, when given, takes priority and fixes
-    M(x) = linear_part @ x (+ affine_offset); resolvents and implicit
-    integrators then factor a single matrix once.  Without it, both
-    eval_fn and derivative_fn are required.
+    Jacobian at a point as one matrix (dense or scipy sparse) or as a
+    list of (offset, block) terms that sum to it, each block square and
+    on the diagonal at its offset.  linear_part, when given, takes
+    priority and fixes M(x) = linear_part @ x (+ affine_offset);
+    resolvents and implicit integrators then factor a single matrix
+    once.  Without it, both eval_fn and derivative_fn are required.
 
-    Every solve with M's matrices goes through one `phcore._Factor` per
-    solve site, which picks its path from what it sees: a dense matrix
-    is factored by LAPACK's dense LU, a sparse one in M's `order` by
-    LAPACK's banded LU, and a sparse one without an order by SuperLU.
-    order, set only inside the package, is a permutation of the state
-    in which every Jacobian of M is banded: the time-stage order of an
-    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.
+    Every solve with M's Jacobian goes through one `phcore._Factor` per
+    solve site: in M's `order` its terms are scattered into one band
+    array for LAPACK's banded LU; without one they are summed for dense
+    LU or SuperLU.  order, set only inside the package, is a permutation
+    of the state in which every Jacobian of M is banded: the time-stage
+    order of an optimizer (`DiscretizedOCP.stage_order`) or of a closed
+    loop.
     """
 
     dim: int
@@ -82,14 +105,18 @@ class MonotoneOperatorSpec:
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         """Dense Jacobian DM(x), for analysis."""
-        return _as_dense(self._jacobian(x))
+        J = self._jacobian(x)
+        return J.toarray() if sparse.issparse(J) else J
 
     def _jacobian(self, x: np.ndarray):
-        """DM(x) in the format its source keeps it: sparse or dense."""
-        if self.linear_part is not None:
-            return self.linear_part
-        J = self.derivative_fn(x)
-        return J if sparse.issparse(J) else np.asarray(J, dtype=float)
+        """DM(x) as one matrix, the sum of its terms."""
+        return _summed(self._terms(x))
+
+    def _terms(self, x: np.ndarray) -> list:
+        """DM(x) as a list of (offset, block) terms, each block CSR, CSC
+        or dense; a linear operator gives [(0, linear_part)]."""
+        J = self.linear_part if self.linear_part is not None else self.derivative_fn(x)
+        return [(lo, _native(block)) for lo, block in (J if isinstance(J, list) else [(0, J)])]
 
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:

@@ -40,6 +40,8 @@ from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, implicit_stepper,
 # each scheme is the implicit theta-step of `implicit_stepper`
 _SCHEMES = {"implicit_midpoint": 0.5, "implicit_euler": 1.0}
 _MAX_STEPS = 1_000_000
+# samples a convergence report needs to fit its tail rate
+_MIN_REPORT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,10 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
 
     For quadratic stage costs the drift operator is linear and carries
     its matrix, which lets the integrators prefactor one LU for the
-    whole run.  Other stages supply the sparse Jacobian, which the
-    implicit step's Newton solve factors.  The operator carries the
-    problem's `stage_order`, so both factor banded in time-stage order.
+    whole run.  Other stages supply the Jacobian as the terms
+    `m_opt_terms`, which the implicit step's Newton solve scatters into
+    its band array.  The operator carries the problem's `stage_order`,
+    so both factor banded in time-stage order.
     """
     if ocp.cost.stage.is_quadratic:
         zero = np.zeros(ocp.state_dim)
@@ -77,7 +80,7 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
         M = MonotoneOperatorSpec(
             ocp.state_dim,
             eval_fn=ocp.m_opt,
-            derivative_fn=ocp.m_opt_jacobian,
+            derivative_fn=ocp.m_opt_terms,
             order=ocp.stage_order,
         )
 
@@ -98,6 +101,16 @@ def default_outer_step(ocp: DiscretizedOCP) -> float:
     return 0.01 / (1.0 + a_norm + curve + ocp.cost.alpha)
 
 
+def _step_count(h_t: float, T: float) -> int:
+    """The number of steps of h_t that `integrate_flow` takes on [0, T]."""
+    ratio = T / h_t  # inf when h_t is negligible against T
+    if not (np.isfinite(ratio) and round(ratio) <= _MAX_STEPS):
+        raise InvalidParameter(
+            f"{ratio:.6g} steps exceed max_steps={_MAX_STEPS}; increase h_t"
+        )
+    return max(1, int(round(ratio)))
+
+
 def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
                    cfg: IntegratorConfig, T: float) -> Trajectory:
     """Integrate dz/dt = -M(z) + B u with a constant input on [0, T].
@@ -111,12 +124,7 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     if z0.size != sys.dim:
         raise DimensionMismatch("initial state dimension mismatch")
     u_const = np.array(u_const, dtype=float).reshape(sys.input_dim)
-    ratio = T / cfg.h_t  # inf when h_t is negligible against T
-    if not (np.isfinite(ratio) and round(ratio) <= _MAX_STEPS):
-        raise InvalidParameter(
-            f"{ratio:.6g} steps exceed max_steps={_MAX_STEPS}; increase h_t"
-        )
-    steps = max(1, int(round(ratio)))
+    steps = _step_count(cfg.h_t, T)
     h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
     step = implicit_stepper(sys.M, h, theta, sys.metric.norm, cfg.newton_tol)
     b = sys.B @ u_const
@@ -167,8 +175,9 @@ def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP) -> Converge
     transients; it is reported as indeterminate when the tail amplitude
     sits below 1e-9 (fitting there would only model roundoff).
     """
-    if traj.times.size < 10:
-        raise InsufficientData("need at least 10 samples past the transient")
+    if traj.times.size < _MIN_REPORT_SAMPLES:
+        raise InsufficientData(
+            f"need at least {_MIN_REPORT_SAMPLES} samples past the transient")
     vec = z_hat.vector if isinstance(z_hat, OptimizerState) else np.asarray(z_hat, dtype=float)
     errors, errors_primal, errors_dual = np.empty((3, traj.times.size))
     for lo in range(0, traj.times.size, _ROW_BLOCK):  # a block of rows at a time

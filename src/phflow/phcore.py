@@ -14,12 +14,13 @@ interconnection of two systems through a skew coupling.
 
 Every linear solve goes through one `_Factor` per solve site (an
 implicit stepper, a steady-state solve, a KKT solve), which factors
-A + shift I for the site's matrices.  An operator that carries an
-`order` (the optimizer's time-stage order, or a closed loop's) has
-banded matrices in that order, and they are factored by LAPACK's banded
-LU (`dgbtrf`/`dgbtrs`) in one band array laid out once per sparsity
-pattern; a dense matrix is factored by LAPACK's dense LU, and SuperLU
-is the fallback for sparse matrices without an order.
+A + shift I for A given as the (offset, block) terms of
+`MonotoneOperatorSpec._terms`: a closed loop's coupling K plus its
+members' terms, an optimizer's saddle part plus its Hessian.  In an
+operator's `order` (the optimizer's time-stage order, or a closed
+loop's) the terms are scattered into one band array for LAPACK's banded
+LU (`dgbtrf`/`dgbtrs`); without one they are summed for LAPACK's dense
+LU or, when sparse, SuperLU.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
-from .operators import MonotoneOperatorSpec
+from .operators import MonotoneOperatorSpec, _coords, _native, _summed
 
 _NEWTON_MAX_ITER = 50
 
@@ -176,28 +177,12 @@ def newton(residual, solve, x0, norm, tol, r0=None):
     return x, res
 
 
-def _coords(A):
-    """Row and column of each stored entry of a CSR or CSC matrix, in
-    the order of its data."""
-    major = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return (major, A.indices) if A.format == "csr" else (A.indices, major)
-
-
 def _pattern(A):
-    """Where A stores its entries: the format and index arrays of a
-    sparse A, the shape of a dense one."""
+    """Where A stores its entries, as a value that compares with ==: the
+    format and index arrays of a sparse A, the shape of a dense one."""
     if sparse.issparse(A):
-        return (A.format, A.indptr.copy(), A.indices.copy())
-    return ("dense", np.shape(A))
-
-
-def _same_pattern(A, pattern) -> bool:
-    fmt = A.format if sparse.issparse(A) else "dense"
-    if fmt != pattern[0]:
-        return False
-    if fmt == "dense":
-        return np.shape(A) == pattern[1]
-    return np.array_equal(A.indptr, pattern[1]) and np.array_equal(A.indices, pattern[2])
+        return (A.format, A.indptr.tobytes(), A.indices.tobytes())
+    return ("dense", A.shape)
 
 
 def _singular(r):
@@ -208,75 +193,86 @@ def _singular(r):
 class _Factor:
     """LU factors of A + shift I for one solve site, by one of three paths.
 
-    - A sparse A with an order (the time-stage order of an optimizer or
-      a closed loop, in which A is banded) is factored by LAPACK's
-      banded LU (dgbtrf/dgbtrs) in that order.
-    - A dense A is factored by LAPACK's dense LU.
-    - A sparse A without an order (an operator built outside the
-      package) is factored by SuperLU, the one generic sparse fallback.
+    A is the sum of a list of (offset, block) terms, each block square
+    (CSR, CSC or dense) and on the diagonal at its offset.
 
-    On the banded path the bandwidths and the band position of every
-    stored entry are computed once per sparsity pattern, so a run of
-    matrices on one pattern (the Newton matrices of one stepper or one
-    equilibrium solve) reuses them and one preallocated band array:
-    each `solver` call zero-fills the array, scatters the matrix's data
-    into it, adds the shift on the diagonal and factors it in place, so
-    a banded solver stays valid until the next `solver` call.  An
-    exactly singular matrix yields non-finite solutions on every path,
-    which the callers report as a failed solve.
+    - With an order (the time-stage order of an optimizer or a closed
+      loop, in which A is banded) the terms are scattered into one band
+      array, factored by LAPACK's banded LU (dgbtrf/dgbtrs).
+    - Without an order the terms are summed: a dense A is factored by
+      LAPACK's dense LU, a sparse A (an operator built outside the
+      package) by SuperLU, the one generic sparse fallback.
+
+    The bandwidths, the band array and the band position of every entry
+    are laid out once per tuple of (offset, pattern), so the Newton
+    matrices of one stepper or one equilibrium solve share them: each
+    `solver` call zero-fills the array, assigns the first term, adds the
+    others and the shift, and factors the array in place, so a banded
+    solver stays valid until the next `solver` call.  An exactly
+    singular A yields non-finite solutions on every path, which the
+    callers report as a failed solve.
     """
 
     def __init__(self, order=None):
         self.order = None if order is None else np.asarray(order)
-        self.pattern = None
+        self.key = None
 
-    def _layout(self, A):
+    def _layout(self, terms):
         rank = np.empty_like(self.order)  # position of each state index in the order
         rank[self.order] = np.arange(self.order.size)
-        rows, cols = _coords(A)
-        i, j = rank[rows], rank[cols]
-        self.kl, self.ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+        ij = []  # band row and column of each term's entries
+        for lo, block in terms:
+            r, c = _coords(block)
+            ij.append((rank[lo + r], rank[lo + c]))
+        self.kl = max(int(np.max(i - j, initial=0)) for i, j in ij)
+        self.ku = max(int(np.max(j - i, initial=0)) for i, j in ij)
         # LAPACK band storage, column-major: entry (i, j) at row kl + ku + i - j
         # of column j; the top kl rows hold the fill of the row interchanges
         ldab = 2 * self.kl + self.ku + 1
-        self.flat = np.zeros(ldab * A.shape[0])
-        self.ab = self.flat.reshape((ldab, A.shape[0]), order="F")
-        self.pos = self.kl + self.ku + i - j + ldab * j
-        self.unique = A.has_canonical_format  # no entry stored twice
-        self.pattern = _pattern(A)
+        self.flat = np.zeros(ldab * self.order.size)
+        self.ab = self.flat.reshape((ldab, self.order.size), order="F")
+        self.pos = [self.kl + self.ku + i - j + ldab * j for i, j in ij]
+        # a term stores no entry twice, so its positions are distinct
+        self.unique = [not sparse.issparse(block) or block.has_canonical_format
+                       for _, block in terms]
+        self.key = [(lo, _pattern(block)) for lo, block in terms]
 
-    def _fill(self, A, shift: float):
-        """The band array of A + shift I, over the previous contents."""
-        if A.format not in ("csr", "csc"):
-            A = A.tocsr()
-        if self.pattern is None or not _same_pattern(A, self.pattern):
-            self._layout(A)
+    def _fill(self, terms, shift: float):
+        """The band array of the terms' sum plus shift I, over the
+        previous contents."""
+        if [(lo, _pattern(block)) for lo, block in terms] != self.key:
+            self._layout(terms)
         self.flat.fill(0.0)
-        if self.unique:
-            self.flat[self.pos] = A.data
-        else:  # duplicate entries add up
-            np.add.at(self.flat, self.pos, A.data)
+        for k, ((_, block), pos, unique) in enumerate(zip(terms, self.pos, self.unique)):
+            data = block.data if sparse.issparse(block) else block.ravel()
+            if not unique:  # duplicate entries add up
+                np.add.at(self.flat, pos, data)
+            elif k == 0:  # the array is zero: assigning spares a gather
+                self.flat[pos] = data
+            else:
+                self.flat[pos] += data
         if shift:
             self.ab[self.kl + self.ku] += shift
         return self.ab
 
-    def solver(self, A, shift: float = 0.0):
-        """Return solve(r) = (A + shift I)^{-1} r."""
-        if not sparse.issparse(A):
-            if shift:
-                A = shift * np.eye(A.shape[0]) + A
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
-                fac = lu_factor(A, check_finite=False)
-            return lambda r: lu_solve(fac, r, check_finite=False)
+    def solver(self, terms, shift: float = 0.0):
+        """Return solve(r) = (A + shift I)^{-1} r for A the sum of terms."""
         if self.order is None:
+            A = _summed(terms)
+            if not sparse.issparse(A):
+                if shift:
+                    A = shift * np.eye(A.shape[0]) + A
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
+                    fac = lu_factor(A, check_finite=False)
+                return lambda r: lu_solve(fac, r, check_finite=False)
             if shift:
                 A = shift * sparse.identity(A.shape[0], format="csc") + A
             try:
                 return splu(A.tocsc()).solve
             except RuntimeError:  # SuperLU: "Factor is exactly singular"
                 return _singular
-        lu, piv, info = dgbtrf(self._fill(A, shift), self.kl, self.ku, overwrite_ab=True)
+        lu, piv, info = dgbtrf(self._fill(terms, shift), self.kl, self.ku, overwrite_ab=True)
         if info > 0:  # U has an exact zero on its diagonal
             return _singular
         kl, ku, order = self.kl, self.ku, self.order
@@ -302,15 +298,16 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
     0, or inf when the result is not finite.  Otherwise the step runs
     `newton` from whichever of z and the explicit predictor
     z + h*(-M(z) + b) has the smaller residual, factoring the Newton
-    matrix I + theta*h*DM(stage) at each iteration; on the banded path
-    every iteration scatters into the band array laid out at the first.
-    The residual is the norm of the step equation's defect.
+    matrix I + theta*h*DM(stage) at each iteration from DM's terms; on
+    the banded path every iteration scatters them into the band array
+    laid out at the first.  The residual is the norm of the step
+    equation's defect.
     """
     factor = _Factor(M.order)
     c = theta * h
     if M.is_linear:
         L = M.linear_part
-        solve_linear = factor.solver(c * L, 1.0)
+        solve_linear = factor.solver([(0, c * _native(L))], 1.0)
         if sparse.issparse(L):
             rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
         else:
@@ -333,7 +330,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
         # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
         # addition on the diagonal
         def solve(z_next, r):
-            return factor.solver(M._jacobian(stage(z_next)), 1.0 / c)(r / c)
+            return factor.solver(M._terms(stage(z_next)), 1.0 / c)(r / c)
 
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
@@ -591,16 +588,16 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
                  x_init: Optional[np.ndarray] = None) -> SteadyStatePair:
     """Solve M(x_bar) = B u_bar by one damped `newton` run from x_init
-    (zero by default) that factors the Jacobian of M at each iterate,
-    banded in M's order when it carries one.  A linear M is its own
-    Jacobian, so its first full step is exact.
+    (zero by default) that factors the Jacobian terms of M at each
+    iterate, banded in M's order when it carries one.  A linear M is its
+    own Jacobian, so its first full step is exact.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
     M = sys.M
     x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
     factor = _Factor(M.order)
-    x, res = newton(lambda x: M(x) - b, lambda x, r: factor.solver(M._jacobian(x))(r),
+    x, res = newton(lambda x: M(x) - b, lambda x, r: factor.solver(M._terms(x))(r),
                     x0, sys.metric.norm, tol)
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
@@ -648,11 +645,14 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     whose added block is exactly skew in the product metric, so the
     composition is again monotone whenever the constituents are.  The
     remaining ports survive as B = diag(B1^2, B2^2), sparse when either
-    B_i is.  Two linear members give a sparse linear part.  When either
-    member carries an order, the composition carries their
-    concatenation (the identity for a member without one): `couple`
-    puts the plant first, so a closed loop's order is the plant ahead of
-    the optimizer's time stages, and its matrices stay banded.
+    B_i is.  Two linear members give a sparse linear part.  Otherwise
+    the Jacobian is the term list [(0, K), members' terms], each
+    member's terms shifted by its offset in the state, so nested loops
+    flatten into one list.  When either member carries an order, the
+    composition carries their concatenation (the identity for a member
+    without one): `couple` puts the plant first, so a closed loop's
+    order is the plant ahead of the optimizer's time stages, and its
+    matrices stay banded.
     """
     K = coupling_block(sys1, sys2, F, split1, split2)
     d1 = sys1.dim
@@ -670,7 +670,9 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
     else:
-        derivative_fn = _InterconnectJacobian(K, ((0, M1), (d1, M2)))
+        def derivative_fn(x):
+            return [(0, K), *((lo + k, block) for lo, M in ((0, M1), (d1, M2))
+                              for k, block in M._terms(x[lo:lo + M.dim]))]
     order = None
     if M1.order is not None or M2.order is not None:
         order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
@@ -690,88 +692,3 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         open1.concat(open2),
     )
 
-
-class _InterconnectJacobian:
-    """Sparse Jacobian K + diag(DM_1, DM_2) of an interconnection, on
-    one CSC pattern that every call shares.
-
-    members lists (offset, M) for each member's diagonal block.  The
-    sparse coupling block K and the matrices of the linear members form
-    one constant part, built once, with a slot of stored zeros for each
-    nonlinear member: its whole block when its Jacobian is dense
-    (judged at its zero state), the stored pattern of that Jacobian
-    when it is sparse.  Each call writes the members' Jacobians into a
-    copy of the constant data, so the Newton solves see one fixed
-    pattern.  A sparse Jacobian with an entry outside its slot widens
-    the slot to hold it, once.
-    """
-
-    def __init__(self, K, members):
-        self.dim = K.shape[0]
-        self.constant = K.tocsc() + sparse.block_diag(
-            [M.linear_part if M.is_linear else sparse.csc_matrix((M.dim, M.dim))
-             for _, M in members], format="csc")
-        self.members = [(lo, M) for lo, M in members if not M.is_linear]
-        self.slots = [self._keys(lo, self._native(M._jacobian(np.zeros(M.dim))))
-                      for lo, M in self.members]
-        self._build()
-
-    @staticmethod
-    def _native(J):
-        return J.tocsr() if sparse.issparse(J) and J.format not in ("csr", "csc") else J
-
-    def _keys(self, lo, J):
-        """Key col * dim + row of each entry of a member's Jacobian J in
-        the composed matrix, in the order of J's data (row-major for a
-        dense J)."""
-        if sparse.issparse(J):
-            rows, cols = _coords(J)
-        else:
-            rows, cols = np.divmod(np.arange(J.size), J.shape[1])
-        return (cols.astype(np.int64) + lo) * self.dim + (rows + lo)
-
-    def _build(self):
-        """The frame: the constant part with stored zeros on every slot,
-        its sorted entry keys, and no member positions yet."""
-        keys = np.unique(np.concatenate(self.slots))
-        ones = sparse.csc_matrix((np.ones(keys.size), (keys % self.dim, keys // self.dim)),
-                                 shape=(self.dim, self.dim))
-        frame = self.constant + ones
-        frame.sum_duplicates()
-        rows, cols = _coords(frame)
-        self.keys = cols.astype(np.int64) * self.dim + rows
-        self.data = frame.data
-        self.data[np.searchsorted(self.keys, keys)] = 0.0
-        self.indices, self.indptr = frame.indices, frame.indptr
-        self.seen = [None] * len(self.members)  # (pattern, (positions, unique))
-
-    def _positions(self, k, J):
-        """Positions in the frame's data of the entries of member k's
-        Jacobian J, or None after widening the slot for entries outside it."""
-        seen = self.seen[k]
-        if seen is not None and _same_pattern(J, seen[0]):
-            return seen[1]
-        keys = self._keys(self.members[k][0], J)
-        pos = np.searchsorted(self.keys, keys)
-        if not (np.all(pos < self.keys.size) and np.array_equal(self.keys[pos], keys)):
-            self.slots[k] = np.union1d(self.slots[k], keys)
-            return None
-        unique = not sparse.issparse(J) or J.has_canonical_format
-        self.seen[k] = (_pattern(J), (pos, unique))
-        return self.seen[k][1]
-
-    def __call__(self, x):
-        jacs = [self._native(M._jacobian(x[lo:lo + M.dim])) for lo, M in self.members]
-        positions = [self._positions(k, J) for k, J in enumerate(jacs)]
-        if any(p is None for p in positions):
-            self._build()
-            positions = [self._positions(k, J) for k, J in enumerate(jacs)]
-        data = self.data.copy()
-        for (pos, unique), J in zip(positions, jacs):
-            values = J.data if sparse.issparse(J) else np.asarray(J, dtype=float).ravel()
-            if unique:
-                data[pos] += values
-            else:  # duplicate entries add up
-                np.add.at(data, pos, values)
-        return sparse.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
-                                 shape=(self.dim, self.dim))

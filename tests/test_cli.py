@@ -323,6 +323,48 @@ def test_closedloop_config_runs_in_every_mode(tmp_path, mode):
     assert main([mode, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_logcosh_closed_loop_runs_end_to_end(tmp_path):
+    # the shipped cubic closed loop against a logcosh optimizer: the path
+    # whose Jacobian terms nest (coupling, plant block, saddle part and
+    # Hessian) keeps the power balance and the contraction of the norm
+    config = Path(__file__).resolve().parents[1] / "configs" / "closedloop_cubic.json"
+    cfg = json.loads(config.read_text())
+    cfg["ocp"]["cost"]["stage"] = {"logcosh": {"scale": 1.0}}
+    cfg["integrator"]["T"] = 4.0
+    path = tmp_path / "logcosh_loop.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert phflow.cli.run(path, out, mode="closedloop") == 0
+    header, data, _ = read_table_csv(out / "closedloop.csv")
+    norm_total = data[:, header.index("norm_total")]
+    residuals = data[:, header.index("power_residual")]
+    assert np.max(np.abs(residuals)) <= 1e-10 * (1.0 + norm_total[0] ** 2)
+    assert np.all(np.diff(norm_total) <= 0.0)
+
+
+@pytest.mark.parametrize("mode", ["flow", "spectrum"])
+def test_short_horizon_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, mode):
+    # T = 0.02 at h_t = 0.0025 gives 9 samples, one short of what the
+    # convergence report fits; audit, which fits no rate, still runs
+    config = Path(__file__).resolve().parents[1] / "configs" / "double_integrator_flow.json"
+    cfg = json.loads(config.read_text())
+    cfg["integrator"]["T"] = 0.02
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["audit", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the KKT solve or the flow started")
+
+    monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
+    monkeypatch.setattr(phflow.cli, "kkt_solve", not_reached)
+    capsys.readouterr()
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "integrator.T" in err
+    assert "Traceback" not in err
+
+
 def test_singular_kkt_system_exits_3_with_residual(tmp_path):
     # h = 1/2, A = 4I and B = 0 make the KKT Jacobian exactly singular; the
     # run reports the residual it reached, with no warning from the solver

@@ -225,12 +225,17 @@ def test_nonlinear_steps_never_factor_dense(monkeypatch):
     cls = pf.couple(pf.assemble_optimizer(loop_ocp), plant, loop_ocp,
                     pf.CouplingSpec("inv_alpha"))
     loop_z0 = cls.initial_state(np.array([1.0, 0.0]))
+    # a cubic plant against a logcosh optimizer: the loop whose terms nest
+    # (the coupling, the dense plant block, the saddle part and the Hessian)
+    log_cls = pf.couple(flow_sys, plant, flow_ocp, pf.CouplingSpec("inv_alpha"))
+    log_z0 = log_cls.initial_state(np.array([1.0, 0.0]))
 
     _forbid_dense_and_superlu(monkeypatch, "a nonlinear solve")
     cfg = pf.IntegratorConfig(h_t=0.01)
     flow = pf.integrate_flow(flow_sys, flow_z0, pf.constant_input(flow_ocp), cfg, 0.05)
     loop = pf.integrate_flow(cls.sys, loop_z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
-    assert flow.times.size == loop.times.size == 6
+    log_loop = pf.integrate_flow(log_cls.sys, log_z0, np.zeros(log_cls.sys.input_dim), cfg, 0.05)
+    assert flow.times.size == loop.times.size == log_loop.times.size == 6
     z_hat = pf.kkt_solve(flow_ocp)
     ss = pf.steady_state(flow_sys, pf.constant_input(flow_ocp))
     assert flow_ocp.state_metric.norm(ss.x_bar - z_hat.vector) <= 1e-8
@@ -265,13 +270,13 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
     layouts, factors = [], []
     layout, solver = phcore._Factor._layout, phcore._Factor.solver
 
-    def counted_layout(self, A):
+    def counted_layout(self, terms):
         layouts.append(self)
-        return layout(self, A)
+        return layout(self, terms)
 
-    def counted_solver(self, A, shift=0.0):
+    def counted_solver(self, terms, shift=0.0):
         factors.append(self)
-        return solver(self, A, shift)
+        return solver(self, terms, shift)
 
     monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
     monkeypatch.setattr(phcore._Factor, "solver", counted_solver)
@@ -285,6 +290,30 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
         assert len(layouts) == 1
 
 
+@pytest.mark.parametrize("make_ocp", [make_double_integrator, make_logcosh])
+def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
+    # every term of a cubic closed loop's Jacobian (the coupling, the
+    # plant block and the optimizer's terms) keeps its pattern from step
+    # to step, so the stepper lays out its band at the first step only
+    ocp = make_ocp(N=32)
+    plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
+    layouts = []
+    layout = phcore._Factor._layout
+
+    def counted_layout(self, terms):
+        layouts.append(self)
+        return layout(self, terms)
+
+    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
+    step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric.norm, 1e-11)
+    z = cls.initial_state(np.array([1.0, 0.0]))
+    for _ in range(5):
+        z, res = step(z, np.zeros(cls.dim))
+        assert res <= 1e-11
+    assert len(layouts) == 1
+
+
 def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     # a tridiagonal matrix with an exactly zero column: dgbtrf reports
     # info > 0, and the solver returns non-finite values for the callers
@@ -292,12 +321,12 @@ def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     A = sparse.diags([np.ones(4), 2.0 * np.ones(5), np.ones(4)], [-1, 0, 1], format="lil")
     A[:, 2] = 0.0
     order = np.array([4, 3, 2, 1, 0])
-    x = phcore._Factor(order).solver(A.tocsr())(np.ones(5))
+    x = phcore._Factor(order).solver([(0, A.tocsr())])(np.ones(5))
     assert x.shape == (5,) and not np.all(np.isfinite(x))
     regular = sparse.diags([np.ones(4), 3.0 * np.ones(5), np.ones(4)], [-1, 0, 1],
                            format="csr")
     r = np.arange(5.0)
-    assert np.allclose(regular @ phcore._Factor(order).solver(regular)(r), r, atol=1e-14)
+    assert np.allclose(regular @ phcore._Factor(order).solver([(0, regular)])(r), r, atol=1e-14)
 
 
 def test_optimizer_port_is_a_sparse_selection(small_ocp, small_sys):

@@ -48,7 +48,7 @@ def test_factor_solves_the_shifted_matrix_on_each_path(monkeypatch, path, lu, sh
             return _f(*args, **kwargs)
         monkeypatch.setattr(phcore, name, counted)
     order = rng.permutation(dim) if path == "banded" else None
-    solve = phcore._Factor(order).solver(A.toarray() if path == "dense" else A, shift)
+    solve = phcore._Factor(order).solver([(0, A.toarray() if path == "dense" else A)], shift)
     assert calls == {lu: 1}
     r = rng.standard_normal(dim)
     ref = np.linalg.solve(A.toarray() + shift * np.eye(dim), r)
@@ -361,8 +361,8 @@ def test_interconnect_open_ports_survive():
 
 def test_interconnect_jacobian_keeps_one_pattern_for_a_sparse_member():
     # a sparse member whose Jacobian drops its zero diagonal at the zero
-    # state: the first state with a nonzero diagonal widens the member's
-    # slot once, and from then on every Jacobian shares one pattern
+    # state: the summed Jacobian follows the member's pattern, which gains
+    # the diagonal at the first state with a nonzero one and keeps it
     from scipy import sparse
 
     R = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))

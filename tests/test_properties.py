@@ -207,8 +207,9 @@ def _states(rng, dim):
 @PROFILE
 @given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
 def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
-    # the fixed-pattern builds against the sparse.block_diag and
-    # sparse.bmat constructions they replace: same indptr, indices, data
+    # the fixed-pattern Hessian and the Jacobian built on it against the
+    # sparse.block_diag and sparse.bmat constructions: same indptr,
+    # indices, data
     ocp, rng = problem
     for z in _states(rng, ocp.state_dim):
         Hx = sparse.block_diag(ocp.cost.stage.hess(ocp.blocks(z).x), format="csr")
@@ -402,7 +403,7 @@ def test_stage_order_makes_every_solve_banded(problem):
     for A, o, compare in cases:
         assert _bandwidths(A, o) == (width, width)
         band = phcore._Factor(o)
-        solve = band.solver(A)
+        solve = band.solver([(0, A)])
         assert (band.kl, band.ku) == (width, width)
         if compare:  # the step matrices are well conditioned
             r = rng.standard_normal(A.shape[0])
@@ -410,28 +411,60 @@ def test_stage_order_makes_every_solve_banded(problem):
             assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _coo_band(A, order, band, shift):
+    """The band array of A + shift I in `order`, in band's layout, by
+    adding up the permuted COO entries of A."""
+    rank = np.argsort(order)
+    coo = sparse.coo_matrix(A)
+    i, j = rank[coo.row], rank[coo.col]
+    ref = np.zeros_like(band.ab)
+    np.add.at(ref, (band.kl + band.ku + i - j, j), coo.data)
+    ref[band.kl + band.ku] += shift
+    return ref
+
+
+def _integral(block):
+    """A copy of a Jacobian term with integer values, so that every sum
+    of them is exact whatever its order."""
+    if not sparse.issparse(block):
+        return np.round(4.0 * block)
+    out = block.copy()
+    out.data = np.round(4.0 * out.data)
+    return out
+
+
 @PROFILE
 @given(staged_problems())
 def test_band_positions_reproduce_a_coo_scatter(problem):
-    # the positions computed from the Jacobian at the zero state serve
-    # every later state: the pattern stays fixed, and scattering J.data
-    # into the band gives what permuting J's COO entries gives
+    # the positions computed from the Jacobian terms at the zero state
+    # serve every later state: the patterns stay fixed, and scattering
+    # the terms into the band gives what permuting the COO entries of
+    # their sum, the summed Jacobian, gives
     ocp, opt, cls, rng = problem
     M = opt.M if cls is None else cls.sys.M
     band = phcore._Factor(M.order)
-    band.solver(M._jacobian(np.zeros(M.dim)), 1.0)
+    band.solver(M._terms(np.zeros(M.dim)), 1.0)
     pos = band.pos
-    rank = np.argsort(M.order)
     for z in _states(rng, M.dim):
-        J = M._jacobian(z)
-        ab = band._fill(J, 2.0).copy()
+        ab = band._fill(M._terms(z), 2.0).copy()
         assert band.pos is pos
-        coo = J.tocoo()
-        i, j = rank[coo.row], rank[coo.col]
-        ref = np.zeros_like(ab)
-        np.add.at(ref, (band.kl + band.ku + i - j, j), coo.data)
-        ref[band.kl + band.ku] += 2.0
-        assert np.array_equal(ab, ref)
+        assert np.array_equal(ab, _coo_band(M._jacobian(z), M.order, band, 2.0))
+    # overlapping terms: the same terms plus the identity, which the
+    # scatter adds onto their diagonals, and a term that stores every
+    # diagonal entry twice, which it adds up with np.add.at
+    dim = M.dim
+    twice = sparse.csr_matrix((np.ones(2 * dim), np.repeat(np.arange(dim), 2),
+                               np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
+    terms = [(lo, _integral(block)) for lo, block in M._terms(z)]
+    terms += [(0, sparse.identity(dim, format="csr")), (0, twice)]
+    fresh = phcore._Factor(M.order)
+    ab = fresh._fill(terms, 2.0)
+    assert fresh.unique[-1] is False
+    summed = sparse.csr_matrix((dim, dim))
+    for lo, block in terms:
+        summed = summed + sparse.block_diag([sparse.csr_matrix((lo, lo)), block,
+                                             sparse.csr_matrix((dim - lo - block.shape[0],) * 2)])
+    assert np.array_equal(ab, _coo_band(summed, M.order, fresh, 2.0))
 
 
 @st.composite
