@@ -48,14 +48,14 @@ from .closedloop import (CouplingSpec, PlantSpec, couple, assemble_plant,
                          cubic_plant, linear_plant, simulate_closed_loop)
 from .errors import (ConfigError, DimensionMismatch, FormatError,
                      InvalidParameter, NotHurwitz, ToolkitError)
-from .ocp import (CostSpec, DiscretizedOCP, LinearPlantModel, LogCoshStage,
-                  QuadraticStage, assemble_ocp, build_grid, cost_and_gradient,
-                  kkt_residual, kkt_solve)
+from .ocp import (_KKT_TOL, CostSpec, DiscretizedOCP, LinearPlantModel,
+                  LogCoshStage, QuadraticStage, assemble_ocp, build_grid,
+                  cost_and_gradient, kkt_residual, kkt_solve)
 from .optimizer import (_MIN_REPORT_SAMPLES, IntegratorConfig, _step_count,
                         assemble_optimizer, constant_input, convergence_report,
                         default_initial_state, default_outer_step, integrate_flow)
 from .phcore import (accretivity_probe, power_balance_audit,
-                     shifted_passivity_audit, SteadyStatePair)
+                     shifted_passivity_audit, steady_state)
 
 _MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 
@@ -200,13 +200,18 @@ def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:
                   ("h_t", "scheme", "newton_tol", "T"))
     path = "integrator."
     h_t = _number(cfg, "h_t", path, default_outer_step(ocp))
-    newton_tol = _number(cfg, "newton_tol", path, IntegratorConfig.newton_tol)
+    newton_tol = _number(cfg, "newton_tol", path) if "newton_tol" in cfg else None
     try:  # the numbers are checked above: only the scheme is left to fail
         icfg = IntegratorConfig(h_t, cfg.get("scheme", IntegratorConfig.scheme),
                                 newton_tol)
     except InvalidParameter as exc:
         raise ConfigError(str(exc), field=path + "scheme")
-    return icfg, _number(cfg, "T", path, 10.0)
+    T = _number(cfg, "T", path, 10.0)
+    try:
+        _step_count(h_t, T)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc), field=path + "h_t")
+    return icfg, T
 
 
 def build_coupling(cfg: dict) -> CouplingSpec:
@@ -377,13 +382,13 @@ def _check_report_horizon(scn: Scenario):
 
 def _optimizer_run(scn: Scenario):
     """The stage shared by flow, audit and spectrum: the optimizer system,
-    the KKT oracle and the flow from the default initial state."""
+    its steady state (the KKT oracle) and the flow from the default start."""
     ocp = scn.ocp
     sys = assemble_optimizer(ocp)
-    z_hat = kkt_solve(ocp)
-    traj = integrate_flow(sys, default_initial_state(ocp), constant_input(ocp),
-                          scn.integrator, scn.T)
-    return sys, z_hat, traj
+    u = constant_input(ocp)
+    oracle = steady_state(sys, u, _KKT_TOL)
+    traj = integrate_flow(sys, default_initial_state(ocp), u, scn.integrator, scn.T)
+    return sys, oracle, traj
 
 
 def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
@@ -407,8 +412,8 @@ def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
 
 def run_flow(scn: Scenario, out_dir: Path):
     _check_report_horizon(scn)
-    sys, z_hat, traj = _optimizer_run(scn)
-    report = convergence_report(traj, z_hat, scn.ocp)
+    sys, oracle, traj = _optimizer_run(scn)
+    report = convergence_report(traj, oracle.x_bar, scn.ocp)
     files = _write_trajectory(
         out_dir, "flow", sys, traj, ["err_total", "err_primal", "err_dual"],
         [report.errors, report.errors_primal, report.errors_dual], scn.full_state)
@@ -435,11 +440,9 @@ def run_closedloop(scn: Scenario, out_dir: Path):
 
 
 def run_audit(scn: Scenario, out_dir: Path):
-    sys, z_hat, traj = _optimizer_run(scn)
+    sys, oracle, traj = _optimizer_run(scn)
     pb = power_balance_audit(sys, traj)
-    ss = SteadyStatePair(z_hat.vector, constant_input(scn.ocp),
-                         sys.output(z_hat.vector))
-    sh = shifted_passivity_audit(sys, traj, ss)
+    sh = shifted_passivity_audit(sys, traj, oracle)
     probe = accretivity_probe(sys.M, sys.metric, rng=scn.seed, n_pairs=200)
     z0 = traj.states[0]
     z0_scale = 1.0 + sys.metric.inner(z0, z0)
@@ -464,13 +467,13 @@ def run_audit(scn: Scenario, out_dir: Path):
 
 def run_spectrum(scn: Scenario, out_dir: Path):
     ocp = scn.ocp
-    if ocp.state_dim > _DENSE_DIM_CAP:  # before the KKT solve and the flow
+    if ocp.state_dim > _DENSE_DIM_CAP:  # before any solve
         raise ConfigError(
             f"state dimension {ocp.state_dim} exceeds the dense analysis cap "
             f"{_DENSE_DIM_CAP} of spectrum mode", field="ocp.N")
     _check_report_horizon(scn)
-    sys, z_hat, traj = _optimizer_run(scn)
-    DM = sys.M.derivative(z_hat.vector)
+    sys, oracle, traj = _optimizer_run(scn)
+    DM = sys.M.derivative(oracle.x_bar)
     abscissa = spectral_abscissa(DM)
     gen = metric_generator(DM, sys.metric)
     blocks = saddle_blocks(DM, ocp.primal_dim, ocp.primal_metric,
@@ -494,7 +497,7 @@ def run_spectrum(scn: Scenario, out_dir: Path):
     except NotHurwitz as exc:
         lines += ["valid: False", f"reason: {exc}"]
     lines.append("[rates]")
-    report = convergence_report(traj, z_hat, ocp)
+    report = convergence_report(traj, oracle.x_bar, ocp)
     if report.indeterminate:
         lines.append("rate: indeterminate")
     else:

@@ -33,11 +33,10 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import (DimensionMismatch, InvalidParameter, NonConvergence,
-                     SingularStep)
+from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric
 from .operators import linear
-from .phcore import _Factor, implicit_stepper, newton
+from .phcore import implicit_stepper, steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -512,27 +511,15 @@ def kkt_residual(ocp: DiscretizedOCP, z) -> tuple[np.ndarray, float]:
     return r, ocp.state_metric.norm(r)
 
 
-def kkt_solve(ocp: DiscretizedOCP, tol: float = 1e-8) -> OptimizerState:
-    """Solve the discrete optimality system m_opt(z) = kkt_target().
+# the KKT oracle's residual tolerance, in the state metric
+_KKT_TOL = 1e-8
 
-    One damped `newton` run from z = 0 that factors the Jacobian terms
-    `m_opt_terms` at each iterate, banded in `stage_order`.  A
-    quadratic stage makes m_opt affine, so its first full step is
-    exact.  The run aims at min(tol, 1e-11 (1 + |r0|)) for the starting
-    residual r0 and accepts any residual within tol; otherwise it raises
-    NonConvergence with the residual it reached.
-    """
-    target = ocp.kkt_target()
 
-    def residual(z):
-        return ocp.m_opt(z) - target
+def kkt_solve(ocp: DiscretizedOCP, tol: float = _KKT_TOL) -> OptimizerState:
+    """Solve the discrete optimality system m_opt(z) = kkt_target(): the
+    KKT point is the steady state of the optimizer's flow, so this is
+    `phcore.steady_state` of `assemble_optimizer(ocp)` under
+    `constant_input(ocp)`, from z = 0, viewed through `blocks`."""
+    from .optimizer import assemble_optimizer, constant_input  # optimizer imports ocp
 
-    z0 = np.zeros(ocp.state_dim)
-    r0 = residual(z0)
-    norm = ocp.state_metric.norm
-    factor = _Factor(ocp.stage_order)
-    z, res = newton(residual, lambda z, r: factor.solver(ocp.m_opt_terms(z))(r),
-                    z0, norm, min(tol, 1e-11 * (1.0 + norm(r0))), r0)
-    if not res <= tol:
-        raise NonConvergence("KKT Newton did not reach tolerance", residual=res)
-    return ocp.blocks(z)
+    return ocp.blocks(steady_state(assemble_optimizer(ocp), constant_input(ocp), tol).x_bar)

@@ -46,15 +46,19 @@ _MIN_REPORT_SAMPLES = 10
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Outer-time integration parameters."""
+    """Outer-time integration parameters.  newton_tol defaults to 1e-10 h_t:
+    a step's power defect is about ||z_s|| newton_tol / h_t, which then
+    stays within the 1e-10 scale of the power-balance audit."""
 
     h_t: float
     scheme: str = "implicit_midpoint"
-    newton_tol: float = 1e-10
+    newton_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.h_t <= 0:
             raise InvalidParameter("outer step h_t must be positive")
+        if self.newton_tol is None:
+            object.__setattr__(self, "newton_tol", 1e-10 * self.h_t)
         if not (isinstance(self.scheme, str) and self.scheme in _SCHEMES):
             raise InvalidParameter(
                 f"unknown scheme {self.scheme!r}; pick one of {tuple(_SCHEMES)}")

@@ -13,7 +13,7 @@ shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
 Every linear solve goes through one `_Factor` per solve site (an
-implicit stepper, a steady-state solve, a KKT solve), which factors
+implicit stepper or a steady-state solve), which factors
 A + shift I for A given as the (offset, block) terms of
 `MonotoneOperatorSpec._terms`: a closed loop's coupling K plus its
 members' terms, an optimizer's saddle part plus its Hessian.  In an
@@ -591,14 +591,19 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     (zero by default) that factors the Jacobian terms of M at each
     iterate, banded in M's order when it carries one.  A linear M is its
     own Jacobian, so its first full step is exact.
+
+    The run aims at min(tol, 1e-11 (1 + ||B u_bar||)) in the state
+    metric: the scale of the problem, whatever the start.  It accepts
+    any residual within tol; otherwise it raises NonConvergence with the
+    residual it reached.
     """
     u_bar = np.asarray(u_bar, dtype=float).reshape(sys.input_dim)
     b = sys.B @ u_bar
-    M = sys.M
+    M, norm = sys.M, sys.metric.norm
     x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
     factor = _Factor(M.order)
     x, res = newton(lambda x: M(x) - b, lambda x, r: factor.solver(M._terms(x))(r),
-                    x0, sys.metric.norm, tol)
+                    x0, norm, min(tol, 1e-11 * (1.0 + norm(b))))
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
     return SteadyStatePair(x, u_bar, sys.output(x))

@@ -186,10 +186,10 @@ def test_spectrum_past_the_dense_cap_exits_2_before_the_flow(tmp_path, capsys,
                                                              monkeypatch):
     # (N + 1)(2n + m) = 401 * 5 = 2005 > analysis._DENSE_DIM_CAP
     def not_reached(*args, **kwargs):
-        raise AssertionError("the KKT solve or the flow started")
+        raise AssertionError("a solve or the flow started")
 
     monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
-    monkeypatch.setattr(phflow.cli, "kkt_solve", not_reached)
+    monkeypatch.setattr(phflow.phcore._Factor, "solver", not_reached)
     ocp = json.loads(json.dumps(BASE_OCP))
     ocp["N"] = 400
     cfg = write_config(tmp_path, mode="spectrum", ocp=ocp)
@@ -342,6 +342,20 @@ def test_logcosh_closed_loop_runs_end_to_end(tmp_path):
     assert np.all(np.diff(norm_total) <= 0.0)
 
 
+def test_cubic_loop_at_the_default_newton_tol_meets_the_audit_bound(tmp_path):
+    # a step's power defect is about ||z_s|| newton_tol / h_t: at h_t = 0.02
+    # a newton_tol of 1e-10 leaves it 6x above the bound, the default of
+    # 1e-10 h_t keeps it within
+    cfg = write_config(tmp_path, mode="closedloop", plant=CUBIC_PLANT,
+                       integrator={"h_t": 0.02, "T": 3.0})
+    out = tmp_path / "o"
+    assert main(["closedloop", "--config", str(cfg), "--out", str(out)]) == 0
+    header, data, _ = read_table_csv(out / "closedloop.csv")
+    norm_total = data[:, header.index("norm_total")]
+    residuals = data[:, header.index("power_residual")]
+    assert np.max(np.abs(residuals)) <= 1e-10 * (1.0 + norm_total[0] ** 2)
+
+
 @pytest.mark.parametrize("mode", ["flow", "spectrum"])
 def test_short_horizon_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, mode):
     # T = 0.02 at h_t = 0.0025 gives 9 samples, one short of what the
@@ -354,10 +368,10 @@ def test_short_horizon_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, m
     assert main(["audit", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
 
     def not_reached(*args, **kwargs):
-        raise AssertionError("the KKT solve or the flow started")
+        raise AssertionError("a solve or the flow started")
 
     monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
-    monkeypatch.setattr(phflow.cli, "kkt_solve", not_reached)
+    monkeypatch.setattr(phflow.phcore._Factor, "solver", not_reached)
     capsys.readouterr()
     assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -388,7 +402,7 @@ def test_singular_kkt_system_exits_3_with_residual(tmp_path):
     ("solve", "ocp", "N", 1e300, 2, "ocp: grid size N exceeds"),
     ("solve", "ocp", "N", 10**18, 2, "ocp.N: too large to allocate"),
     ("solve", "ocp", "B", True, 2, "ocp: B row count"),
-    ("flow", "integrator", "h_t", 5e-324, 3, "inf steps exceed max_steps"),
+    ("flow", "integrator", "h_t", 5e-324, 2, "integrator.h_t: inf steps exceed max_steps"),
     ("solve", "ocp.cost", "stage", {"logcosh": {"scale": 1e300}}, 3, "OverflowError"),
 ])
 def test_extreme_inputs_exit_cleanly(tmp_path, capsys, mode, section, key,

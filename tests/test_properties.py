@@ -1,11 +1,11 @@
 """Property tests over random small problems: the state layout of
 `DiscretizedOCP.blocks`, the discrete identities the flow rests on
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
-closed-loop coupling), the shared implicit step behind the
-resolvent, the semigroup and the implicit-midpoint flow, the sparse
-Jacobians its Newton solve factors, the time-stage order in which they
-are banded, and the sparse ports and coupling block against their
-dense counterparts."""
+closed-loop coupling), the KKT point as the flow's steady state, the
+shared implicit step behind the resolvent, the semigroup and the
+implicit-midpoint flow, the sparse Jacobians its Newton solve factors,
+the time-stage order in which they are banded, and the sparse ports and
+coupling block against their dense counterparts."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -222,6 +222,19 @@ def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
             assert new.format == "csr" and new.shape == old.shape
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(new, name), getattr(old, name))
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
+def test_optimizer_steady_state_is_the_kkt_point(problem):
+    # the flow's equilibrium meets the optimality system to the rule of
+    # steady_state, which scales with the problem and not the start
+    ocp, rng = problem
+    sys = pf.assemble_optimizer(ocp)
+    target = min(1e-8, 1e-11 * (1.0 + ocp.state_metric.norm(ocp.kkt_target())))
+    for x_init in (None, rng.standard_normal(ocp.state_dim)):
+        ss = pf.steady_state(sys, pf.constant_input(ocp), 1e-8, x_init)
+        assert pf.kkt_residual(ocp, ss.x_bar)[1] <= target
 
 
 @PROFILE
