@@ -13,12 +13,16 @@ W^(1/2) x (a similarity); eigenvalues are unaffected, Lyapunov quadratic
 forms are evaluated in the transformed frame.
 
 The certificate factors A once: the real Schur form A^T = U T U^T gives
-both the Hurwitz test (the largest diagonal entry of T) and the
+the abscissa and Hurwitz test (the largest diagonal entry of T) and the
 Bartels-Stewart reduction T Y + Y T^T = U^T (-I) U, P = U Y U^T.  That
 triangular Sylvester equation is solved by recursive blocking (Jonsson
 and Kagstrom, ACM TOMS 28(4), 2002): halve the larger side, update the
 off-diagonal block with one matrix product, and hand blocks of at most
 _LEAF rows to LAPACK's `dtrsyl`.
+
+`spectral_abscissa` takes the abscissa from a full `eigvals` instead.
+It is the independent oracle the tests hold the certificate's abscissa
+to; no CLI path calls it.
 """
 
 from __future__ import annotations
@@ -52,10 +56,12 @@ def _check_square(mat) -> np.ndarray:
 
 
 def spectral_abscissa(DM: np.ndarray) -> float:
-    """Max real part of the spectrum of the generator -DM.
+    """Max real part of the spectrum of the generator -DM, by `eigvals`.
 
     Negative values certify local exponential stability of dz/dt = -M(z)
-    near the expansion point.
+    near the expansion point.  The independent oracle for the abscissa
+    that `lyapunov_certificate` reads off its Schur form; no CLI path
+    calls it.
     """
     DM = _check_square(DM)
     try:
@@ -67,11 +73,12 @@ def spectral_abscissa(DM: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
-    """Solution of A^T P + P A = -I with its defect and definiteness."""
+    """Solution of A^T P + P A = -I, its defect and definiteness, and A's abscissa."""
 
     P: np.ndarray
     residual: float
     min_eig_P: float
+    abscissa: float
 
     def valid(self, tol: float = 1e-8) -> bool:
         return self.min_eig_P > 0 and self.residual <= tol
@@ -124,8 +131,8 @@ def lyapunov_certificate(A: np.ndarray) -> LyapunovCertificate:
     One real Schur factorization A^T = U T U^T serves the Hurwitz test
     and the solve.  In the standardized form each 2x2 block of T has
     equal diagonal entries, the real part of its eigenvalue pair, so
-    the abscissa of A is the largest diagonal entry of T.  Raises
-    NotHurwitz when it is not below -1e-13, before any solve.
+    the abscissa of A, carried by the result, is max diag(T).  Raises
+    NotHurwitz with it when it is not below -1e-13, before any solve.
     """
     A = _check_square(A)
     n = A.shape[0]
@@ -135,14 +142,15 @@ def lyapunov_certificate(A: np.ndarray) -> LyapunovCertificate:
         raise EigenFailure(f"Schur factorization failed: {exc}")
     abscissa = float(np.max(np.diag(T)))
     if abscissa >= -1e-13:
-        raise NotHurwitz(f"generator abscissa {abscissa:.3e} is not negative")
+        raise NotHurwitz(f"generator abscissa {abscissa:.3e} is not negative",
+                         abscissa=abscissa)
     Y = U.T @ -U  # U^T (-I) U
     _sylvester(T, T, Y)
     P = U @ Y @ U.T
     P = 0.5 * (P + P.T)
     residual = float(np.max(np.abs(A.T @ P + P @ A + np.eye(n))))
     min_eig = float(np.min(np.linalg.eigvalsh(P)))
-    return LyapunovCertificate(P, residual, min_eig)
+    return LyapunovCertificate(P, residual, min_eig, abscissa)
 
 
 @dataclass(frozen=True)

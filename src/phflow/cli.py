@@ -42,8 +42,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (_DENSE_DIM_CAP, lyapunov_certificate,
-                       metric_generator, nonnormality, saddle_blocks,
-                       spectral_abscissa)
+                       metric_generator, nonnormality, saddle_blocks)
 from .closedloop import (CouplingSpec, PlantSpec, couple, assemble_plant,
                          cubic_plant, linear_plant, simulate_closed_loop)
 from .errors import (ConfigError, DimensionMismatch, FormatError,
@@ -316,7 +315,7 @@ def compare(golden_path, candidate_path, tol: float) -> tuple[int, str]:
         return 0, "MATCH: " + msg
     i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
     return 1, (f"MISMATCH: {msg}; worst offender column '{h1[j]}' "
-               f"row {i} ({d1[i, j]!r} vs {d2[i, j]!r})")
+               f"row {i} ({fmt(d1[i, j])} vs {fmt(d2[i, j])})")
 
 
 def _sha256(path: Path) -> str:
@@ -474,8 +473,16 @@ def run_spectrum(scn: Scenario, out_dir: Path):
     _check_report_horizon(scn)
     sys, oracle, traj = _optimizer_run(scn)
     DM = sys.M.derivative(oracle.x_bar)
-    abscissa = spectral_abscissa(DM)
     gen = metric_generator(DM, sys.metric)
+    try:  # the certificate's Schur form also gives the abscissa
+        cert = lyapunov_certificate(gen)
+        abscissa, lyapunov = cert.abscissa, [
+            f"residual: {cert.residual:.6e}",
+            f"min_eig_P: {cert.min_eig_P:.6e}",
+            f"valid: {cert.valid()}",
+        ]
+    except NotHurwitz as exc:
+        abscissa, lyapunov = exc.abscissa, ["valid: False", f"reason: {exc}"]
     blocks = saddle_blocks(DM, ocp.primal_dim, ocp.primal_metric,
                            ocp.dual_metric)
     lines = [
@@ -486,17 +493,9 @@ def run_spectrum(scn: Scenario, out_dir: Path):
         f"dual_block_max: {blocks.dual_block_max:.3e}",
         f"adjoint_gap: {blocks.adjoint_gap:.3e}",
         "[lyapunov]",
+        *lyapunov,
+        "[rates]",
     ]
-    try:
-        cert = lyapunov_certificate(gen)
-        lines += [
-            f"residual: {cert.residual:.6e}",
-            f"min_eig_P: {cert.min_eig_P:.6e}",
-            f"valid: {cert.valid()}",
-        ]
-    except NotHurwitz as exc:
-        lines += ["valid: False", f"reason: {exc}"]
-    lines.append("[rates]")
     report = convergence_report(traj, oracle.x_bar, ocp)
     if report.indeterminate:
         lines.append("rate: indeterminate")
@@ -576,6 +575,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "compare":
+        if not 0.0 <= args.tol <= sys.float_info.max:  # NaN, negative, infinite
+            print("configuration error: --tol: must be finite and at least 0",
+                  file=sys.stderr)
+            return 2
         try:
             code, msg = compare(args.golden, args.candidate, args.tol)
         except (FormatError, OSError) as exc:
@@ -587,10 +590,18 @@ def main(argv=None) -> int:
     configs = args.config
     if len(configs) == 1:
         return run(configs[0], args.out, mode=args.command)
-    # several configs: one subdirectory each, optionally in parallel; the
-    # pool starts all its workers at once, so never more than can be busy
+    # several configs: one subdirectory each, named by the file's stem
+    stems = [Path(c).stem for c in configs]
+    shared = sorted({s for s in stems if stems.count(s) > 1})
+    if shared:  # their runs would write, or race on, the same files
+        print(f"configuration error: --config: configs share the subdirectory "
+              f"{', '.join(shared)} of --out; give each its own file name",
+              file=sys.stderr)
+        return 2
+    # optionally in parallel; the pool starts all its workers at once, so
+    # never more than can be busy
     jobs = min(max(1, args.jobs), len(configs), os.cpu_count() or 1)
-    tasks = [(c, str(Path(args.out) / Path(c).stem)) for c in configs]
+    tasks = [(c, str(Path(args.out) / s)) for c, s in zip(configs, stems)]
     if jobs == 1:
         codes = [run(c, o, mode=args.command) for c, o in tasks]
     else:

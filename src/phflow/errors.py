@@ -40,7 +40,11 @@ class EigenFailure(ToolkitError, RuntimeError):
 
 
 class NotHurwitz(ToolkitError, RuntimeError):
-    """A generator matrix has spectrum touching the closed right half plane."""
+    """A generator's spectrum touches the closed right half plane; carries its abscissa."""
+
+    def __init__(self, message, abscissa=None):
+        super().__init__(message)
+        self.abscissa = abscissa
 
 
 class InsufficientData(ToolkitError, ValueError):

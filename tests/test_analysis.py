@@ -96,8 +96,10 @@ def test_lyapunov_against_kronecker_oracle():
 
 def test_lyapunov_rejects_marginal_generator():
     A = np.array([[0.0, 1.0], [0.0, -1.0]])  # eigenvalue at 0
-    with pytest.raises(pf.NotHurwitz):
+    with pytest.raises(pf.NotHurwitz) as info:
         pf.lyapunov_certificate(A)
+    assert info.value.abscissa == pytest.approx(0.0, abs=1e-12)
+    assert f"{info.value.abscissa:.3e}" in str(info.value)
 
 
 def quasi_triangular(n, first_pair, rng):
@@ -113,13 +115,14 @@ def quasi_triangular(n, first_pair, rng):
     return T
 
 
-def assert_matches_scipy(A):
+def assert_matches_scipy(A, abscissa):
     cert = pf.lyapunov_certificate(A)
     P = solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
     scale = np.max(np.abs(P))
     assert np.max(np.abs(cert.P - P)) <= 1e-12 * scale
     assert cert.residual <= 1e-10 * (1.0 + scale)
     assert cert.valid()
+    assert cert.abscissa == pytest.approx(abscissa, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 257])
@@ -130,12 +133,13 @@ def test_lyapunov_matches_scipy_with_pairs_on_the_split_points(n, first_pair):
     # move past it, or between two
     rng = np.random.default_rng(n + 1000 * first_pair)
     T = quasi_triangular(n, first_pair, rng)
-    assert_matches_scipy(T.T)  # dgees returns this T itself as the factor
+    abscissa = np.max(np.diag(T))
+    assert_matches_scipy(T.T, abscissa)  # dgees returns this T itself as the factor
     if n > 64:
         k = n // 2
         assert (T[k, k - 1] != 0.0) == (k % 2 != first_pair % 2)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    assert_matches_scipy(Q @ T.T @ Q.T)
+    assert_matches_scipy(Q @ T.T @ Q.T, abscissa)
 
 
 def test_lyapunov_factors_once_and_never_calls_eigvals(monkeypatch):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import phflow
-from phflow.cli import compare, main, read_table_csv
+from phflow import analysis
+from phflow.cli import compare, fmt, main, read_table_csv
 
 
 BASE_OCP = {
@@ -182,6 +183,43 @@ def test_spectrum_mode_report(tmp_path):
     assert abscissa < 0
 
 
+def test_spectrum_factors_once_and_never_calls_eigvals(tmp_path, monkeypatch):
+    calls = []
+
+    def counted_schur(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("eigvals called")
+
+    schur = analysis.schur
+    monkeypatch.setattr(analysis, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    config = Path(__file__).resolve().parents[1] / "configs" / "logcosh_solve.json"
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert "valid: True" in (out / "spectrum.txt").read_text()
+
+
+def test_spectrum_of_a_lossless_flow_reports_the_certificate_abscissa(tmp_path):
+    # Q = 0 and B = 0 leave the rotation x' = (x_2, -x_1) undamped: the
+    # generator's abscissa is 0 up to rounding, and the certificate fails
+    ocp = json.loads(json.dumps(BASE_OCP))
+    ocp["A"], ocp["B"] = [[0, 1], [-1, 0]], [[0], [0]]
+    ocp["cost"]["stage"]["quadratic"]["Q"] = [[0, 0], [0, 0]]
+    cfg = write_config(tmp_path, mode="spectrum", ocp=ocp,
+                       integrator={"h_t": 0.02, "T": 2.0})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "spectrum.txt").read_text()
+    assert "valid: False" in text
+    abscissa = float(text.split("spectral_abscissa: ")[1].splitlines()[0])
+    reason = text.split("reason: ")[1].splitlines()[0]
+    assert reason == f"generator abscissa {abscissa:.3e} is not negative"
+
+
 def test_spectrum_past_the_dense_cap_exits_2_before_the_flow(tmp_path, capsys,
                                                              monkeypatch):
     # (N + 1)(2n + m) = 401 * 5 = 2005 > analysis._DENSE_DIM_CAP
@@ -224,7 +262,7 @@ def test_manifest_checksums_match_files(tmp_path):
         assert actual == digest
 
 
-def test_compare_self_and_perturbed(tmp_path):
+def test_compare_self_and_perturbed(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     main(["solve", "--config", str(cfg), "--out", str(out)])
@@ -240,7 +278,21 @@ def test_compare_self_and_perturbed(tmp_path):
         lines.append(",".join(repr(float(v)) for v in row))
     lines.append("lambda0," + ",".join(repr(float(v)) for v in lam0))
     perturbed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     assert main(["compare", str(golden), str(perturbed), "--tol", "1e-6"]) == 1
+    out = capsys.readouterr().out
+    assert f"row 3 ({fmt(data[3, 2])} vs {fmt(bumped[3, 2])})" in out
+    assert "np." not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_compare_rejects_a_malformed_tolerance(tmp_path, capsys, tol):
+    golden = tmp_path / "a.csv"
+    golden.write_text("t,x\n0.0,1.0\n")
+    assert main(["compare", str(golden), str(golden), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert "MATCH" not in captured.out
 
 
 def test_compare_header_mismatch_exits_2(tmp_path, capsys):
@@ -261,6 +313,25 @@ def test_multiple_configs_parallel(tmp_path):
     assert code == 0
     assert (out / "one" / "kkt.csv").exists()
     assert (out / "two" / "kkt.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_configs_sharing_a_file_name_are_refused(tmp_path, capsys, monkeypatch,
+                                                 jobs):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a config was run")
+
+    monkeypatch.setattr(phflow.cli, "run", not_reached)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    cfg1 = write_config(tmp_path / "a", name="x.json")
+    cfg2 = write_config(tmp_path / "b", name="x.json")
+    out = tmp_path / "multi"
+    code = main(["solve", "--config", str(cfg1), str(cfg2),
+                 "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, value, field", [
