@@ -139,7 +139,7 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
     stage_cfg = _object(_need(cfg, "stage", path), path + "stage", ("quadratic", "logcosh"))
     if "quadratic" in stage_cfg:
         qc = _object(stage_cfg["quadratic"], path + "stage.quadratic", ("Q", "q"))
-        Q = _array(_need(qc, "Q", path + "stage.quadratic."), path + "stage.quadratic.Q")
+        Q = _as_matrix(_need(qc, "Q", path + "stage.quadratic."), path + "stage.quadratic.Q")
         q = _array(qc["q"], path + "stage.quadratic.q") if "q" in qc else None
         try:
             stage = QuadraticStage(Q, q)
@@ -177,6 +177,9 @@ def build_plant(cfg: dict, ocp):
     cfg = _object(cfg, "plant", ("kind", "B_p", "x_p0"))
     kind = _object(_need(cfg, "kind", "plant."), "plant.kind", ("linear", "cubic"))
     B_p = _as_matrix(cfg.get("B_p", ocp.model.B), "plant.B_p")
+    if B_p.shape[1] != ocp.m:  # the port the optimizer's control drives
+        raise ConfigError(f"has {B_p.shape[1]} columns, the control dimension "
+                          f"is {ocp.m}", field="plant.B_p")
     x_p0 = _array(_need(cfg, "x_p0", "plant."), "plant.x_p0").reshape(-1)
     try:
         if "linear" in kind:

@@ -53,7 +53,8 @@ class PlantSpec:
             B_p = B_p.reshape(-1, 1)
         x_p0 = np.asarray(self.x_p0, dtype=float).reshape(-1)
         if B_p.shape[0] != self.M.dim or x_p0.size != self.M.dim:
-            raise DimensionMismatch("plant dimensions inconsistent")
+            raise DimensionMismatch(f"B_p has {B_p.shape[0]} rows and x_p0 {x_p0.size} "
+                                    f"entries, the plant dimension is {self.M.dim}")
         object.__setattr__(self, "B_p", B_p)
         object.__setattr__(self, "x_p0", x_p0)
 
@@ -69,6 +70,8 @@ def linear_plant(R, B_p, x_p0, J=None) -> PlantSpec:
     mat = R.copy()
     if J is not None:
         J = np.atleast_2d(np.asarray(J, dtype=float))
+        if J.shape != R.shape:
+            raise DimensionMismatch(f"J has shape {J.shape}, R has {R.shape}")
         if np.max(np.abs(J + J.T)) > 1e-12 * (1.0 + np.max(np.abs(J))):
             raise InvalidParameter("J must be skew-symmetric")
         mat = mat + J

@@ -34,8 +34,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
-from .metric import Metric
-from .operators import linear
+from .metric import Metric, adjoint
+from .operators import _summed, linear
 from .phcore import implicit_stepper, steady_state
 
 
@@ -133,7 +133,7 @@ class QuadraticStage:
 
     def __init__(self, Q, q=None):
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        if Q.shape[0] != Q.shape[1]:
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise InvalidParameter("Q must be square")
         if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(Q))):
             raise InvalidParameter("Q must be symmetric")
@@ -233,10 +233,8 @@ class DiscretizedOCP:
     C_star: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        wp = self.primal_metric.weights
-        wd = self.dual_metric.weights
-        cs = sparse.diags(1.0 / wp) @ self.C.T @ sparse.diags(wd)
-        object.__setattr__(self, "C_star", cs.tocsr())
+        object.__setattr__(self, "C_star",
+                           adjoint(self.C, self.primal_metric, self.dual_metric))
 
     # -- layout ------------------------------------------------------------
     @property
@@ -334,8 +332,8 @@ class DiscretizedOCP:
         return [(0, self._saddle), (0, self._hessian(z))]
 
     def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Jacobian [[H(z), -C*], [C, 0]] of m_opt, as CSR."""
-        return sparse.bmat([[self._hessian(z), -self.C_star], [self.C, None]], format="csr")
+        """Jacobian [[H(z), -C*], [C, 0]] of m_opt: m_opt_terms summed."""
+        return _summed(self.m_opt_terms(z))
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""
@@ -398,35 +396,36 @@ def _state_blocks(z, N: int, n: int, m: int) -> OptimizerState:
 
 
 def assemble_constraint(model: LinearPlantModel, grid: Grid):
-    """Sparse constraint matrix C_h and right-hand side (fbar, x0)."""
+    """Sparse constraint matrix C_h and right-hand side (fbar, x0).
+
+    C_h is the Kronecker stencil blocks kron(S_l, dxl) + kron(S_r, dxr)
+    on (lam, x), kron(S_l + S_r, du) on (lam, u) and kron(e_0, I) on
+    (lam0, x), placed through the index views of `_state_blocks`; S_l and
+    S_r select each interval's left and right node, e_0 selects node 0.
+    Zero stencil coefficients are not stored.
+    """
     n, m, N, h = model.n, model.m, grid.N, grid.h
     A, B = model.A, model.B
     eye = np.eye(n)
     dxl = -eye / h - 0.5 * A   # left-endpoint x coefficient
     dxr = eye / h - 0.5 * A    # right-endpoint x coefficient
     du = -0.5 * B
+    S_l, S_r = sparse.eye(N, N + 1, k=0), sparse.eye(N, N + 1, k=1)
 
     # C maps the primal part of a state to its dual part; these index the
-    # columns and rows of each block
+    # rows and columns of each block
     dim = (N + 1) * (2 * n + m)
     col = _state_blocks(np.arange(dim), N, n, m)
     row = _state_blocks(np.arange(dim) - col.primal.size, N, n, m)
-    rows, cols, vals = [], [], []
-
-    def put(block, r, c):
-        i, j = np.nonzero(block)
-        rows.extend(r[i])
-        cols.extend(c[j])
-        vals.extend(block[i, j])
-
-    for i in range(1, N + 1):
-        put(dxl, row.lam[i - 1], col.x[i - 1])
-        put(dxr, row.lam[i - 1], col.x[i])
-        put(du, row.lam[i - 1], col.u[i - 1])
-        put(du, row.lam[i - 1], col.u[i])
-    put(eye, row.lam0, col.x[0])  # initial-condition extraction, final row block
-
+    coo = []
+    for r, c, block in ((row.lam, col.x, sparse.kron(S_l, dxl) + sparse.kron(S_r, dxr)),
+                        (row.lam, col.u, sparse.kron(S_l + S_r, du)),
+                        (row.lam0, col.x, sparse.kron(sparse.eye(1, N + 1), eye))):
+        block = block.tocoo()
+        coo.append((r.ravel()[block.row], c.ravel()[block.col], block.data))
+    rows, cols, vals = map(np.concatenate, zip(*coo))
     C = sparse.csr_matrix((vals, (rows, cols)), shape=(col.dual.size, col.primal.size))
+    C.eliminate_zeros()
     f = model.f_nodes(grid)
     rhs = _state_blocks(np.zeros(dim), N, n, m)
     rhs.lam[:] = 0.5 * (f[1:] + f[:-1])

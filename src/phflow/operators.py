@@ -140,6 +140,8 @@ def cubic(R, kappa: float = 0.0) -> MonotoneOperatorSpec:
     """M(x) = R x + kappa * x^3 elementwise; monotone for R >= 0, kappa >= 0."""
     R = np.asarray(R, dtype=float)
     dim = R.shape[0]
+    if R.shape != (dim, dim):
+        raise DimensionMismatch("cubic operator matrix R must be square")
     if kappa == 0.0:
         return linear(R)
     return MonotoneOperatorSpec(

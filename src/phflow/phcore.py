@@ -397,12 +397,6 @@ class ProbeReport:
                 f"c_estimate={self.c_estimate:.3e} [{status}]")
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
                       n_pairs: int = 100, x_bar: Optional[np.ndarray] = None,
                       tol: float = 1e-10) -> ProbeReport:
@@ -417,7 +411,7 @@ def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
     """
     if n_pairs < 1:
         raise InvalidParameter("n_pairs must be at least 1")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator is returned as it is
     min_gap = np.inf
     c_estimate = np.inf
     violation = False

@@ -475,11 +475,25 @@ def test_singular_kkt_system_exits_3_with_residual(tmp_path):
     ("solve", "ocp", "B", True, 2, "ocp: B row count"),
     ("flow", "integrator", "h_t", 5e-324, 2, "integrator.h_t: inf steps exceed max_steps"),
     ("solve", "ocp.cost", "stage", {"logcosh": {"scale": 1e300}}, 3, "OverflowError"),
+    ("closedloop", "plant", "B_p", [[0, 1], [1, 0]], 2,
+     "plant.B_p: has 2 columns, the control dimension is 1"),
+    ("closedloop", "ocp", "B", [[0, 1], [1, 0]], 2,
+     "plant.B_p: has 1 columns, the control dimension is 2"),
+    ("closedloop", "plant.kind.cubic", "R", [[1, 0, 0], [0, 1, 0]], 2,
+     "plant.kind: cubic operator matrix R must be square"),
+    ("closedloop", "plant", "kind",
+     {"linear": {"R": [[1, 0], [0, 1]], "J": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}}, 2,
+     "plant.kind: J has shape (3, 3), R has (2, 2)"),
+    ("closedloop", "plant", "x_p0", [1.0, 0.0, 0.0], 2,
+     "plant.kind: B_p has 2 rows and x_p0 3 entries, the plant dimension is 2"),
+    ("solve", "ocp.cost.stage.quadratic", "Q", [[[1, 0], [0, 1]]], 2,
+     "ocp.cost.stage.quadratic.Q: must be a matrix"),
 ])
 def test_extreme_inputs_exit_cleanly(tmp_path, capsys, mode, section, key,
                                      value, code, message):
-    # values the config fuzzer (test_config_fuzz.py) turned into tracebacks
-    cfg = json.loads(write_config(tmp_path, mode=mode).read_text())
+    # values the config fuzzers (test_config_fuzz.py) turned into
+    # tracebacks or numerical failures
+    cfg = json.loads(write_config(tmp_path, mode=mode, plant=CUBIC_PLANT).read_text())
     target = cfg
     for part in section.split("."):
         target = target[part]

@@ -6,6 +6,10 @@ T = 0.05 so that every run is quick, and mutates one field (a nested key
 or a list entry): it deletes the field, or replaces it with a wrong type,
 NaN, an infinity, a negative, zero, huge or subnormal number.  Runs go
 through `cli.run` in one process, one at a time.
+
+A second, deterministic test gives every array-valued field of the
+shipped configs a malformed shape; that is a configuration error (exit 2)
+or a shape the problem accepts (exit 0), never a numerical failure.
 """
 
 import contextlib
@@ -17,6 +21,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from phflow import cli
@@ -49,6 +54,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _get(cfg: dict, path: tuple):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
 def _mutated(cfg: dict, path: tuple, mutation: str, value) -> dict:
     cfg = copy.deepcopy(cfg)
     parent = cfg
@@ -61,12 +72,8 @@ def _mutated(cfg: dict, path: tuple, mutation: str, value) -> dict:
     return cfg
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.sampled_from(sorted(CONFIGS)), st.data(), st.sampled_from(MUTATIONS))
-def test_mutated_config_exits_cleanly(name, data, mutation):
-    cfg = _bounded(CONFIGS[name])
-    path = data.draw(st.sampled_from(list(_paths(cfg))), label="field")
-    cfg = _mutated(cfg, path, *mutation)
+def _run(cfg: dict):
+    """Exit code and stderr of cfg run through `cli.run`."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -75,5 +82,31 @@ def test_mutated_config_exits_cleanly(name, data, mutation):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")  # overflow and model-mismatch warnings
             code = cli.run(config, Path(tmp) / "out")
-    assert code in (0, 2, 3), (path, mutation, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(CONFIGS)), st.data(), st.sampled_from(MUTATIONS))
+def test_mutated_config_exits_cleanly(name, data, mutation):
+    cfg = _bounded(CONFIGS[name])
+    path = data.draw(st.sampled_from(list(_paths(cfg))), label="field")
+    code, err = _run(_mutated(cfg, path, *mutation))
+    assert code in (0, 2, 3), (path, mutation, err)
+    assert "Traceback" not in err
+
+
+# a matrix of the wrong shape, a 3-D array and an empty row
+SHAPES = (("2x3", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+          ("3d", [[[1.0, 0.0], [0.0, 1.0]]] * 2), ("empty", [[]]))
+# (config, path) of every array-valued field of the shipped configs
+ARRAY_FIELDS = [(name, path) for name in sorted(CONFIGS) for path in _paths(CONFIGS[name])
+                if isinstance(path[-1], str) and isinstance(_get(CONFIGS[name], path), list)]
+
+
+@pytest.mark.parametrize("shape, value", SHAPES, ids=[s for s, _ in SHAPES])
+@pytest.mark.parametrize("name, path", ARRAY_FIELDS,
+                         ids=[f"{n}:{'.'.join(p)}" for n, p in ARRAY_FIELDS])
+def test_misshapen_array_is_a_configuration_error(name, path, shape, value):
+    code, err = _run(_mutated(_bounded(CONFIGS[name]), path, "shape", value))
+    assert code in (0, 2), (path, shape, err)
+    assert "Traceback" not in err

@@ -134,6 +134,19 @@ def test_adjoint_zero():
     assert np.allclose(out, 0.0)
 
 
+def test_adjoint_is_the_metric_adjoint_of_C():
+    # h = 0.7/33 is no power of two, so a product of the weights taken in
+    # another order would differ from metric.adjoint in the last bit
+    rng = np.random.default_rng(3)
+    model = pf.LinearPlantModel(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)),
+                                0.0, np.ones(3))
+    ocp = pf.assemble_ocp(model, pf.build_grid(0.7, 33),
+                          pf.CostSpec(1.0, pf.QuadraticStage(np.eye(3))))
+    ref = pf.adjoint(ocp.C, ocp.primal_metric, ocp.dual_metric)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ocp.C_star, name), getattr(ref, name))
+
+
 def test_duality_identity_random_pairs(di_ocp):
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -251,6 +264,8 @@ def test_cost_spec_validation():
         pf.CostSpec(0.0, pf.QuadraticStage(np.eye(1)))
     with pytest.raises(pf.InvalidParameter):
         pf.QuadraticStage(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(pf.InvalidParameter, match="square"):
+        pf.QuadraticStage(np.ones((2, 2, 2)))
     with pytest.raises(pf.InvalidParameter):
         pf.LogCoshStage(0.0)
 

@@ -79,6 +79,45 @@ def test_metric_adjoint_pairing(problem):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, scale)
 
 
+def _entrywise_constraint(A, B, N, h):
+    """C_h written out entry by entry from the trapezoidal stencil rows in
+    the documented layout ([x_0..x_N | u_0..u_N] columns, [lam_1..lam_N |
+    lam0] rows), as CSR with the zero coefficients left out."""
+    n, m = B.shape
+    C = np.zeros(((N + 1) * n, (N + 1) * (n + m)))
+    for i in range(N):
+        for a in range(n):
+            r = i * n + a
+            for b in range(n):
+                C[r, i * n + b] = -(a == b) / h - 0.5 * A[a, b]
+                C[r, (i + 1) * n + b] = (a == b) / h - 0.5 * A[a, b]
+            for b in range(m):
+                C[r, (N + 1) * n + i * m + b] = -0.5 * B[a, b]
+                C[r, (N + 1) * n + (i + 1) * m + b] = -0.5 * B[a, b]
+    for a in range(n):
+        C[N * n + a, a] = 1.0
+    return sparse.csr_matrix(C)
+
+
+@PROFILE
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_constraint_is_the_entrywise_stencil(N, n, m, zero_diagonal, seed):
+    # same stored pattern and values, bit for bit: A and B hold exact
+    # zeros (signed ones too), and A_00 = 2/h zeroes a stencil diagonal
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+    B = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.5)
+    grid = pf.build_grid(0.7, N)
+    if zero_diagonal:
+        A[0, 0] = 2.0 / grid.h
+    C, _ = pf.assemble_constraint(pf.LinearPlantModel(A, B, 0.0, np.ones(n)), grid)
+    ref = _entrywise_constraint(A, B, N, grid.h)
+    assert C.format == "csr" and C.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C, name), getattr(ref, name))
+
+
 @PROFILE
 @given(problems())
 def test_m_opt_gap_bounded_by_stage_and_control_curvature(problem):
