@@ -283,17 +283,16 @@ def read_table_csv(path):
     header = lines[0].split(",")
     rows, trailer = [], None
     for ln in lines[1:]:
-        if ln.startswith("lambda0,"):
-            trailer = np.array([float(v) for v in ln.split(",")[1:]])
-            continue
         try:
-            rows.append([float(v) for v in ln.split(",")])
+            if ln.startswith("lambda0,"):
+                trailer = np.array([float(v) for v in ln.split(",")[1:]])
+            else:
+                rows.append([float(v) for v in ln.split(",")])
         except ValueError:
             raise FormatError(f"{path}: non-numeric row {ln[:40]!r}")
-    data = np.array(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if not rows or any(len(row) != len(header) for row in rows):
         raise FormatError(f"{path}: ragged rows")
-    return header, data, trailer
+    return header, np.array(rows), trailer
 
 
 def compare(golden_path, candidate_path, tol: float) -> tuple[int, str]:
@@ -307,6 +306,8 @@ def compare(golden_path, candidate_path, tol: float) -> tuple[int, str]:
         raise FormatError(f"row counts differ: {d1.shape} vs {d2.shape}")
     if (t1 is None) != (t2 is None):
         raise FormatError("one file has a lambda0 record, the other does not")
+    if t1 is not None and t1.shape != t2.shape:
+        raise FormatError(f"lambda0 lengths differ: {t1.size} vs {t2.size}")
     diff = np.abs(d1 - d2)
     worst = float(diff.max(initial=0.0))
     msg = f"max column difference {worst:.3e} (tol {tol:.3e})"

@@ -1,17 +1,19 @@
 """Optimizer-in-the-loop control by power-preserving interconnection.
 
 A monotone plant  dx_p/dt = -M_p(x_p) + B_p u_p,  y_p = B_p^T x_p  is
-closed against the gradient-flow optimizer through the skew coupling
+closed against the gradient-flow optimizer at its initial-condition
+(lam0) port alone, through the skew coupling
 
-    u_opt,f  = 0                      (inhomogeneity port closed)
     u_opt,x0 = +gamma * B  y_p        (plant output sets the initial
                                        condition seen by the optimizer)
     u_p      = -gamma * B^T lam0      (initial-condition multiplier fed
                                        back as the control)
 
-with gain gamma > 0 (default 1/alpha).  The coupling exchanges power
-between the two systems without loss, so the closed loop is again a
-monotone pH system; when the plant is coercive and the stage cost grows
+with gain gamma > 0 (default 1/alpha).  The optimizer's inhomogeneity
+ports (the interval multipliers) are left out of the loop, which
+therefore has no open port.  The coupling exchanges power between the
+two systems without loss, so the closed loop is again a monotone pH
+system; when the plant is coercive and the stage cost grows
 quadratically around the origin, every trajectory converges to zero.
 
 The applied feedback is read from the initial-condition multiplier
@@ -157,11 +159,13 @@ def couple(opt_sys: PHSystem, plant_sys: PHSystem, ocp: DiscretizedOCP,
     """Close the loop between optimizer and plant through the skew coupling.
 
     The plant goes first in the composed state so the layout reads
-    (x_p, x, u, lam, lam0).  In this orientation the interconnection map
-    from the multiplier port output lam0 to the plant port is
-    F = gamma * B^T; its metric adjoint gamma * B carries the plant
-    output into the optimizer's initial-condition port, reproducing the
-    intended pair u_p = -gamma B^T lam0, u_opt_x0 = +gamma B y_p.
+    (x_p, x, u, lam, lam0).  The optimizer joins the loop through its
+    lam0 port alone: the interconnection map from that port's output to
+    the plant port is F = gamma * B^T; its metric adjoint gamma * B
+    carries the plant output into the optimizer's initial-condition
+    port, reproducing the intended pair u_p = -gamma B^T lam0,
+    u_opt_x0 = +gamma B y_p.  Both ports are closed, so the composed
+    system has no open port (input_dim 0).
     """
     gamma = cspec.resolve(ocp.cost.alpha)
     n, m = ocp.n, ocp.m
@@ -171,19 +175,11 @@ def couple(opt_sys: PHSystem, plant_sys: PHSystem, ocp: DiscretizedOCP,
         warnings.warn("plant input matrix differs from the model B; "
                       "the loop is power-preserving but model-mismatched")
 
-    # reorder optimizer ports (the dual block) so the initial-condition
-    # port comes first
-    ports = ocp.blocks(np.arange(ocp.state_dim) - ocp.primal_dim)
-    perm = np.concatenate([ports.lam0, ports.lam.ravel()])
-    opt_reordered = PHSystem(
-        opt_sys.M,
-        opt_sys.B[:, perm],
-        opt_sys.metric,
-        Metric(opt_sys.input_metric.weights[perm]),
-    )
+    lam0 = ocp.blocks(np.arange(ocp.state_dim) - ocp.primal_dim).lam0
+    opt_lam0 = PHSystem(opt_sys.M, opt_sys.B[:, lam0], opt_sys.metric,
+                        Metric(opt_sys.input_metric.weights[lam0]))
     F = gamma * ocp.model.B.T  # maps lam0-port output to the plant port
-    composed = interconnect(plant_sys, opt_reordered, F,
-                            split1=plant_sys.input_dim, split2=n)
+    composed = interconnect(plant_sys, opt_lam0, F, split1=m, split2=n)
     return ClosedLoopSystem(composed, plant_sys, opt_sys, ocp, gamma)
 
 
@@ -215,8 +211,7 @@ def simulate_closed_loop(cls: ClosedLoopSystem, cfg: IntegratorConfig, T: float,
                          z0: Optional[np.ndarray] = None) -> ClosedLoopRun:
     """Run the closed loop from (x_p0, z0) and extract the feedback."""
     z_cl0 = cls.initial_state(x_p0, z0)
-    u_open = np.zeros(cls.sys.input_dim)  # inhomogeneity port closed at zero
-    traj = integrate_flow(cls.sys, z_cl0, u_open, cfg, T)
+    traj = integrate_flow(cls.sys, z_cl0, np.zeros(0), cfg, T)  # no open port
     xp, z = cls.split(traj.states)
     total = np.sqrt(cls.sys.metric.row_inner(traj.states, traj.states))
     plant = np.sqrt(cls.plant_sys.metric.row_inner(xp, xp))

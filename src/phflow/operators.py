@@ -122,10 +122,9 @@ class MonotoneOperatorSpec:
 def linear(mat, offset=None) -> MonotoneOperatorSpec:
     """Wrap a matrix (plus optional constant) as an operator;
     accretivity is the caller's claim."""
-    dim = mat.shape[0]
-    if mat.shape[1] != dim:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("linear operator matrix must be square")
-    return MonotoneOperatorSpec(dim, linear_part=mat, affine_offset=offset)
+    return MonotoneOperatorSpec(mat.shape[0], linear_part=mat, affine_offset=offset)
 
 
 def identity(dim: int) -> MonotoneOperatorSpec:

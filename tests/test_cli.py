@@ -135,6 +135,20 @@ def test_closedloop_mode_csv_header(tmp_path):
     assert data[-1, 4] < data[0, 4]  # total norm decays
 
 
+def test_closedloop_with_a_numeric_gain(tmp_path):
+    # gamma = 2 in place of 1/alpha = 1 feeds back a different control
+    up = {}
+    for gamma in ("inv_alpha", 2.0):
+        cfg = write_config(tmp_path, name=f"{gamma}.json", mode="closedloop",
+                           plant=CUBIC_PLANT, coupling={"gamma": gamma},
+                           integrator={"h_t": 0.05, "T": 1.0})
+        out = tmp_path / f"out-{gamma}"
+        assert main(["closedloop", "--config", str(cfg), "--out", str(out)]) == 0
+        header, data, _ = read_table_csv(out / "closedloop.csv")
+        up[gamma] = data[:, header.index("up_1")]
+    assert np.max(np.abs(up[2.0] - up["inv_alpha"])) > 1e-3
+
+
 def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
     # x_p0 = 1e120 overflows the cubic plant in the first step; a
     # non-finite residual must fail the step, not pass into the CSV, and the
@@ -295,13 +309,28 @@ def test_compare_rejects_a_malformed_tolerance(tmp_path, capsys, tol):
     assert "MATCH" not in captured.out
 
 
-def test_compare_header_mismatch_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("golden, message", [
+    ("", "empty file"),
+    ("t,x\n0.0,abc\n", "non-numeric row '0.0,abc'"),
+    ("t,x\n0.0,1.0\n1.0\n", "ragged rows"),
+    ("t,x\n0.0\n1.0\n", "ragged rows"),
+    ("t,x\n0.0,1.0\n1.0,2.0\n", "row counts differ"),
+    ("t,x\n0.0,1.0\n", "lambda0 record"),
+    ("t,x\n0.0,1.0\nlambda0,abc\n", "non-numeric row 'lambda0,abc'"),
+    ("t,x\n0.0,1.0\nlambda0,1.0,2.0\n", "lambda0 lengths differ: 2 vs 1"),
+    ("t,y\n0.0,1.0\nlambda0,1.0\n", "headers differ"),
+], ids=["empty", "non-numeric", "ragged", "short-rows", "row-counts", "lambda0",
+        "lambda0-non-numeric", "lambda0-length", "headers"])
+def test_compare_malformed_file_exits_2(tmp_path, capsys, golden, message):
+    # the candidate is well formed; each golden file breaks one rule
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    a.write_text("t,x\n0.0,1.0\n")
-    b.write_text("t,y\n0.0,1.0\n")
+    a.write_text(golden)
+    b.write_text("t,x\n0.0,1.0\nlambda0,1.0\n")
     assert main(["compare", str(a), str(b), "--tol", "1e-6"]) == 2
-    assert "headers differ" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "format error" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err and "MATCH" not in captured.out
 
 
 def test_multiple_configs_parallel(tmp_path):
@@ -352,6 +381,9 @@ def test_configs_sharing_a_file_name_are_refused(tmp_path, capsys, monkeypatch,
     (None, "integrator", [], "integrator"),
     ("output", "full_state", "false", "output.full_state"),
     ("output", "full_state", 1, "output.full_state"),
+    ("coupling", "gamma", 0, "coupling.gamma"),
+    ("coupling", "gamma", -1, "coupling.gamma"),
+    ("coupling", "gamma", "x", "coupling.gamma"),
 ])
 def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
                                                  key, value, field):
@@ -448,6 +480,23 @@ def test_short_horizon_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, m
     err = capsys.readouterr().err
     assert "integrator.T" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, report", [("flow", "convergence_report.txt"),
+                                          ("spectrum", "spectrum.txt")])
+def test_flow_started_at_the_kkt_point_has_no_rate(tmp_path, mode, report):
+    # Q = 0 makes u = 0 optimal, so the default start, the free response,
+    # is the KKT point and the error never leaves the rounding floor
+    config = Path(__file__).resolve().parents[1] / "configs" / "double_integrator_flow.json"
+    cfg = json.loads(config.read_text())
+    cfg["ocp"]["cost"]["stage"]["quadratic"]["Q"] = [[0, 0], [0, 0]]
+    cfg["integrator"]["T"] = 1.0
+    path = tmp_path / "kkt_start.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / report).read_text().splitlines()
+    assert any(ln.startswith("rate: indeterminate") for ln in lines)
 
 
 def test_singular_kkt_system_exits_3_with_residual(tmp_path):

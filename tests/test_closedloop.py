@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import phflow as pf
 from conftest import DI_B, make_double_integrator
@@ -55,6 +56,14 @@ def test_plant_probe_violation_raises():
         pf.assemble_plant(bad)
 
 
+@pytest.mark.parametrize("mat", [np.ones((2, 2, 2)), np.ones(2)], ids=["3-D", "1-D"])
+def test_linear_operator_needs_a_square_matrix(mat):
+    with pytest.raises(pf.DimensionMismatch):
+        pf.linear(mat)
+    with pytest.raises(pf.DimensionMismatch):
+        pf.linear_plant(mat, DI_B, [0.0, 0.0])
+
+
 def test_linear_plant_rejects_nonskew_J():
     with pytest.raises(pf.InvalidParameter):
         pf.linear_plant(np.eye(2), DI_B, [0.0, 0.0],
@@ -93,6 +102,30 @@ def test_closed_loop_matches_hand_assembled_matrix(loop_ocp):
     hand[:n_p, n_p + p + d - n:] = DI_B @ DI_B.T       # plant row, lam0 cols
     hand[n_p + p + d - n:, :n_p] = -(DI_B @ DI_B.T)    # lam0 row, plant cols
     assert np.max(np.abs(L - hand)) <= 1e-12
+
+
+def test_closed_loop_couples_at_lam0_alone(loop_ocp, cubic_loop):
+    # the optimizer joins the loop through its lam0 port only: the composed
+    # system keeps no open port, and K still holds just the two B B^T blocks
+    _, cls = cubic_loop
+    assert cls.sys.input_dim == 0
+    assert cls.sys.B.shape == (cls.dim, 0)
+    z = np.random.default_rng(0).standard_normal(cls.dim)
+    xp, zo = cls.split(z)
+    K = cls.sys.M.derivative(z) - block_diag(cls.plant_sys.M.derivative(xp),
+                                             cls.opt_sys.M.derivative(zo))
+    n_p, lam0 = 2, cls.dim - loop_ocp.n
+    hand = np.zeros_like(K)
+    hand[:n_p, lam0:] = cls.gamma * (DI_B @ DI_B.T)     # plant rows, lam0 cols
+    hand[lam0:, :n_p] = -cls.gamma * (DI_B @ DI_B.T)    # lam0 rows, plant cols
+    assert np.max(np.abs(K - hand)) <= 1e-12
+
+
+def test_couple_rejects_a_plant_port_of_another_width(loop_ocp):
+    # two plant inputs against a single control
+    plant = pf.assemble_plant(pf.linear_plant(np.eye(2), np.eye(2), [1.0, 0.0]))
+    with pytest.raises(pf.DimensionMismatch, match="control dimension"):
+        pf.couple(pf.assemble_optimizer(loop_ocp), plant, loop_ocp)
 
 
 def test_closed_loop_probe_accretive(cubic_loop):

@@ -112,6 +112,24 @@ def test_flow_power_balance(small_ocp, small_sys):
     assert pb.max_residual <= 1e-10 * scale
 
 
+def test_audits_of_an_affine_optimizer():
+    # a linear stage term q gives the optimizer's drift an affine offset,
+    # which the audits' batched evaluation of M must add
+    ocp = make_double_integrator(N=16, q=[0.5, -0.3])
+    sys = pf.assemble_optimizer(ocp)
+    assert sys.M.is_linear and sys.M.affine_offset is not None
+    z0 = pf.default_initial_state(ocp)
+    u_bar = pf.constant_input(ocp)
+    traj = pf.integrate_flow(sys, z0, u_bar, pf.IntegratorConfig(h_t=0.01), 2.0)
+    z_hat = pf.kkt_solve(ocp).vector
+    sh = pf.shifted_passivity_audit(sys, traj, pf.SteadyStatePair(z_hat, u_bar,
+                                                                  sys.output(z_hat)))
+    bound = 1e-10 * (1.0 + ocp.state_metric.inner(z0, z0))
+    assert pf.power_balance_audit(sys, traj).max_residual <= bound
+    assert sh.max_equality_residual <= bound
+    assert sh.passive()
+
+
 def test_logcosh_flow_newton_path():
     ocp = make_logcosh(N=12)
     sys = pf.assemble_optimizer(ocp)
