@@ -66,7 +66,9 @@ class MonotoneOperatorSpec:
     LU or SuperLU.  order, set only inside the package, is a permutation
     of the state in which every Jacobian of M is banded: the time-stage
     order of an optimizer (`DiscretizedOCP.stage_order`) or of a closed
-    loop.
+    loop.  _parts, also set only inside the package, records the members
+    of an interconnection, (d1, M1, M2, K) for M(x) = (M1(x[:d1]),
+    M2(x[d1:])) + K x, so that a step can eliminate a linear member.
     """
 
     dim: int
@@ -75,6 +77,7 @@ class MonotoneOperatorSpec:
     linear_part: Optional[object] = None  # ndarray or scipy sparse
     affine_offset: Optional[np.ndarray] = None
     order: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.linear_part is None and (self.eval_fn is None or self.derivative_fn is None):

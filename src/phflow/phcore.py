@@ -12,27 +12,29 @@ accretivity probes), trajectory audits of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
-Every linear solve goes through one `_Factor` per solve site (an
-implicit stepper or a steady-state solve), which factors
-A + shift I for A given as the (offset, block) terms of
+Every linear solve goes through a `_Factor`, which factors A + shift I
+for A given as the (offset, block) terms of
 `MonotoneOperatorSpec._terms`: a closed loop's coupling K plus its
 members' terms, an optimizer's saddle part plus its Hessian.  In an
 operator's `order` (the optimizer's time-stage order, or a closed
 loop's) the terms are scattered into one band array for LAPACK's banded
 LU (`dgbtrf`/`dgbtrs`); without one they are summed for LAPACK's dense
-LU or, when sparse, SuperLU.
+LU or, when sparse, SuperLU.  A steady-state solve holds one `_Factor`,
+and so does an implicit stepper, except for a nonlinear plant closed
+against a linear optimizer: that stepper eliminates the optimizer
+through the coupling, so it factors the optimizer's band once and, at
+each Newton iteration, a dense matrix of the plant's dimension
+(`_condensed_stepper`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
@@ -200,7 +202,10 @@ class _Factor:
       loop, in which A is banded) the terms are scattered into one band
       array, factored by LAPACK's banded LU (dgbtrf/dgbtrs).
     - Without an order the terms are summed: a dense A is factored by
-      LAPACK's dense LU, a sparse A (an operator built outside the
+      LAPACK's dense LU (dgetrf/dgetrs, called directly as the banded
+      routines are: for the small matrices of a plant's Newton step,
+      scipy.linalg's lu_factor/lu_solve wrappers cost more than the
+      factorization), a sparse A (an operator built outside the
       package) by SuperLU, the one generic sparse fallback.
 
     The bandwidths, the band array and the band position of every entry
@@ -262,10 +267,10 @@ class _Factor:
             if not sparse.issparse(A):
                 if shift:
                     A = shift * np.eye(A.shape[0]) + A
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", LinAlgWarning)  # exactly singular
-                    fac = lu_factor(A, check_finite=False)
-                return lambda r: lu_solve(fac, r, check_finite=False)
+                lu, piv, info = dgetrf(A)
+                if info > 0:  # U has an exact zero on its diagonal
+                    return _singular
+                return lambda r: dgetrs(lu, piv, r)[0]
             if shift:
                 A = shift * sparse.identity(A.shape[0], format="csc") + A
             try:
@@ -287,38 +292,56 @@ class _Factor:
         return solve
 
 
+def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
+    """Return (step, solve) for a linear M: step(z, b) is the implicit
+    theta-step's z_next, and solve the solve with I + theta*h*L that it
+    is built on, factored once by one `_Factor` in M's order."""
+    L = M.linear_part
+    solve = _Factor(M.order).solver([(0, (theta * h) * _native(L))], 1.0)
+    if sparse.issparse(L):
+        rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
+    else:
+        rhs = np.eye(M.dim) - ((1.0 - theta) * h) * L
+    offset = M.offset
+    return (lambda z, b: solve(rhs @ z + h * (b - offset))), solve
+
+
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
     """Return step(z, b) -> (z_next, residual) solving the implicit step
 
         z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b).
 
     theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
-    is the implicit midpoint rule.  The stepper holds one `_Factor` in
-    M's order.  Linear M factors I + theta*h*L once and reports residual
-    0, or inf when the result is not finite.  Otherwise the step runs
-    `newton` from whichever of z and the explicit predictor
-    z + h*(-M(z) + b) has the smaller residual, factoring the Newton
-    matrix I + theta*h*DM(stage) at each iteration from DM's terms; on
-    the banded path every iteration scatters them into the band array
-    laid out at the first.  The residual is the norm of the step
-    equation's defect.
+    is the implicit midpoint rule.  The residual is the norm of the step
+    equation's defect.  The structure of M picks one of three paths:
+
+    - Linear M factors I + theta*h*L once and reports residual 0, or
+      inf when the result is not finite.
+    - An interconnection of a nonlinear member 1 without an order (a
+      plant) and a linear member 2 (an LQ optimizer) runs `newton` on
+      member 1's coordinates alone, see `_condensed_stepper`.
+    - Otherwise the step runs `newton` from whichever of z and the
+      explicit predictor z + h*(-M(z) + b) has the smaller residual,
+      factoring the Newton matrix I + theta*h*DM(stage) at each
+      iteration from DM's terms by one `_Factor` in M's order; on the
+      banded path every iteration scatters them into the band array
+      laid out at the first.
     """
-    factor = _Factor(M.order)
-    c = theta * h
     if M.is_linear:
-        L = M.linear_part
-        solve_linear = factor.solver([(0, c * _native(L))], 1.0)
-        if sparse.issparse(L):
-            rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
-        else:
-            rhs = np.eye(M.dim) - ((1.0 - theta) * h) * L
-        offset = M.offset
+        step_linear, _ = _linear_step(M, h, theta)
 
         def step(z, b):
-            z_next = solve_linear(rhs @ z + h * (b - offset))
+            z_next = step_linear(z, b)
             return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
 
         return step
+    if M._parts is not None:
+        _, M1, M2, _ = M._parts
+        if M2.is_linear and M1.order is None:  # M is not linear, so M1 is not
+            return _condensed_stepper(M, h, theta, norm, tol)
+
+    factor = _Factor(M.order)
+    c = theta * h
 
     def step(z, b):
         def stage(z_next):
@@ -340,6 +363,79 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
         x0, r0 = ((predictor, r_pred) if norm(r_pred) <= norm(drift)
                   else (z, -drift))
         return newton(residual, solve, x0, norm, tol, r0)
+
+    return step
+
+
+def _condensed_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
+    """The implicit theta-step of an interconnection
+    M(x) = (M1(x1), L x2 + g) + K x  with M1 nonlinear and member 2
+    linear, with member 2 eliminated exactly.
+
+    With c = theta*h and F = I + c L, the member-2 rows of the step give
+    its next state as o = a - h V s, where a is member 2's own linear
+    step from z2 with input b2, s = theta p + (1-theta) z1 is member 1's
+    stage and V = F^{-1} K21.  So `newton` runs on member 1's next state
+    p alone, with the residual
+
+        R(p) = p - z1 + h (M1(s) + K12 (theta a + (1-theta) z2) - G s - b1)
+
+    and the d1 x d1 Newton matrix I + c (DM1(s) - G), G = c K12 V,
+    factored by a `_Factor` without an order (dense LU).  F is factored
+    once per stepper, and V and G are computed once from that factor (one
+    solve with d1 columns), so each step costs one solve with F, one
+    matrix-vector product with V, the Newton run in d1 coordinates and
+    one evaluation of M for the reported residual.  Newton starts from
+    member 1's part of the full solve's start, and its iterates after
+    that are the full Newton solve's, whose first step meets the linear
+    rows exactly.  Newton stops on R's norm in the composed metric; the
+    step reports the norm of the full composed step defect, as the other
+    paths do.
+    """
+    d1, M1, M2, K = M._parts
+    c = theta * h
+    step2, solve2 = _linear_step(M2, h, theta)
+    # member 1 reads member 2 only at the port coordinates (a closed
+    # loop's lam0), so K12 is kept as its small dense block in them
+    K12 = K[:d1, d1:].tocsc()
+    port = np.flatnonzero(np.diff(K12.indptr))
+    K12 = K12[:, port].toarray()
+    V = solve2(K[d1:, :d1].toarray())
+    G = c * (K12 @ V[port])
+    factor = _Factor()
+    padded = np.zeros(M.dim)
+
+    def norm1(r):  # the composed norm of a defect whose member-2 rows are zero
+        padded[:d1] = r
+        return norm(padded)
+
+    def step(z, b):
+        z1, z2 = z[:d1], z[d1:]
+        b1, b2 = (b, b) if np.ndim(b) == 0 else (b[:d1], b[d1:])
+        a = step2(z2, b2)
+        w = K12 @ (theta * a[port] + (1.0 - theta) * z2[port]) - b1
+
+        def stage(p):
+            return theta * p + (1.0 - theta) * z1
+
+        def residual(p):
+            s = stage(p)
+            return p - z1 + h * (M1(s) + w - G @ s)
+
+        # (I + c (DM1 - G)) s = r is solved as (I/c + DM1 - G) s = r/c
+        def solve(p, r):
+            return factor.solver([(0, M1.derivative(stage(p)) - G)], 1.0 / c)(r / c)
+
+        # start from z1 or member 1's part of the explicit predictor
+        # z + h*(-M(z) + b), whichever has the smaller residual
+        r_z = residual(z1)
+        predictor = z1 + h * (b1 - M1(z1) - K12 @ z2[port])
+        r_pred = residual(predictor)
+        p0, r0 = ((predictor, r_pred) if norm1(r_pred) <= norm1(r_z)
+                  else (z1, r_z))
+        p, _ = newton(residual, solve, p0, norm1, tol, r0)
+        z_next = np.concatenate([p, a - h * (V @ stage(p))])
+        return z_next, norm(z_next - z - h * (-M(theta * z_next + (1.0 - theta) * z) + b))
 
     return step
 
@@ -651,7 +747,10 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     composition carries their concatenation (the identity for a member
     without one): `couple` puts the plant first, so a closed loop's
     order is the plant ahead of the optimizer's time stages, and its
-    matrices stay banded.
+    matrices stay banded.  The composed operator records its members
+    as (d1, M1, M2, K) in the private `_parts`, from which
+    `implicit_stepper` eliminates a linear member 2 when member 1 is
+    nonlinear.
     """
     K = coupling_block(sys1, sys2, F, split1, split2)
     d1 = sys1.dim
@@ -685,7 +784,7 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     return PHSystem(
         MonotoneOperatorSpec(sys1.dim + sys2.dim, eval_fn=eval_fn,
                              derivative_fn=derivative_fn, linear_part=linear_part,
-                             affine_offset=affine, order=order),
+                             affine_offset=affine, order=order, _parts=(d1, M1, M2, K)),
         B,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),

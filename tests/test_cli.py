@@ -173,6 +173,44 @@ def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_singular_condensed_newton_matrix_exits_3(tmp_path, capsys, monkeypatch):
+    # a plant built outside the package whose Jacobian makes the condensed
+    # Newton matrix I + c (DM_p - G) of an LQ loop exactly singular: plant
+    # coordinate 0 is off the port (B_p = [0; 1]), so row 0 of G is zero,
+    # and DM_p[0, 0] = -1/c cancels the shift 1/c.  The step must fail as
+    # NonConvergence with a finite residual and where it failed, and the
+    # CLI must exit 3, never with a LinAlgError traceback
+    h_t = 0.02
+    c = 0.5 * h_t  # theta h of the midpoint step
+
+    def derivative(x):
+        return np.array([[-1.0 / c, 0.0], [0.0, 1.0 + 3.0 * x[1] ** 2]])
+
+    spec = phflow.PlantSpec(
+        phflow.MonotoneOperatorSpec(2, eval_fn=lambda x: x + x**3, derivative_fn=derivative),
+        np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
+    ocp = phflow.assemble_ocp(phflow.LinearPlantModel(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                                      spec.B_p, 0.0, spec.x_p0),
+                              phflow.build_grid(1.0, 8),
+                              phflow.CostSpec(1.0, phflow.QuadraticStage(np.eye(2))))
+    cls = phflow.couple(phflow.assemble_optimizer(ocp), phflow.assemble_plant(spec), ocp)
+    with pytest.raises(phflow.NonConvergence) as failed:
+        phflow.simulate_closed_loop(cls, phflow.IntegratorConfig(h_t=h_t), 0.1, x_p0=spec.x_p0)
+    assert np.isfinite(failed.value.residual) and failed.value.residual > 0
+    assert "t=0" in str(failed.value)
+
+    monkeypatch.setattr(phflow.cli, "build_plant", lambda cfg, ocp: spec)
+    ocp_cfg = json.loads(json.dumps(BASE_OCP))
+    ocp_cfg["N"] = 8
+    cfg = write_config(tmp_path, mode="closedloop", ocp=ocp_cfg, plant=CUBIC_PLANT,
+                       coupling={"gamma": "inv_alpha"}, integrator={"h_t": h_t, "T": 0.1})
+    code = main(["closedloop", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "NonConvergence" in err and "t=0" in err and "residual" in err
+    assert "Traceback" not in err and "LinAlgError" not in err
+
+
 def test_audit_mode_report(tmp_path):
     cfg = write_config(tmp_path, mode="audit",
                        integrator={"h_t": 0.02, "T": 5.0})

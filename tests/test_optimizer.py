@@ -226,23 +226,21 @@ def _forbid_dense_and_superlu(monkeypatch, what):
         raise AssertionError(f"dense solve or SuperLU in {what}")
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(phcore, "lu_factor", forbidden)
+    monkeypatch.setattr(phcore, "dgetrf", forbidden)
     monkeypatch.setattr(phcore, "splu", forbidden)
 
 
 def test_nonlinear_steps_never_factor_dense(monkeypatch):
-    # structural guard: logcosh flows and cubic closed loops carry their
-    # time-stage order, so their Newton solves, the KKT point and a
-    # steady state of the optimizer are factored banded; any dense solve,
-    # dense LU or SuperLU during them fails the test
+    # structural guard: logcosh flows and a cubic plant closed against a
+    # logcosh optimizer carry their time-stage order, so their Newton
+    # solves, the KKT point and a steady state of the optimizer are
+    # factored banded; any dense solve, dense LU or SuperLU during them
+    # fails the test (a cubic loop with an LQ optimizer has its own guard
+    # below: it eliminates the optimizer and factors plant-sized matrices)
     flow_ocp = make_logcosh(N=64)
     flow_sys = pf.assemble_optimizer(flow_ocp)
     flow_z0 = pf.default_initial_state(flow_ocp)
-    loop_ocp = make_double_integrator(N=64)
     plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
-    cls = pf.couple(pf.assemble_optimizer(loop_ocp), plant, loop_ocp,
-                    pf.CouplingSpec("inv_alpha"))
-    loop_z0 = cls.initial_state(np.array([1.0, 0.0]))
     # a cubic plant against a logcosh optimizer: the loop whose terms nest
     # (the coupling, the dense plant block, the saddle part and the Hessian)
     log_cls = pf.couple(flow_sys, plant, flow_ocp, pf.CouplingSpec("inv_alpha"))
@@ -251,12 +249,55 @@ def test_nonlinear_steps_never_factor_dense(monkeypatch):
     _forbid_dense_and_superlu(monkeypatch, "a nonlinear solve")
     cfg = pf.IntegratorConfig(h_t=0.01)
     flow = pf.integrate_flow(flow_sys, flow_z0, pf.constant_input(flow_ocp), cfg, 0.05)
-    loop = pf.integrate_flow(cls.sys, loop_z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
     log_loop = pf.integrate_flow(log_cls.sys, log_z0, np.zeros(log_cls.sys.input_dim), cfg, 0.05)
-    assert flow.times.size == loop.times.size == log_loop.times.size == 6
+    assert flow.times.size == log_loop.times.size == 6
     z_hat = pf.kkt_solve(flow_ocp)
     ss = pf.steady_state(flow_sys, pf.constant_input(flow_ocp))
     assert flow_ocp.state_metric.norm(ss.x_bar - z_hat.vector) <= 1e-8
+
+
+def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
+    # structural guard: a cubic plant closed against an LQ optimizer
+    # eliminates the linear optimizer, so a stepper lays out and factors
+    # the optimizer's band once, and every dense LU or solve is at most
+    # n_p x n_p (the plant's Newton matrix); a full-dimension dense solve
+    # or SuperLU fails the test
+    ocp = make_double_integrator(N=64)
+    plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
+    z0 = cls.initial_state(np.array([1.0, 0.0]))
+    n_p = cls.n_p
+    layouts, band_factors, dense = [], [], []
+    layout, dgbtrf = phcore._Factor._layout, phcore.dgbtrf
+    dgetrf, dgetrs = phcore.dgetrf, phcore.dgetrs
+
+    def counted_layout(self, terms):
+        layouts.append(self.order.size)
+        return layout(self, terms)
+
+    def counted_dgbtrf(*args, **kwargs):
+        band_factors.append(args[0].shape[1])
+        return dgbtrf(*args, **kwargs)
+
+    def plant_sized_lu(A, **kwargs):
+        assert A.shape == (n_p, n_p), f"dense LU of shape {A.shape} in the loop's step"
+        dense.append(A.shape)
+        return dgetrf(A, **kwargs)
+
+    def plant_sized_solve(lu, piv, r, **kwargs):
+        assert lu.shape == (n_p, n_p) and np.shape(r) == (n_p,)
+        return dgetrs(lu, piv, r, **kwargs)
+
+    _forbid_dense_and_superlu(monkeypatch, "a cubic LQ loop's step")
+    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
+    monkeypatch.setattr(phcore, "dgbtrf", counted_dgbtrf)
+    monkeypatch.setattr(phcore, "dgetrf", plant_sized_lu)
+    monkeypatch.setattr(phcore, "dgetrs", plant_sized_solve)
+    cfg = pf.IntegratorConfig(h_t=0.01)
+    traj = pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
+    assert traj.times.size == 6
+    assert layouts == band_factors == [ocp.state_dim]  # the optimizer's band, once
+    assert dense  # the Newton matrices are the plant's
 
 
 def test_linear_closed_loop_never_factors_dense(monkeypatch):
@@ -310,9 +351,12 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("make_ocp", [make_double_integrator, make_logcosh])
 def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
-    # every term of a cubic closed loop's Jacobian (the coupling, the
-    # plant block and the optimizer's terms) keeps its pattern from step
-    # to step, so the stepper lays out its band at the first step only
+    # a stepper lays out one band, at its first factorization.  With a
+    # logcosh optimizer that is the whole loop's band: every term of the
+    # Jacobian (the coupling, the plant block and the optimizer's terms)
+    # keeps its pattern from step to step.  With an LQ optimizer it is the
+    # optimizer's band alone, which the stepper factors once and the
+    # plant's Newton steps never touch
     ocp = make_ocp(N=32)
     plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
     cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
@@ -320,7 +364,7 @@ def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
     layout = phcore._Factor._layout
 
     def counted_layout(self, terms):
-        layouts.append(self)
+        layouts.append(self.order.size)
         return layout(self, terms)
 
     monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
@@ -329,7 +373,8 @@ def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
     for _ in range(5):
         z, res = step(z, np.zeros(cls.dim))
         assert res <= 1e-11
-    assert len(layouts) == 1
+    band = ocp.state_dim if cls.opt_sys.M.is_linear else cls.dim
+    assert layouts == [band]
 
 
 def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():

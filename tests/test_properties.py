@@ -323,6 +323,50 @@ def test_cubic_closed_loop_jacobian_is_sparse_and_exact(problem, gamma):
 
 
 @st.composite
+def cubic_lq_loops(draw):
+    """A random cubic plant closed against an LQ optimizer: n in 1..4,
+    m in 1..2, N in 2..40, random A and B, SPD Q and R, kappa > 0 and
+    x_p0, theta in {1/2, 1}; returns (loop, scheme, theta, initial state)."""
+    N, n, m = draw(st.integers(2, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    scheme, theta = draw(st.sampled_from([("implicit_midpoint", 0.5), ("implicit_euler", 1.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G, H = rng.standard_normal((2, n, n))
+    Q, R = G @ G.T / n + 0.1 * np.eye(n), H @ H.T / n + 0.1 * np.eye(n)
+    model = pf.LinearPlantModel(0.5 * rng.standard_normal((n, n)),
+                                rng.standard_normal((n, m)), 0.0, rng.standard_normal(n))
+    ocp = pf.assemble_ocp(model, pf.build_grid(1.0, N), pf.CostSpec(1.0, pf.QuadraticStage(Q)))
+    plant = pf.assemble_plant(pf.cubic_plant(R, draw(st.floats(0.1, 3.0)), model.B,
+                                             rng.standard_normal(n)))
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
+    return cls, scheme, theta, cls.initial_state(plant.M.dim * [1.0])
+
+
+@PROFILE
+@given(cubic_lq_loops())
+def test_condensed_loop_step_matches_the_banded_step(loop):
+    # the step that eliminates the LQ optimizer against the full banded
+    # Newton step of the same operator without its recorded members; then
+    # 20 condensed steps keep the power balance at the audit's scale
+    cls, scheme, theta, z0 = loop
+    M, norm, h, tol = cls.sys.M, cls.sys.metric.norm, 0.02, 1e-13
+    _, plant_M, opt_M, _ = M._parts
+    assert opt_M.is_linear and not plant_M.is_linear
+    banded = pf.MonotoneOperatorSpec(M.dim, eval_fn=M.eval_fn,
+                                     derivative_fn=M.derivative_fn, order=M.order)
+    assert banded._parts is None
+    b = np.zeros(M.dim)
+    z_c, res_c = phcore.implicit_stepper(M, h, theta, norm, tol)(z0, b)
+    z_b, res_b = phcore.implicit_stepper(banded, h, theta, norm, tol)(z0, b)
+    assert res_c <= tol and res_b <= tol
+    assert norm(z_c - z_b) <= 1e-11 * norm(z_b)
+    cfg = pf.IntegratorConfig(h_t=h, scheme=scheme, newton_tol=tol)
+    traj = pf.integrate_flow(cls.sys, z0, np.zeros(0), cfg, 20 * h)
+    assert traj.states.shape[0] == 21
+    audit = pf.power_balance_audit(cls.sys, traj)
+    assert audit.max_residual <= 1e-10 * (1.0 + norm(z0) ** 2)
+
+
+@st.composite
 def port_maps(draw):
     """A random B: R^n_u -> R^n_x with about half its entries zero, in
     both formats (dense and CSC), with random diagonal metrics X and U;
