@@ -25,9 +25,19 @@ gamma = 1/alpha.  For each N the script builds the loop with
   steps, each solved to the default ``newton_tol`` of
   ``phflow.IntegratorConfig``;
 
-and the same factor and step timings for the LQ optimizer on its own
-(``opt_factor_s``, ``opt_step_ms``).  BLAS is pinned to one thread, and
-the script uses only the public API, so it runs on any checkout.
+the same factor and step timings for the LQ optimizer on its own
+(``opt_factor_s``, ``opt_step_ms``); and
+
+- ``logcosh_step_ms``: one step of the same optimizer with the logcosh
+  stage of scale 1 in place of Q = I (a Newton solve in the whole
+  optimizer state), the mean over ``--steps`` consecutive steps from the
+  default initial state, each solved to the default ``newton_tol``;
+- ``logcosh_over_linear_step``: ``logcosh_step_ms`` over ``opt_step_ms``,
+  the cost of a nonlinear flow step against a linear one of the same
+  size.
+
+BLAS is pinned to one thread, and the script uses only the public API
+and ``phflow.phcore.implicit_stepper``.
 """
 
 from __future__ import annotations
@@ -57,11 +67,12 @@ def _problem(N: int, n: int, m: int):
     A = np.eye(n, k=1)
     B = np.eye(n)[:, n - m:]
     x0 = np.eye(n)[0]
-    ocp = pf.assemble_ocp(pf.LinearPlantModel(A, B, 0.0, x0), pf.build_grid(1.0, N),
-                          pf.CostSpec(1.0, pf.QuadraticStage(np.eye(n))))
+    model, grid = pf.LinearPlantModel(A, B, 0.0, x0), pf.build_grid(1.0, N)
+    ocp = pf.assemble_ocp(model, grid, pf.CostSpec(1.0, pf.QuadraticStage(np.eye(n))))
+    logcosh = pf.assemble_ocp(model, grid, pf.CostSpec(1.0, pf.LogCoshStage(1.0)))
     plant = pf.assemble_plant(pf.linear_plant(np.eye(n), B, x0))
     cubic = pf.assemble_plant(pf.cubic_plant(np.eye(n), 1.0, B, x0))
-    return ocp, plant, cubic
+    return ocp, logcosh, plant, cubic
 
 
 def _timed(fn):
@@ -71,8 +82,7 @@ def _timed(fn):
 
 
 def _factor_and_step(sys, z0, b, steps: int):
-    step, factor_s = _timed(lambda: implicit_stepper(sys.M, H_T, 0.5, sys.metric.norm,
-                                                     NEWTON_TOL))
+    step, factor_s = _timed(lambda: implicit_stepper(sys.M, H_T, 0.5, sys.metric, NEWTON_TOL))
     z = z0
     t = time.perf_counter()
     for _ in range(steps):
@@ -83,9 +93,10 @@ def _factor_and_step(sys, z0, b, steps: int):
 
 
 def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
-    ocp, plant, cubic = _problem(N, n, m)
+    ocp, logcosh, plant, cubic = _problem(N, n, m)
     best = dict.fromkeys(("couple_s", "factor_s", "step_ms", "cubic_setup_s",
-                          "cubic_step_ms", "opt_factor_s", "opt_step_ms"), np.inf)
+                          "cubic_step_ms", "opt_factor_s", "opt_step_ms",
+                          "logcosh_step_ms"), np.inf)
     for _ in range(reps):
         opt = pf.assemble_optimizer(ocp)
         cls, couple_s = _timed(lambda: pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")))
@@ -96,11 +107,16 @@ def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
                                       np.zeros(cubic_cls.dim), steps)
         alone = _factor_and_step(opt, pf.default_initial_state(ocp),
                                  opt.B @ pf.constant_input(ocp), steps)
+        lc_opt = pf.assemble_optimizer(logcosh)
+        _, lc_step_s = _factor_and_step(lc_opt, pf.default_initial_state(logcosh),
+                                        lc_opt.B @ pf.constant_input(logcosh), steps)
         for key, value in zip(best, (couple_s, loop[0], 1e3 * loop[1], cubic_loop[0],
-                                     1e3 * cubic_loop[1], alone[0], 1e3 * alone[1])):
+                                     1e3 * cubic_loop[1], alone[0], 1e3 * alone[1],
+                                     1e3 * lc_step_s)):
             best[key] = min(best[key], value)
+    ratio = round(best["logcosh_step_ms"] / best["opt_step_ms"], 2)
     return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
-            "steps": steps, **best}
+            "steps": steps, **best, "logcosh_over_linear_step": ratio}
 
 
 def main(argv=None) -> int:

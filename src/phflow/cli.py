@@ -550,8 +550,9 @@ def run(config_path, out_dir, mode=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
-        residual = getattr(exc, "residual", None)
-        where = "" if residual is None else f", residual {residual:.3e}"
+        residual, step = getattr(exc, "residual", None), getattr(exc, "step", None)
+        where = "" if step is None else f", step {step}"
+        where += "" if residual is None else f", residual {residual:.3e}"
         print(f"numerical failure: {type(exc).__name__}: {exc}{where}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # Python-level overflow of a finite input

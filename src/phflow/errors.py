@@ -17,12 +17,14 @@ class NonConvergence(ToolkitError, RuntimeError):
     """An iterative solver exhausted its budget.
 
     Carries the final residual so callers can judge how close the
-    iteration got before giving up.
+    iteration got before giving up, and the index of the failed step
+    when the solve was one step of a time integration.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, step=None):
         super().__init__(message)
         self.residual = residual
+        self.step = step
 
 
 class SingularStep(ToolkitError, RuntimeError):

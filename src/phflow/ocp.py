@@ -35,7 +35,7 @@ from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
-from .operators import _summed, linear
+from .operators import Nodewise, _summed, linear
 from .phcore import implicit_stepper, steady_state
 
 
@@ -178,11 +178,14 @@ class LogCoshStage:
     def grad(self, X: np.ndarray) -> np.ndarray:
         return self.scale * np.tanh(X / self.scale)
 
+    def curvature(self, X: np.ndarray) -> np.ndarray:
+        """The derivative of `grad`, entry by entry: the Hessian's diagonal."""
+        return 1.0 - np.tanh(X / self.scale) ** 2
+
     def hess(self, X: np.ndarray) -> np.ndarray:
-        d = 1.0 - np.tanh(X / self.scale) ** 2
         out = np.zeros(X.shape + (X.shape[-1],))
         idx = np.arange(X.shape[-1])
-        out[..., idx, idx] = d
+        out[..., idx, idx] = self.curvature(X)
         return out
 
     @property
@@ -308,11 +311,25 @@ class DiscretizedOCP:
         return indices.astype(np.int32), indptr.astype(np.int32)
 
     def m_opt(self, z: np.ndarray) -> np.ndarray:
-        """The optimality-system operator (gradient row, constraint row)."""
-        s, out = self.blocks(z), self.blocks(np.empty(self.state_dim))
-        out.primal[:] = self.grad_cost(z) - self.C_star @ s.dual
-        out.dual[:] = self.C @ s.primal
+        """The optimality-system operator (gradient row, constraint row):
+        the saddle part times z plus the nodewise gradient of the cost
+        (`grad_cost`), so the gradient row is grad_cost(z) - C* (lam, lam0)
+        bit for bit."""
+        s, out = self.blocks(z), self.blocks(self.saddle @ z)
+        out.x[:] += self.cost.stage.grad(s.x)
+        out.u[:] += self.cost.alpha * s.u
         return out.vector
+
+    def nodewise_gradient(self) -> tuple:
+        """m_opt's nodewise terms as the `Nodewise` pieces of the flow's
+        operator: the stage gradient on x and alpha u on u, for a stage
+        whose gradient acts entry by entry (it has a `curvature`)."""
+        stage, alpha = self.cost.stage, self.cost.alpha
+        b = self.blocks(np.arange(self.state_dim))
+        x, u = b.x.ravel(), b.u.ravel()
+        return (Nodewise(int(x[0]), int(x[-1]) + 1, stage.grad, stage.curvature),
+                Nodewise(int(u[0]), int(u[-1]) + 1, lambda v: alpha * v,
+                         lambda v: np.full(v.shape, alpha)))
 
     def _hessian(self, z: np.ndarray) -> sparse.csr_matrix:
         """The Hessian block diag(l''(x_0), ..., l''(x_N), alpha I) of m_opt
@@ -322,18 +339,14 @@ class DiscretizedOCP:
         return sparse.csr_matrix((data, *self._hessian_pattern), shape=(self.primal_dim,) * 2)
 
     @cached_property
-    def _saddle(self) -> sparse.csr_matrix:
+    def saddle(self) -> sparse.csr_matrix:
         """The constant part [[0, -C*], [C, 0]] of m_opt's Jacobian."""
         return sparse.bmat([[None, -self.C_star], [self.C, None]], format="csr")
 
-    def m_opt_terms(self, z: np.ndarray) -> list:
-        """Jacobian of m_opt as the terms [(0, saddle part), (0, H(z))]
-        that `phcore._Factor` scatters; their sum is `m_opt_jacobian`."""
-        return [(0, self._saddle), (0, self._hessian(z))]
-
     def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Jacobian [[H(z), -C*], [C, 0]] of m_opt: m_opt_terms summed."""
-        return _summed(self.m_opt_terms(z))
+        """Jacobian [[H(z), -C*], [C, 0]] of m_opt: the saddle part plus
+        the Hessian."""
+        return _summed([(0, self.saddle), (0, self._hessian(z))])
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""
@@ -460,7 +473,7 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     if abs(np.linalg.det(lhs)) < 1e-14 * max(1.0, np.linalg.norm(lhs)) ** n:
         raise SingularStep("I - (h/2) A is singular; reduce the step h")
     # the trapezoid step is the implicit midpoint step of dx/dtau = A x + b
-    step = implicit_stepper(linear(-A), h, 0.5, np.linalg.norm, 0.0)
+    step = implicit_stepper(linear(-A), h, 0.5, Metric.euclidean(n), 0.0)
     f = model.f_nodes(grid)
     x = np.empty((N + 1, n))
     x[0] = model.x0

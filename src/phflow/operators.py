@@ -1,10 +1,23 @@
 """Pointwise-evaluable monotone operator candidates.
 
-An operator is described either by an exact linear part or by its
-evaluation map together with its analytic Jacobian.  Linear operators get
-a dedicated representation (dense or sparse matrix) so that resolvents
-and implicit integrators factor a single matrix once; every other
-operator is solved by Newton with its Jacobian.
+Every operator the package builds has the form
+
+    M(x) = L x + g + phi(x),
+
+with L one matrix (dense or scipy sparse), g a constant and phi a
+nodewise map: a tuple of `Nodewise` pieces, each acting entry by entry
+on one slice of the state, with its derivative entry by entry.  A
+linear operator has no pieces.  The cubic plant is L = R, phi = kappa
+x^3 on every coordinate; the logcosh optimizer is its saddle part plus
+the stage gradient on x and alpha u on u; a closed loop is the coupling
+plus its members' L and the union of their pieces.  So an evaluation
+is one matrix product plus the pieces, on one state or on a block of
+them, and a Jacobian is L plus a diagonal at fixed coordinates, which
+the implicit step's Newton solve adds onto the factor layout of L.
+
+An operator built outside the package may instead give its evaluation
+map and its Jacobian (eval_fn and derivative_fn); every solver takes
+those too.
 """
 
 from __future__ import annotations
@@ -46,29 +59,45 @@ def _summed(terms):
     return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
 
 
+def _diagonal_csr(d):
+    """diag(d) as CSR that stores every diagonal entry, zeros included,
+    so its pattern does not depend on d."""
+    k = np.arange(d.size + 1)
+    return sparse.csr_matrix((d, k[:-1], k), shape=(d.size, d.size))
+
+
+@dataclass(frozen=True)
+class Nodewise:
+    """One piece of a nodewise map: phi(x)[lo:hi] = fn(x[lo:hi]), entry
+    by entry.  fn and dfn (its derivative) act on the last axis of an
+    array of any leading shape, each entry alone."""
+
+    lo: int
+    hi: int
+    fn: Callable[[np.ndarray], np.ndarray]
+    dfn: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class MonotoneOperatorSpec:
     """Candidate accretive map M on R^dim.
 
     M is evaluated on one state vector of shape (dim,); a stack of
-    states is rejected.  eval_fn must be deterministic: identical input
-    arrays produce bitwise-identical outputs.  derivative_fn returns the
-    Jacobian at a point as one matrix (dense or scipy sparse) or as a
-    list of (offset, block) terms that sum to it, each block square and
-    on the diagonal at its offset.  linear_part, when given, takes
-    priority and fixes M(x) = linear_part @ x (+ affine_offset);
-    resolvents and implicit integrators then factor a single matrix
-    once.  Without it, both eval_fn and derivative_fn are required.
+    states is rejected.  An operator of the package gives linear_part L
+    (ndarray or scipy sparse), affine_offset g and the `Nodewise` pieces
+    of phi, so that M(x) = L x + g + phi(x); without pieces M is linear,
+    and resolvents and implicit integrators factor a single matrix once.
+    Otherwise both eval_fn and derivative_fn are required: eval_fn must
+    be deterministic (identical input arrays, bitwise-identical
+    outputs), and derivative_fn returns the Jacobian at a point as one
+    matrix (dense or scipy sparse) or as a list of (offset, block) terms
+    that sum to it, each block square and on the diagonal at its offset.
 
-    Every solve with M's Jacobian goes through one `phcore._Factor` per
-    solve site: in M's `order` its terms are scattered into one band
-    array for LAPACK's banded LU; without one they are summed for dense
-    LU or SuperLU.  order, set only inside the package, is a permutation
-    of the state in which every Jacobian of M is banded: the time-stage
-    order of an optimizer (`DiscretizedOCP.stage_order`) or of a closed
-    loop.  _parts, also set only inside the package, records the members
-    of an interconnection, (d1, M1, M2, K) for M(x) = (M1(x[:d1]),
-    M2(x[d1:])) + K x, so that a step can eliminate a linear member.
+    order, set only inside the package, is a permutation of the state in
+    which every Jacobian of M is banded: the time-stage order of an
+    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.  Every
+    solve with M's Jacobian goes through one `phcore._Factor` per solve
+    site: banded in M's order, dense or SuperLU without one.
     """
 
     dim: int
@@ -76,12 +105,14 @@ class MonotoneOperatorSpec:
     derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     linear_part: Optional[object] = None  # ndarray or scipy sparse
     affine_offset: Optional[np.ndarray] = None
+    nodewise: tuple = ()
     order: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.linear_part is None and (self.eval_fn is None or self.derivative_fn is None):
             raise InvalidParameter("a nonlinear operator needs eval_fn and derivative_fn")
+        if self.nodewise and self.linear_part is None:
+            raise InvalidParameter("nodewise pieces need a linear_part")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -89,17 +120,23 @@ class MonotoneOperatorSpec:
             raise DimensionMismatch(
                 f"state has shape {x.shape}, operator expects ({self.dim},)"
             )
-        if self.linear_part is not None:
-            out = self.linear_part @ x
-            if self.affine_offset is not None:
-                out = out + self.affine_offset
-            return out
-        return np.asarray(self.eval_fn(x), dtype=float)
+        if self.linear_part is None:
+            return np.asarray(self.eval_fn(x), dtype=float)
+        return self._structured(x, self.linear_part @ x)
+
+    def _structured(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """L x + g + phi(x) given out = L x, for one state or, with out
+        = (L @ x.T).T, a stack of them; adds into out."""
+        if self.affine_offset is not None:
+            out += self.affine_offset
+        for p in self.nodewise:
+            out[..., p.lo:p.hi] += p.fn(x[..., p.lo:p.hi])
+        return out
 
     @property
     def is_linear(self) -> bool:
         """True when the drift is linear up to a constant offset."""
-        return self.linear_part is not None
+        return self.linear_part is not None and not self.nodewise
 
     @property
     def offset(self) -> np.ndarray:
@@ -115,11 +152,24 @@ class MonotoneOperatorSpec:
         """DM(x) as one matrix, the sum of its terms."""
         return _summed(self._terms(x))
 
+    def _diagonal(self, x: np.ndarray) -> np.ndarray:
+        """phi'(x) on the coordinates of the pieces, piece after piece."""
+        return np.concatenate([p.dfn(x[p.lo:p.hi]) for p in self.nodewise] or [[]])
+
+    @property
+    def _diagonal_coords(self) -> np.ndarray:
+        """The coordinates that `_diagonal` lists, in its order."""
+        return np.concatenate([np.arange(p.lo, p.hi) for p in self.nodewise] or [[]]).astype(int)
+
     def _terms(self, x: np.ndarray) -> list:
         """DM(x) as a list of (offset, block) terms, each block CSR, CSC
-        or dense; a linear operator gives [(0, linear_part)]."""
-        J = self.linear_part if self.linear_part is not None else self.derivative_fn(x)
-        return [(lo, _native(block)) for lo, block in (J if isinstance(J, list) else [(0, J)])]
+        or dense: [(0, L)] and one diagonal term per nodewise piece, or
+        the terms of derivative_fn."""
+        if self.linear_part is None:
+            J = self.derivative_fn(x)
+            return [(lo, _native(block)) for lo, block in (J if isinstance(J, list) else [(0, J)])]
+        return [(0, _native(self.linear_part))] + [
+            (p.lo, _diagonal_csr(p.dfn(x[p.lo:p.hi]))) for p in self.nodewise]
 
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:
@@ -146,11 +196,8 @@ def cubic(R, kappa: float = 0.0) -> MonotoneOperatorSpec:
         raise DimensionMismatch("cubic operator matrix R must be square")
     if kappa == 0.0:
         return linear(R)
-    return MonotoneOperatorSpec(
-        dim,
-        eval_fn=lambda x: R @ x + kappa * x**3,
-        derivative_fn=lambda x: R + np.diag(3.0 * kappa * x**2),
-    )
+    cube = Nodewise(0, dim, lambda x: kappa * x**3, lambda x: 3.0 * kappa * x**2)
+    return MonotoneOperatorSpec(dim, linear_part=R, nodewise=(cube,))
 
 
 def derivative_gap(spec: MonotoneOperatorSpec, x: np.ndarray, v: np.ndarray,

@@ -69,10 +69,11 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
 
     For quadratic stage costs the drift operator is linear and carries
     its matrix, which lets the integrators prefactor one LU for the
-    whole run.  Other stages supply the Jacobian as the terms
-    `m_opt_terms`, which the implicit step's Newton solve scatters into
-    its band array.  The operator carries the problem's `stage_order`,
-    so both factor banded in time-stage order.
+    whole run.  Otherwise it is the saddle part plus the nodewise
+    gradient (`DiscretizedOCP.nodewise_gradient`), so the implicit
+    step's Newton matrix is the saddle part's band plus a diagonal.  The
+    operator carries the problem's `stage_order`, so both factor banded
+    in time-stage order.
     """
     if ocp.cost.stage.is_quadratic:
         zero = np.zeros(ocp.state_dim)
@@ -81,12 +82,8 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
                                  affine_offset=g0 if np.any(g0) else None,
                                  order=ocp.stage_order)
     else:
-        M = MonotoneOperatorSpec(
-            ocp.state_dim,
-            eval_fn=ocp.m_opt,
-            derivative_fn=ocp.m_opt_terms,
-            order=ocp.stage_order,
-        )
+        M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.saddle,
+                                 nodewise=ocp.nodewise_gradient(), order=ocp.stage_order)
 
     # the port drives the multiplier block: B_opt = [0; I], a sparse selection
     B_opt = selection_port(ocp.state_dim, np.arange(ocp.primal_dim, ocp.state_dim))
@@ -130,7 +127,7 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     u_const = np.array(u_const, dtype=float).reshape(sys.input_dim)
     steps = _step_count(cfg.h_t, T)
     h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
-    step = implicit_stepper(sys.M, h, theta, sys.metric.norm, cfg.newton_tol)
+    step = implicit_stepper(sys.M, h, theta, sys.metric, cfg.newton_tol)
     b = sys.B @ u_const
 
     states = np.empty((steps + 1, sys.dim))
@@ -139,7 +136,7 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
         states[k + 1], res = step(states[k], b)
         if not res <= cfg.newton_tol:
             raise NonConvergence(
-                f"implicit step failed at t={k * h:.4g}", residual=res)
+                f"implicit step failed at t={k * h:.4g}", residual=res, step=k + 1)
 
     # the input is constant: one read-only row repeated, never copied
     inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))

@@ -12,19 +12,24 @@ accretivity probes), trajectory audits of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
-Every linear solve goes through a `_Factor`, which factors A + shift I
-for A given as the (offset, block) terms of
-`MonotoneOperatorSpec._terms`: a closed loop's coupling K plus its
-members' terms, an optimizer's saddle part plus its Hessian.  In an
-operator's `order` (the optimizer's time-stage order, or a closed
-loop's) the terms are scattered into one band array for LAPACK's banded
-LU (`dgbtrf`/`dgbtrs`); without one they are summed for LAPACK's dense
-LU or, when sparse, SuperLU.  A steady-state solve holds one `_Factor`,
-and so does an implicit stepper, except for a nonlinear plant closed
-against a linear optimizer: that stepper eliminates the optimizer
-through the coupling, so it factors the optimizer's band once and, at
-each Newton iteration, a dense matrix of the plant's dimension
-(`_condensed_stepper`).
+The operators the package builds have the form M(z) = L z + g + phi(z)
+(see `operators`): one matrix product plus a nodewise map.  So they are
+evaluated on a block of trajectory rows at once (`_batch_eval`), and
+their Jacobians are L plus a diagonal at fixed coordinates.  Every
+linear solve goes through a `_Factor`, which factors A + shift I by
+LAPACK's banded LU (`dgbtrf`/`dgbtrs`) in an operator's `order` (the
+optimizer's time-stage order, or a closed loop's), and otherwise by
+LAPACK's dense LU or, when sparse, SuperLU.  For an operator of the
+package a Newton solve lays out and fills L + shift I once and each
+iteration adds phi' on the diagonal of a copy (`_newton_solver`); the
+Jacobian of an operator built outside the package (derivative_fn) is
+scattered from its (offset, block) terms at each iteration.  A
+steady-state solve holds one `_Factor`, and so does an implicit
+stepper, except where phi lives in leading coordinates ahead of a
+linear banded rest, as in a cubic plant closed against an LQ optimizer:
+that stepper eliminates the linear rest, so it factors its band once
+and, at each Newton iteration, a dense matrix of the leading block's
+dimension (`_condensed_stepper`).  The structure alone picks the path.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
-from .operators import MonotoneOperatorSpec, _coords, _native, _summed
+from .operators import MonotoneOperatorSpec, Nodewise, _coords, _native, _summed
 
 _NEWTON_MAX_ITER = 50
 
@@ -195,27 +200,29 @@ def _singular(r):
 class _Factor:
     """LU factors of A + shift I for one solve site, by one of three paths.
 
-    A is the sum of a list of (offset, block) terms, each block square
-    (CSR, CSC or dense) and on the diagonal at its offset.
-
     - With an order (the time-stage order of an optimizer or a closed
-      loop, in which A is banded) the terms are scattered into one band
-      array, factored by LAPACK's banded LU (dgbtrf/dgbtrs).
-    - Without an order the terms are summed: a dense A is factored by
-      LAPACK's dense LU (dgetrf/dgetrs, called directly as the banded
-      routines are: for the small matrices of a plant's Newton step,
-      scipy.linalg's lu_factor/lu_solve wrappers cost more than the
-      factorization), a sparse A (an operator built outside the
-      package) by SuperLU, the one generic sparse fallback.
+      loop, in which A is banded) A is scattered into one band array,
+      factored by LAPACK's banded LU (dgbtrf/dgbtrs).
+    - Without an order a dense A is factored by LAPACK's dense LU
+      (dgetrf/dgetrs, called directly as the banded routines are: for
+      the small matrices of a plant's Newton step, scipy.linalg's
+      lu_factor/lu_solve wrappers cost more than the factorization), a
+      sparse A by SuperLU, the one generic sparse fallback.
 
-    The bandwidths, the band array and the band position of every entry
-    are laid out once per tuple of (offset, pattern), so the Newton
-    matrices of one stepper or one equilibrium solve share them: each
-    `solver` call zero-fills the array, assigns the first term, adds the
-    others and the shift, and factors the array in place, so a banded
-    solver stays valid until the next `solver` call.  An exactly
-    singular A yields non-finite solutions on every path, which the
-    callers report as a failed solve.
+    A comes in one of two ways.  `solver(terms, shift)` takes A as a
+    list of (offset, block) terms, each block square (CSR, CSC or dense)
+    and on the diagonal at its offset: the Jacobian of an operator built
+    outside the package, or a linear step's matrix.  On the banded path
+    the bandwidths, the band array and the band position of every entry
+    are laid out once per tuple of (offset, pattern), and each call
+    zero-fills the array, assigns the first term, adds the others and
+    the shift.  `fix(L, shift, coords)` takes the Newton matrices
+    L + shift I + diag(d) of a structured operator, d on the coordinates
+    coords: it lays out and fills L + shift I once, and each
+    `diagonal_solver(d)` copies that and adds d at the fixed diagonal
+    positions.  A banded solver stays valid until the next call.  An
+    exactly singular A yields non-finite solutions on every path, which
+    the callers report as a failed solve.
     """
 
     def __init__(self, order=None):
@@ -241,6 +248,7 @@ class _Factor:
         self.unique = [not sparse.issparse(block) or block.has_canonical_format
                        for _, block in terms]
         self.key = [(lo, _pattern(block)) for lo, block in terms]
+        self.rank = rank
 
     def _fill(self, terms, shift: float):
         """The band array of the terms' sum plus shift I, over the
@@ -262,22 +270,47 @@ class _Factor:
 
     def solver(self, terms, shift: float = 0.0):
         """Return solve(r) = (A + shift I)^{-1} r for A the sum of terms."""
-        if self.order is None:
-            A = _summed(terms)
-            if not sparse.issparse(A):
-                if shift:
-                    A = shift * np.eye(A.shape[0]) + A
-                lu, piv, info = dgetrf(A)
-                if info > 0:  # U has an exact zero on its diagonal
-                    return _singular
-                return lambda r: dgetrs(lu, piv, r)[0]
+        if self.order is not None:
+            self._fill(terms, shift)
+            return self._banded()
+        A = _summed(terms)
+        if sparse.issparse(A):
             if shift:
                 A = shift * sparse.identity(A.shape[0], format="csc") + A
-            try:
-                return splu(A.tocsc()).solve
-            except RuntimeError:  # SuperLU: "Factor is exactly singular"
-                return _singular
-        lu, piv, info = dgbtrf(self._fill(terms, shift), self.kl, self.ku, overwrite_ab=True)
+            return _superlu(A)
+        return _dense(shift * np.eye(A.shape[0]) + A if shift else A)
+
+    def fix(self, L, shift: float, coords):
+        """Lay out and fill L + shift I once for `diagonal_solver`, whose
+        d adds onto the diagonal at the coordinates coords."""
+        L = _native(L)
+        self.coords = coords
+        if self.order is not None:
+            self._fill([(0, L)], shift)
+            self.base = self.flat.copy()
+            self.dpos = self.kl + self.ku + (2 * self.kl + self.ku + 1) * self.rank[coords]
+        elif sparse.issparse(L):
+            self.base = (shift * sparse.identity(L.shape[0], format="csr") + L).tocsr()
+        else:
+            self.base = shift * np.eye(L.shape[0]) + L
+
+    def diagonal_solver(self, d):
+        """Return solve(r) = (L + shift I + diag(d))^{-1} r for the L and
+        shift of `fix`."""
+        if self.order is not None:
+            np.copyto(self.flat, self.base)
+            self.flat[self.dpos] += d
+            return self._banded()
+        c = self.coords
+        if sparse.issparse(self.base):
+            return _superlu(self.base + sparse.csr_matrix((d, (c, c)), shape=self.base.shape))
+        A = self.base.copy()
+        A[c, c] += d
+        return _dense(A)
+
+    def _banded(self):
+        """Factor the band array in place; the solve in the order."""
+        lu, piv, info = dgbtrf(self.ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:  # U has an exact zero on its diagonal
             return _singular
         kl, ku, order = self.kl, self.ku, self.order
@@ -290,6 +323,35 @@ class _Factor:
             return out
 
         return solve
+
+
+def _dense(A):
+    """The solve with a dense A by LAPACK's dense LU."""
+    lu, piv, info = dgetrf(A)
+    if info > 0:  # U has an exact zero on its diagonal
+        return _singular
+    return lambda r: dgetrs(lu, piv, r)[0]
+
+
+def _superlu(A):
+    """The solve with a sparse A by SuperLU."""
+    try:
+        return splu(A.tocsc()).solve
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return _singular
+
+
+def _newton_solver(M: MonotoneOperatorSpec, shift: float):
+    """Return solve(x, r) = (DM(x) + shift I)^{-1} r by one `_Factor` in
+    M's order.  For an operator of the package L + shift I is laid out
+    and filled here, and each call adds phi'(x) at its fixed diagonal
+    positions; an operator built outside the package scatters its
+    Jacobian terms at each call."""
+    factor = _Factor(M.order)
+    if M.linear_part is None:
+        return lambda x, r: factor.solver(M._terms(x), shift)(r)
+    factor.fix(M.linear_part, shift, M._diagonal_coords)
+    return lambda x, r: factor.diagonal_solver(M._diagonal(x))(r)
 
 
 def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
@@ -306,26 +368,30 @@ def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
     return (lambda z, b: solve(rhs @ z + h * (b - offset))), solve
 
 
-def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
+def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Metric,
+                     tol: float):
     """Return step(z, b) -> (z_next, residual) solving the implicit step
 
         z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b).
 
     theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
-    is the implicit midpoint rule.  The residual is the norm of the step
-    equation's defect.  The structure of M picks one of three paths:
+    is the implicit midpoint rule.  The residual is the metric norm of
+    the step equation's defect.  The structure of M picks one of three
+    paths:
 
     - Linear M factors I + theta*h*L once and reports residual 0, or
       inf when the result is not finite.
-    - An interconnection of a nonlinear member 1 without an order (a
-      plant) and a linear member 2 (an LQ optimizer) runs `newton` on
-      member 1's coordinates alone, see `_condensed_stepper`.
+    - When M's nodewise part phi lives in leading coordinates [0, d1)
+      that M's order keeps in front and in place (a member without an
+      order put first, as `couple` puts the plant), the rest of M is
+      linear and banded; the step eliminates it and runs `newton` on
+      the d1 leading coordinates alone, see `_condensed_stepper`.
     - Otherwise the step runs `newton` from whichever of z and the
       explicit predictor z + h*(-M(z) + b) has the smaller residual,
       factoring the Newton matrix I + theta*h*DM(stage) at each
-      iteration from DM's terms by one `_Factor` in M's order; on the
-      banded path every iteration scatters them into the band array
-      laid out at the first.
+      iteration by `_newton_solver`: the band (or dense matrix) of
+      L is laid out and filled once, and each iteration copies it and
+      adds phi' on the diagonal.
     """
     if M.is_linear:
         step_linear, _ = _linear_step(M, h, theta)
@@ -335,25 +401,28 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
             return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
 
         return step
-    if M._parts is not None:
-        _, M1, M2, _ = M._parts
-        if M2.is_linear and M1.order is None:  # M is not linear, so M1 is not
-            return _condensed_stepper(M, h, theta, norm, tol)
+    if M.linear_part is not None and M.order is not None:
+        d1 = max(p.hi for p in M.nodewise)
+        if d1 < M.dim and np.array_equal(M.order[:d1], np.arange(d1)):
+            return _condensed_stepper(M, d1, h, theta, metric, tol)
 
-    factor = _Factor(M.order)
     c = theta * h
+    # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
+    # addition on the diagonal
+    solve_at = _newton_solver(M, 1.0 / c)
+    norm = metric.norm
 
     def step(z, b):
+        rest = (1.0 - theta) * z
+
         def stage(z_next):
-            return theta * z_next + (1.0 - theta) * z
+            return theta * z_next + rest
 
         def residual(z_next):
             return z_next - z - h * (-M(stage(z_next)) + b)
 
-        # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
-        # addition on the diagonal
         def solve(z_next, r):
-            return factor.solver(M._terms(stage(z_next)), 1.0 / c)(r / c)
+            return solve_at(stage(z_next), r / c)
 
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
@@ -367,64 +436,73 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol:
     return step
 
 
-def _condensed_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
-    """The implicit theta-step of an interconnection
-    M(x) = (M1(x1), L x2 + g) + K x  with M1 nonlinear and member 2
-    linear, with member 2 eliminated exactly.
+def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
+                       metric: Metric, tol: float):
+    """The implicit theta-step of M(x) = L x + g + phi(x) with phi on the
+    leading coordinates [0, d1) alone, with the linear rest eliminated
+    exactly.
 
-    With c = theta*h and F = I + c L, the member-2 rows of the step give
-    its next state as o = a - h V s, where a is member 2's own linear
-    step from z2 with input b2, s = theta p + (1-theta) z1 is member 1's
-    stage and V = F^{-1} K21.  So `newton` runs on member 1's next state
-    p alone, with the residual
+    Split L into blocks at d1, L = [[L11, K12], [K21, L22]] (for a closed
+    loop: the plant, the coupling and the optimizer), member 1 is
+    M1(x1) = L11 x1 + g1 + phi(x1) and member 2 is linear.  With
+    c = theta*h and F = I + c L22, the member-2 rows of the step give its
+    next state as o = a - h V s, where a is member 2's own linear step
+    from z2 with input b2, s = theta p + (1-theta) z1 is member 1's stage
+    and V = F^{-1} K21.  So `newton` runs on member 1's next state p
+    alone, with the residual
 
-        R(p) = p - z1 + h (M1(s) + K12 (theta a + (1-theta) z2) - G s - b1)
+        R(p) = p - z1 + h (Mc(s) + K12 (theta a + (1-theta) z2) - b1),
 
-    and the d1 x d1 Newton matrix I + c (DM1(s) - G), G = c K12 V,
-    factored by a `_Factor` without an order (dense LU).  F is factored
-    once per stepper, and V and G are computed once from that factor (one
-    solve with d1 columns), so each step costs one solve with F, one
-    matrix-vector product with V, the Newton run in d1 coordinates and
-    one evaluation of M for the reported residual.  Newton starts from
-    member 1's part of the full solve's start, and its iterates after
-    that are the full Newton solve's, whose first step meets the linear
-    rows exactly.  Newton stops on R's norm in the composed metric; the
-    step reports the norm of the full composed step defect, as the other
-    paths do.
+    where Mc(s) = M1(s) - G s, G = c K12 V, is member 1 with member 2
+    folded in.  Its Newton matrix I + c (DM1(s) - G) is d1 x d1:
+    `_newton_solver` holds L11 - G in a `_Factor` without an order
+    (dense LU), and each iteration adds phi' on its diagonal.
+    F is factored once per stepper, and V and G are computed once from
+    that factor (one solve with d1 columns), so each step costs one solve
+    with F, one matrix-vector product with V, the Newton run in d1
+    coordinates and one evaluation of M for the reported residual.
+    Newton starts from member 1's part of the full solve's start, and its
+    iterates after that are the full Newton solve's, whose first step
+    meets the linear rows exactly.  Newton stops on R's norm in member
+    1's metric weights, which is the composed norm of a defect whose
+    member-2 rows are zero; the step reports the norm of the full
+    composed step defect, as the other paths do.
     """
-    d1, M1, M2, K = M._parts
+    L, g = sparse.csr_matrix(M.linear_part), M.affine_offset
     c = theta * h
+    L11, g1 = L[:d1, :d1].toarray(), None if g is None else g[:d1]
+    M2 = MonotoneOperatorSpec(M.dim - d1, linear_part=L[d1:, d1:],
+                              affine_offset=None if g is None else g[d1:],
+                              order=M.order[d1:] - d1)
     step2, solve2 = _linear_step(M2, h, theta)
     # member 1 reads member 2 only at the port coordinates (a closed
     # loop's lam0), so K12 is kept as its small dense block in them
-    K12 = K[:d1, d1:].tocsc()
+    K12 = L[:d1, d1:].tocsc()
     port = np.flatnonzero(np.diff(K12.indptr))
     K12 = K12[:, port].toarray()
-    V = solve2(K[d1:, :d1].toarray())
+    V = solve2(L[d1:, :d1].toarray())
     G = c * (K12 @ V[port])
-    factor = _Factor()
-    padded = np.zeros(M.dim)
-
-    def norm1(r):  # the composed norm of a defect whose member-2 rows are zero
-        padded[:d1] = r
-        return norm(padded)
+    M1 = MonotoneOperatorSpec(d1, linear_part=L11, affine_offset=g1, nodewise=M.nodewise)
+    Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
+    # (I + c DMc) s = r is solved as (I/c + DMc) s = r/c
+    solve_at = _newton_solver(Mc, 1.0 / c)
+    norm, norm1 = metric.norm, Metric(metric.weights[:d1]).norm
 
     def step(z, b):
         z1, z2 = z[:d1], z[d1:]
         b1, b2 = (b, b) if np.ndim(b) == 0 else (b[:d1], b[d1:])
         a = step2(z2, b2)
         w = K12 @ (theta * a[port] + (1.0 - theta) * z2[port]) - b1
+        rest = (1.0 - theta) * z1
 
         def stage(p):
-            return theta * p + (1.0 - theta) * z1
+            return theta * p + rest
 
         def residual(p):
-            s = stage(p)
-            return p - z1 + h * (M1(s) + w - G @ s)
+            return p - z1 + h * (Mc(stage(p)) + w)
 
-        # (I + c (DM1 - G)) s = r is solved as (I/c + DM1 - G) s = r/c
         def solve(p, r):
-            return factor.solver([(0, M1.derivative(stage(p)) - G)], 1.0 / c)(r / c)
+            return solve_at(stage(p), r / c)
 
         # start from z1 or member 1's part of the explicit predictor
         # z + h*(-M(z) + b), whichever has the smaller residual
@@ -434,8 +512,18 @@ def _condensed_stepper(M: MonotoneOperatorSpec, h: float, theta: float, norm, to
         p0, r0 = ((predictor, r_pred) if norm1(r_pred) <= norm1(r_z)
                   else (z1, r_z))
         p, _ = newton(residual, solve, p0, norm1, tol, r0)
-        z_next = np.concatenate([p, a - h * (V @ stage(p))])
-        return z_next, norm(z_next - z - h * (-M(theta * z_next + (1.0 - theta) * z) + b))
+        z_next = np.empty_like(z)
+        z_next[:d1] = p
+        o = np.matmul(V, stage(p), out=z_next[d1:])
+        o *= -h
+        o += a  # a - h V s
+        # the full step defect z_next - z + h (M(stage) - b), in place
+        defect = M(theta * z_next + (1.0 - theta) * z)
+        defect -= b
+        defect *= h
+        defect += z_next
+        defect -= z
+        return z_next, norm(defect)
 
     return step
 
@@ -469,7 +557,7 @@ def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     if t == 0.0:
         return x
-    step = implicit_stepper(M, t / n, 1.0, (metric or Metric.euclidean(M.dim)).norm, tol)
+    step = implicit_stepper(M, t / n, 1.0, metric or Metric.euclidean(M.dim), tol)
     for k in range(n):
         x, res = step(x, 0.0)
         if not res <= tol:
@@ -555,8 +643,9 @@ def _interval_blocks(traj: Trajectory, h: float, metric: Metric,
     The stage stacks are views of buffers allocated once per walk, and
     the next block overwrites them.  With column_major the state stage
     is copied into a column-major buffer, the layout in which a product
-    S @ xs.T with a sparse S (a linear drift, the output map) reads it
-    without a transposed copy; the per-row nonlinear path keeps rows.
+    S @ xs.T with a sparse S (the linear part of a drift, the output
+    map) reads it without a transposed copy; the per-row path of an
+    operator built outside the package keeps rows.
     """
     theta = traj.theta
     states, inputs = traj.states, traj.inputs
@@ -588,14 +677,12 @@ def _interval_blocks(traj: Trajectory, h: float, metric: Metric,
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate M on each row of X into a new array; one matrix product
-    when M is linear."""
-    if M.is_linear:
-        out = (M.linear_part @ X.T).T
-        if M.affine_offset is not None:
-            out += M.affine_offset
-        return out
-    return np.apply_along_axis(M, 1, X)
+    """Evaluate M on each row of X into a new array: one matrix product
+    plus the nodewise pieces for an operator of the package, row by row
+    for one built outside it."""
+    if M.linear_part is None:
+        return np.apply_along_axis(M, 1, X)
+    return M._structured(X, (M.linear_part @ X.T).T)
 
 
 def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
@@ -615,7 +702,7 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
         raise DimensionMismatch("trajectory input dimension mismatch")
     h = traj.step
     residuals = np.empty(traj.times.size - 1)
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.is_linear):
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.linear_part is not None):
         energy = 0.5 * sys.metric.row_inner(x, x)
         dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
         supply = sys.input_metric.row_inner(us, sys.output(xs))
@@ -653,7 +740,7 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
     eq_res = np.empty(traj.times.size - 1)
     ineq = np.empty_like(eq_res)
     dx_buf = np.empty((min(eq_res.size, _ROW_BLOCK) + 1, sys.dim))
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.is_linear):
+    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.linear_part is not None):
         dx = np.subtract(x, ss.x_bar, out=dx_buf[:x.shape[0]])
         energy = 0.5 * sys.metric.row_inner(dx, dx)
         dm = _batch_eval(sys.M, xs)
@@ -678,9 +765,9 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
                  x_init: Optional[np.ndarray] = None) -> SteadyStatePair:
     """Solve M(x_bar) = B u_bar by one damped `newton` run from x_init
-    (zero by default) that factors the Jacobian terms of M at each
-    iterate, banded in M's order when it carries one.  A linear M is its
-    own Jacobian, so its first full step is exact.
+    (zero by default) that factors the Jacobian of M at each iterate
+    (`_newton_solver`), banded in M's order when it carries one.  A
+    linear M is its own Jacobian, so its first full step is exact.
 
     The run aims at min(tol, 1e-11 (1 + ||B u_bar||)) in the state
     metric: the scale of the problem, whatever the start.  It accepts
@@ -691,8 +778,7 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     b = sys.B @ u_bar
     M, norm = sys.M, sys.metric.norm
     x0 = np.zeros(sys.dim) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    factor = _Factor(M.order)
-    x, res = newton(lambda x: M(x) - b, lambda x, r: factor.solver(M._terms(x))(r),
+    x, res = newton(lambda x: M(x) - b, _newton_solver(M, 0.0),
                     x0, norm, min(tol, 1e-11 * (1.0 + norm(b))))
     if not res <= tol:
         raise NonConvergence("steady-state residual above tolerance", residual=res)
@@ -740,37 +826,39 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     whose added block is exactly skew in the product metric, so the
     composition is again monotone whenever the constituents are.  The
     remaining ports survive as B = diag(B1^2, B2^2), sparse when either
-    B_i is.  Two linear members give a sparse linear part.  Otherwise
-    the Jacobian is the term list [(0, K), members' terms], each
-    member's terms shifted by its offset in the state, so nested loops
-    flatten into one list.  When either member carries an order, the
-    composition carries their concatenation (the identity for a member
-    without one): `couple` puts the plant first, so a closed loop's
-    order is the plant ahead of the optimizer's time stages, and its
-    matrices stay banded.  The composed operator records its members
-    as (d1, M1, M2, K) in the private `_parts`, from which
-    `implicit_stepper` eliminates a linear member 2 when member 1 is
-    nonlinear.
+    B_i is.  When both members are operators of the package, so is the
+    composition: its L is the sparse K + diag(L1, L2), its g the members'
+    offsets and its nodewise pieces those of both members, member 2's
+    shifted by its offset in the state.  Otherwise it is evaluated
+    member by member, and its Jacobian is the term list [(0, K),
+    members' terms], each member's terms shifted by its offset, so
+    nested loops flatten into one list.  When either member carries an
+    order, the composition carries their concatenation (the identity
+    for a member without one): `couple` puts the plant first, so a
+    closed loop's order is the plant ahead of the optimizer's time
+    stages, and its matrices stay banded.
     """
     K = coupling_block(sys1, sys2, F, split1, split2)
     d1 = sys1.dim
     M1, M2 = sys1.M, sys2.M
-
-    def eval_fn(x):
-        return np.concatenate([M1(x[:d1]), M2(x[d1:])]) + K @ x
-
-    linear_part = None
-    affine = None
-    derivative_fn = None
-    if M1.is_linear and M2.is_linear:
-        linear_part = K + sparse.block_diag([M1.linear_part, M2.linear_part],
-                                            format="csr")
+    if M1.linear_part is not None and M2.linear_part is not None:
+        affine = None
         if M1.affine_offset is not None or M2.affine_offset is not None:
             affine = np.concatenate([M1.offset, M2.offset])
+        parts = dict(linear_part=K + sparse.block_diag([M1.linear_part, M2.linear_part],
+                                                       format="csr"),
+                     affine_offset=affine,
+                     nodewise=M1.nodewise + tuple(Nodewise(p.lo + d1, p.hi + d1, p.fn, p.dfn)
+                                                  for p in M2.nodewise))
     else:
+        def eval_fn(x):
+            return np.concatenate([M1(x[:d1]), M2(x[d1:])]) + K @ x
+
         def derivative_fn(x):
             return [(0, K), *((lo + k, block) for lo, M in ((0, M1), (d1, M2))
                               for k, block in M._terms(x[lo:lo + M.dim]))]
+
+        parts = dict(eval_fn=eval_fn, derivative_fn=derivative_fn)
     order = None
     if M1.order is not None or M2.order is not None:
         order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
@@ -782,9 +870,7 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     _, open1 = sys1.input_metric.split(split1)
     _, open2 = sys2.input_metric.split(split2)
     return PHSystem(
-        MonotoneOperatorSpec(sys1.dim + sys2.dim, eval_fn=eval_fn,
-                             derivative_fn=derivative_fn, linear_part=linear_part,
-                             affine_offset=affine, order=order, _parts=(d1, M1, M2, K)),
+        MonotoneOperatorSpec(sys1.dim + sys2.dim, order=order, **parts),
         B,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),

@@ -174,12 +174,15 @@ def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
 
 
 def test_singular_condensed_newton_matrix_exits_3(tmp_path, capsys, monkeypatch):
-    # a plant built outside the package whose Jacobian makes the condensed
-    # Newton matrix I + c (DM_p - G) of an LQ loop exactly singular: plant
-    # coordinate 0 is off the port (B_p = [0; 1]), so row 0 of G is zero,
-    # and DM_p[0, 0] = -1/c cancels the shift 1/c.  The step must fail as
-    # NonConvergence with a finite residual and where it failed, and the
-    # CLI must exit 3, never with a LinAlgError traceback
+    # a plant built outside the package whose Jacobian makes the Newton
+    # matrix of an LQ loop exactly singular: plant coordinate 0 is off the
+    # port (B_p = [0; 1]) and DM_p[0, 0] = -1/c cancels the shift 1/c.
+    # Such a plant gives no nodewise structure, so the loop steps by the
+    # banded Newton path, whose matrix has the same zero row as the
+    # condensed one (`test_singular_condensed_newton_matrix_fails_the_step`
+    # covers that path).  The step must fail as NonConvergence with a
+    # finite residual and where it failed, and the CLI must exit 3, never
+    # with a LinAlgError traceback
     h_t = 0.02
     c = 0.5 * h_t  # theta h of the midpoint step
 
@@ -209,6 +212,20 @@ def test_singular_condensed_newton_matrix_exits_3(tmp_path, capsys, monkeypatch)
     assert code == 3
     assert "NonConvergence" in err and "t=0" in err and "residual" in err
     assert "Traceback" not in err and "LinAlgError" not in err
+
+
+def test_failed_implicit_step_exits_3_with_its_step_and_residual(tmp_path, capsys):
+    # no Newton run reaches a tolerance of the smallest subnormal, so the
+    # loop's first step fails; the CLI names the step and the residual
+    ocp_cfg = json.loads(json.dumps(BASE_OCP))
+    cfg = write_config(tmp_path, mode="closedloop", ocp=ocp_cfg, plant=CUBIC_PLANT,
+                       coupling={"gamma": "inv_alpha"},
+                       integrator={"h_t": 0.02, "T": 1.0, "newton_tol": 5e-324})
+    code = main(["closedloop", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "NonConvergence" in err and "step 1," in err and "residual" in err
+    assert "Traceback" not in err
 
 
 def test_audit_mode_report(tmp_path):

@@ -7,6 +7,7 @@ from scipy import sparse
 import phflow as pf
 from conftest import DI_B, make_double_integrator, make_logcosh
 from phflow import phcore
+from phflow.operators import Nodewise
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,32 @@ def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
     assert dense  # the Newton matrices are the plant's
 
 
+def test_singular_condensed_newton_matrix_fails_the_step(monkeypatch):
+    # a plant of the package's form whose condensed Newton matrix
+    # I + c (DM_p - G) is exactly singular: coordinate 0 is off the port
+    # (B_p = [0; 1]), so row 0 of G is zero, the cube acts on coordinate
+    # 1 alone and L[0, 0] = -1/c cancels the shift 1/c.  Such a plant is
+    # not accretive, so it is assembled without the probe.  The condensed
+    # step must fail as NonConvergence with a finite residual and its step
+    h_t = 0.02
+    c = 0.5 * h_t  # theta h of the midpoint step
+    cube = Nodewise(1, 2, lambda x: x**3, lambda x: 3.0 * x**2)
+    M = pf.MonotoneOperatorSpec(2, linear_part=np.diag([-1.0 / c, 1.0]), nodewise=(cube,))
+    plant = pf.PHSystem(M, DI_B, pf.Metric.euclidean(2), pf.Metric.euclidean(1))
+    ocp = make_double_integrator(N=8)
+    cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp)
+    condensed = []
+    stepper = phcore._condensed_stepper
+    monkeypatch.setattr(phcore, "_condensed_stepper",
+                        lambda *args: condensed.append(args[1]) or stepper(*args))
+    with pytest.raises(pf.NonConvergence) as failed:
+        pf.simulate_closed_loop(cls, pf.IntegratorConfig(h_t=h_t), 0.1,
+                                x_p0=np.array([1.0, 0.0]))
+    assert condensed == [2]  # the step eliminates the optimizer
+    assert np.isfinite(failed.value.residual) and failed.value.residual > 0
+    assert failed.value.step == 1 and "t=0" in str(failed.value)
+
+
 def test_linear_closed_loop_never_factors_dense(monkeypatch):
     # structural guard: a linear plant closed against an LQ optimizer has
     # a sparse linear part in the loop's time-stage order, factored once
@@ -322,23 +349,23 @@ def test_linear_closed_loop_never_factors_dense(monkeypatch):
 
 
 def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
-    # the Jacobian's pattern never changes within a Newton run, so its
-    # band positions are computed at the first iteration only
+    # the Jacobian is the saddle part's band plus a diagonal, so the band
+    # is laid out once per run and every iteration factors a copy of it
     ocp = make_logcosh(N=32)
     sys = pf.assemble_optimizer(ocp)
     layouts, factors = [], []
-    layout, solver = phcore._Factor._layout, phcore._Factor.solver
+    layout, solver = phcore._Factor._layout, phcore._Factor.diagonal_solver
 
     def counted_layout(self, terms):
         layouts.append(self)
         return layout(self, terms)
 
-    def counted_solver(self, terms, shift=0.0):
+    def counted_solver(self, d):
         factors.append(self)
-        return solver(self, terms, shift)
+        return solver(self, d)
 
     monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
-    monkeypatch.setattr(phcore._Factor, "solver", counted_solver)
+    monkeypatch.setattr(phcore._Factor, "diagonal_solver", counted_solver)
     for solve in (lambda: pf.kkt_solve(ocp),
                   lambda: pf.steady_state(sys, pf.constant_input(ocp))):
         layouts.clear()
@@ -368,7 +395,7 @@ def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
         return layout(self, terms)
 
     monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
-    step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric.norm, 1e-11)
+    step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric, 1e-11)
     z = cls.initial_state(np.array([1.0, 0.0]))
     for _ in range(5):
         z, res = step(z, np.zeros(cls.dim))
@@ -420,6 +447,39 @@ def test_power_balance_audit_memory_is_bounded():
     assert peak < traj.states.nbytes / 4
 
 
+@pytest.mark.parametrize("case", ["logcosh flow", "cubic loop"])
+def test_nonlinear_power_balance_audit_memory_is_bounded(case):
+    # structural guard: a nonlinear operator of the package is evaluated
+    # on a block of rows as one product plus its nodewise pieces, so the
+    # audit of a nonlinear run allocates no trajectory-sized temporary;
+    # 2400 steps leave the quarter of the states room for the walk's
+    # fixed buffers of 64 rows each
+    import tracemalloc
+
+    cfg = pf.IntegratorConfig(h_t=0.01)
+    if case == "logcosh flow":
+        ocp = make_logcosh(N=64)
+        sys = pf.assemble_optimizer(ocp)
+        traj = pf.integrate_flow(sys, pf.default_initial_state(ocp), pf.constant_input(ocp),
+                                 cfg, 24.0)
+    else:
+        ocp = make_double_integrator(N=64)
+        plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+        cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
+        sys = cls.sys
+        traj = pf.simulate_closed_loop(cls, cfg, 24.0, x_p0=np.array([1.0, 0.0])).traj
+    assert not sys.M.is_linear
+    tracemalloc.start()
+    try:
+        pb = pf.power_balance_audit(sys, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    z0 = traj.states[0]
+    assert pb.max_residual <= 1e-10 * (1.0 + sys.metric.inner(z0, z0))
+    assert peak < traj.states.nbytes / 4
+
+
 def test_implicit_step_newton_failure_reports_time_and_residual():
     cfg = pf.IntegratorConfig(h_t=0.1, newton_tol=1e-30)
     with pytest.raises(pf.NonConvergence) as info:
@@ -427,6 +487,7 @@ def test_implicit_step_newton_failure_reports_time_and_residual():
                           np.array([1.0]), np.zeros(0), cfg, 1.0)
     assert np.isfinite(info.value.residual)
     assert "t=" in str(info.value)
+    assert info.value.step == 1  # the first step failed
 
 
 def test_integrator_config_validation():

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 
 import phflow as pf
 from phflow import phcore
-from phflow.operators import MonotoneOperatorSpec, derivative_gap
+from phflow.operators import MonotoneOperatorSpec, Nodewise, derivative_gap
 
 
 EUC1 = pf.Metric.euclidean(1)
@@ -55,6 +55,33 @@ def test_factor_solves_the_shifted_matrix_on_each_path(monkeypatch, path, lu, sh
     assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+@pytest.mark.parametrize("path", ["banded", "dense", "superlu"])
+def test_fixed_factor_adds_the_diagonal_on_each_path(monkeypatch, path, shift):
+    # fix lays out A + shift I once; each diagonal_solver(d) factors a
+    # fresh copy plus d at the fixed coordinates, so calls do not pile up
+    rng = np.random.default_rng(8)
+    dim = 12
+    A = sparse.random(dim, dim, density=0.3, random_state=rng, format="csr")
+    A = A + sparse.diags(4.0 + rng.random(dim))
+    coords = np.array([1, 2, 3, 7, 8])
+    layouts = []
+    layout = phcore._Factor._layout
+    monkeypatch.setattr(phcore._Factor, "_layout",
+                        lambda self, terms: layouts.append(1) or layout(self, terms))
+    order = rng.permutation(dim) if path == "banded" else None
+    factor = phcore._Factor(order)
+    factor.fix(A.toarray() if path == "dense" else A, shift, coords)
+    for _ in range(3):
+        d = rng.random(coords.size)
+        full = A.toarray() + shift * np.eye(dim)
+        full[coords, coords] += d
+        r = rng.standard_normal(dim)
+        ref = np.linalg.solve(full, r)
+        assert np.linalg.norm(factor.diagonal_solver(d)(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert layouts == ([1] if path == "banded" else [])
+
+
 # ---------------------------------------------------------------------------
 # resolvent
 
@@ -85,11 +112,16 @@ def test_resolvent_rejects_bad_parameters():
 
 def test_nonlinear_operator_requires_derivative():
     # every Newton solve factors the Jacobian: a nonlinear operator
-    # without derivative_fn (or without eval_fn) is refused at once
+    # without derivative_fn (or without eval_fn), or nodewise pieces
+    # without the linear part they add to, are refused at once
     with pytest.raises(pf.InvalidParameter):
         MonotoneOperatorSpec(1, eval_fn=np.tanh)
     with pytest.raises(pf.InvalidParameter):
         MonotoneOperatorSpec(1, derivative_fn=lambda x: np.eye(1))
+    cube = Nodewise(0, 1, lambda x: x**3, lambda x: 3.0 * x**2)
+    with pytest.raises(pf.InvalidParameter):
+        MonotoneOperatorSpec(1, eval_fn=np.tanh, derivative_fn=lambda x: np.eye(1),
+                             nodewise=(cube,))
 
 
 def test_resolvent_contraction_on_sampled_pairs():

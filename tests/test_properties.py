@@ -322,6 +322,113 @@ def test_cubic_closed_loop_jacobian_is_sparse_and_exact(problem, gamma):
         assert np.max(np.abs(J.toarray() - dense)) <= 1e-14 * (1.0 + np.max(np.abs(dense)))
 
 
+def _m_opt_oracle(ocp, z):
+    """The optimality operator as the parts of the state compute it: the
+    gradient row grad_cost(z) - C* (lam, lam0) and the constraint row
+    C (x, u)."""
+    s = ocp.blocks(z)
+    out = np.empty(ocp.state_dim)
+    out[:ocp.primal_dim] = ocp.grad_cost(z) - ocp.C_star @ s.dual
+    out[ocp.primal_dim:] = ocp.C @ s.primal
+    return out
+
+
+def _m_opt_jacobian_oracle(ocp, z):
+    """[[H(z), -C*], [C, 0]] assembled densely from the stage Hessians."""
+    p = ocp.primal_dim
+    J = np.zeros((ocp.state_dim, ocp.state_dim))
+    J[:p, :p] = sparse.block_diag([*ocp.cost.stage.hess(ocp.blocks(z).x),
+                                   ocp.cost.alpha * np.eye((ocp.N + 1) * ocp.m)]).toarray()
+    J[:p, p:] = -ocp.C_star.toarray()
+    J[p:, :p] = ocp.C.toarray()
+    return J
+
+
+@st.composite
+def package_operators(draw):
+    """One operator of each form the package builds: a cubic plant, a
+    quadratic or logcosh optimizer, or a cubic plant closed against
+    either; returns (kind, operator, its evaluation and its dense
+    Jacobian written out member by member, ocp or None, rng)."""
+    kind = draw(st.sampled_from(["plant", "quadratic", "logcosh",
+                                 "quadratic loop", "logcosh loop"]))
+    ocp, rng = draw(problems(logcosh="logcosh" in kind))
+    n = ocp.n
+    G = rng.standard_normal((n, n))
+    R, kappa = G @ G.T / n + 0.1 * np.eye(n), draw(st.floats(0.1, 3.0))
+    plant = pf.assemble_plant(pf.cubic_plant(R, kappa, ocp.model.B, np.zeros(n)))
+
+    def plant_eval(x):
+        return R @ x + kappa * x**3
+
+    def plant_jac(x):
+        return R + np.diag(3.0 * kappa * x**2)
+
+    if kind == "plant":
+        return kind, plant.M, plant_eval, plant_jac, None, rng
+    opt = pf.assemble_optimizer(ocp)
+    if kind in ("quadratic", "logcosh"):
+        return (kind, opt.M, lambda z: _m_opt_oracle(ocp, z),
+                lambda z: _m_opt_jacobian_oracle(ocp, z), ocp, rng)
+    gamma = draw(st.floats(0.1, 10.0))
+    cls = pf.couple(opt, plant, ocp, pf.CouplingSpec(gamma))
+    lam0 = ocp.blocks(np.arange(ocp.state_dim) - ocp.primal_dim).lam0
+    port = pf.PHSystem(opt.M, opt.B[:, lam0], opt.metric,
+                       pf.Metric(opt.input_metric.weights[lam0]))
+    K = pf.coupling_block(plant, port, gamma * ocp.model.B.T, ocp.m, n).toarray()
+
+    def loop_eval(z):
+        return np.concatenate([plant_eval(z[:n]), _m_opt_oracle(ocp, z[n:])]) + K @ z
+
+    def loop_jac(z):
+        return K + sparse.block_diag([plant_jac(z[:n]),
+                                      _m_opt_jacobian_oracle(ocp, z[n:])]).toarray()
+
+    return kind, cls.sys.M, loop_eval, loop_jac, ocp, rng
+
+
+def _gap(a, b, scale):
+    """The largest entry of |a - b| over 1 + scale."""
+    return float(np.max(np.abs(a - b))) / (1.0 + scale)
+
+
+@PROFILE
+@given(package_operators(), st.integers(1, 6))
+def test_structured_evaluation_and_jacobian_match_the_member_formulas(op, rows):
+    # M(z) = L z + g + phi(z) on one state and on a block of rows, its
+    # Jacobian L + diag(phi') and the Newton solve built on the layout of
+    # L against the formulas each member is written in; the optimality
+    # operator keeps grad_cost(z) - C* lam and C z_p bit for bit
+    kind, M, evaluate, jacobian, ocp, rng = op
+    assert M.linear_part is not None and M.eval_fn is None and M.derivative_fn is None
+    assert M.is_linear == (kind == "quadratic")
+    states = _states(rng, M.dim)
+    block = rng.standard_normal((rows, M.dim)) * rng.choice([1.0, 40.0], (rows, 1))
+    shift = 100.0  # 1/c of a midpoint step at h_t = 0.02
+    solve = phcore._newton_solver(M, shift)
+    for z in states + list(block):
+        ref, J = evaluate(z), jacobian(z)
+        scale = float(np.max(np.abs(J) @ np.abs(z)) + np.max(np.abs(ref)))
+        assert _gap(M(z), ref, scale) <= 1e-14
+        if ocp is not None and kind in ("quadratic", "logcosh"):
+            assert np.array_equal(ocp.m_opt(z), ref)
+            if kind == "logcosh":
+                assert np.array_equal(M(z), ref)
+        summed = phcore._summed(M._terms(z))
+        summed = summed.toarray() if sparse.issparse(summed) else summed
+        assert _gap(summed, J, float(np.max(np.abs(J)))) <= 1e-14
+        r = rng.standard_normal(M.dim)
+        x = solve(z, r)
+        A = J + shift * np.eye(M.dim)
+        assert np.linalg.norm(A @ x - r) <= 1e-12 * np.linalg.norm(np.abs(A) @ np.abs(x))
+    batch = phcore._batch_eval(M, block)
+    assert batch.shape == block.shape
+    for row, z in zip(batch, block):
+        ref = evaluate(z)
+        scale = float(np.max(np.abs(jacobian(z)) @ np.abs(z)) + np.max(np.abs(ref)))
+        assert _gap(row, ref, scale) <= 1e-14
+
+
 @st.composite
 def cubic_lq_loops(draw):
     """A random cubic plant closed against an LQ optimizer: n in 1..4,
@@ -345,18 +452,19 @@ def cubic_lq_loops(draw):
 @given(cubic_lq_loops())
 def test_condensed_loop_step_matches_the_banded_step(loop):
     # the step that eliminates the LQ optimizer against the full banded
-    # Newton step of the same operator without its recorded members; then
+    # Newton step of the same operator given by its evaluation and its
+    # Jacobian terms, as an operator built outside the package is; then
     # 20 condensed steps keep the power balance at the audit's scale
     cls, scheme, theta, z0 = loop
-    M, norm, h, tol = cls.sys.M, cls.sys.metric.norm, 0.02, 1e-13
-    _, plant_M, opt_M, _ = M._parts
-    assert opt_M.is_linear and not plant_M.is_linear
-    banded = pf.MonotoneOperatorSpec(M.dim, eval_fn=M.eval_fn,
-                                     derivative_fn=M.derivative_fn, order=M.order)
-    assert banded._parts is None
+    M, metric, h, tol = cls.sys.M, cls.sys.metric, 0.02, 1e-13
+    norm = metric.norm
+    assert cls.opt_sys.M.is_linear and not cls.plant_sys.M.is_linear
+    assert max(p.hi for p in M.nodewise) == cls.n_p  # phi lives in the plant alone
+    banded = pf.MonotoneOperatorSpec(M.dim, eval_fn=M, derivative_fn=M._terms, order=M.order)
+    assert banded.linear_part is None
     b = np.zeros(M.dim)
-    z_c, res_c = phcore.implicit_stepper(M, h, theta, norm, tol)(z0, b)
-    z_b, res_b = phcore.implicit_stepper(banded, h, theta, norm, tol)(z0, b)
+    z_c, res_c = phcore.implicit_stepper(M, h, theta, metric, tol)(z0, b)
+    z_b, res_b = phcore.implicit_stepper(banded, h, theta, metric, tol)(z0, b)
     assert res_c <= tol and res_b <= tol
     assert norm(z_c - z_b) <= 1e-11 * norm(z_b)
     cfg = pf.IntegratorConfig(h_t=h, scheme=scheme, newton_tol=tol)
