@@ -5,8 +5,10 @@ Run from the repository root:
 
     python scripts/output_digest.py [--work DIR] > digest.txt
 
-The runs are every ``configs/*.json`` in each of the five modes, plus
-round 0 of every benchmark workload at seeds 0, 1 and 2, built by
+The runs are every ``configs/*.json`` in each of the five modes, the
+same configs in the flow and closedloop modes with ``output.full_state``
+set (so ``<name>_state.csv`` is checked too), plus round 0 of every
+benchmark workload at seeds 0, 1 and 2, built by
 ``perfbench/scenarios.make_config`` (read, never edited).  Each run goes
 through ``phflow.cli.run`` of this checkout's ``src/`` with BLAS pinned
 to one thread.  For every run the script prints its exit code and the
@@ -39,16 +41,24 @@ from phflow import cli  # noqa: E402
 import scenarios  # noqa: E402
 
 MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
+# the modes that write <name>_state.csv when output.full_state is set
+FULL_STATE_MODES = ("flow", "closedloop")
 SEEDS = (0, 1, 2)
 
 
 def runs(work: Path):
     """(run id, config path, mode or None) for every run of the digest."""
+    gen = work / "generated"
+    gen.mkdir(parents=True, exist_ok=True)
     for config in sorted((ROOT / "configs").glob("*.json")):
         for mode in MODES:
             yield f"configs/{config.name}:{mode}", config, mode
-    gen = work / "generated"
-    gen.mkdir(parents=True, exist_ok=True)
+        cfg = json.loads(config.read_text())
+        cfg.setdefault("output", {})["full_state"] = True
+        path = gen / f"full_state-{config.name}"
+        path.write_text(json.dumps(cfg), newline="\n")
+        for mode in FULL_STATE_MODES:
+            yield f"configs/{config.name}:{mode}:full_state", path, mode
     for workload, kinds in scenarios.WORKLOADS.items():
         for seed in SEEDS:
             for idx, kind in enumerate(kinds):

@@ -43,18 +43,18 @@ import numpy as np
 from . import __version__
 from .analysis import (_DENSE_DIM_CAP, lyapunov_certificate,
                        metric_generator, nonnormality, saddle_blocks)
-from .closedloop import (CouplingSpec, PlantSpec, couple, assemble_plant,
-                         cubic_plant, linear_plant, simulate_closed_loop)
+from .closedloop import (CouplingSpec, LoopColumns, PlantSpec, couple,
+                         assemble_plant, cubic_plant, linear_plant)
 from .errors import (ConfigError, DimensionMismatch, FormatError,
                      InvalidParameter, NotHurwitz, ToolkitError)
 from .ocp import (_KKT_TOL, CostSpec, DiscretizedOCP, LinearPlantModel,
                   LogCoshStage, QuadraticStage, assemble_ocp, build_grid,
                   cost_and_gradient, kkt_residual, kkt_solve)
-from .optimizer import (_MIN_REPORT_SAMPLES, IntegratorConfig, _step_count,
-                        assemble_optimizer, constant_input, convergence_report,
-                        default_initial_state, default_outer_step, integrate_flow)
-from .phcore import (accretivity_probe, power_balance_audit,
-                     shifted_passivity_audit, steady_state)
+from .optimizer import (_MIN_REPORT_SAMPLES, ErrorSeries, IntegratorConfig,
+                        _step_count, assemble_optimizer, constant_input,
+                        default_initial_state, default_outer_step, stream_flow)
+from .phcore import (PowerBalance, ShiftedPassivity, accretivity_probe, fold,
+                     steady_state)
 
 _MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 
@@ -248,11 +248,15 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _write_rows(fh, rows):
+    for row in rows:
+        fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
 def write_csv(path: Path, header: list[str], rows, trailer: str = ""):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        _write_rows(fh, rows)
         if trailer:
             fh.write(trailer + "\n")
 
@@ -385,45 +389,72 @@ def _check_report_horizon(scn: Scenario):
 
 def _optimizer_run(scn: Scenario):
     """The stage shared by flow, audit and spectrum: the optimizer system,
-    its steady state (the KKT oracle) and the flow from the default start."""
+    its steady state (the KKT oracle) and the flow from the default start,
+    which runs as a mode folds it."""
     ocp = scn.ocp
     sys = assemble_optimizer(ocp)
     u = constant_input(ocp)
     oracle = steady_state(sys, u, _KKT_TOL)
-    traj = integrate_flow(sys, default_initial_state(ocp), u, scn.integrator, scn.T)
-    return sys, oracle, traj
+    flow = stream_flow(sys, default_initial_state(ocp), u, scn.integrator, scn.T)
+    return sys, oracle, flow
 
 
-def _write_trajectory(out_dir: Path, name: str, sys, traj, header: list[str],
-                      columns: list, full_state: bool) -> list[Path]:
+class _StateRows:
+    """The fold that writes the time and every state coordinate of each
+    sample to fh."""
+
+    def __init__(self, fh, run):
+        self.fh, self.times = fh, run.times
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        rows = np.column_stack([self.times[lo:lo + x.shape[0]], x])
+        # past the first block, the first row was the previous block's last
+        _write_rows(self.fh, rows if lo == 0 else rows[1:])
+
+    def report(self):
+        return None
+
+
+def _stream(out_dir: Path, name: str, sys, flow, full_state: bool, *folds):
+    """Run the flow once through its power audit and `folds`; return their
+    reports and the files written.  With full_state the run also writes
+    <name>_state.csv, block by block, under a temporary name that it takes
+    only when the run completes, so a failed run leaves no state file."""
+    audit = PowerBalance(sys, flow)
+    if not full_state:
+        return fold(flow, audit, *folds), []
+    path = out_dir / f"{name}_state.csv"
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline="\n") as fh:
+            fh.write(",".join(["t"] + [f"z_{j + 1}" for j in range(sys.dim)]) + "\n")
+            reports = fold(flow, audit, *folds, _StateRows(fh, flow))[:-1]
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+    return reports, [path]
+
+
+def _write_table(out_dir: Path, name: str, flow, pb, header: list[str],
+                 columns: list) -> Path:
     """Write <name>.csv with the columns t, `columns` (named by `header`)
-    and each step's power_residual, 0 at t = 0; with `full_state` also
-    <name>_state.csv, the time and every state coordinate."""
-    pb = power_balance_audit(sys, traj)
+    and each step's power_residual, 0 at t = 0."""
     path = out_dir / f"{name}.csv"
     write_csv(path, ["t", *header, "power_residual"], np.column_stack(
-        [traj.times, *columns, np.concatenate([[0.0], pb.residuals])]))
-    files = [path]
-    if full_state:
-        state_path = out_dir / f"{name}_state.csv"
-        write_csv(state_path,
-                  ["t"] + [f"z_{j + 1}" for j in range(traj.states.shape[1])],
-                  np.column_stack([traj.times, traj.states]))
-        files.append(state_path)
-    return files
+        [flow.times, *columns, np.concatenate([[0.0], pb.residuals])]))
+    return path
 
 
 def run_flow(scn: Scenario, out_dir: Path):
     _check_report_horizon(scn)
-    sys, oracle, traj = _optimizer_run(scn)
-    report = convergence_report(traj, oracle.x_bar, scn.ocp)
-    files = _write_trajectory(
-        out_dir, "flow", sys, traj, ["err_total", "err_primal", "err_dual"],
-        [report.errors, report.errors_primal, report.errors_dual], scn.full_state)
+    sys, oracle, flow = _optimizer_run(scn)
+    (pb, report), state = _stream(out_dir, "flow", sys, flow, scn.full_state,
+                                  ErrorSeries(flow, oracle.x_bar, scn.ocp))
+    table = _write_table(out_dir, "flow", flow, pb, ["err_total", "err_primal", "err_dual"],
+                         [report.errors, report.errors_primal, report.errors_dual])
     rpt = out_dir / "convergence_report.txt"
     rpt.write_text("[convergence]\n" + report.summary() + "\n", newline="\n")
-    files.insert(1, rpt)  # keep the listed order: flow.csv, the report, flow_state.csv
-    return files
+    return [table, rpt, *state]
 
 
 def run_closedloop(scn: Scenario, out_dir: Path):
@@ -432,23 +463,22 @@ def run_closedloop(scn: Scenario, out_dir: Path):
         raise ConfigError("missing required field", field="plant")
     plant_sys = assemble_plant(spec, rng=scn.seed)
     cls = couple(assemble_optimizer(ocp), plant_sys, ocp, scn.coupling)
-    run = simulate_closed_loop(cls, scn.integrator, scn.T, x_p0=spec.x_p0)
+    flow = stream_flow(cls.sys, cls.initial_state(spec.x_p0), np.zeros(0),
+                       scn.integrator, scn.T)  # the loop has no open port
+    (pb, cols), state = _stream(out_dir, "closedloop", cls.sys, flow, scn.full_state,
+                                LoopColumns(cls, flow))
     header = ([f"xp_{j + 1}" for j in range(cls.n_p)]
               + [f"up_{j + 1}" for j in range(ocp.m)]
               + ["norm_total", "norm_plant", "norm_optimizer"])
-    columns = [cls.split(run.traj.states)[0], run.feedback.u_p,
-               run.norm_total, run.norm_plant, run.norm_optimizer]
-    return _write_trajectory(out_dir, "closedloop", cls.sys, run.traj,
-                             header, columns, scn.full_state)
+    columns = [cols.x_p, cols.u_p, cols.norm_total, cols.norm_plant, cols.norm_optimizer]
+    return [_write_table(out_dir, "closedloop", flow, pb, header, columns), *state]
 
 
 def run_audit(scn: Scenario, out_dir: Path):
-    sys, oracle, traj = _optimizer_run(scn)
-    pb = power_balance_audit(sys, traj)
-    sh = shifted_passivity_audit(sys, traj, oracle)
+    sys, oracle, flow = _optimizer_run(scn)
+    pb, sh = fold(flow, PowerBalance(sys, flow), ShiftedPassivity(sys, flow, oracle))
     probe = accretivity_probe(sys.M, sys.metric, rng=scn.seed, n_pairs=200)
-    z0 = traj.states[0]
-    z0_scale = 1.0 + sys.metric.inner(z0, z0)
+    z0_scale = 1.0 + sys.metric.inner(flow.z0, flow.z0)
     path = out_dir / "audit.txt"
     path.write_text(
         "[power_balance]\n"
@@ -475,7 +505,8 @@ def run_spectrum(scn: Scenario, out_dir: Path):
             f"state dimension {ocp.state_dim} exceeds the dense analysis cap "
             f"{_DENSE_DIM_CAP} of spectrum mode", field="ocp.N")
     _check_report_horizon(scn)
-    sys, oracle, traj = _optimizer_run(scn)
+    sys, oracle, flow = _optimizer_run(scn)
+    report = fold(flow, ErrorSeries(flow, oracle.x_bar, ocp))[0]
     DM = sys.M.derivative(oracle.x_bar)
     gen = metric_generator(DM, sys.metric)
     try:  # the certificate's Schur form also gives the abscissa
@@ -500,7 +531,6 @@ def run_spectrum(scn: Scenario, out_dir: Path):
         *lyapunov,
         "[rates]",
     ]
-    report = convergence_report(traj, oracle.x_bar, ocp)
     if report.indeterminate:
         lines.append("rate: indeterminate")
     else:

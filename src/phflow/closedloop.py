@@ -38,7 +38,7 @@ from .metric import Metric
 from .ocp import DiscretizedOCP, default_initial_state
 from .operators import MonotoneOperatorSpec, cubic as cubic_operator, linear as linear_operator
 from .optimizer import IntegratorConfig, integrate_flow
-from .phcore import PHSystem, Trajectory, accretivity_probe, interconnect
+from .phcore import PHSystem, Trajectory, accretivity_probe, fold, interconnect
 
 
 @dataclass(frozen=True)
@@ -206,14 +206,39 @@ class ClosedLoopRun:
     norm_optimizer: np.ndarray
 
 
+class LoopColumns:
+    """The fold of `simulate_closed_loop`'s columns over a run of the
+    loop (see `phcore.fold`): at every sample the plant state x_p, the
+    applied feedback u_p and the metric norms of the whole state, the
+    plant and the optimizer."""
+
+    def __init__(self, cls: ClosedLoopSystem, run):
+        self.cls, samples = cls, run.times.size
+        self.x_p = np.empty((samples, cls.n_p))
+        self.u_p = np.empty((samples, cls.ocp.m))
+        self.norm_total, self.norm_plant, self.norm_optimizer = np.empty((3, samples))
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        cls, rows = self.cls, slice(lo, lo + x.shape[0])
+        xp, z = cls.split(x)
+        self.x_p[rows] = xp
+        # the block has at least two rows: BLAS may round a product of one
+        # row differently from the same row inside a larger product
+        self.u_p[rows] = cls.feedback(x)
+        self.norm_total[rows] = np.sqrt(cls.sys.metric.row_inner(x, x))
+        self.norm_plant[rows] = np.sqrt(cls.plant_sys.metric.row_inner(xp, xp))
+        self.norm_optimizer[rows] = np.sqrt(cls.opt_sys.metric.row_inner(z, z))
+
+    def report(self) -> "LoopColumns":
+        return self
+
+
 def simulate_closed_loop(cls: ClosedLoopSystem, cfg: IntegratorConfig, T: float,
                          x_p0: Optional[np.ndarray] = None,
                          z0: Optional[np.ndarray] = None) -> ClosedLoopRun:
     """Run the closed loop from (x_p0, z0) and extract the feedback."""
-    z_cl0 = cls.initial_state(x_p0, z0)
-    traj = integrate_flow(cls.sys, z_cl0, np.zeros(0), cfg, T)  # no open port
-    xp, z = cls.split(traj.states)
-    total = np.sqrt(cls.sys.metric.row_inner(traj.states, traj.states))
-    plant = np.sqrt(cls.plant_sys.metric.row_inner(xp, xp))
-    opt = np.sqrt(cls.opt_sys.metric.row_inner(z, z))
-    return ClosedLoopRun(traj, feedback_extract(cls, traj), total, plant, opt)
+    traj = integrate_flow(cls.sys, cls.initial_state(x_p0, z0), np.zeros(0),
+                          cfg, T)  # no open port
+    cols = fold(traj, LoopColumns(cls, traj))[0]
+    return ClosedLoopRun(traj, FeedbackSeries(traj.times, cols.u_p), cols.norm_total,
+                         cols.norm_plant, cols.norm_optimizer)

@@ -23,8 +23,8 @@ solver precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec
-from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, implicit_stepper,
+from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, fold, implicit_stepper,
                      selection_port)
 
 # each scheme is the implicit theta-step of `implicit_stepper`
@@ -112,13 +112,49 @@ def _step_count(h_t: float, T: float) -> int:
     return max(1, int(round(ratio)))
 
 
-def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
-                   cfg: IntegratorConfig, T: float) -> Trajectory:
-    """Integrate dz/dt = -M(z) + B u with a constant input on [0, T].
+@dataclass(frozen=True)
+class FlowStream:
+    """The flow of `integrate_flow`, stepped block by block.
+
+    times, inputs, theta and step are those of the `Trajectory` that
+    integrate_flow collects, and z0 is its first state.  Each call of
+    `blocks()` runs the flow from z0 and yields what `Trajectory.blocks`
+    yields for that trajectory; the states of every block sit in one
+    buffer of _ROW_BLOCK + 1 rows, so a block is valid until the next.
+    """
+
+    times: np.ndarray
+    inputs: np.ndarray
+    theta: float
+    step: float
+    z0: np.ndarray
+    advance: Callable = field(repr=False)  # z -> (z_next, step residual)
+    tol: float = field(repr=False)
+
+    def blocks(self):
+        n = self.times.size - 1
+        buf = np.empty((min(n, _ROW_BLOCK) + 1, self.z0.size))
+        buf[0] = self.z0
+        for lo in range(0, n, _ROW_BLOCK):
+            x = buf[:min(_ROW_BLOCK, n - lo) + 1]
+            for i in range(x.shape[0] - 1):
+                x[i + 1], res = self.advance(x[i])
+                if not res <= self.tol:
+                    k = lo + i
+                    raise NonConvergence(f"implicit step failed at t={k * self.step:.4g}",
+                                         residual=res, step=k + 1)
+            yield lo, x, self.inputs[lo:lo + x.shape[0]]
+            buf[0] = x[-1]  # the next block starts where this one ends
+
+
+def stream_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
+                cfg: IntegratorConfig, T: float) -> FlowStream:
+    """dz/dt = -M(z) + B u with a constant input on [0, T], as a stream.
 
     Each step is the implicit theta-step of the scheme (theta = 1/2 for
-    midpoint, 1 for Euler), and every step is stored, so the per-step
-    audits see the whole run at the scheme's stage."""
+    midpoint, 1 for Euler), factored here once; the steps run as the
+    blocks are taken, and a step whose residual misses the Newton
+    tolerance raises NonConvergence with its index."""
     if T <= 0:
         raise InvalidParameter("integration horizon T must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -129,18 +165,21 @@ def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
     step = implicit_stepper(sys.M, h, theta, sys.metric, cfg.newton_tol)
     b = sys.B @ u_const
-
-    states = np.empty((steps + 1, sys.dim))
-    states[0] = z0
-    for k in range(steps):
-        states[k + 1], res = step(states[k], b)
-        if not res <= cfg.newton_tol:
-            raise NonConvergence(
-                f"implicit step failed at t={k * h:.4g}", residual=res, step=k + 1)
-
     # the input is constant: one read-only row repeated, never copied
     inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))
-    return Trajectory(h * np.arange(steps + 1, dtype=float), states, inputs, theta)
+    return FlowStream(h * np.arange(steps + 1, dtype=float), inputs, theta, h, z0,
+                      lambda z: step(z, b), cfg.newton_tol)
+
+
+def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
+                   cfg: IntegratorConfig, T: float) -> Trajectory:
+    """Integrate dz/dt = -M(z) + B u with a constant input on [0, T]: the
+    blocks of `stream_flow` collected into one `(samples x dim)` array."""
+    flow = stream_flow(sys, z0, u_const, cfg, T)
+    states = np.empty((flow.times.size, sys.dim))
+    for lo, x, _ in flow.blocks():
+        states[lo:lo + x.shape[0]] = x
+    return Trajectory(flow.times, states, flow.inputs, flow.theta)
 
 
 @dataclass(frozen=True)
@@ -169,33 +208,44 @@ class ConvergenceReport:
 _AMPLITUDE_FLOOR = 1e-9
 
 
-def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP) -> ConvergenceReport:
-    """Error series against the oracle and the tail rate fit.
+class ErrorSeries:
+    """The fold of `convergence_report` over a run (see `phcore.fold`):
+    the metric distance of every sample to the oracle z_hat, in total and
+    on the primal and dual blocks, then the tail rate fit."""
 
-    The rate is fitted on the last half of the series to skip
-    transients; it is reported as indeterminate when the tail amplitude
-    sits below 1e-9 (fitting there would only model roundoff).
-    """
-    if traj.times.size < _MIN_REPORT_SAMPLES:
-        raise InsufficientData(
-            f"need at least {_MIN_REPORT_SAMPLES} samples past the transient")
-    vec = z_hat.vector if isinstance(z_hat, OptimizerState) else np.asarray(z_hat, dtype=float)
-    errors, errors_primal, errors_dual = np.empty((3, traj.times.size))
-    for lo in range(0, traj.times.size, _ROW_BLOCK):  # a block of rows at a time
-        rows = slice(lo, lo + _ROW_BLOCK)
-        diff = traj.states[rows] - vec
+    def __init__(self, run, z_hat, ocp: DiscretizedOCP):
+        if run.times.size < _MIN_REPORT_SAMPLES:
+            raise InsufficientData(
+                f"need at least {_MIN_REPORT_SAMPLES} samples past the transient")
+        self.times, self.ocp = run.times, ocp
+        self.vec = (z_hat.vector if isinstance(z_hat, OptimizerState)
+                    else np.asarray(z_hat, dtype=float))
+        self.errors = np.empty((3, run.times.size))
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        ocp = self.ocp
+        diff = x - self.vec
         d = ocp.blocks(diff)
-        errors[rows] = np.sqrt(ocp.state_metric.row_inner(diff, diff))
-        errors_primal[rows] = np.sqrt(ocp.primal_metric.row_inner(d.primal, d.primal))
-        errors_dual[rows] = np.sqrt(ocp.dual_metric.row_inner(d.dual, d.dual))
+        total, primal, dual = self.errors[:, lo:lo + x.shape[0]]
+        total[:] = np.sqrt(ocp.state_metric.row_inner(diff, diff))
+        primal[:] = np.sqrt(ocp.primal_metric.row_inner(d.primal, d.primal))
+        dual[:] = np.sqrt(ocp.dual_metric.row_inner(d.dual, d.dual))
 
-    half = traj.times.size // 2
-    tail_t, tail_e = traj.times[half:], errors[half:]
-    indeterminate = bool(np.max(tail_e, initial=0.0) < _AMPLITUDE_FLOOR)
-    if indeterminate:
-        rate, amplitude = None, float(np.max(tail_e, initial=0.0))
-    else:
-        rate, amplitude = _log_linear_fit(tail_t, tail_e)
+    def report(self) -> ConvergenceReport:
+        """The series and the rate fitted on its last half, which skips
+        transients; the rate is indeterminate when the tail amplitude
+        sits below 1e-9 (fitting there would only model roundoff)."""
+        half = self.times.size // 2
+        tail_t, tail_e = self.times[half:], self.errors[0, half:]
+        indeterminate = bool(np.max(tail_e, initial=0.0) < _AMPLITUDE_FLOOR)
+        if indeterminate:
+            rate, amplitude = None, float(np.max(tail_e, initial=0.0))
+        else:
+            rate, amplitude = _log_linear_fit(tail_t, tail_e)
+        return ConvergenceReport(self.times, *self.errors, rate, amplitude, indeterminate)
 
-    return ConvergenceReport(traj.times, errors, errors_primal, errors_dual,
-                             rate, amplitude, indeterminate)
+
+def convergence_report(traj: Trajectory, z_hat, ocp: DiscretizedOCP) -> ConvergenceReport:
+    """Error series against the oracle and the tail rate fit: the
+    `ErrorSeries` fold over the trajectory's blocks."""
+    return fold(traj, ErrorSeries(traj, z_hat, ocp))[0]

@@ -12,6 +12,13 @@ accretivity probes), trajectory audits of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
+A run is read in blocks of at most _ROW_BLOCK sampling intervals: a
+stored `Trajectory` gives them from its array (`Trajectory.blocks`), and
+a flow being integrated gives them as it steps (`optimizer.FlowStream`).
+Each audit is a fold over those blocks (`fold`), so an audit, like every
+other output of a run, can be taken while the flow runs, and no state
+array that grows with the run is needed.
+
 The operators the package builds have the form M(z) = L z + g + phi(z)
 (see `operators`): one matrix product plus a nodewise map.  So they are
 evaluated on a block of trajectory rows at once (`_batch_eval`), and
@@ -148,12 +155,41 @@ class Trajectory:
             raise InvalidParameter("trajectory is not uniformly sampled")
         return float(dt[0]) if dt.size else 0.0
 
+    def blocks(self):
+        """Yield (lo, x, u) for consecutive blocks of at most _ROW_BLOCK
+        sampling intervals: the index of the block's first sample and
+        views of the states and inputs of its samples, one row more than
+        its intervals, so each block's first row is the previous block's
+        last.  `optimizer.FlowStream.blocks` yields the same blocks while
+        the flow runs."""
+        n = self.times.size - 1
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            yield lo, self.states[lo:hi + 1], self.inputs[lo:hi + 1]
 
-def newton(residual, solve, x0, norm, tol, r0=None):
+
+# intervals per block of a run's row-wise work: the stream of a flow, the
+# audits and every other fold keep buffers of this many rows, whatever the
+# run's length
+_ROW_BLOCK = 64
+
+
+def fold(run, *folds) -> list:
+    """Pass every block of run (a `Trajectory`, or an
+    `optimizer.FlowStream`, which steps the flow as it goes) to each fold's
+    add(lo, x, u) in one pass, and return their report()s in order."""
+    for lo, x, u in run.blocks():
+        for f in folds:
+            f.add(lo, x, u)
+    return [f.report() for f in folds]
+
+
+def newton(residual, solve, x0, norm, tol, r0=None, res0=None):
     """Damped Newton iteration for residual(x) = 0.
 
-    solve(x, r) returns the Newton step J(x)^{-1} r; r0, when given, is
-    residual(x0).  The full step is taken whenever it lowers the
+    solve(x, r) returns the Newton step J(x)^{-1} r; r0 and res0, when
+    given, are residual(x0) and its norm (the steppers have both from
+    choosing the start).  The full step is taken whenever it lowers the
     residual norm; otherwise the step is halved, with at most 40 trial
     steps per iteration.  Returns the last iterate and its residual
     norm, stopping early when the norm reaches tol, when the step is not
@@ -163,7 +199,7 @@ def newton(residual, solve, x0, norm, tol, r0=None):
     """
     x = x0
     r = residual(x) if r0 is None else r0
-    res = norm(r)
+    res = norm(r) if res0 is None else res0
     for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
             break
@@ -429,9 +465,10 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
         drift = h * (-M(z) + b)
         predictor = z + drift
         r_pred = residual(predictor)
-        x0, r0 = ((predictor, r_pred) if norm(r_pred) <= norm(drift)
-                  else (z, -drift))
-        return newton(residual, solve, x0, norm, tol, r0)
+        res_pred, res_z = norm(r_pred), norm(drift)
+        x0, r0, res0 = ((predictor, r_pred, res_pred) if res_pred <= res_z
+                        else (z, -drift, res_z))
+        return newton(residual, solve, x0, norm, tol, r0, res0)
 
     return step
 
@@ -509,9 +546,10 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
         r_z = residual(z1)
         predictor = z1 + h * (b1 - M1(z1) - K12 @ z2[port])
         r_pred = residual(predictor)
-        p0, r0 = ((predictor, r_pred) if norm1(r_pred) <= norm1(r_z)
-                  else (z1, r_z))
-        p, _ = newton(residual, solve, p0, norm1, tol, r0)
+        res_pred, res_z = norm1(r_pred), norm1(r_z)
+        p0, r0, res0 = ((predictor, r_pred, res_pred) if res_pred <= res_z
+                        else (z1, r_z, res_z))
+        p, _ = newton(residual, solve, p0, norm1, tol, r0, res0)
         z_next = np.empty_like(z)
         z_next[:d1] = p
         o = np.matmul(V, stage(p), out=z_next[d1:])
@@ -626,54 +664,63 @@ class PowerBalanceReport:
     max_residual: float
 
 
-# intervals per block of the audits' row-wise work: their temporaries
-# stay this many rows whatever the trajectory's length
-_ROW_BLOCK = 64
+class _Stage:
+    """The theta stage of the intervals of a block, for the audits.
 
+    For a block's states x and inputs u (see `Trajectory.blocks`),
+    states(x) returns (lag, xs): the term lag = (1 - 2 theta)
+    ||x+ - x||^2 / (2h) by which the theta-step's energy rate exceeds its
+    stage balance (0 at midpoint), and the stage states
+    theta x+ + (1 - theta) x of the block's intervals; inputs(u) returns
+    the stage inputs us likewise.
 
-def _interval_blocks(traj: Trajectory, h: float, metric: Metric,
-                     column_major: bool):
-    """Yield (rows, x, lag, xs, us) for consecutive blocks of at most
-    _ROW_BLOCK sampling intervals: the slice of their indices, a view of
-    their endpoint states (one row more than the block), the term
-    lag = (1 - 2 theta) ||x+ - x||^2 / (2h) by which the theta-step's
-    energy rate exceeds its stage balance (0 at midpoint), and their
-    stage states and inputs theta x+ + (1 - theta) x.
-
-    The stage stacks are views of buffers allocated once per walk, and
-    the next block overwrites them.  With column_major the state stage
-    is copied into a column-major buffer, the layout in which a product
-    S @ xs.T with a sparse S (the linear part of a drift, the output
-    map) reads it without a transposed copy; the per-row path of an
-    operator built outside the package keeps rows.
+    xs and us are views of two buffers allocated once per audit, which
+    the next block overwrites; each is independent of the other, so a
+    fold may take them in any order.  For an operator of the package xs
+    is column-major, the layout in which a product S @ xs.T with a sparse
+    S (the linear part of a drift, the output map) reads it without a
+    transposed copy; the per-row path of an operator built outside the
+    package keeps rows.  A block of k intervals fills the first k * dim
+    entries of a buffer, so a short block is as contiguous as a full one.
+    A column-major xs is summed in a row-major temporary that is freed
+    before the audit's product with L, so the two never add up in the
+    audit's peak memory.
     """
-    theta = traj.theta
-    states, inputs = traj.states, traj.inputs
-    n = states.shape[0] - 1
-    rows = min(n, _ROW_BLOCK)
-    xs_buf = np.empty((rows, states.shape[1]))
-    xs_cols = np.empty_like(xs_buf, order="F") if column_major else None
-    us_buf = np.empty((rows, inputs.shape[1]))
-    width = max(states.shape[1], inputs.shape[1])
-    tmp = None if theta == 0.5 else np.empty((rows, width))
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        x, u = states[lo:hi + 1], inputs[lo:hi + 1]
-        xs, us = xs_buf[:hi - lo], us_buf[:hi - lo]
-        if theta == 0.5:  # midpoint: the plain average, and no lag
-            lag = 0.0
-            for s, v in ((xs, x), (us, u)):
-                np.multiply(np.add(v[1:], v[:-1], out=s), 0.5, out=s)
+
+    def __init__(self, sys: PHSystem, run):
+        self.theta, self.h, self.metric = run.theta, run.step, sys.metric
+        rows = min(run.times.size - 1, _ROW_BLOCK)
+        self.xs_buf = np.empty(rows * sys.dim)
+        self.us_buf = np.empty(rows * sys.input_dim)
+        self.layout = "F" if sys.M.linear_part is not None else "C"
+        width = max(sys.dim, sys.input_dim)
+        self.tmp = None if self.theta == 0.5 else np.empty((rows, width))
+
+    def _stage(self, v, buf, layout):
+        k, d = v.shape[0] - 1, v.shape[1]
+        s = buf[:k * d].reshape((k, d), order=layout)
+        # a column-major stage is summed row-major and then copied: numpy
+        # walks a sum of rows into columns strided, several times slower
+        t = s if s.flags.c_contiguous else np.empty(s.shape)
+        if self.theta == 0.5:  # midpoint: the plain average
+            np.multiply(np.add(v[1:], v[:-1], out=t), 0.5, out=t)
         else:
-            dx = np.subtract(x[1:], x[:-1], out=tmp[:hi - lo, :x.shape[1]])
-            lag = (1.0 - 2.0 * theta) * metric.row_inner(dx, dx) / (2.0 * h)
-            for s, v in ((xs, x), (us, u)):
-                np.multiply(v[1:], theta, out=s)
-                s += np.multiply(v[:-1], 1.0 - theta, out=tmp[:hi - lo, :v.shape[1]])
-        if column_major:
-            xs = xs_cols[:hi - lo]
-            np.copyto(xs, xs_buf[:hi - lo])
-        yield slice(lo, hi), x, lag, xs, us
+            np.multiply(v[1:], self.theta, out=t)
+            t += np.multiply(v[:-1], 1.0 - self.theta, out=self.tmp[:k, :d])
+        if t is not s:
+            np.copyto(s, t)
+        return s
+
+    def states(self, x):
+        lag = 0.0  # at midpoint
+        if self.theta != 0.5:
+            k = x.shape[0] - 1
+            dx = np.subtract(x[1:], x[:-1], out=self.tmp[:k, :x.shape[1]])
+            lag = (1.0 - 2.0 * self.theta) * self.metric.row_inner(dx, dx) / (2.0 * self.h)
+        return lag, self._stage(x, self.xs_buf, self.layout)
+
+    def inputs(self, u):
+        return self._stage(u, self.us_buf, "C")
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
@@ -685,6 +732,29 @@ def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
     return M._structured(X, (M.linear_part @ X.T).T)
 
 
+class PowerBalance:
+    """The fold of `power_balance_audit` over a run of sys (see `fold`);
+    it divides every energy difference by the run's step h."""
+
+    def __init__(self, sys: PHSystem, run):
+        self.sys, self.stage = sys, _Stage(sys, run)
+        self.residuals = np.empty(run.times.size - 1)
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        sys = self.sys
+        lag, xs = self.stage.states(x)
+        us = self.stage.inputs(u)
+        energy = 0.5 * sys.metric.row_inner(x, x)
+        dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
+        supply = sys.input_metric.row_inner(us, sys.output(xs))
+        self.residuals[lo:lo + xs.shape[0]] = (
+            (np.diff(energy) / self.stage.h - lag) - (-dissip + supply))
+
+    def report(self) -> PowerBalanceReport:
+        return PowerBalanceReport(self.residuals,
+                                  float(np.max(np.abs(self.residuals), initial=0.0)))
+
+
 def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
     """Check d/dt 1/2||x||^2 = -<x, M(x)> + <u, y> interval by interval.
 
@@ -693,21 +763,14 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
     (1 - 2 theta) ||x+ - x||^2 / (2h), so trajectories of the implicit
     theta-step satisfy the identity to solver precision; at theta = 1/2
     (midpoint) the stage is the average and the extra term vanishes.
-    The intervals are walked in blocks of _ROW_BLOCK rows, so no
-    temporary grows with the trajectory.
+    The audit is the `PowerBalance` fold over the trajectory's blocks of
+    _ROW_BLOCK intervals, so no temporary grows with the trajectory.
     """
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
     if traj.inputs.shape[1] != sys.input_dim:
         raise DimensionMismatch("trajectory input dimension mismatch")
-    h = traj.step
-    residuals = np.empty(traj.times.size - 1)
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.linear_part is not None):
-        energy = 0.5 * sys.metric.row_inner(x, x)
-        dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
-        supply = sys.input_metric.row_inner(us, sys.output(xs))
-        residuals[rows] = (np.diff(energy) / h - lag) - (-dissip + supply)
-    return PowerBalanceReport(residuals, float(np.max(np.abs(residuals), initial=0.0)))
+    return fold(traj, PowerBalance(sys, traj))[0]
 
 
 @dataclass(frozen=True)
@@ -723,6 +786,45 @@ class ShiftedPassivityReport:
         return self.max_inequality_excess <= tol
 
 
+class ShiftedPassivity:
+    """The fold of `shifted_passivity_audit` over a run of sys (see
+    `fold`), relative to the steady state ss."""
+
+    def __init__(self, sys: PHSystem, run, ss: SteadyStatePair):
+        self.sys, self.ss, self.stage = sys, ss, _Stage(sys, run)
+        self.mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
+        n = run.times.size - 1
+        self.eq_res, self.ineq = np.empty(n), np.empty(n)
+        self.dx = np.empty((min(n, _ROW_BLOCK) + 1, sys.dim))
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        sys, ss = self.sys, self.ss
+        lag, xs = self.stage.states(x)
+        us = self.stage.inputs(u)
+        dx = np.subtract(x, ss.x_bar, out=self.dx[:x.shape[0]])
+        energy = 0.5 * sys.metric.row_inner(dx, dx)
+        dm = _batch_eval(sys.M, xs)
+        dm -= self.mx_bar
+        dy = sys.output(xs)
+        dy -= ss.y_bar
+        xs -= ss.x_bar  # the stage's buffers: shifted in place, then overwritten
+        us -= ss.u_bar
+        gap = sys.metric.row_inner(xs, dm)
+        supply = sys.input_metric.row_inner(us, dy)
+        rate = np.diff(energy) / self.stage.h - lag
+        rows = slice(lo, lo + xs.shape[0])
+        self.eq_res[rows] = rate - (-gap + supply)
+        self.ineq[rows] = rate - supply
+
+    def report(self) -> ShiftedPassivityReport:
+        return ShiftedPassivityReport(
+            self.eq_res,
+            self.ineq,
+            float(np.max(np.abs(self.eq_res), initial=0.0)),
+            float(np.max(self.ineq, initial=-np.inf)),
+        )
+
+
 def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
                             ss: SteadyStatePair) -> ShiftedPassivityReport:
     """Audit the power balance and passivity relative to a steady state.
@@ -731,35 +833,12 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
                                       + <u-u_bar, y-y_bar>.
     Inequality: the same rate is bounded by the shifted supply alone.
     Both take the theta stage and the energy-rate term of
-    `power_balance_audit`.
+    `power_balance_audit`, and walk the trajectory's blocks as the
+    `ShiftedPassivity` fold.
     """
     if traj.states.shape[1] != sys.dim:
         raise DimensionMismatch("trajectory state dimension mismatch")
-    h = traj.step
-    mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
-    eq_res = np.empty(traj.times.size - 1)
-    ineq = np.empty_like(eq_res)
-    dx_buf = np.empty((min(eq_res.size, _ROW_BLOCK) + 1, sys.dim))
-    for rows, x, lag, xs, us in _interval_blocks(traj, h, sys.metric, sys.M.linear_part is not None):
-        dx = np.subtract(x, ss.x_bar, out=dx_buf[:x.shape[0]])
-        energy = 0.5 * sys.metric.row_inner(dx, dx)
-        dm = _batch_eval(sys.M, xs)
-        dm -= mx_bar
-        dy = sys.output(xs)
-        dy -= ss.y_bar
-        xs -= ss.x_bar  # the walk's buffers: shifted in place, then overwritten
-        us -= ss.u_bar
-        gap = sys.metric.row_inner(xs, dm)
-        supply = sys.input_metric.row_inner(us, dy)
-        rate = np.diff(energy) / h - lag
-        eq_res[rows] = rate - (-gap + supply)
-        ineq[rows] = rate - supply
-    return ShiftedPassivityReport(
-        eq_res,
-        ineq,
-        float(np.max(np.abs(eq_res), initial=0.0)),
-        float(np.max(ineq, initial=-np.inf)),
-    )
+    return fold(traj, ShiftedPassivity(sys, traj, ss))[0]
 
 
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,

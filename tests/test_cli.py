@@ -295,7 +295,7 @@ def test_spectrum_past_the_dense_cap_exits_2_before_the_flow(tmp_path, capsys,
     def not_reached(*args, **kwargs):
         raise AssertionError("a solve or the flow started")
 
-    monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
+    monkeypatch.setattr(phflow.cli, "stream_flow", not_reached)
     monkeypatch.setattr(phflow.phcore._Factor, "solver", not_reached)
     ocp = json.loads(json.dumps(BASE_OCP))
     ocp["N"] = 400
@@ -528,7 +528,7 @@ def test_short_horizon_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, m
     def not_reached(*args, **kwargs):
         raise AssertionError("a solve or the flow started")
 
-    monkeypatch.setattr(phflow.cli, "integrate_flow", not_reached)
+    monkeypatch.setattr(phflow.cli, "stream_flow", not_reached)
     monkeypatch.setattr(phflow.phcore._Factor, "solver", not_reached)
     capsys.readouterr()
     assert main([mode, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
