@@ -7,7 +7,10 @@ Run from the repository root:
 
 The runs are every ``configs/*.json`` in each of the five modes, the
 same configs in the flow and closedloop modes with ``output.full_state``
-set (so ``<name>_state.csv`` is checked too), plus round 0 of every
+set (so ``<name>_state.csv`` is checked too), the same configs in the
+flow, audit and closedloop modes with ``integrator.scheme`` set to
+``implicit_euler`` (so theta = 1 steps and audits are checked too),
+plus round 0 of every
 benchmark workload at seeds 0, 1 and 2, built by
 ``perfbench/scenarios.make_config`` (read, never edited).  Each run goes
 through ``phflow.cli.run`` of this checkout's ``src/`` with BLAS pinned
@@ -43,6 +46,8 @@ import scenarios  # noqa: E402
 MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 # the modes that write <name>_state.csv when output.full_state is set
 FULL_STATE_MODES = ("flow", "closedloop")
+# the modes whose output depends on the integrator's scheme
+EULER_MODES = ("flow", "audit", "closedloop")
 SEEDS = (0, 1, 2)
 
 
@@ -53,12 +58,15 @@ def runs(work: Path):
     for config in sorted((ROOT / "configs").glob("*.json")):
         for mode in MODES:
             yield f"configs/{config.name}:{mode}", config, mode
-        cfg = json.loads(config.read_text())
-        cfg.setdefault("output", {})["full_state"] = True
-        path = gen / f"full_state-{config.name}"
-        path.write_text(json.dumps(cfg), newline="\n")
-        for mode in FULL_STATE_MODES:
-            yield f"configs/{config.name}:{mode}:full_state", path, mode
+        for variant, section, key, value, modes in (
+                ("full_state", "output", "full_state", True, FULL_STATE_MODES),
+                ("implicit_euler", "integrator", "scheme", "implicit_euler", EULER_MODES)):
+            cfg = json.loads(config.read_text())
+            cfg.setdefault(section, {})[key] = value
+            path = gen / f"{variant}-{config.name}"
+            path.write_text(json.dumps(cfg), newline="\n")
+            for mode in modes:
+                yield f"configs/{config.name}:{mode}:{variant}", path, mode
     for workload, kinds in scenarios.WORKLOADS.items():
         for seed in SEEDS:
             for idx, kind in enumerate(kinds):

@@ -35,7 +35,7 @@ from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
-from .operators import Nodewise, _summed, linear
+from .operators import Nodewise, linear
 from .phcore import implicit_stepper, steady_state
 
 
@@ -300,16 +300,6 @@ class DiscretizedOCP:
         g.u[:] = self.cost.alpha * s.u
         return g.primal
 
-    @cached_property
-    def _hessian_pattern(self):
-        """CSR indices and indptr of the Hessian: full n x n node blocks,
-        zeros included, then the diagonal of the control block."""
-        n, nodes, nx = self.n, self.N + 1, (self.N + 1) * self.n
-        node_cols = (np.arange(nodes)[:, None] * n + np.arange(n)).repeat(n, axis=0)
-        indices = np.concatenate([node_cols.ravel(), np.arange(nx, self.primal_dim)])
-        indptr = np.concatenate([np.arange(0, nx * n, n), nx * n + np.arange(nodes * self.m + 1)])
-        return indices.astype(np.int32), indptr.astype(np.int32)
-
     def m_opt(self, z: np.ndarray) -> np.ndarray:
         """The optimality-system operator (gradient row, constraint row):
         the saddle part times z plus the nodewise gradient of the cost
@@ -331,13 +321,6 @@ class DiscretizedOCP:
                 Nodewise(int(u[0]), int(u[-1]) + 1, lambda v: alpha * v,
                          lambda v: np.full(v.shape, alpha)))
 
-    def _hessian(self, z: np.ndarray) -> sparse.csr_matrix:
-        """The Hessian block diag(l''(x_0), ..., l''(x_N), alpha I) of m_opt
-        at z, as CSR."""
-        data = np.concatenate([self.cost.stage.hess(self.blocks(z).x).ravel(),
-                               np.full((self.N + 1) * self.m, self.cost.alpha)])
-        return sparse.csr_matrix((data, *self._hessian_pattern), shape=(self.primal_dim,) * 2)
-
     @cached_property
     def saddle(self) -> sparse.csr_matrix:
         """The constant part [[0, -C*], [C, 0]] of m_opt's Jacobian."""
@@ -345,8 +328,12 @@ class DiscretizedOCP:
 
     def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
         """Jacobian [[H(z), -C*], [C, 0]] of m_opt: the saddle part plus
-        the Hessian."""
-        return _summed([(0, self.saddle), (0, self._hessian(z))])
+        the Hessian H(z) = diag(l''(x_0), ..., l''(x_N), alpha I)."""
+        k = np.arange(self.N + 2)  # one n x n block per node
+        return self.saddle + sparse.block_diag([
+            sparse.bsr_matrix((self.cost.stage.hess(self.blocks(z).x), k[:-1], k)),
+            self.cost.alpha * sparse.identity((self.N + 1) * self.m),
+            sparse.csr_matrix((self.dual_dim, self.dual_dim))])
 
     def kkt_target(self) -> np.ndarray:
         """Right-hand side of the optimality system: (0, fbar, x0)."""

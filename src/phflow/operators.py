@@ -1,23 +1,17 @@
-"""Pointwise-evaluable monotone operator candidates.
+"""Monotone operator candidates of the form M(x) = L x + g + phi(x).
 
-Every operator the package builds has the form
-
-    M(x) = L x + g + phi(x),
-
-with L one matrix (dense or scipy sparse), g a constant and phi a
+L is one matrix (dense or scipy sparse), g a constant and phi a
 nodewise map: a tuple of `Nodewise` pieces, each acting entry by entry
-on one slice of the state, with its derivative entry by entry.  A
+on its own slice of the state, with its derivative entry by entry.  A
 linear operator has no pieces.  The cubic plant is L = R, phi = kappa
 x^3 on every coordinate; the logcosh optimizer is its saddle part plus
 the stage gradient on x and alpha u on u; a closed loop is the coupling
-plus its members' L and the union of their pieces.  So an evaluation
-is one matrix product plus the pieces, on one state or on a block of
-them, and a Jacobian is L plus a diagonal at fixed coordinates, which
-the implicit step's Newton solve adds onto the factor layout of L.
-
-An operator built outside the package may instead give its evaluation
-map and its Jacobian (eval_fn and derivative_fn); every solver takes
-those too.
+plus its members' L and the union of their pieces.  This is the
+structure of the stability argument, a skew coupling plus a monotone
+gradient part, and every operator has it: an evaluation is one matrix
+product plus the pieces, on one state or on a block of them, and a
+Jacobian is L plus phi' on the diagonal at fixed coordinates, which the
+implicit step's Newton solve adds onto the factor layout of L.
 """
 
 from __future__ import annotations
@@ -29,41 +23,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter
-
-
-def _native(block):
-    """A Jacobian term's block as the solvers read it: CSR, CSC or dense."""
-    if not sparse.issparse(block):
-        return np.asarray(block, dtype=float)
-    return block if block.format in ("csr", "csc") else block.tocsr()
-
-
-def _coords(A):
-    """Row and column of each entry of a CSR or CSC A, or of a dense A in
-    row-major order, in the order of its data."""
-    if not sparse.issparse(A):
-        return np.divmod(np.arange(A.size), A.shape[1])
-    major = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
-    return (major, A.indices) if A.format == "csr" else (A.indices, major)
-
-
-def _summed(terms):
-    """The sum of Jacobian terms: a lone full-size term as it is, any
-    other list as one CSR matrix."""
-    dim = max(lo + block.shape[0] for lo, block in terms)
-    if len(terms) == 1 and terms[0][1].shape[0] == dim:
-        return terms[0][1]
-    rows, cols = np.hstack([lo + np.array(_coords(block)) for lo, block in terms])
-    data = np.concatenate([block.data if sparse.issparse(block) else block.ravel()
-                           for _, block in terms])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
-def _diagonal_csr(d):
-    """diag(d) as CSR that stores every diagonal entry, zeros included,
-    so its pattern does not depend on d."""
-    k = np.arange(d.size + 1)
-    return sparse.csr_matrix((d, k[:-1], k), shape=(d.size, d.size))
 
 
 @dataclass(frozen=True)
@@ -80,39 +39,47 @@ class Nodewise:
 
 @dataclass(frozen=True)
 class MonotoneOperatorSpec:
-    """Candidate accretive map M on R^dim.
+    """Candidate accretive map M(x) = L x + g + phi(x) on R^dim.
 
-    M is evaluated on one state vector of shape (dim,); a stack of
-    states is rejected.  An operator of the package gives linear_part L
-    (ndarray or scipy sparse), affine_offset g and the `Nodewise` pieces
-    of phi, so that M(x) = L x + g + phi(x); without pieces M is linear,
-    and resolvents and implicit integrators factor a single matrix once.
-    Otherwise both eval_fn and derivative_fn are required: eval_fn must
-    be deterministic (identical input arrays, bitwise-identical
-    outputs), and derivative_fn returns the Jacobian at a point as one
-    matrix (dense or scipy sparse) or as a list of (offset, block) terms
-    that sum to it, each block square and on the diagonal at its offset.
+    linear_part L is a (dim, dim) matrix, dense or scipy sparse (kept as
+    CSR or CSC, any other sparse format converted to CSR); affine_offset
+    g is a constant or None; nodewise lists the `Nodewise` pieces of phi,
+    each on its own slice of [0, dim), no two on one coordinate.  Without
+    pieces M is linear, and resolvents and implicit integrators factor a
+    single matrix once.  M is evaluated on one state vector of shape
+    (dim,); a stack of states is rejected.
 
     order, set only inside the package, is a permutation of the state in
-    which every Jacobian of M is banded: the time-stage order of an
-    optimizer (`DiscretizedOCP.stage_order`) or of a closed loop.  Every
-    solve with M's Jacobian goes through one `phcore._Factor` per solve
-    site: banded in M's order, dense or SuperLU without one.
+    which L is banded: the time-stage order of an optimizer
+    (`DiscretizedOCP.stage_order`) or of a closed loop.  Every solve with
+    M's Jacobian goes through one `phcore._Factor` per solve site: banded
+    in M's order, dense or SuperLU without one.
     """
 
     dim: int
-    eval_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    derivative_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    linear_part: Optional[object] = None  # ndarray or scipy sparse
+    linear_part: object  # ndarray or scipy sparse
     affine_offset: Optional[np.ndarray] = None
     nodewise: tuple = ()
     order: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.linear_part is None and (self.eval_fn is None or self.derivative_fn is None):
-            raise InvalidParameter("a nonlinear operator needs eval_fn and derivative_fn")
-        if self.nodewise and self.linear_part is None:
-            raise InvalidParameter("nodewise pieces need a linear_part")
+        L = self.linear_part
+        if not sparse.issparse(L):
+            L = np.asarray(L, dtype=float)
+        elif L.format not in ("csr", "csc"):
+            L = L.tocsr()
+        if L.shape != (self.dim, self.dim):
+            raise DimensionMismatch(
+                f"linear part has shape {L.shape}, operator expects "
+                f"({self.dim}, {self.dim})")
+        object.__setattr__(self, "linear_part", L)
+        for p in self.nodewise:
+            if not 0 <= p.lo < p.hi <= self.dim:
+                raise InvalidParameter(
+                    f"nodewise piece [{p.lo}, {p.hi}) is empty or outside [0, {self.dim}]")
+        coords = self._diagonal_coords
+        if np.unique(coords).size < coords.size:
+            raise InvalidParameter("two nodewise pieces act on one coordinate")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -120,8 +87,6 @@ class MonotoneOperatorSpec:
             raise DimensionMismatch(
                 f"state has shape {x.shape}, operator expects ({self.dim},)"
             )
-        if self.linear_part is None:
-            return np.asarray(self.eval_fn(x), dtype=float)
         return self._structured(x, self.linear_part @ x)
 
     def _structured(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -136,7 +101,7 @@ class MonotoneOperatorSpec:
     @property
     def is_linear(self) -> bool:
         """True when the drift is linear up to a constant offset."""
-        return self.linear_part is not None and not self.nodewise
+        return not self.nodewise
 
     @property
     def offset(self) -> np.ndarray:
@@ -144,13 +109,12 @@ class MonotoneOperatorSpec:
                 else self.affine_offset)
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Dense Jacobian DM(x), for analysis."""
-        J = self._jacobian(x)
-        return J.toarray() if sparse.issparse(J) else J
-
-    def _jacobian(self, x: np.ndarray):
-        """DM(x) as one matrix, the sum of its terms."""
-        return _summed(self._terms(x))
+        """Dense Jacobian DM(x) = L + diag(phi'(x)), for analysis."""
+        L = self.linear_part
+        J = L.toarray() if sparse.issparse(L) else L.copy()
+        c = self._diagonal_coords
+        J[c, c] += self._diagonal(np.asarray(x, dtype=float))
+        return J
 
     def _diagonal(self, x: np.ndarray) -> np.ndarray:
         """phi'(x) on the coordinates of the pieces, piece after piece."""
@@ -160,16 +124,6 @@ class MonotoneOperatorSpec:
     def _diagonal_coords(self) -> np.ndarray:
         """The coordinates that `_diagonal` lists, in its order."""
         return np.concatenate([np.arange(p.lo, p.hi) for p in self.nodewise] or [[]]).astype(int)
-
-    def _terms(self, x: np.ndarray) -> list:
-        """DM(x) as a list of (offset, block) terms, each block CSR, CSC
-        or dense: [(0, L)] and one diagonal term per nodewise piece, or
-        the terms of derivative_fn."""
-        if self.linear_part is None:
-            J = self.derivative_fn(x)
-            return [(lo, _native(block)) for lo, block in (J if isinstance(J, list) else [(0, J)])]
-        return [(0, _native(self.linear_part))] + [
-            (p.lo, _diagonal_csr(p.dfn(x[p.lo:p.hi]))) for p in self.nodewise]
 
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:

@@ -19,24 +19,23 @@ Each audit is a fold over those blocks (`fold`), so an audit, like every
 other output of a run, can be taken while the flow runs, and no state
 array that grows with the run is needed.
 
-The operators the package builds have the form M(z) = L z + g + phi(z)
-(see `operators`): one matrix product plus a nodewise map.  So they are
-evaluated on a block of trajectory rows at once (`_batch_eval`), and
-their Jacobians are L plus a diagonal at fixed coordinates.  Every
-linear solve goes through a `_Factor`, which factors A + shift I by
-LAPACK's banded LU (`dgbtrf`/`dgbtrs`) in an operator's `order` (the
-optimizer's time-stage order, or a closed loop's), and otherwise by
-LAPACK's dense LU or, when sparse, SuperLU.  For an operator of the
-package a Newton solve lays out and fills L + shift I once and each
-iteration adds phi' on the diagonal of a copy (`_newton_solver`); the
-Jacobian of an operator built outside the package (derivative_fn) is
-scattered from its (offset, block) terms at each iteration.  A
-steady-state solve holds one `_Factor`, and so does an implicit
-stepper, except where phi lives in leading coordinates ahead of a
-linear banded rest, as in a cubic plant closed against an LQ optimizer:
-that stepper eliminates the linear rest, so it factors its band once
-and, at each Newton iteration, a dense matrix of the leading block's
-dimension (`_condensed_stepper`).  The structure alone picks the path.
+Every operator has the form M(z) = L z + g + phi(z) (see `operators`):
+one matrix product plus a nodewise map.  So it is evaluated on a block
+of trajectory rows at once (`_batch_eval`), and its Jacobian is L plus
+phi' on the diagonal at fixed coordinates.  Every linear solve goes
+through a `_Factor`, which lays out and fills L + shift I once and
+factors it, plus a diagonal d, by LAPACK's banded LU
+(`dgbtrf`/`dgbtrs`) in an operator's `order` (the optimizer's
+time-stage order, or a closed loop's), and otherwise by LAPACK's dense
+LU or, when sparse, SuperLU.  A linear step factors once with no d; a
+Newton iteration copies the base and adds d = phi' on its diagonal
+(`_newton_solver`).  A steady-state solve holds one `_Factor`, and so
+does an implicit stepper, except where phi lives in leading coordinates
+ahead of a linear banded rest, as in a cubic plant closed against an LQ
+optimizer: that stepper eliminates the linear rest, so it factors its
+band once and, at each Newton iteration, a dense matrix of the leading
+block's dimension (`_condensed_stepper`).  The structure alone picks
+the path.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
-from .operators import MonotoneOperatorSpec, Nodewise, _coords, _native, _summed
+from .operators import MonotoneOperatorSpec, Nodewise
 
 _NEWTON_MAX_ITER = 50
 
@@ -220,119 +219,78 @@ def newton(residual, solve, x0, norm, tol, r0=None, res0=None):
     return x, res
 
 
-def _pattern(A):
-    """Where A stores its entries, as a value that compares with ==: the
-    format and index arrays of a sparse A, the shape of a dense one."""
-    if sparse.issparse(A):
-        return (A.format, A.indptr.tobytes(), A.indices.tobytes())
-    return ("dense", A.shape)
-
-
 def _singular(r):
     """The solve of an exactly singular factor: non-finite values."""
     return np.full(np.shape(r), np.nan)
 
 
+def _coords(A):
+    """Row and column of each entry of a CSR or CSC A, or of a dense A in
+    row-major order, in the order of its data."""
+    if not sparse.issparse(A):
+        return np.divmod(np.arange(A.size), A.shape[1])
+    major = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
+    return (major, A.indices) if A.format == "csr" else (A.indices, major)
+
+
 class _Factor:
-    """LU factors of A + shift I for one solve site, by one of three paths.
+    """LU factors of L + shift I + diag(d), d on the coordinates coords,
+    for one solve site, by one of three paths.
 
     - With an order (the time-stage order of an optimizer or a closed
-      loop, in which A is banded) A is scattered into one band array,
+      loop, in which L is banded) the matrix is a LAPACK band array,
       factored by LAPACK's banded LU (dgbtrf/dgbtrs).
-    - Without an order a dense A is factored by LAPACK's dense LU
+    - Without an order a dense L is factored by LAPACK's dense LU
       (dgetrf/dgetrs, called directly as the banded routines are: for
       the small matrices of a plant's Newton step, scipy.linalg's
       lu_factor/lu_solve wrappers cost more than the factorization), a
-      sparse A by SuperLU, the one generic sparse fallback.
+      sparse L by SuperLU, the one generic sparse fallback.
 
-    A comes in one of two ways.  `solver(terms, shift)` takes A as a
-    list of (offset, block) terms, each block square (CSR, CSC or dense)
-    and on the diagonal at its offset: the Jacobian of an operator built
-    outside the package, or a linear step's matrix.  On the banded path
-    the bandwidths, the band array and the band position of every entry
-    are laid out once per tuple of (offset, pattern), and each call
-    zero-fills the array, assigns the first term, adds the others and
-    the shift.  `fix(L, shift, coords)` takes the Newton matrices
-    L + shift I + diag(d) of a structured operator, d on the coordinates
-    coords: it lays out and fills L + shift I once, and each
-    `diagonal_solver(d)` copies that and adds d at the fixed diagonal
-    positions.  A banded solver stays valid until the next call.  An
-    exactly singular A yields non-finite solutions on every path, which
-    the callers report as a failed solve.
+    L (CSR, CSC or dense) and shift are fixed at construction, which
+    lays out and fills L + shift I once: on the banded path the
+    bandwidths, the band array and the band position of every entry of
+    L and of the diagonal at coords.  Each `solver(d)` copies that base,
+    adds d at coords and factors the copy: a linear step's solver() has
+    no d, a Newton iteration's is solver(phi'(x)).  A banded solver stays
+    valid until the next call.  An exactly singular matrix yields
+    non-finite solutions on every path, which the callers report as a
+    failed solve.
     """
 
-    def __init__(self, order=None):
+    def __init__(self, L, shift: float, coords=(), order=None):
+        self.coords = np.asarray(coords, dtype=int)
         self.order = None if order is None else np.asarray(order)
-        self.key = None
-
-    def _layout(self, terms):
+        if self.order is None:
+            if sparse.issparse(L):
+                self.base = (shift * sparse.identity(L.shape[0], format="csr") + L).tocsr()
+            else:
+                self.base = shift * np.eye(L.shape[0]) + L
+            return
         rank = np.empty_like(self.order)  # position of each state index in the order
         rank[self.order] = np.arange(self.order.size)
-        ij = []  # band row and column of each term's entries
-        for lo, block in terms:
-            r, c = _coords(block)
-            ij.append((rank[lo + r], rank[lo + c]))
-        self.kl = max(int(np.max(i - j, initial=0)) for i, j in ij)
-        self.ku = max(int(np.max(j - i, initial=0)) for i, j in ij)
+        r, c = _coords(L)
+        i, j = rank[r], rank[c]  # band row and column of each entry
+        self.kl = int(np.max(i - j, initial=0))
+        self.ku = int(np.max(j - i, initial=0))
         # LAPACK band storage, column-major: entry (i, j) at row kl + ku + i - j
         # of column j; the top kl rows hold the fill of the row interchanges
         ldab = 2 * self.kl + self.ku + 1
-        self.flat = np.zeros(ldab * self.order.size)
-        self.ab = self.flat.reshape((ldab, self.order.size), order="F")
-        self.pos = [self.kl + self.ku + i - j + ldab * j for i, j in ij]
-        # a term stores no entry twice, so its positions are distinct
-        self.unique = [not sparse.issparse(block) or block.has_canonical_format
-                       for _, block in terms]
-        self.key = [(lo, _pattern(block)) for lo, block in terms]
-        self.rank = rank
-
-    def _fill(self, terms, shift: float):
-        """The band array of the terms' sum plus shift I, over the
-        previous contents."""
-        if [(lo, _pattern(block)) for lo, block in terms] != self.key:
-            self._layout(terms)
-        self.flat.fill(0.0)
-        for k, ((_, block), pos, unique) in enumerate(zip(terms, self.pos, self.unique)):
-            data = block.data if sparse.issparse(block) else block.ravel()
-            if not unique:  # duplicate entries add up
-                np.add.at(self.flat, pos, data)
-            elif k == 0:  # the array is zero: assigning spares a gather
-                self.flat[pos] = data
-            else:
-                self.flat[pos] += data
-        if shift:
-            self.ab[self.kl + self.ku] += shift
-        return self.ab
-
-    def solver(self, terms, shift: float = 0.0):
-        """Return solve(r) = (A + shift I)^{-1} r for A the sum of terms."""
-        if self.order is not None:
-            self._fill(terms, shift)
-            return self._banded()
-        A = _summed(terms)
-        if sparse.issparse(A):
-            if shift:
-                A = shift * sparse.identity(A.shape[0], format="csc") + A
-            return _superlu(A)
-        return _dense(shift * np.eye(A.shape[0]) + A if shift else A)
-
-    def fix(self, L, shift: float, coords):
-        """Lay out and fill L + shift I once for `diagonal_solver`, whose
-        d adds onto the diagonal at the coordinates coords."""
-        L = _native(L)
-        self.coords = coords
-        if self.order is not None:
-            self._fill([(0, L)], shift)
-            self.base = self.flat.copy()
-            self.dpos = self.kl + self.ku + (2 * self.kl + self.ku + 1) * self.rank[coords]
-        elif sparse.issparse(L):
-            self.base = (shift * sparse.identity(L.shape[0], format="csr") + L).tocsr()
+        self.base = np.zeros(ldab * self.order.size)
+        pos = self.kl + self.ku + i - j + ldab * j
+        data = L.data if sparse.issparse(L) else L.ravel()
+        if sparse.issparse(L) and not L.has_canonical_format:  # duplicates add up
+            np.add.at(self.base, pos, data)
         else:
-            self.base = shift * np.eye(L.shape[0]) + L
+            self.base[pos] = data
+        self.flat = np.empty_like(self.base)
+        self.ab = self.flat.reshape((ldab, self.order.size), order="F")
+        if shift:
+            self.base.reshape(self.ab.shape, order="F")[self.kl + self.ku] += shift
+        self.dpos = self.kl + self.ku + ldab * rank[self.coords]
 
-    def diagonal_solver(self, d):
-        """Return solve(r) = (L + shift I + diag(d))^{-1} r for the L and
-        shift of `fix`."""
+    def solver(self, d=()):
+        """Return solve(r) = (L + shift I + diag(d))^{-1} r, d at coords
+        (empty without d)."""
         if self.order is not None:
             np.copyto(self.flat, self.base)
             self.flat[self.dpos] += d
@@ -379,15 +337,10 @@ def _superlu(A):
 
 def _newton_solver(M: MonotoneOperatorSpec, shift: float):
     """Return solve(x, r) = (DM(x) + shift I)^{-1} r by one `_Factor` in
-    M's order.  For an operator of the package L + shift I is laid out
-    and filled here, and each call adds phi'(x) at its fixed diagonal
-    positions; an operator built outside the package scatters its
-    Jacobian terms at each call."""
-    factor = _Factor(M.order)
-    if M.linear_part is None:
-        return lambda x, r: factor.solver(M._terms(x), shift)(r)
-    factor.fix(M.linear_part, shift, M._diagonal_coords)
-    return lambda x, r: factor.diagonal_solver(M._diagonal(x))(r)
+    M's order: L + shift I is laid out and filled here, and each call
+    adds phi'(x) at its fixed diagonal positions."""
+    factor = _Factor(M.linear_part, shift, M._diagonal_coords, M.order)
+    return lambda x, r: factor.solver(M._diagonal(x))(r)
 
 
 def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
@@ -395,7 +348,7 @@ def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
     theta-step's z_next, and solve the solve with I + theta*h*L that it
     is built on, factored once by one `_Factor` in M's order."""
     L = M.linear_part
-    solve = _Factor(M.order).solver([(0, (theta * h) * _native(L))], 1.0)
+    solve = _Factor((theta * h) * L, 1.0, order=M.order).solver()
     if sparse.issparse(L):
         rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
     else:
@@ -437,7 +390,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
             return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
 
         return step
-    if M.linear_part is not None and M.order is not None:
+    if M.order is not None:
         d1 = max(p.hi for p in M.nodewise)
         if d1 < M.dim and np.array_equal(M.order[:d1], np.arange(d1)):
             return _condensed_stepper(M, d1, h, theta, metric, tol)
@@ -676,12 +629,11 @@ class _Stage:
 
     xs and us are views of two buffers allocated once per audit, which
     the next block overwrites; each is independent of the other, so a
-    fold may take them in any order.  For an operator of the package xs
-    is column-major, the layout in which a product S @ xs.T with a sparse
-    S (the linear part of a drift, the output map) reads it without a
-    transposed copy; the per-row path of an operator built outside the
-    package keeps rows.  A block of k intervals fills the first k * dim
-    entries of a buffer, so a short block is as contiguous as a full one.
+    fold may take them in any order.  xs is column-major, the layout in
+    which a product S @ xs.T with a sparse S (the linear part of a drift,
+    the output map) reads it without a transposed copy.  A block of k
+    intervals fills the first k * dim entries of a buffer, so a short
+    block is as contiguous as a full one.
     A column-major xs is summed in a row-major temporary that is freed
     before the audit's product with L, so the two never add up in the
     audit's peak memory.
@@ -692,7 +644,6 @@ class _Stage:
         rows = min(run.times.size - 1, _ROW_BLOCK)
         self.xs_buf = np.empty(rows * sys.dim)
         self.us_buf = np.empty(rows * sys.input_dim)
-        self.layout = "F" if sys.M.linear_part is not None else "C"
         width = max(sys.dim, sys.input_dim)
         self.tmp = None if self.theta == 0.5 else np.empty((rows, width))
 
@@ -717,7 +668,7 @@ class _Stage:
             k = x.shape[0] - 1
             dx = np.subtract(x[1:], x[:-1], out=self.tmp[:k, :x.shape[1]])
             lag = (1.0 - 2.0 * self.theta) * self.metric.row_inner(dx, dx) / (2.0 * self.h)
-        return lag, self._stage(x, self.xs_buf, self.layout)
+        return lag, self._stage(x, self.xs_buf, "F")
 
     def inputs(self, u):
         return self._stage(u, self.us_buf, "C")
@@ -725,10 +676,7 @@ class _Stage:
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate M on each row of X into a new array: one matrix product
-    plus the nodewise pieces for an operator of the package, row by row
-    for one built outside it."""
-    if M.linear_part is None:
-        return np.apply_along_axis(M, 1, X)
+    plus the nodewise pieces."""
     return M._structured(X, (M.linear_part @ X.T).T)
 
 
@@ -905,14 +853,12 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     whose added block is exactly skew in the product metric, so the
     composition is again monotone whenever the constituents are.  The
     remaining ports survive as B = diag(B1^2, B2^2), sparse when either
-    B_i is.  When both members are operators of the package, so is the
-    composition: its L is the sparse K + diag(L1, L2), its g the members'
-    offsets and its nodewise pieces those of both members, member 2's
-    shifted by its offset in the state.  Otherwise it is evaluated
-    member by member, and its Jacobian is the term list [(0, K),
-    members' terms], each member's terms shifted by its offset, so
-    nested loops flatten into one list.  When either member carries an
-    order, the composition carries their concatenation (the identity
+    B_i is.  The composition has the members' form: its L is the sparse
+    K + diag(L1, L2), its g the members' offsets and its nodewise pieces
+    those of both members, member 2's shifted by its offset in the
+    state, so nested loops flatten into one operator.  When either
+    member carries an order, the composition carries their
+    concatenation (the identity
     for a member without one): `couple` puts the plant first, so a
     closed loop's order is the plant ahead of the optimizer's time
     stages, and its matrices stay banded.
@@ -920,24 +866,11 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     K = coupling_block(sys1, sys2, F, split1, split2)
     d1 = sys1.dim
     M1, M2 = sys1.M, sys2.M
-    if M1.linear_part is not None and M2.linear_part is not None:
-        affine = None
-        if M1.affine_offset is not None or M2.affine_offset is not None:
-            affine = np.concatenate([M1.offset, M2.offset])
-        parts = dict(linear_part=K + sparse.block_diag([M1.linear_part, M2.linear_part],
-                                                       format="csr"),
-                     affine_offset=affine,
-                     nodewise=M1.nodewise + tuple(Nodewise(p.lo + d1, p.hi + d1, p.fn, p.dfn)
-                                                  for p in M2.nodewise))
-    else:
-        def eval_fn(x):
-            return np.concatenate([M1(x[:d1]), M2(x[d1:])]) + K @ x
-
-        def derivative_fn(x):
-            return [(0, K), *((lo + k, block) for lo, M in ((0, M1), (d1, M2))
-                              for k, block in M._terms(x[lo:lo + M.dim]))]
-
-        parts = dict(eval_fn=eval_fn, derivative_fn=derivative_fn)
+    affine = None
+    if M1.affine_offset is not None or M2.affine_offset is not None:
+        affine = np.concatenate([M1.offset, M2.offset])
+    nodewise = M1.nodewise + tuple(Nodewise(p.lo + d1, p.hi + d1, p.fn, p.dfn)
+                                   for p in M2.nodewise)
     order = None
     if M1.order is not None or M2.order is not None:
         order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
@@ -949,7 +882,10 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     _, open1 = sys1.input_metric.split(split1)
     _, open2 = sys2.input_metric.split(split2)
     return PHSystem(
-        MonotoneOperatorSpec(sys1.dim + sys2.dim, order=order, **parts),
+        MonotoneOperatorSpec(sys1.dim + sys2.dim,
+                             K + sparse.block_diag([M1.linear_part, M2.linear_part],
+                                                   format="csr"),
+                             affine, nodewise, order),
         B,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),

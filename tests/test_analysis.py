@@ -4,7 +4,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 import phflow as pf
 from phflow import analysis
-from phflow.operators import MonotoneOperatorSpec
+from phflow.operators import cubic
 
 
 # ---------------------------------------------------------------------------
@@ -12,8 +12,7 @@ from phflow.operators import MonotoneOperatorSpec
 
 
 def test_linearize_cubic_scalar():
-    op = MonotoneOperatorSpec(1, eval_fn=lambda x: x**3,
-                              derivative_fn=lambda x: np.array([[3 * x[0] ** 2]]))
+    op = cubic(np.zeros((1, 1)), 1.0)  # x^3
     DM = op.derivative(np.array([1.0]))
     assert DM[0, 0] == pytest.approx(3.0)
 
@@ -25,8 +24,7 @@ def test_linearize_linear_exact():
 
 
 def test_linearize_remainder_vanishes():
-    op = MonotoneOperatorSpec(1, eval_fn=lambda x: x**3,
-                              derivative_fn=lambda x: np.array([[3 * x[0] ** 2]]))
+    op = cubic(np.zeros((1, 1)), 1.0)  # x^3
     x_bar = np.array([1.0])
     DM = op.derivative(x_bar)
     rng = np.random.default_rng(0)
@@ -246,9 +244,7 @@ def test_nonnormality_indicator():
 def test_lyapunov_form_decreases_along_nonlinear_flow():
     # near the equilibrium of dx/dt = -(x + x^3) the linearized
     # certificate must still witness decay of the nonlinear flow
-    op = MonotoneOperatorSpec(
-        2, eval_fn=lambda x: x + x**3,
-        derivative_fn=lambda x: np.eye(2) + np.diag(3 * x**2))
+    op = cubic(np.eye(2), 1.0)
     sys = pf.PHSystem(op, np.zeros((2, 0)), pf.Metric.euclidean(2),
                       pf.Metric.euclidean(0))
     cert = pf.lyapunov_certificate(-op.derivative(np.zeros(2)))

@@ -10,6 +10,7 @@ import pytest
 import phflow
 from phflow import analysis
 from phflow.cli import compare, fmt, main, read_table_csv
+from phflow.operators import Nodewise
 
 
 BASE_OCP = {
@@ -174,29 +175,34 @@ def test_nonfinite_closed_loop_step_exits_3(tmp_path, capsys):
 
 
 def test_singular_condensed_newton_matrix_exits_3(tmp_path, capsys, monkeypatch):
-    # a plant built outside the package whose Jacobian makes the Newton
-    # matrix of an LQ loop exactly singular: plant coordinate 0 is off the
-    # port (B_p = [0; 1]) and DM_p[0, 0] = -1/c cancels the shift 1/c.
-    # Such a plant gives no nodewise structure, so the loop steps by the
-    # banded Newton path, whose matrix has the same zero row as the
-    # condensed one (`test_singular_condensed_newton_matrix_fails_the_step`
-    # covers that path).  The step must fail as NonConvergence with a
-    # finite residual and where it failed, and the CLI must exit 3, never
-    # with a LinAlgError traceback
+    # a plant whose Jacobian makes the Newton matrix of a loop exactly
+    # singular: plant coordinate 0 is off the port (B_p = [0; 1]), it
+    # evaluates as x + x^3, and the derivative its piece on coordinate 0
+    # gives makes DM_p[0, 0] = -1/c cancel the shift 1/c.  Closed against
+    # a logcosh optimizer, phi does not live in the plant alone, so the
+    # loop steps by the banded Newton path, whose matrix has the same zero
+    # row as the condensed one
+    # (`test_singular_condensed_newton_matrix_fails_the_step` covers that
+    # path).  The step must fail as NonConvergence with a finite residual
+    # and where it failed, and the CLI must exit 3, never with a
+    # LinAlgError traceback
     h_t = 0.02
     c = 0.5 * h_t  # theta h of the midpoint step
-
-    def derivative(x):
-        return np.array([[-1.0 / c, 0.0], [0.0, 1.0 + 3.0 * x[1] ** 2]])
-
+    singular = Nodewise(0, 1, lambda x: x**3, lambda x: np.full(x.shape, -1.0 / c - 1.0))
+    cube = Nodewise(1, 2, lambda x: x**3, lambda x: 3.0 * x**2)
     spec = phflow.PlantSpec(
-        phflow.MonotoneOperatorSpec(2, eval_fn=lambda x: x + x**3, derivative_fn=derivative),
+        phflow.MonotoneOperatorSpec(2, np.eye(2), nodewise=(singular, cube)),
         np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
     ocp = phflow.assemble_ocp(phflow.LinearPlantModel(np.array([[0.0, 1.0], [0.0, 0.0]]),
                                                       spec.B_p, 0.0, spec.x_p0),
                               phflow.build_grid(1.0, 8),
-                              phflow.CostSpec(1.0, phflow.QuadraticStage(np.eye(2))))
+                              phflow.CostSpec(1.0, phflow.LogCoshStage(1.0)))
     cls = phflow.couple(phflow.assemble_optimizer(ocp), phflow.assemble_plant(spec), ocp)
+
+    def not_condensed(*args):
+        raise AssertionError("the loop took the condensed step")
+
+    monkeypatch.setattr(phflow.phcore, "_condensed_stepper", not_condensed)
     with pytest.raises(phflow.NonConvergence) as failed:
         phflow.simulate_closed_loop(cls, phflow.IntegratorConfig(h_t=h_t), 0.1, x_p0=spec.x_p0)
     assert np.isfinite(failed.value.residual) and failed.value.residual > 0
@@ -205,6 +211,7 @@ def test_singular_condensed_newton_matrix_exits_3(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(phflow.cli, "build_plant", lambda cfg, ocp: spec)
     ocp_cfg = json.loads(json.dumps(BASE_OCP))
     ocp_cfg["N"] = 8
+    ocp_cfg["cost"]["stage"] = {"logcosh": {"scale": 1.0}}
     cfg = write_config(tmp_path, mode="closedloop", ocp=ocp_cfg, plant=CUBIC_PLANT,
                        coupling={"gamma": "inv_alpha"}, integrator={"h_t": h_t, "T": 0.1})
     code = main(["closedloop", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -170,6 +170,26 @@ def test_implicit_euler_runs(small_ocp, small_sys, small_zhat):
     assert errs[-1] < 0.05 * errs[0]
 
 
+def _zero_piece(lo, hi):
+    """A nodewise piece that is zero with a zero derivative: it makes a
+    linear operator take the Newton path instead of the linear step."""
+    return Nodewise(lo, hi, lambda x: 0.0 * x, np.zeros_like)
+
+
+def _counted_layouts(monkeypatch):
+    """The banded `_Factor`s built from here on, in order: each lays out
+    its band once, at construction."""
+    layouts, init = [], phcore._Factor.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.order is not None:
+            layouts.append(self)
+
+    monkeypatch.setattr(phcore._Factor, "__init__", counted_init)
+    return layouts
+
+
 def _scalar_system(M):
     return pf.PHSystem(M, np.zeros((1, 0)), pf.Metric.euclidean(1),
                        pf.Metric.euclidean(0))
@@ -177,8 +197,7 @@ def _scalar_system(M):
 
 def test_singular_newton_matrix_raises_nonconvergence():
     # M(x) = -2x makes I + (h/2) DM vanish at h = 1 and I + lam DM at lam = 1/2
-    M = pf.MonotoneOperatorSpec(1, eval_fn=lambda x: -2.0 * x,
-                                derivative_fn=lambda x: np.array([[-2.0]]))
+    M = pf.MonotoneOperatorSpec(1, np.array([[-2.0]]), nodewise=(_zero_piece(0, 1),))
     with pytest.raises(pf.NonConvergence):
         pf.integrate_flow(_scalar_system(M), np.array([1.0]), np.zeros(0),
                           pf.IntegratorConfig(h_t=1.0), 1.0)
@@ -201,8 +220,8 @@ def test_singular_linear_step_raises_nonconvergence_with_time():
 def test_singular_sparse_newton_matrix_raises_nonconvergence():
     # the sparse twin of the dense case above: SuperLU's "exactly
     # singular" must end the step as NonConvergence, not a RuntimeError
-    M = pf.MonotoneOperatorSpec(3, eval_fn=lambda x: -2.0 * x,
-                                derivative_fn=lambda x: -2.0 * sparse.identity(3, format="csr"))
+    M = pf.MonotoneOperatorSpec(3, -2.0 * sparse.identity(3, format="csr"),
+                                nodewise=(_zero_piece(0, 3),))
     sys = pf.PHSystem(M, np.zeros((3, 0)), pf.Metric.euclidean(3), pf.Metric.euclidean(0))
     with pytest.raises(pf.NonConvergence) as info:
         pf.integrate_flow(sys, np.ones(3), np.zeros(0), pf.IntegratorConfig(h_t=1.0), 1.0)
@@ -268,13 +287,8 @@ def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
     cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
     z0 = cls.initial_state(np.array([1.0, 0.0]))
     n_p = cls.n_p
-    layouts, band_factors, dense = [], [], []
-    layout, dgbtrf = phcore._Factor._layout, phcore.dgbtrf
-    dgetrf, dgetrs = phcore.dgetrf, phcore.dgetrs
-
-    def counted_layout(self, terms):
-        layouts.append(self.order.size)
-        return layout(self, terms)
+    band_factors, dense = [], []
+    dgbtrf, dgetrf, dgetrs = phcore.dgbtrf, phcore.dgetrf, phcore.dgetrs
 
     def counted_dgbtrf(*args, **kwargs):
         band_factors.append(args[0].shape[1])
@@ -290,14 +304,14 @@ def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
         return dgetrs(lu, piv, r, **kwargs)
 
     _forbid_dense_and_superlu(monkeypatch, "a cubic LQ loop's step")
-    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
+    layouts = _counted_layouts(monkeypatch)
     monkeypatch.setattr(phcore, "dgbtrf", counted_dgbtrf)
     monkeypatch.setattr(phcore, "dgetrf", plant_sized_lu)
     monkeypatch.setattr(phcore, "dgetrs", plant_sized_solve)
     cfg = pf.IntegratorConfig(h_t=0.01)
     traj = pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
     assert traj.times.size == 6
-    assert layouts == band_factors == [ocp.state_dim]  # the optimizer's band, once
+    assert [f.order.size for f in layouts] == band_factors == [ocp.state_dim]  # once
     assert dense  # the Newton matrices are the plant's
 
 
@@ -353,19 +367,14 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
     # is laid out once per run and every iteration factors a copy of it
     ocp = make_logcosh(N=32)
     sys = pf.assemble_optimizer(ocp)
-    layouts, factors = [], []
-    layout, solver = phcore._Factor._layout, phcore._Factor.diagonal_solver
+    factors, solver = [], phcore._Factor.solver
 
-    def counted_layout(self, terms):
-        layouts.append(self)
-        return layout(self, terms)
-
-    def counted_solver(self, d):
+    def counted_solver(self, d=()):
         factors.append(self)
         return solver(self, d)
 
-    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
-    monkeypatch.setattr(phcore._Factor, "diagonal_solver", counted_solver)
+    layouts = _counted_layouts(monkeypatch)
+    monkeypatch.setattr(phcore._Factor, "solver", counted_solver)
     for solve in (lambda: pf.kkt_solve(ocp),
                   lambda: pf.steady_state(sys, pf.constant_input(ocp))):
         layouts.clear()
@@ -378,30 +387,23 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
 
 @pytest.mark.parametrize("make_ocp", [make_double_integrator, make_logcosh])
 def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
-    # a stepper lays out one band, at its first factorization.  With a
-    # logcosh optimizer that is the whole loop's band: every term of the
-    # Jacobian (the coupling, the plant block and the optimizer's terms)
-    # keeps its pattern from step to step.  With an LQ optimizer it is the
+    # a stepper lays out one band, when it is built.  With a logcosh
+    # optimizer that is the whole loop's band: the loop's L (the
+    # coupling, the plant block and the saddle part), which every Newton
+    # iteration copies and adds phi' to.  With an LQ optimizer it is the
     # optimizer's band alone, which the stepper factors once and the
     # plant's Newton steps never touch
     ocp = make_ocp(N=32)
     plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
     cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
-    layouts = []
-    layout = phcore._Factor._layout
-
-    def counted_layout(self, terms):
-        layouts.append(self.order.size)
-        return layout(self, terms)
-
-    monkeypatch.setattr(phcore._Factor, "_layout", counted_layout)
+    layouts = _counted_layouts(monkeypatch)
     step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric, 1e-11)
     z = cls.initial_state(np.array([1.0, 0.0]))
     for _ in range(5):
         z, res = step(z, np.zeros(cls.dim))
         assert res <= 1e-11
     band = ocp.state_dim if cls.opt_sys.M.is_linear else cls.dim
-    assert layouts == [band]
+    assert [f.order.size for f in layouts] == [band]
 
 
 def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
@@ -411,12 +413,13 @@ def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     A = sparse.diags([np.ones(4), 2.0 * np.ones(5), np.ones(4)], [-1, 0, 1], format="lil")
     A[:, 2] = 0.0
     order = np.array([4, 3, 2, 1, 0])
-    x = phcore._Factor(order).solver([(0, A.tocsr())])(np.ones(5))
+    x = phcore._Factor(A.tocsr(), 0.0, order=order).solver()(np.ones(5))
     assert x.shape == (5,) and not np.all(np.isfinite(x))
     regular = sparse.diags([np.ones(4), 3.0 * np.ones(5), np.ones(4)], [-1, 0, 1],
                            format="csr")
     r = np.arange(5.0)
-    assert np.allclose(regular @ phcore._Factor(order).solver([(0, regular)])(r), r, atol=1e-14)
+    assert np.allclose(regular @ phcore._Factor(regular, 0.0, order=order).solver()(r), r,
+                       atol=1e-14)
 
 
 def test_optimizer_port_is_a_sparse_selection(small_ocp, small_sys):

@@ -12,11 +12,7 @@ EUC1 = pf.Metric.euclidean(1)
 
 
 def cubic_scalar():
-    return MonotoneOperatorSpec(
-        1,
-        eval_fn=lambda x: x**3,
-        derivative_fn=lambda x: np.array([[3.0 * x[0] ** 2]]),
-    )
+    return pf.cubic(np.zeros((1, 1)), 1.0)  # x^3
 
 
 def test_operator_takes_one_state_vector():
@@ -36,50 +32,42 @@ def test_operator_takes_one_state_vector():
 @pytest.mark.parametrize("shift", [0.0, 3.0])
 @pytest.mark.parametrize("path, lu", [("banded", "dgbtrf"), ("dense", "dgetrf"),
                                       ("superlu", "splu")])
-def test_factor_solves_the_shifted_matrix_on_each_path(monkeypatch, path, lu, shift):
-    rng = np.random.default_rng(7)
+def test_factor_solves_the_shifted_matrix_plus_a_diagonal_on_each_path(monkeypatch, path, lu,
+                                                                     shift):
+    # the constructor lays out L + shift I once; solver() of a factor
+    # without coords (a linear step's) factors it as it is, and each
+    # solver(d) a fresh copy plus d at the fixed coordinates, so calls do
+    # not pile up
+    rng = np.random.default_rng(8)
     dim = 12
     A = sparse.random(dim, dim, density=0.3, random_state=rng, format="csr")
     A = A + sparse.diags(4.0 + rng.random(dim))  # well conditioned
-    calls = {}
+    coords = np.array([1, 2, 3, 7, 8])
+    calls, layouts = {}, []
     for name in ("dgbtrf", "dgetrf", "splu"):
         def counted(*args, _f=getattr(phcore, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
         monkeypatch.setattr(phcore, name, counted)
+    coo = phcore._coords  # read once per band layout
+    monkeypatch.setattr(phcore, "_coords", lambda L: layouts.append(1) or coo(L))
     order = rng.permutation(dim) if path == "banded" else None
-    solve = phcore._Factor(order).solver([(0, A.toarray() if path == "dense" else A)], shift)
-    assert calls == {lu: 1}
+    L = A.toarray() if path == "dense" else A
     r = rng.standard_normal(dim)
     ref = np.linalg.solve(A.toarray() + shift * np.eye(dim), r)
+    solve = phcore._Factor(L, shift, order=order).solver()
+    assert calls == {lu: 1}
     assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("shift", [0.0, 3.0])
-@pytest.mark.parametrize("path", ["banded", "dense", "superlu"])
-def test_fixed_factor_adds_the_diagonal_on_each_path(monkeypatch, path, shift):
-    # fix lays out A + shift I once; each diagonal_solver(d) factors a
-    # fresh copy plus d at the fixed coordinates, so calls do not pile up
-    rng = np.random.default_rng(8)
-    dim = 12
-    A = sparse.random(dim, dim, density=0.3, random_state=rng, format="csr")
-    A = A + sparse.diags(4.0 + rng.random(dim))
-    coords = np.array([1, 2, 3, 7, 8])
-    layouts = []
-    layout = phcore._Factor._layout
-    monkeypatch.setattr(phcore._Factor, "_layout",
-                        lambda self, terms: layouts.append(1) or layout(self, terms))
-    order = rng.permutation(dim) if path == "banded" else None
-    factor = phcore._Factor(order)
-    factor.fix(A.toarray() if path == "dense" else A, shift, coords)
-    for _ in range(3):
+    factor = phcore._Factor(L, shift, coords, order)
+    for k in range(3):
         d = rng.random(coords.size)
         full = A.toarray() + shift * np.eye(dim)
         full[coords, coords] += d
         r = rng.standard_normal(dim)
         ref = np.linalg.solve(full, r)
-        assert np.linalg.norm(factor.diagonal_solver(d)(r) - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert layouts == ([1] if path == "banded" else [])
+        assert np.linalg.norm(factor.solver(d)(r) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert calls == {lu: k + 2}
+    assert layouts == ([1, 1] if path == "banded" else [])
 
 
 # ---------------------------------------------------------------------------
@@ -110,27 +98,40 @@ def test_resolvent_rejects_bad_parameters():
         pf.resolvent(pf.identity(1), 1.0, np.array([1.0]), EUC1, tol=0.0)
 
 
-def test_nonlinear_operator_requires_derivative():
-    # every Newton solve factors the Jacobian: a nonlinear operator
-    # without derivative_fn (or without eval_fn), or nodewise pieces
-    # without the linear part they add to, are refused at once
+@pytest.mark.parametrize("L", [np.eye(3), np.ones((2, 3)), np.ones(2),
+                               sparse.identity(3, format="csr")],
+                         ids=["square", "wide", "vector", "sparse"])
+def test_linear_part_of_another_shape_is_refused(L):
+    # L must be (dim, dim), dense or sparse; a wrong shape is named at
+    # construction, not as numpy's matmul error at the first evaluation
+    with pytest.raises(pf.DimensionMismatch):
+        MonotoneOperatorSpec(2, linear_part=L)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (2, 1), (-1, 2), (1, 4), (3, 5)])
+def test_empty_or_outside_nodewise_piece_is_refused(lo, hi):
     with pytest.raises(pf.InvalidParameter):
-        MonotoneOperatorSpec(1, eval_fn=np.tanh)
+        MonotoneOperatorSpec(3, linear_part=np.eye(3),
+                             nodewise=(Nodewise(lo, hi, np.tanh, np.cosh),))
+
+
+def test_overlapping_nodewise_pieces_are_refused():
+    # two cubes on L = I evaluate as x + 2 x^3, but a Newton step's
+    # matrix would add only one of their derivatives at each coordinate,
+    # and solve x + 2 x^3 = (1, 2) wrongly; the operator is refused
+    cube = Nodewise(0, 2, lambda x: x**3, lambda x: 3.0 * x**2)
     with pytest.raises(pf.InvalidParameter):
-        MonotoneOperatorSpec(1, derivative_fn=lambda x: np.eye(1))
-    cube = Nodewise(0, 1, lambda x: x**3, lambda x: 3.0 * x**2)
+        MonotoneOperatorSpec(2, linear_part=np.eye(2), nodewise=(cube, cube))
     with pytest.raises(pf.InvalidParameter):
-        MonotoneOperatorSpec(1, eval_fn=np.tanh, derivative_fn=lambda x: np.eye(1),
-                             nodewise=(cube,))
+        MonotoneOperatorSpec(3, linear_part=np.eye(3),
+                             nodewise=(cube, Nodewise(1, 3, np.tanh, np.cosh)))
 
 
 def test_resolvent_contraction_on_sampled_pairs():
     rng = np.random.default_rng(3)
     metric = pf.Metric.euclidean(3)
     lin = pf.linear(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]))
-    cub = MonotoneOperatorSpec(
-        3, eval_fn=lambda x: x + x**3,
-        derivative_fn=lambda x: np.eye(3) + np.diag(3 * x**2))
+    cub = pf.cubic(np.eye(3), 1.0)
     for op in (lin, cub):
         for _ in range(25):
             z1, z2 = rng.standard_normal((2, 3))
@@ -391,31 +392,6 @@ def test_interconnect_open_ports_survive():
     assert np.allclose(coupled.B[3:, 0], 0.0)
 
 
-def test_interconnect_jacobian_keeps_one_pattern_for_a_sparse_member():
-    # a sparse member whose Jacobian drops its zero diagonal at the zero
-    # state: the summed Jacobian follows the member's pattern, which gains
-    # the diagonal at the first state with a nonzero one and keeps it
-    from scipy import sparse
-
-    R = sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    M1 = MonotoneOperatorSpec(3, eval_fn=lambda x: R @ x + x**3,
-                              derivative_fn=lambda x: R + sparse.diags(3.0 * x**2))
-    sys1 = pf.PHSystem(M1, np.eye(3)[:, :2], pf.Metric.euclidean(3), pf.Metric.euclidean(2))
-    _, sys2, F = _two_port_systems()
-    coupled = pf.interconnect(sys1, sys2, F, 2, 2)
-    assert coupled.M.order is None  # neither member carries one
-    rng = np.random.default_rng(9)
-    patterns = []
-    for z in [np.zeros(5)] + [rng.standard_normal(5) for _ in range(3)]:
-        J = coupled.M._jacobian(z)
-        assert sparse.issparse(J)
-        fd = np.column_stack([(coupled.M(z + 1e-6 * e) - coupled.M(z - 1e-6 * e)) / 2e-6
-                              for e in np.eye(5)])
-        assert np.max(np.abs(J.toarray() - fd)) <= 1e-6
-        patterns.append((J.indptr.tolist(), J.indices.tolist()))
-    assert patterns[1] == patterns[2] == patterns[3]
-
-
 def test_interconnect_dimension_check():
     sys1, sys2, F = _two_port_systems()
     with pytest.raises(pf.DimensionMismatch):
@@ -459,9 +435,7 @@ def test_phsystem_autonomous_port():
 
 def test_derivative_consistency_sampled():
     rng = np.random.default_rng(9)
-    op = MonotoneOperatorSpec(
-        3, eval_fn=lambda x: x + x**3,
-        derivative_fn=lambda x: np.eye(3) + np.diag(3 * x**2))
+    op = pf.cubic(np.eye(3), 1.0)
     for _ in range(20):
         x = rng.standard_normal(3)
         v = rng.standard_normal(3)

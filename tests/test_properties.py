@@ -3,9 +3,11 @@
 (the metric adjoint pair, the monotonicity gap of m_opt and the skew
 closed-loop coupling), the KKT point as the flow's steady state, the
 shared implicit step behind the resolvent, the semigroup and the
-implicit-midpoint flow, the sparse Jacobians its Newton solve factors,
-the time-stage order in which they are banded, and the sparse ports and
+implicit-midpoint flow, the Jacobians its Newton solve factors, the
+time-stage order in which they are banded, and the sparse ports and
 coupling block against their dense counterparts."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -246,9 +248,8 @@ def _states(rng, dim):
 @PROFILE
 @given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
 def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
-    # the fixed-pattern Hessian and the Jacobian built on it against the
-    # sparse.block_diag and sparse.bmat constructions: same indptr,
-    # indices, data
+    # the Hessian block and the Jacobian against the sparse.block_diag
+    # and sparse.bmat constructions: same format, shape and values
     ocp, rng = problem
     for z in _states(rng, ocp.state_dim):
         Hx = sparse.block_diag(ocp.cost.stage.hess(ocp.blocks(z).x), format="csr")
@@ -259,8 +260,7 @@ def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
         p = ocp.primal_dim
         for new, old in ((J[:p, :p], H_old), (J, J_old)):
             assert new.format == "csr" and new.shape == old.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(new, name), getattr(old, name))
+            assert np.array_equal(new.toarray(), old.toarray())
 
 
 @PROFILE
@@ -282,17 +282,17 @@ def test_logcosh_flow_jacobian_is_sparse_and_exact(problem):
     ocp, rng = problem
     M = pf.assemble_optimizer(ocp).M
     p = ocp.primal_dim
+    assert sparse.issparse(M.linear_part)  # the Jacobian is L plus phi' on the diagonal
     for z in _states(rng, ocp.state_dim):
-        J = M._jacobian(z)
-        assert sparse.issparse(J)
+        J = M.derivative(z)
         dense = np.zeros((ocp.state_dim, ocp.state_dim))
         dense[:p, :p] = sparse.block_diag(
             [*ocp.cost.stage.hess(ocp.blocks(z).x),
              ocp.cost.alpha * np.eye((ocp.N + 1) * ocp.m)]).toarray()
         dense[:p, p:] = -ocp.C_star.toarray()
         dense[p:, :p] = ocp.C.toarray()
-        assert np.max(np.abs(J.toarray() - dense)) <= 1e-14
-        assert isinstance(M.derivative(z), np.ndarray)
+        assert np.max(np.abs(J - dense)) <= 1e-14
+        assert isinstance(J, np.ndarray)
 
 
 @PROFILE
@@ -312,14 +312,14 @@ def test_cubic_closed_loop_jacobian_is_sparse_and_exact(problem, gamma):
         return cls.sys.M(z) - np.concatenate([cls.plant_sys.M(xp), cls.opt_sys.M(zo)])
 
     K = np.column_stack([coupling_only(e) for e in np.eye(cls.dim)])
+    assert sparse.issparse(cls.sys.M.linear_part)
     for z in _states(rng, cls.dim):
-        J = cls.sys.M._jacobian(z)
-        assert sparse.issparse(J)
+        J = cls.sys.M.derivative(z)
         xp, zo = cls.split(z)
         dense = K.copy()
         dense[:n, :n] += plant.M.derivative(xp)
         dense[n:, n:] += cls.opt_sys.M.derivative(zo)
-        assert np.max(np.abs(J.toarray() - dense)) <= 1e-14 * (1.0 + np.max(np.abs(dense)))
+        assert np.max(np.abs(J - dense)) <= 1e-14 * (1.0 + np.max(np.abs(dense)))
 
 
 def _m_opt_oracle(ocp, z):
@@ -400,7 +400,6 @@ def test_structured_evaluation_and_jacobian_match_the_member_formulas(op, rows):
     # L against the formulas each member is written in; the optimality
     # operator keeps grad_cost(z) - C* lam and C z_p bit for bit
     kind, M, evaluate, jacobian, ocp, rng = op
-    assert M.linear_part is not None and M.eval_fn is None and M.derivative_fn is None
     assert M.is_linear == (kind == "quadratic")
     states = _states(rng, M.dim)
     block = rng.standard_normal((rows, M.dim)) * rng.choice([1.0, 40.0], (rows, 1))
@@ -414,9 +413,7 @@ def test_structured_evaluation_and_jacobian_match_the_member_formulas(op, rows):
             assert np.array_equal(ocp.m_opt(z), ref)
             if kind == "logcosh":
                 assert np.array_equal(M(z), ref)
-        summed = phcore._summed(M._terms(z))
-        summed = summed.toarray() if sparse.issparse(summed) else summed
-        assert _gap(summed, J, float(np.max(np.abs(J)))) <= 1e-14
+        assert _gap(M.derivative(z), J, float(np.max(np.abs(J)))) <= 1e-14
         r = rng.standard_normal(M.dim)
         x = solve(z, r)
         A = J + shift * np.eye(M.dim)
@@ -451,22 +448,22 @@ def cubic_lq_loops(draw):
 @PROFILE
 @given(cubic_lq_loops())
 def test_condensed_loop_step_matches_the_banded_step(loop):
-    # the step that eliminates the LQ optimizer against the full banded
-    # Newton step of the same operator given by its evaluation and its
-    # Jacobian terms, as an operator built outside the package is; then
-    # 20 condensed steps keep the power balance at the audit's scale
+    # the step that eliminates the LQ optimizer against the general Newton
+    # step of the same L, g and phi without an order, which factors the
+    # full Newton matrix by SuperLU; then 20 condensed steps keep the
+    # power balance at the audit's scale
     cls, scheme, theta, z0 = loop
     M, metric, h, tol = cls.sys.M, cls.sys.metric, 0.02, 1e-13
     norm = metric.norm
     assert cls.opt_sys.M.is_linear and not cls.plant_sys.M.is_linear
     assert max(p.hi for p in M.nodewise) == cls.n_p  # phi lives in the plant alone
-    banded = pf.MonotoneOperatorSpec(M.dim, eval_fn=M, derivative_fn=M._terms, order=M.order)
-    assert banded.linear_part is None
+    general = pf.MonotoneOperatorSpec(M.dim, M.linear_part, M.affine_offset, M.nodewise)
+    assert general.order is None
     b = np.zeros(M.dim)
     z_c, res_c = phcore.implicit_stepper(M, h, theta, metric, tol)(z0, b)
-    z_b, res_b = phcore.implicit_stepper(banded, h, theta, metric, tol)(z0, b)
-    assert res_c <= tol and res_b <= tol
-    assert norm(z_c - z_b) <= 1e-11 * norm(z_b)
+    z_g, res_g = phcore.implicit_stepper(general, h, theta, metric, tol)(z0, b)
+    assert res_c <= tol and res_g <= tol
+    assert norm(z_c - z_g) <= 1e-11 * norm(z_g)
     cfg = pf.IntegratorConfig(h_t=h, scheme=scheme, newton_tol=tol)
     traj = pf.integrate_flow(cls.sys, z0, np.zeros(0), cfg, 20 * h)
     assert traj.states.shape[0] == 21
@@ -528,8 +525,8 @@ def test_output_of_a_row_stack_is_the_row_by_row_output(ports, rows):
 @given(st.booleans().flatmap(lambda logcosh: problems(logcosh)), st.floats(0.1, 10.0))
 def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
     # K = J - diag(DM_plant, DM_opt) is the closed loop's coupling block:
-    # sparse, nonzero only between the plant and the lam0 block, and skew
-    # in the product metric, W K = -(W K)^T
+    # nonzero only between the plant and the lam0 block, and skew in the
+    # product metric, W K = -(W K)^T; coupling_block builds it sparse
     ocp, rng = problem
     n = ocp.n
     G = rng.standard_normal((n, n))
@@ -539,17 +536,17 @@ def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
     cls = pf.couple(opt, plant, ocp, pf.CouplingSpec(gamma))
     z = rng.standard_normal(cls.dim)
     xp, zo = cls.split(z)
-    K = cls.sys.M._jacobian(z) - sparse.block_diag([plant.M._jacobian(xp),
-                                                    opt.M._jacobian(zo)])
+    K = cls.sys.M.derivative(z) - sparse.block_diag([plant.M.derivative(xp),
+                                                     opt.M.derivative(zo)]).toarray()
     lam0 = n + ocp.blocks(np.arange(ocp.state_dim)).lam0
     inside = np.zeros(K.shape, dtype=bool)
     inside[:n, lam0] = inside[lam0, :n] = True
-    assert not np.any(K.toarray()[~inside])
+    assert not np.any(K[~inside])
     # coupling_block itself, here on the optimizer's first n ports
     direct = pf.coupling_block(plant, opt, gamma * ocp.model.B.T, ocp.m, n)
     assert sparse.issparse(direct) and direct.nnz <= 2 * n * n
-    for block in (K, direct):
-        WK = cls.sys.metric.weights[:, None] * block.toarray()
+    for block in (K, direct.toarray()):
+        WK = cls.sys.metric.weights[:, None] * block
         assert np.max(np.abs(WK + WK.T)) <= 1e-14 * (1.0 + np.max(np.abs(WK)))
 
 
@@ -600,14 +597,15 @@ def test_stage_order_makes_every_solve_banded(problem):
     cases = [(J, order, False), (step, order, True)]
     if cls is not None:
         z_cl = rng.standard_normal(cls.dim)
-        newton = sparse.identity(cls.dim, format="csc") / c + cls.sys.M._jacobian(z_cl)
+        newton = (sparse.identity(cls.dim, format="csc") / c
+                  + sparse.csr_matrix(cls.sys.M.derivative(z_cl)))
         cases.append((newton, cls.sys.M.order, True))
         assert np.array_equal(cls.sys.M.order[:ocp.n], np.arange(ocp.n))
         assert np.array_equal(cls.sys.M.order[ocp.n:], ocp.n + order)
     for A, o, compare in cases:
         assert _bandwidths(A, o) == (width, width)
-        band = phcore._Factor(o)
-        solve = band.solver([(0, A)])
+        band = phcore._Factor(A.tocsr(), 0.0, order=o)
+        solve = band.solver()
         assert (band.kl, band.ku) == (width, width)
         if compare:  # the step matrices are well conditioned
             r = rng.standard_normal(A.shape[0])
@@ -627,48 +625,53 @@ def _coo_band(A, order, band, shift):
     return ref
 
 
-def _integral(block):
-    """A copy of a Jacobian term with integer values, so that every sum
-    of them is exact whatever its order."""
-    if not sparse.issparse(block):
-        return np.round(4.0 * block)
-    out = block.copy()
-    out.data = np.round(4.0 * out.data)
-    return out
+def _factored_band(factor, d):
+    """A copy of the band array that factor.solver(d) factors."""
+    seen, dgbtrf = [], phcore.dgbtrf
+
+    def capture(ab, *args, **kwargs):
+        seen.append(ab.copy())
+        return dgbtrf(ab, *args, **kwargs)
+
+    with mock.patch.object(phcore, "dgbtrf", capture):
+        factor.solver(d)
+    return seen[0]
 
 
 @PROFILE
 @given(staged_problems())
 def test_band_positions_reproduce_a_coo_scatter(problem):
-    # the positions computed from the Jacobian terms at the zero state
-    # serve every later state: the patterns stay fixed, and scattering
-    # the terms into the band gives what permuting the COO entries of
-    # their sum, the summed Jacobian, gives
+    # the band of L + shift I, laid out once, serves every later state:
+    # each Newton matrix it factors, the copy plus phi' at the diagonal
+    # positions of the nodewise coordinates, is what permuting the COO
+    # entries of L and adding the shift and phi' on the diagonal gives
     ocp, opt, cls, rng = problem
     M = opt.M if cls is None else cls.sys.M
-    band = phcore._Factor(M.order)
-    band.solver(M._terms(np.zeros(M.dim)), 1.0)
-    pos = band.pos
+    coords = M._diagonal_coords
+    band = phcore._Factor(M.linear_part, 2.0, coords, M.order)
+    rank = np.argsort(M.order)
     for z in _states(rng, M.dim):
-        ab = band._fill(M._terms(z), 2.0).copy()
-        assert band.pos is pos
-        assert np.array_equal(ab, _coo_band(M._jacobian(z), M.order, band, 2.0))
-    # overlapping terms: the same terms plus the identity, which the
-    # scatter adds onto their diagonals, and a term that stores every
-    # diagonal entry twice, which it adds up with np.add.at
+        d = M._diagonal(z)
+        ref = _coo_band(M.linear_part, M.order, band, 2.0)
+        ref[band.kl + band.ku, rank[coords]] += d
+        assert np.array_equal(_factored_band(band, d), ref)
+    # a CSR L that stores every diagonal entry twice more, as a
+    # non-canonical CSR: the layout adds its duplicates up with np.add.at
+    # (integer values, so every sum is exact whatever its order)
     dim = M.dim
-    twice = sparse.csr_matrix((np.ones(2 * dim), np.repeat(np.arange(dim), 2),
-                               np.arange(0, 2 * dim + 1, 2)), shape=(dim, dim))
-    terms = [(lo, _integral(block)) for lo, block in M._terms(z)]
-    terms += [(0, sparse.identity(dim, format="csr")), (0, twice)]
-    fresh = phcore._Factor(M.order)
-    ab = fresh._fill(terms, 2.0)
-    assert fresh.unique[-1] is False
-    summed = sparse.csr_matrix((dim, dim))
-    for lo, block in terms:
-        summed = summed + sparse.block_diag([sparse.csr_matrix((lo, lo)), block,
-                                             sparse.csr_matrix((dim - lo - block.shape[0],) * 2)])
-    assert np.array_equal(ab, _coo_band(summed, M.order, fresh, 2.0))
+    L = sparse.csr_matrix(M.linear_part, copy=True)
+    L.data = np.round(4.0 * L.data)
+    rows = np.concatenate([np.repeat(np.arange(dim), np.diff(L.indptr)),
+                           np.tile(np.arange(dim), 2)])
+    cols = np.concatenate([L.indices, np.tile(np.arange(dim), 2)])
+    vals = np.concatenate([L.data, np.ones(2 * dim)])
+    k = np.argsort(rows, kind="stable")
+    twice = sparse.csr_matrix((vals[k], cols[k], np.searchsorted(rows[k], np.arange(dim + 1))),
+                              shape=(dim, dim))
+    assert not twice.has_canonical_format
+    fresh = phcore._Factor(twice, 2.0, order=M.order)
+    summed = L + 2.0 * sparse.identity(dim, format="csr")
+    assert np.array_equal(_factored_band(fresh, ()), _coo_band(summed, M.order, fresh, 2.0))
 
 
 @st.composite
