@@ -34,7 +34,14 @@ the same factor and step timings for the LQ optimizer on its own
   default initial state, each solved to the default ``newton_tol``;
 - ``logcosh_over_linear_step``: ``logcosh_step_ms`` over ``opt_step_ms``,
   the cost of a nonlinear flow step against a linear one of the same
-  size.
+  size;
+- ``cubic_over_linear_step``: ``cubic_step_ms`` over ``step_ms``, the
+  cost of a cubic closed-loop step against the linear loop's step of
+  the same size (ROADMAP's 2x gate).
+
+Both ratios have a linear step in the denominator, so they rise when the
+linear step gets faster while the nonlinear step stays as it was; read
+them together with the step times themselves.
 
 BLAS is pinned to one thread, and the script uses only the public API
 and ``phflow.phcore.implicit_stepper``.
@@ -114,9 +121,10 @@ def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
                                      1e3 * cubic_loop[1], alone[0], 1e3 * alone[1],
                                      1e3 * lc_step_s)):
             best[key] = min(best[key], value)
-    ratio = round(best["logcosh_step_ms"] / best["opt_step_ms"], 2)
     return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
-            "steps": steps, **best, "logcosh_over_linear_step": ratio}
+            "steps": steps, **best,
+            "logcosh_over_linear_step": round(best["logcosh_step_ms"] / best["opt_step_ms"], 2),
+            "cubic_over_linear_step": round(best["cubic_step_ms"] / best["step_ms"], 2)}
 
 
 def main(argv=None) -> int:

@@ -43,7 +43,7 @@ class MonotoneOperatorSpec:
 
     linear_part L is a (dim, dim) matrix, dense or scipy sparse (kept as
     CSR or CSC, any other sparse format converted to CSR); affine_offset
-    g is a constant or None; nodewise lists the `Nodewise` pieces of phi,
+    g is a constant vector of shape (dim,) or None; nodewise lists the `Nodewise` pieces of phi,
     each on its own slice of [0, dim), no two on one coordinate.  Without
     pieces M is linear, and resolvents and implicit integrators factor a
     single matrix once.  M is evaluated on one state vector of shape
@@ -73,6 +73,12 @@ class MonotoneOperatorSpec:
                 f"linear part has shape {L.shape}, operator expects "
                 f"({self.dim}, {self.dim})")
         object.__setattr__(self, "linear_part", L)
+        if self.affine_offset is not None:
+            g = np.asarray(self.affine_offset, dtype=float)
+            if g.shape != (self.dim,):
+                raise DimensionMismatch(
+                    f"affine offset has shape {g.shape}, operator expects ({self.dim},)")
+            object.__setattr__(self, "affine_offset", g)
         for p in self.nodewise:
             if not 0 <= p.lo < p.hi <= self.dim:
                 raise InvalidParameter(

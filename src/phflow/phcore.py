@@ -24,18 +24,20 @@ one matrix product plus a nodewise map.  So it is evaluated on a block
 of trajectory rows at once (`_batch_eval`), and its Jacobian is L plus
 phi' on the diagonal at fixed coordinates.  Every linear solve goes
 through a `_Factor`, which lays out and fills L + shift I once and
-factors it, plus a diagonal d, by LAPACK's banded LU
-(`dgbtrf`/`dgbtrs`) in an operator's `order` (the optimizer's
-time-stage order, or a closed loop's), and otherwise by LAPACK's dense
-LU or, when sparse, SuperLU.  A linear step factors once with no d; a
-Newton iteration copies the base and adds d = phi' on its diagonal
-(`_newton_solver`).  A steady-state solve holds one `_Factor`, and so
-does an implicit stepper, except where phi lives in leading coordinates
-ahead of a linear banded rest, as in a cubic plant closed against an LQ
-optimizer: that stepper eliminates the linear rest, so it factors its
-band once and, at each Newton iteration, a dense matrix of the leading
-block's dimension (`_condensed_stepper`).  The structure alone picks
-the path.
+factors it, plus a diagonal d, by LAPACK's banded LU (`dgbtrf`) in an
+operator's `order` (the optimizer's time-stage order, or a closed
+loop's), and otherwise by LAPACK's dense LU or, when sparse, SuperLU.
+A Newton iteration copies the base, adds d = phi' on its diagonal
+(`_newton_solver`) and solves with `dgbtrs`.  A linear step factors
+once with no d, folds dgbtrf's row interchanges into its order
+(`_fold`), and solves each step by triangular band sweeps, with no
+product with L (`_linear_step`).  A steady-state solve holds one
+`_Factor`, and so does an implicit stepper, except where phi lives in
+leading coordinates ahead of a linear banded rest, as in a cubic plant
+closed against an LQ optimizer: that stepper eliminates the linear
+rest, so it factors its band once and, at each Newton iteration, a
+dense matrix of the leading block's dimension (`_condensed_stepper`).
+The structure alone picks the path.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
@@ -239,7 +242,12 @@ class _Factor:
 
     - With an order (the time-stage order of an optimizer or a closed
       loop, in which L is banded) the matrix is a LAPACK band array,
-      factored by LAPACK's banded LU (dgbtrf/dgbtrs).
+      factored by LAPACK's banded LU (dgbtrf).  solver(d) solves with
+      dgbtrs: a Newton or KKT factor serves one or two solves and
+      interchanges most of its rows, so a fold would not pay.
+      step_solver(), for a linear step's factor, which serves every
+      step of a run and interchanges few rows, folds the interchanges
+      into the order once (`_fold`).
     - Without an order a dense L is factored by LAPACK's dense LU
       (dgetrf/dgetrs, called directly as the banded routines are: for
       the small matrices of a plant's Newton step, scipy.linalg's
@@ -250,11 +258,11 @@ class _Factor:
     lays out and fills L + shift I once: on the banded path the
     bandwidths, the band array and the band position of every entry of
     L and of the diagonal at coords.  Each `solver(d)` copies that base,
-    adds d at coords and factors the copy: a linear step's solver() has
-    no d, a Newton iteration's is solver(phi'(x)).  A banded solver stays
-    valid until the next call.  An exactly singular matrix yields
-    non-finite solutions on every path, which the callers report as a
-    failed solve.
+    adds d at coords and factors the copy: a Newton iteration's is
+    solver(phi'(x)), a linear step's is step_solver(), with no d.  A
+    banded solver stays valid until the next call.  An exactly singular
+    matrix yields non-finite solutions on every path, which the callers
+    report as a failed solve.
     """
 
     def __init__(self, L, shift: float, coords=(), order=None):
@@ -302,12 +310,27 @@ class _Factor:
         A[c, c] += d
         return _dense(A)
 
-    def _banded(self):
-        """Factor the band array in place; the solve in the order."""
+    def step_solver(self):
+        """Return solve(r) = (L + shift I)^{-1} r for a factor that serves
+        every step of a run (a linear step's): on the banded path with
+        dgbtrf's interchanges folded into the order (`_fold`), otherwise
+        solver()'s."""
+        if self.order is None:
+            return self.solver()
+        np.copyto(self.flat, self.base)
+        return self._banded(fold=True)
+
+    def _banded(self, fold=False):
+        """Factor the band array in place; the solve in the order, by
+        `_fold`'s sweeps when fold is set and the fold fits, else by
+        dgbtrs."""
         lu, piv, info = dgbtrf(self.ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:  # U has an exact zero on its diagonal
             return _singular
         kl, ku, order = self.kl, self.ku, self.order
+        folded = _fold(lu, piv, kl, ku, order) if fold else None
+        if folded is not None:
+            return folded
 
         def solve(r):
             x, _ = dgbtrs(lu, kl, ku, np.asarray(r, dtype=float)[order], piv,
@@ -317,6 +340,117 @@ class _Factor:
             return out
 
         return solve
+
+
+def _fold(lu, piv, kl: int, ku: int, order):
+    """The solve with dgbtrf's factors (lu, piv) of a band matrix in
+    `order`, as PA = L'U without row interchanges (a `_Folded`), or None
+    when its bands would hold more than twice the entries of lu.
+
+    dgbtrf stores U in the top kl + ku + 1 rows of lu and, below them,
+    the multipliers of each column j for the rows j+1..j+kl as they stood
+    at step j, before the interchanges of the later steps; dgbtrs
+    therefore walks the columns one at a time, an interchange and a
+    rank-one update each.  Here the interchanges P are composed with the
+    order into one gather, and L' is the multipliers with every later
+    interchange applied to the earlier columns, exactly: entry by entry,
+    wherever a chain of interchanges moves it.  The factors of a linear
+    step interchange few rows (in the first stages and the last rows),
+    but where interchanges chain they carry an early column's multipliers
+    well below the band.  So L' is split at the column s that minimises
+    the entries of two unit lower bands: a head, the columns [0, s) in a
+    band wide enough for them, down to the lowest row they reach (their
+    spill into the rows below s), and a tail, the columns [s, n) in a
+    band of about kl.  Pivoting that chains through much of the matrix
+    would make the head grow with the square of the chain; past twice
+    the entries of lu, dgbtrs keeps the solve.
+    """
+    n = order.size
+    budget = 2 * lu.size
+    gather = order.copy()
+    # rows[t, j]: where the multiplier that dgbtrf stored for row j + 1 + t
+    # of column j stands after the interchanges so far
+    rows = np.arange(1, kl + 1)[:, None] + np.arange(n)
+    reach = kl  # bounds row - column over every multiplier
+    for j in np.flatnonzero(piv != np.arange(n)):
+        p = piv[j]
+        gather[[j, p]] = gather[[p, j]]
+        # only columns within reach of row j hold a multiplier in row j or p
+        lo = max(0, j - reach)
+        blk = rows[:, lo:j]
+        at_j, at_p = blk == j, blk == p
+        blk[at_j], blk[at_p] = p, j
+        reach = max(reach, int(np.max(blk - np.arange(lo, j), initial=0)))
+        if reach * reach > budget:  # the band that holds this column is wider
+            return None
+    # row - column of each multiplier; 0 for the slots below row n - 1 of
+    # the last columns, which the loop never moves and the sweeps never read
+    outside = rows >= n
+    off = rows
+    off -= np.arange(n)
+    off[outside] = 0
+    col_reach = np.max(off, axis=0, initial=0)
+    # the width and row count of the head, and the width of the tail, at
+    # every split s in [0, n]
+    head_w = np.concatenate([[0], np.maximum.accumulate(col_reach)])
+    head_n = np.concatenate([[0], np.maximum.accumulate(np.arange(n) + col_reach) + 1])
+    tail_w = np.concatenate([np.maximum.accumulate(col_reach[::-1])[::-1], [0]])
+    entries = (head_w + 1) * head_n + (tail_w + 1) * (n - np.arange(n + 1))
+    s = int(np.argmin(entries))
+    if entries[s] > budget:
+        return None
+    mult = lu[kl + ku + 1:2 * kl + ku + 1]
+
+    def band(lo, hi, width, size):
+        # unit lower band storage: entry (i, j) at row i - j of column j;
+        # an outside slot lands on the diagonal row, which dtbsv skips
+        ab = np.zeros((width + 1, size), order="F")
+        for t in range(kl):
+            ab[off[t, lo:hi], np.arange(hi - lo)] = mult[t, lo:hi]
+        return ab
+
+    head = band(0, s, head_w[s], head_n[s]) if s else None
+    tail = band(s, n, tail_w[s], n - s) if tail_w[s] else None
+    return _Folded(lu, kl + ku, order, gather, head, tail, s)
+
+
+class _Folded:
+    """The solve of `_fold`: gather the right side by the order and the
+    interchanges, sweep the head and the tail of L' and then U, one BLAS
+    dtbsv call each (U read from dgbtrf's array in place, with lda =
+    ldab, as dgbtrs reads it), and scatter the result back.  Every row
+    gets the updates of dgbtrs, in its column order and by the same axpy,
+    so the two solves agree to rounding (bit for bit where the axpy
+    rounds alike at every length).  A 2-D right side is solved column by
+    column."""
+
+    __slots__ = ("lu", "k", "order", "gather", "head", "tail", "s")
+
+    def __init__(self, lu, k, order, gather, head, tail, s):
+        self.lu, self.k, self.order, self.gather = lu, k, order, gather
+        self.head, self.tail, self.s = head, tail, s
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        if r.ndim == 1:
+            return self._solve(r)
+        out = np.empty_like(r)
+        for i in range(r.shape[1]):
+            out[:, i] = self._solve(r[:, i])
+        return out
+
+    def _solve(self, r):
+        y = r[self.gather]
+        if self.head is not None:
+            y = dtbsv(self.head.shape[0] - 1, self.head, y, lower=1, diag=1,
+                      overwrite_x=1)
+        if self.tail is not None:
+            y = dtbsv(self.tail.shape[0] - 1, self.tail, y, offx=self.s, lower=1, diag=1,
+                      overwrite_x=1)
+        y = dtbsv(self.k, self.lu, y, overwrite_x=1)
+        out = np.empty_like(y)
+        out[self.order] = y
+        return out
 
 
 def _dense(A):
@@ -345,16 +479,25 @@ def _newton_solver(M: MonotoneOperatorSpec, shift: float):
 
 def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
     """Return (step, solve) for a linear M: step(z, b) is the implicit
-    theta-step's z_next, and solve the solve with I + theta*h*L that it
-    is built on, factored once by one `_Factor` in M's order."""
-    L = M.linear_part
-    solve = _Factor((theta * h) * L, 1.0, order=M.order).solver()
-    if sparse.issparse(L):
-        rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h) * L.tocsr()
-    else:
-        rhs = np.eye(M.dim) - ((1.0 - theta) * h) * L
-    offset = M.offset
-    return (lambda z, b: solve(rhs @ z + h * (b - offset))), solve
+    theta-step's z_next, and solve the solve with F = I + theta*h*L that
+    it is built on, factored once by one `_Factor` in M's order
+    (`_Factor.step_solver`).  The step's right side needs no product
+    with L: I - (1-theta)*h*L = I/theta - ((1-theta)/theta) F, so
+
+        z_next = F^{-1} (z/theta + h (b - g)) - ((1-theta)/theta) z,
+
+    one solve and two vector operations; at theta = 1 the last term is
+    dropped, so the step is F^{-1} (z + h (b - g))."""
+    solve = _Factor((theta * h) * M.linear_part, 1.0, order=M.order).step_solver()
+    offset, lag = M.offset, (1.0 - theta) / theta
+
+    def step(z, b):
+        z_next = solve(z / theta + h * (b - offset))
+        if lag:
+            z_next -= lag * z
+        return z_next
+
+    return step, solve
 
 
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Metric,
@@ -368,8 +511,10 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
     the step equation's defect.  The structure of M picks one of three
     paths:
 
-    - Linear M factors I + theta*h*L once and reports residual 0, or
-      inf when the result is not finite.
+    - Linear M factors I + theta*h*L once, folds its row interchanges
+      into M's order, and steps with one solve and no product with L
+      (`_linear_step`); it reports residual 0, or inf when the result
+      is not finite.
     - When M's nodewise part phi lives in leading coordinates [0, d1)
       that M's order keeps in front and in place (a member without an
       order put first, as `couple` puts the plant), the rest of M is

@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -339,6 +340,46 @@ def test_singular_condensed_newton_matrix_fails_the_step(monkeypatch):
     assert condensed == [2]  # the step eliminates the optimizer
     assert np.isfinite(failed.value.residual) and failed.value.residual > 0
     assert failed.value.step == 1 and "t=0" in str(failed.value)
+
+
+def test_linear_flow_factors_once_and_never_calls_dgbtrs(monkeypatch):
+    # structural guard: a linear step factors I + theta h L once by
+    # dgbtrf and folds its interchanges into the order, so 200 steps of
+    # an LQ flow make one dgbtrf call and no dgbtrs call (Newton and KKT
+    # factors keep dgbtrs)
+    ocp = make_double_integrator(N=64)
+    sys = pf.assemble_optimizer(ocp)
+    z0, u = pf.default_initial_state(ocp), pf.constant_input(ocp)
+    calls = {"dgbtrf": 0, "dgbtrs": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(phcore, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(phcore, name, counted)
+    _forbid_dense_and_superlu(monkeypatch, "a linear flow")
+    traj = pf.integrate_flow(sys, z0, u, pf.IntegratorConfig(h_t=0.01), 2.0)
+    assert traj.times.size == 201
+    assert calls == {"dgbtrf": 1, "dgbtrs": 0}
+
+
+def test_linear_step_solves_leave_no_cyclic_garbage():
+    # a linear step's solve, and the condensed stepper's solve with a 2-D
+    # right side, refer to no closure of themselves: a dropped stepper's
+    # band arrays are freed at once, not left for the cyclic collector
+    ocp = make_double_integrator(N=64)
+    opt = pf.assemble_optimizer(ocp)
+    plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+    loop = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")).sys
+    gc.collect()
+    gc.disable()
+    try:
+        for sys in (opt, loop):
+            step = phcore.implicit_stepper(sys.M, 0.01, 0.5, sys.metric, 1e-10)
+            step(np.ones(sys.dim), np.zeros(sys.dim))
+            del step
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_linear_closed_loop_never_factors_dense(monkeypatch):

@@ -108,6 +108,18 @@ def test_linear_part_of_another_shape_is_refused(L):
         MonotoneOperatorSpec(2, linear_part=L)
 
 
+@pytest.mark.parametrize("g", [np.ones(3), np.ones(1), np.ones((2, 1)), 1.0],
+                         ids=["long", "short", "column", "scalar"])
+def test_affine_offset_of_another_shape_is_refused(g):
+    # g must be a (dim,) vector; a wrong shape is named at construction,
+    # not as numpy's broadcast error at the first evaluation
+    with pytest.raises(pf.DimensionMismatch):
+        MonotoneOperatorSpec(2, np.eye(2), affine_offset=g)
+    M = MonotoneOperatorSpec(2, np.eye(2), affine_offset=[1, 2])
+    assert M.affine_offset.dtype == float
+    assert np.array_equal(M(np.zeros(2)), [1.0, 2.0])
+
+
 @pytest.mark.parametrize("lo, hi", [(1, 1), (2, 1), (-1, 2), (1, 4), (3, 5)])
 def test_empty_or_outside_nodewise_piece_is_refused(lo, hi):
     with pytest.raises(pf.InvalidParameter):

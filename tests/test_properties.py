@@ -4,9 +4,13 @@
 closed-loop coupling), the KKT point as the flow's steady state, the
 shared implicit step behind the resolvent, the semigroup and the
 implicit-midpoint flow, the Jacobians its Newton solve factors, the
-time-stage order in which they are banded, and the sparse ports and
-coupling block against their dense counterparts."""
+time-stage order in which they are banded, the linear step's solve
+with dgbtrf's interchanges folded into that order, and the sparse ports
+and coupling block against their dense counterparts."""
 
+import importlib.util
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -672,6 +676,101 @@ def test_band_positions_reproduce_a_coo_scatter(problem):
     fresh = phcore._Factor(twice, 2.0, order=M.order)
     summed = L + 2.0 * sparse.identity(dim, format="csr")
     assert np.array_equal(_factored_band(fresh, ()), _coo_band(summed, M.order, fresh, 2.0))
+
+
+@st.composite
+def linear_step_problems(draw):
+    """A random LQ optimizer (N in 2..64, n in 1..4, m in 1..2), alone or
+    closed against a linear plant of dimension n, with a step h_t drawn
+    log-uniformly in [1e-3, 1] and theta in {1/2, 1}; returns (M, h_t,
+    theta, rng).  Large steps pivot in many rows, so the draws hold
+    folds with and without a head and factors that keep dgbtrs."""
+    N, n, m = draw(st.integers(2, 64)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    h_t = 10.0 ** draw(st.floats(-3.0, 0.0))
+    theta = draw(st.sampled_from([0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n))
+    model = pf.LinearPlantModel(0.5 * rng.standard_normal((n, n)),
+                                rng.standard_normal((n, m)), 0.0, rng.standard_normal(n))
+    stage = pf.QuadraticStage(G @ G.T / n + 0.1 * np.eye(n), rng.standard_normal(n))
+    ocp = pf.assemble_ocp(model, pf.build_grid(1.0, N), pf.CostSpec(1.0, stage))
+    opt = pf.assemble_optimizer(ocp)
+    M = opt.M
+    if draw(st.booleans()):
+        plant = pf.assemble_plant(pf.linear_plant(np.eye(n), model.B, np.zeros(n)))
+        M = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")).sys.M
+    return M, h_t, theta, rng
+
+
+def _step_solves(M, h_t, theta):
+    """The folded solve with I + theta h L and dgbtrs on the same dgbtrf
+    output: two factors of one band array, each factored once."""
+    L = (theta * h_t) * M.linear_part
+    return (phcore._Factor(L, 1.0, order=M.order).step_solver(),
+            phcore._Factor(L, 1.0, order=M.order).solver())
+
+
+def _assert_solves_agree(folded, gbtrs, rng, dim):
+    for r in (rng.standard_normal(dim), rng.standard_normal((dim, 3))):
+        ref = gbtrs(r)
+        assert np.linalg.norm(folded(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def _reference_step(M, h_t, theta):
+    """The reference linear theta-step: one dgbtrs solve with
+    I + theta h L of (I - (1-theta) h L) z + h (b - g)."""
+    L = sparse.csr_matrix(M.linear_part)
+    solve = phcore._Factor((theta * h_t) * L, 1.0, order=M.order).solver()
+    rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h_t) * L
+    return lambda z, b: solve(rhs @ z + h_t * (b - M.offset))
+
+
+@PROFILE
+@given(linear_step_problems())
+def test_folded_step_solve_matches_dgbtrs(problem):
+    # the linear step's solve, dgbtrf's interchanges folded into the
+    # gather and L', against dgbtrs on the same factors, for 1-D and 2-D
+    # right sides; the matvec-free step against the step with the product
+    # (I - (1-theta) h L) z, bit for bit at theta = 1
+    M, h_t, theta, rng = problem
+    folded, gbtrs = _step_solves(M, h_t, theta)
+    _assert_solves_agree(folded, gbtrs, rng, M.dim)
+    step, _ = phcore._linear_step(M, h_t, theta)
+    reference = _reference_step(M, h_t, theta)
+    z, b = rng.standard_normal(M.dim), rng.standard_normal(M.dim)
+    ref = reference(z, b)
+    if theta == 1.0:
+        assert np.array_equal(step(z, b), ref)
+    else:
+        assert np.linalg.norm(step(z, b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
+    # the N = 1024 chain problem of scripts/linear_loop_timing.py (the
+    # double integrator) at h_t = 0.01: dgbtrf interchanges rows in a
+    # chain through the first stages, which carries early multipliers
+    # about 60 rows down.  A fold that looks back over a fixed window of
+    # columns misses some of them and solves this system wrong by percents
+    # while staying finite; only a comparison with dgbtrs shows it
+    path = Path(__file__).resolve().parents[1] / "scripts" / "linear_loop_timing.py"
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins them on import
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("linear_loop_timing", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ocp, _, plant, _ = script._problem(1024, 2, 1)
+    opt = pf.assemble_optimizer(ocp)
+    loop = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")).sys
+    rng = np.random.default_rng(5)
+    for M in (opt.M, loop.M):
+        for theta in (0.5, 1.0):
+            folded, gbtrs = _step_solves(M, script.H_T, theta)
+            assert folded.s >= 50  # the head spans the chain
+            _assert_solves_agree(folded, gbtrs, rng, M.dim)
+        step, _ = phcore._linear_step(M, script.H_T, 1.0)
+        z = rng.standard_normal(M.dim)
+        assert np.array_equal(step(z, 0.0), _reference_step(M, script.H_T, 1.0)(z, 0.0))
 
 
 @st.composite
