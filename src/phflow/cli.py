@@ -53,8 +53,7 @@ from .ocp import (_KKT_TOL, CostSpec, DiscretizedOCP, LinearPlantModel,
 from .optimizer import (_MIN_REPORT_SAMPLES, ErrorSeries, IntegratorConfig,
                         _step_count, assemble_optimizer, constant_input,
                         default_initial_state, default_outer_step, stream_flow)
-from .phcore import (PowerBalance, ShiftedPassivity, accretivity_probe, fold,
-                     steady_state)
+from .phcore import PowerBalance, accretivity_probe, fold, steady_state
 
 _MODES = ("solve", "flow", "closedloop", "audit", "spectrum")
 
@@ -417,9 +416,10 @@ class _StateRows:
 
 def _stream(out_dir: Path, name: str, sys, flow, full_state: bool, *folds):
     """Run the flow once through its power audit and `folds`; return their
-    reports and the files written.  With full_state the run also writes
-    <name>_state.csv, block by block, under a temporary name that it takes
-    only when the run completes, so a failed run leaves no state file."""
+    reports (the audit's is a pair, its second None) and the files
+    written.  With full_state the run also writes <name>_state.csv, block
+    by block, under a temporary name that it takes only when the run
+    completes, so a failed run leaves no state file."""
     audit = PowerBalance(sys, flow)
     if not full_state:
         return fold(flow, audit, *folds), []
@@ -448,8 +448,8 @@ def _write_table(out_dir: Path, name: str, flow, pb, header: list[str],
 def run_flow(scn: Scenario, out_dir: Path):
     _check_report_horizon(scn)
     sys, oracle, flow = _optimizer_run(scn)
-    (pb, report), state = _stream(out_dir, "flow", sys, flow, scn.full_state,
-                                  ErrorSeries(flow, oracle.x_bar, scn.ocp))
+    ((pb, _), report), state = _stream(out_dir, "flow", sys, flow, scn.full_state,
+                                       ErrorSeries(flow, oracle.x_bar, scn.ocp))
     table = _write_table(out_dir, "flow", flow, pb, ["err_total", "err_primal", "err_dual"],
                          [report.errors, report.errors_primal, report.errors_dual])
     rpt = out_dir / "convergence_report.txt"
@@ -465,8 +465,8 @@ def run_closedloop(scn: Scenario, out_dir: Path):
     cls = couple(assemble_optimizer(ocp), plant_sys, ocp, scn.coupling)
     flow = stream_flow(cls.sys, cls.initial_state(spec.x_p0), np.zeros(0),
                        scn.integrator, scn.T)  # the loop has no open port
-    (pb, cols), state = _stream(out_dir, "closedloop", cls.sys, flow, scn.full_state,
-                                LoopColumns(cls, flow))
+    ((pb, _), cols), state = _stream(out_dir, "closedloop", cls.sys, flow,
+                                     scn.full_state, LoopColumns(cls, flow))
     header = ([f"xp_{j + 1}" for j in range(cls.n_p)]
               + [f"up_{j + 1}" for j in range(ocp.m)]
               + ["norm_total", "norm_plant", "norm_optimizer"])
@@ -476,7 +476,7 @@ def run_closedloop(scn: Scenario, out_dir: Path):
 
 def run_audit(scn: Scenario, out_dir: Path):
     sys, oracle, flow = _optimizer_run(scn)
-    pb, sh = fold(flow, PowerBalance(sys, flow), ShiftedPassivity(sys, flow, oracle))
+    pb, sh = fold(flow, PowerBalance(sys, flow, oracle))[0]
     probe = accretivity_probe(sys.M, sys.metric, rng=scn.seed, n_pairs=200)
     z0_scale = 1.0 + sys.metric.inner(flow.z0, flow.z0)
     path = out_dir / "audit.txt"

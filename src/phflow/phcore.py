@@ -8,16 +8,17 @@ where B* is the metric adjoint of B.  Along any trajectory the stored
 energy 1/2 ||x||^2 changes only through internal dissipation -<x, M(x)>
 and the port power <u, y>.  This module provides the operator-level
 machinery (resolvents, the iterated-resolvent semigroup approximation,
-accretivity probes), trajectory audits of the power balance and of
+accretivity probes), the trajectory audit of the power balance and of
 shifted passivity, steady-state solves, and the power-preserving
 interconnection of two systems through a skew coupling.
 
 A run is read in blocks of at most _ROW_BLOCK sampling intervals: a
 stored `Trajectory` gives them from its array (`Trajectory.blocks`), and
 a flow being integrated gives them as it steps (`optimizer.FlowStream`).
-Each audit is a fold over those blocks (`fold`), so an audit, like every
-other output of a run, can be taken while the flow runs, and no state
-array that grows with the run is needed.
+Both audits are one fold over those blocks (`PowerBalance`, see `fold`),
+which evaluates M and the output once per block.  So the audit, like
+every other output of a run, can be taken while the flow runs, and no
+state array that grows with the run is needed.
 
 Every operator has the form M(z) = L z + g + phi(z) (see `operators`):
 one matrix product plus a nodewise map.  So it is evaluated on a block
@@ -762,35 +763,67 @@ class PowerBalanceReport:
     max_residual: float
 
 
-class _Stage:
-    """The theta stage of the intervals of a block, for the audits.
+def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
+    """Evaluate M on each row of X into a new array: one matrix product
+    plus the nodewise pieces."""
+    return M._structured(X, (M.linear_part @ X.T).T)
 
-    For a block's states x and inputs u (see `Trajectory.blocks`),
-    states(x) returns (lag, xs): the term lag = (1 - 2 theta)
-    ||x+ - x||^2 / (2h) by which the theta-step's energy rate exceeds its
-    stage balance (0 at midpoint), and the stage states
-    theta x+ + (1 - theta) x of the block's intervals; inputs(u) returns
-    the stage inputs us likewise.
 
-    xs and us are views of two buffers allocated once per audit, which
-    the next block overwrites; each is independent of the other, so a
-    fold may take them in any order.  xs is column-major, the layout in
-    which a product S @ xs.T with a sparse S (the linear part of a drift,
-    the output map) reads it without a transposed copy.  A block of k
+@dataclass(frozen=True)
+class ShiftedPassivityReport:
+    """Shifted power balance residuals and passivity-inequality excesses."""
+
+    equality_residuals: np.ndarray
+    inequality_excess: np.ndarray
+    max_equality_residual: float
+    max_inequality_excess: float
+
+    def passive(self, tol: float = 1e-9) -> bool:
+        return self.max_inequality_excess <= tol
+
+
+class PowerBalance:
+    """The fold of both audits over a run of sys (see `fold`): the power
+    balance, and shifted passivity about the steady state ss if given.
+
+    Each block is evaluated at the run's theta stage, the states
+    xs = theta x+ + (1 - theta) x and inputs us, by one evaluation of M
+    and one output y = B* xs; the energy rate is taken less
+    lag = (1 - 2 theta) ||x+ - x||^2 / (2h), by which the theta-step's
+    rate exceeds its stage balance (0 at midpoint).  Given ss, the same
+    M(xs), y, xs and us are then shifted in place by M(x_bar), y_bar,
+    x_bar and u_bar; y is freed before M is evaluated, so the two never
+    add up in the fold's peak memory.
+
+    xs and us are views of two buffers allocated once per run, which the
+    next block overwrites.  xs is column-major, the layout in which a
+    product S @ xs.T with a sparse S (the linear part of a drift, the
+    output map) reads it without a transposed copy.  A block of k
     intervals fills the first k * dim entries of a buffer, so a short
-    block is as contiguous as a full one.
-    A column-major xs is summed in a row-major temporary that is freed
-    before the audit's product with L, so the two never add up in the
-    audit's peak memory.
+    block is as contiguous as a full one.  A column-major xs is summed in
+    a row-major temporary that is freed before the product with L.
     """
 
-    def __init__(self, sys: PHSystem, run):
-        self.theta, self.h, self.metric = run.theta, run.step, sys.metric
-        rows = min(run.times.size - 1, _ROW_BLOCK)
+    def __init__(self, sys: PHSystem, run, ss: Optional[SteadyStatePair] = None):
+        self.sys, self.ss = sys, ss
+        self.theta, self.h = run.theta, run.step
+        n = run.times.size - 1
+        rows = min(n, _ROW_BLOCK)
         self.xs_buf = np.empty(rows * sys.dim)
         self.us_buf = np.empty(rows * sys.input_dim)
         width = max(sys.dim, sys.input_dim)
         self.tmp = None if self.theta == 0.5 else np.empty((rows, width))
+        self.residuals = np.empty(n)
+        if ss is None:
+            return
+        for name, dim in (("x_bar", sys.dim), ("u_bar", sys.input_dim),
+                          ("y_bar", sys.input_dim)):
+            shape = np.shape(getattr(ss, name))
+            if shape != (dim,):
+                raise DimensionMismatch(
+                    f"steady state {name} has shape {shape}, expected ({dim},)")
+        self.mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
+        self.eq_res, self.ineq = np.empty(n), np.empty(n)
 
     def _stage(self, v, buf, layout):
         k, d = v.shape[0] - 1, v.shape[1]
@@ -807,45 +840,65 @@ class _Stage:
             np.copyto(s, t)
         return s
 
-    def states(self, x):
+    def _rate(self, x, lag):
+        """The energy rate of each interval of the states x, less lag."""
+        return np.diff(0.5 * self.sys.metric.row_inner(x, x)) / self.h - lag
+
+    def _supply(self, xs, us):
+        """The supply <us, y> of each interval, and given ss the shifted
+        <us - u_bar, y - y_bar>, us shifted in place; y dies on return."""
+        sys, ss = self.sys, self.ss
+        y = sys.output(xs)
+        supply = sys.input_metric.row_inner(us, y)
+        if ss is None:
+            return supply, None
+        y -= ss.y_bar
+        us -= ss.u_bar
+        return supply, sys.input_metric.row_inner(us, y)
+
+    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
+        sys, ss, metric = self.sys, self.ss, self.sys.metric
         lag = 0.0  # at midpoint
         if self.theta != 0.5:
             k = x.shape[0] - 1
             dx = np.subtract(x[1:], x[:-1], out=self.tmp[:k, :x.shape[1]])
-            lag = (1.0 - 2.0 * self.theta) * self.metric.row_inner(dx, dx) / (2.0 * self.h)
-        return lag, self._stage(x, self.xs_buf, "F")
+            lag = (1.0 - 2.0 * self.theta) * metric.row_inner(dx, dx) / (2.0 * self.h)
+        rate = self._rate(x, lag)
+        if ss is not None:  # x - x_bar is freed before the stage is formed
+            rate_shifted = self._rate(x - ss.x_bar, lag)
+        xs = self._stage(x, self.xs_buf, "F")
+        us = self._stage(u, self.us_buf, "C")
+        supply, supply_shifted = self._supply(xs, us)
+        mx = _batch_eval(sys.M, xs)
+        rows = slice(lo, lo + xs.shape[0])
+        self.residuals[rows] = rate - (-metric.row_inner(xs, mx) + supply)
+        if ss is None:
+            return
+        mx -= self.mx_bar
+        xs -= ss.x_bar  # the stage buffer: shifted in place, then overwritten
+        gap = metric.row_inner(xs, mx)
+        self.eq_res[rows] = rate_shifted - (-gap + supply_shifted)
+        self.ineq[rows] = rate_shifted - supply_shifted
 
-    def inputs(self, u):
-        return self._stage(u, self.us_buf, "C")
+    def report(self):
+        """(PowerBalanceReport, ShiftedPassivityReport or None without ss)."""
+        pb = PowerBalanceReport(self.residuals,
+                                float(np.max(np.abs(self.residuals), initial=0.0)))
+        if self.ss is None:
+            return pb, None
+        eq, ineq = self.eq_res, self.ineq
+        return pb, ShiftedPassivityReport(eq, ineq, float(np.max(np.abs(eq), initial=0.0)),
+                                          float(np.max(ineq, initial=-np.inf)))
 
 
-def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate M on each row of X into a new array: one matrix product
-    plus the nodewise pieces."""
-    return M._structured(X, (M.linear_part @ X.T).T)
-
-
-class PowerBalance:
-    """The fold of `power_balance_audit` over a run of sys (see `fold`);
-    it divides every energy difference by the run's step h."""
-
-    def __init__(self, sys: PHSystem, run):
-        self.sys, self.stage = sys, _Stage(sys, run)
-        self.residuals = np.empty(run.times.size - 1)
-
-    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
-        sys = self.sys
-        lag, xs = self.stage.states(x)
-        us = self.stage.inputs(u)
-        energy = 0.5 * sys.metric.row_inner(x, x)
-        dissip = sys.metric.row_inner(xs, _batch_eval(sys.M, xs))
-        supply = sys.input_metric.row_inner(us, sys.output(xs))
-        self.residuals[lo:lo + xs.shape[0]] = (
-            (np.diff(energy) / self.stage.h - lag) - (-dissip + supply))
-
-    def report(self) -> PowerBalanceReport:
-        return PowerBalanceReport(self.residuals,
-                                  float(np.max(np.abs(self.residuals), initial=0.0)))
+def _audit(sys: PHSystem, traj: Trajectory, ss: Optional[SteadyStatePair] = None):
+    """The `PowerBalance` fold over the blocks of a stored trajectory of
+    sys, whose state and input widths it checks first."""
+    if traj.states.shape[1] != sys.dim:
+        raise DimensionMismatch("trajectory state dimension mismatch")
+    if traj.inputs.shape[1] != sys.input_dim:
+        raise DimensionMismatch("trajectory input dimension mismatch")
+    return fold(traj, PowerBalance(sys, traj, ss))[0]
 
 
 def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
@@ -856,66 +909,11 @@ def power_balance_audit(sys: PHSystem, traj: Trajectory) -> PowerBalanceReport:
     (1 - 2 theta) ||x+ - x||^2 / (2h), so trajectories of the implicit
     theta-step satisfy the identity to solver precision; at theta = 1/2
     (midpoint) the stage is the average and the extra term vanishes.
-    The audit is the `PowerBalance` fold over the trajectory's blocks of
-    _ROW_BLOCK intervals, so no temporary grows with the trajectory.
+    The audit is the `PowerBalance` fold without a steady state over the
+    trajectory's blocks of _ROW_BLOCK intervals, so no temporary grows
+    with the trajectory.
     """
-    if traj.states.shape[1] != sys.dim:
-        raise DimensionMismatch("trajectory state dimension mismatch")
-    if traj.inputs.shape[1] != sys.input_dim:
-        raise DimensionMismatch("trajectory input dimension mismatch")
-    return fold(traj, PowerBalance(sys, traj))[0]
-
-
-@dataclass(frozen=True)
-class ShiftedPassivityReport:
-    """Shifted power balance residuals and passivity-inequality excesses."""
-
-    equality_residuals: np.ndarray
-    inequality_excess: np.ndarray
-    max_equality_residual: float
-    max_inequality_excess: float
-
-    def passive(self, tol: float = 1e-9) -> bool:
-        return self.max_inequality_excess <= tol
-
-
-class ShiftedPassivity:
-    """The fold of `shifted_passivity_audit` over a run of sys (see
-    `fold`), relative to the steady state ss."""
-
-    def __init__(self, sys: PHSystem, run, ss: SteadyStatePair):
-        self.sys, self.ss, self.stage = sys, ss, _Stage(sys, run)
-        self.mx_bar = sys.M(np.asarray(ss.x_bar, dtype=float))
-        n = run.times.size - 1
-        self.eq_res, self.ineq = np.empty(n), np.empty(n)
-        self.dx = np.empty((min(n, _ROW_BLOCK) + 1, sys.dim))
-
-    def add(self, lo: int, x: np.ndarray, u: np.ndarray):
-        sys, ss = self.sys, self.ss
-        lag, xs = self.stage.states(x)
-        us = self.stage.inputs(u)
-        dx = np.subtract(x, ss.x_bar, out=self.dx[:x.shape[0]])
-        energy = 0.5 * sys.metric.row_inner(dx, dx)
-        dm = _batch_eval(sys.M, xs)
-        dm -= self.mx_bar
-        dy = sys.output(xs)
-        dy -= ss.y_bar
-        xs -= ss.x_bar  # the stage's buffers: shifted in place, then overwritten
-        us -= ss.u_bar
-        gap = sys.metric.row_inner(xs, dm)
-        supply = sys.input_metric.row_inner(us, dy)
-        rate = np.diff(energy) / self.stage.h - lag
-        rows = slice(lo, lo + xs.shape[0])
-        self.eq_res[rows] = rate - (-gap + supply)
-        self.ineq[rows] = rate - supply
-
-    def report(self) -> ShiftedPassivityReport:
-        return ShiftedPassivityReport(
-            self.eq_res,
-            self.ineq,
-            float(np.max(np.abs(self.eq_res), initial=0.0)),
-            float(np.max(self.ineq, initial=-np.inf)),
-        )
+    return _audit(sys, traj)[0]
 
 
 def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
@@ -926,12 +924,10 @@ def shifted_passivity_audit(sys: PHSystem, traj: Trajectory,
                                       + <u-u_bar, y-y_bar>.
     Inequality: the same rate is bounded by the shifted supply alone.
     Both take the theta stage and the energy-rate term of
-    `power_balance_audit`, and walk the trajectory's blocks as the
-    `ShiftedPassivity` fold.
+    `power_balance_audit`: the audit is the `PowerBalance` fold given ss,
+    which refuses an ss whose x_bar, u_bar or y_bar is misshapen.
     """
-    if traj.states.shape[1] != sys.dim:
-        raise DimensionMismatch("trajectory state dimension mismatch")
-    return fold(traj, ShiftedPassivity(sys, traj, ss))[0]
+    return _audit(sys, traj, ss)[1]
 
 
 def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,

@@ -278,13 +278,43 @@ def test_power_balance_constant_steady_state():
     assert report.max_residual <= 1e-10
 
 
-def test_power_balance_dimension_check():
-    sys = pf.PHSystem(pf.identity(2), np.zeros((2, 0)), pf.Metric.euclidean(2),
-                      pf.Metric.euclidean(0))
-    times = np.arange(3.0)
-    with pytest.raises(pf.DimensionMismatch):
-        pf.power_balance_audit(sys, pf.Trajectory(times, np.zeros((3, 1)),
-                                                  np.zeros((3, 0))))
+def _cubic_two_port():
+    sys = pf.PHSystem(pf.cubic(np.array([[1.0, 0.5], [-0.5, 2.0]]), 1.0), np.eye(2),
+                      pf.Metric.euclidean(2), pf.Metric.euclidean(2))
+    ss = pf.steady_state(sys, np.array([0.3, -0.2]))
+    traj = pf.integrate_flow(sys, np.array([1.0, -1.0]), ss.u_bar,
+                             pf.IntegratorConfig(h_t=0.02), 1.0)
+    return sys, ss, traj
+
+
+AUDITS = {
+    "power_balance": lambda sys, traj, ss: pf.power_balance_audit(sys, traj),
+    "shifted_passivity": pf.shifted_passivity_audit,
+}
+
+
+@pytest.mark.parametrize("audit", AUDITS)
+@pytest.mark.parametrize("states, inputs", [((3, 1), (3, 2)), ((3, 2), (3, 3)),
+                                            ((3, 2), (3, 1))],
+                         ids=["state", "input_wide", "input_narrow"])
+def test_audit_dimension_check(audit, states, inputs):
+    # a trajectory of another state or input width is refused by both
+    sys, ss, _ = _cubic_two_port()
+    traj = pf.Trajectory(np.arange(3.0), np.zeros(states), np.zeros(inputs))
+    with pytest.raises(pf.DimensionMismatch, match="trajectory"):
+        AUDITS[audit](sys, traj, ss)
+
+
+@pytest.mark.parametrize("field, bad", [("x_bar", np.zeros(3)), ("u_bar", np.zeros(1)),
+                                        ("u_bar", np.zeros(3)), ("y_bar", np.zeros(1)),
+                                        ("y_bar", np.zeros((1, 2)))])
+def test_shifted_passivity_refuses_misshapen_steady_state(field, bad):
+    # a u_bar or y_bar of length 1 would broadcast over both ports
+    sys, ss, traj = _cubic_two_port()
+    assert pf.shifted_passivity_audit(sys, traj, ss).max_equality_residual <= 1e-12
+    pair = {"x_bar": ss.x_bar, "u_bar": ss.u_bar, "y_bar": ss.y_bar, field: bad}
+    with pytest.raises(pf.DimensionMismatch, match=field):
+        pf.shifted_passivity_audit(sys, traj, pf.SteadyStatePair(**pair))
 
 
 def test_shifted_passivity_at_steady_state_is_flat():

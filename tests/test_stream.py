@@ -9,11 +9,12 @@ import pytest
 
 import phflow as pf
 import phflow.optimizer
+import phflow.phcore
 from phflow import cli
 from phflow.closedloop import LoopColumns
 from phflow.ocp import _KKT_TOL
 from phflow.optimizer import ErrorSeries, stream_flow
-from phflow.phcore import PowerBalance, ShiftedPassivity, fold
+from phflow.phcore import PowerBalance, fold
 
 from test_cli import BASE_OCP, CUBIC_PLANT, write_config
 
@@ -61,8 +62,8 @@ def test_streamed_flow_equals_stored(tmp_path, steps, scheme):
     assert traj.times.size == steps + 1 and traj.theta == SCHEMES[scheme]
 
     flow = stream_flow(sys, z0, u, icfg, T)
-    pb, sh, report = fold(flow, PowerBalance(sys, flow), ShiftedPassivity(sys, flow, oracle),
-                          ErrorSeries(flow, oracle.x_bar, ocp))
+    (pb, sh), report = fold(flow, PowerBalance(sys, flow, oracle),
+                            ErrorSeries(flow, oracle.x_bar, ocp))
     stored_pb = pf.power_balance_audit(sys, traj)
     stored_sh = pf.shifted_passivity_audit(sys, traj, oracle)
     assert np.array_equal(pb.residuals, stored_pb.residuals)
@@ -108,7 +109,8 @@ def test_streamed_cubic_closed_loop_equals_stored(tmp_path, steps, scheme):
         assert np.array_equal(got, want)
 
     flow = stream_flow(cls.sys, cls.initial_state(spec.x_p0), np.zeros(0), icfg, T)
-    pb, cols = fold(flow, PowerBalance(cls.sys, flow), LoopColumns(cls, flow))
+    (pb, sh), cols = fold(flow, PowerBalance(cls.sys, flow), LoopColumns(cls, flow))
+    assert sh is None
     assert np.array_equal(pb.residuals, stored_pb.residuals)
     for got, want in zip([cols.x_p, cols.u_p, cols.norm_total, cols.norm_plant,
                           cols.norm_optimizer], stored):
@@ -149,13 +151,15 @@ def test_failure_mid_stream_leaves_no_output(tmp_path, capsys, monkeypatch, mode
     assert list(out.iterdir()) == []
 
 
-def test_streamed_flow_holds_no_trajectory(tmp_path):
+@pytest.mark.parametrize("mode", ["flow", "audit"])
+def test_streamed_flow_holds_no_trajectory(tmp_path, mode):
     # N = 256, n = 2, m = 1: a stored run of 1200 steps holds 12.3 MB of
-    # states; the streamed run's allocations peak at a quarter of that
+    # states; the streamed run's allocations peak at a quarter of that,
+    # with the audit's stage buffers and shifted copies too
     ocp = json.loads(json.dumps(BASE_OCP))
     ocp["N"] = 256
     steps, h_t = 1200, 0.005
-    path = write_config(tmp_path, mode="flow", ocp=ocp,
+    path = write_config(tmp_path, mode=mode, ocp=ocp,
                         integrator={"h_t": h_t, "T": steps * h_t})
     states_nbytes = (steps + 1) * cli.build_ocp(ocp).state_dim * 8
     tracemalloc.start()
@@ -165,6 +169,22 @@ def test_streamed_flow_holds_no_trajectory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < states_nbytes / 4
+
+
+@pytest.mark.parametrize("steps", STEPS)
+def test_audit_evaluates_the_drift_once_per_block(tmp_path, monkeypatch, steps):
+    # one fold gives both audits: M is evaluated on each block's stage once
+    calls = []
+    real = phflow.phcore._batch_eval
+
+    def counted(M, X):
+        calls.append(X.shape[0])
+        return real(M, X)
+
+    monkeypatch.setattr(phflow.phcore, "_batch_eval", counted)
+    path = _config(tmp_path, "audit", steps, "implicit_midpoint")
+    assert cli.run(path, tmp_path / "out", mode="audit") == 0
+    assert len(calls) == -(-steps // 64) and sum(calls) == steps
 
 
 def test_integrate_flow_collects_the_stream(di_ocp):
