@@ -31,17 +31,7 @@ the same factor and step timings for the LQ optimizer on its own
 - ``logcosh_step_ms``: one step of the same optimizer with the logcosh
   stage of scale 1 in place of Q = I (a Newton solve in the whole
   optimizer state), the mean over ``--steps`` consecutive steps from the
-  default initial state, each solved to the default ``newton_tol``;
-- ``logcosh_over_linear_step``: ``logcosh_step_ms`` over ``opt_step_ms``,
-  the cost of a nonlinear flow step against a linear one of the same
-  size;
-- ``cubic_over_linear_step``: ``cubic_step_ms`` over ``step_ms``, the
-  cost of a cubic closed-loop step against the linear loop's step of
-  the same size (ROADMAP's 2x gate).
-
-Both ratios have a linear step in the denominator, so they rise when the
-linear step gets faster while the nonlinear step stays as it was; read
-them together with the step times themselves.
+  default initial state, each solved to the default ``newton_tol``.
 
 BLAS is pinned to one thread, and the script uses only the public API
 and ``phflow.phcore.implicit_stepper``.
@@ -122,9 +112,7 @@ def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
                                      1e3 * lc_step_s)):
             best[key] = min(best[key], value)
     return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
-            "steps": steps, **best,
-            "logcosh_over_linear_step": round(best["logcosh_step_ms"] / best["opt_step_ms"], 2),
-            "cubic_over_linear_step": round(best["cubic_step_ms"] / best["step_ms"], 2)}
+            "steps": steps, **best}
 
 
 def main(argv=None) -> int:

@@ -24,8 +24,7 @@ from .optimizer import (ConvergenceReport, IntegratorConfig,
                         integrate_flow)
 from .closedloop import (ClosedLoopRun, ClosedLoopSystem, CouplingSpec,
                          FeedbackSeries, PlantSpec, assemble_plant, couple,
-                         cubic_plant, feedback_extract, linear_plant,
-                         simulate_closed_loop)
+                         cubic_plant, linear_plant, simulate_closed_loop)
 from .analysis import (DecayFit, LyapunovCertificate, SaddleBlocks,
                        decay_fit, lyapunov_certificate, metric_generator,
                        nonnormality, saddle_blocks, spectral_abscissa)

@@ -191,10 +191,6 @@ class FeedbackSeries:
     u_p: np.ndarray
 
 
-def feedback_extract(cls: ClosedLoopSystem, traj: Trajectory) -> FeedbackSeries:
-    return FeedbackSeries(traj.times, cls.feedback(traj.states))
-
-
 @dataclass(frozen=True)
 class ClosedLoopRun:
     """Simulation output: trajectory, feedback, and norm split."""

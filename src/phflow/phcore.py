@@ -33,12 +33,13 @@ A Newton iteration copies the base, adds d = phi' on its diagonal
 once with no d, folds dgbtrf's row interchanges into its order
 (`_fold`), and solves each step by triangular band sweeps, with no
 product with L (`_linear_step`).  A steady-state solve holds one
-`_Factor`, and so does an implicit stepper, except where phi lives in
-leading coordinates ahead of a linear banded rest, as in a cubic plant
-closed against an LQ optimizer: that stepper eliminates the linear
-rest, so it factors its band once and, at each Newton iteration, a
-dense matrix of the leading block's dimension (`_condensed_stepper`).
-The structure alone picks the path.
+`_Factor`, and so does `_theta_newton`, the one Newton run of every
+nonlinear implicit step: it alone defines the step's residual, Newton
+solve and start.  Where phi lives in leading coordinates ahead of a
+linear banded rest, as in a cubic plant closed against an LQ optimizer,
+the stepper eliminates the linear rest, factoring its band once, and
+runs that Newton run on the leading block, whose factor is dense
+(`_condensed_stepper`).  The structure alone picks the path.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class SteadyStatePair:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution: strictly increasing times, one state/input per
-    time, and the theta of the implicit theta-step that produced it (the
-    audits evaluate each interval at that stage)."""
+    """Sampled solution: strictly increasing times, one row of the 2-D
+    states and inputs per time, and the theta of the implicit theta-step
+    that produced it (the audits evaluate each interval at that stage)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -145,6 +146,9 @@ class Trajectory:
         u = np.asarray(self.inputs, dtype=float)
         if np.any(np.diff(t) <= 0):
             raise InvalidParameter("trajectory times must be strictly increasing")
+        for name, v in (("states", x), ("inputs", u)):
+            if v.ndim != 2:
+                raise DimensionMismatch(f"trajectory {name} must be 2-D, got shape {v.shape}")
         if x.shape[0] != t.size or u.shape[0] != t.size:
             raise DimensionMismatch("states/inputs length must equal times length")
         object.__setattr__(self, "times", t)
@@ -191,7 +195,7 @@ def newton(residual, solve, x0, norm, tol, r0=None, res0=None):
     """Damped Newton iteration for residual(x) = 0.
 
     solve(x, r) returns the Newton step J(x)^{-1} r; r0 and res0, when
-    given, are residual(x0) and its norm (the steppers have both from
+    given, are residual(x0) and its norm (`_theta_newton` has both from
     choosing the start).  The full step is taken whenever it lowers the
     residual norm; otherwise the step is halved, with at most 40 trial
     steps per iteration.  Returns the last iterate and its residual
@@ -501,6 +505,42 @@ def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
     return step, solve
 
 
+def _theta_newton(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: float):
+    """Return run(z, b, predictor, r_z=None) -> (p, residual): `newton`
+    on the implicit theta-step of M from z with input b,
+
+        R(p) = p - z - h (-M(theta p + (1-theta) z) + b) = 0,
+
+    from whichever of z and predictor has the smaller norm(R) (r_z is
+    R(z) when the caller has it).  Each iteration solves
+    (I + theta*h DM(stage)) s = R as (I/(theta*h) + DM) s = R/(theta*h),
+    so the shift is one addition on the diagonal (`_newton_solver`)."""
+    c = theta * h
+    solve_at = _newton_solver(M, 1.0 / c)
+
+    def run(z, b, predictor, r_z=None):
+        rest = (1.0 - theta) * z
+
+        def stage(p):
+            return theta * p + rest
+
+        def residual(p):
+            return p - z - h * (-M(stage(p)) + b)
+
+        def solve(p, r):
+            return solve_at(stage(p), r / c)
+
+        if r_z is None:
+            r_z = residual(z)
+        r_pred = residual(predictor)
+        res_pred, res_z = norm(r_pred), norm(r_z)
+        x0, r0, res0 = ((predictor, r_pred, res_pred) if res_pred <= res_z
+                        else (z, r_z, res_z))
+        return newton(residual, solve, x0, norm, tol, r0, res0)
+
+    return run
+
+
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Metric,
                      tol: float):
     """Return step(z, b) -> (z_next, residual) solving the implicit step
@@ -519,14 +559,12 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
     - When M's nodewise part phi lives in leading coordinates [0, d1)
       that M's order keeps in front and in place (a member without an
       order put first, as `couple` puts the plant), the rest of M is
-      linear and banded; the step eliminates it and runs `newton` on
-      the d1 leading coordinates alone, see `_condensed_stepper`.
-    - Otherwise the step runs `newton` from whichever of z and the
-      explicit predictor z + h*(-M(z) + b) has the smaller residual,
-      factoring the Newton matrix I + theta*h*DM(stage) at each
-      iteration by `_newton_solver`: the band (or dense matrix) of
-      L is laid out and filled once, and each iteration copies it and
-      adds phi' on the diagonal.
+      linear and banded; the step eliminates it and runs the Newton
+      run of `_theta_newton` on the d1 leading coordinates alone, see
+      `_condensed_stepper`.
+    - Otherwise the step is the Newton run of `_theta_newton` on all of
+      M, with the explicit predictor z + h*(-M(z) + b) as its
+      alternative start.
     """
     if M.is_linear:
         step_linear, _ = _linear_step(M, h, theta)
@@ -541,33 +579,13 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
         if d1 < M.dim and np.array_equal(M.order[:d1], np.arange(d1)):
             return _condensed_stepper(M, d1, h, theta, metric, tol)
 
-    c = theta * h
-    # (I + c J) s = r is solved as (I/c + J) s = r/c: the shift is one
-    # addition on the diagonal
-    solve_at = _newton_solver(M, 1.0 / c)
-    norm = metric.norm
+    run = _theta_newton(M, h, theta, metric.norm, tol)
 
     def step(z, b):
-        rest = (1.0 - theta) * z
-
-        def stage(z_next):
-            return theta * z_next + rest
-
-        def residual(z_next):
-            return z_next - z - h * (-M(stage(z_next)) + b)
-
-        def solve(z_next, r):
-            return solve_at(stage(z_next), r / c)
-
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
         drift = h * (-M(z) + b)
-        predictor = z + drift
-        r_pred = residual(predictor)
-        res_pred, res_z = norm(r_pred), norm(drift)
-        x0, r0, res0 = ((predictor, r_pred, res_pred) if res_pred <= res_z
-                        else (z, -drift, res_z))
-        return newton(residual, solve, x0, norm, tol, r0, res0)
+        return run(z, b, z + drift, -drift)
 
     return step
 
@@ -584,22 +602,23 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     c = theta*h and F = I + c L22, the member-2 rows of the step give its
     next state as o = a - h V s, where a is member 2's own linear step
     from z2 with input b2, s = theta p + (1-theta) z1 is member 1's stage
-    and V = F^{-1} K21.  So `newton` runs on member 1's next state p
-    alone, with the residual
+    and V = F^{-1} K21.  So the Newton run of `_theta_newton` solves for
+    member 1's next state p alone, as the theta-step of
+    Mc(s) = M1(s) - G s, G = c K12 V (member 1 with member 2 folded in),
+    with input -w, w = K12 (theta a + (1-theta) z2) - b1:
 
-        R(p) = p - z1 + h (Mc(s) + K12 (theta a + (1-theta) z2) - b1),
+        R(p) = p - z1 + h (Mc(s) + w).
 
-    where Mc(s) = M1(s) - G s, G = c K12 V, is member 1 with member 2
-    folded in.  Its Newton matrix I + c (DM1(s) - G) is d1 x d1:
-    `_newton_solver` holds L11 - G in a `_Factor` without an order
-    (dense LU), and each iteration adds phi' on its diagonal.
+    Its Newton matrix I + c (DM1(s) - G) is d1 x d1: `_newton_solver`
+    holds L11 - G in a `_Factor` without an order (dense LU), and each
+    iteration adds phi' on its diagonal.
     F is factored once per stepper, and V and G are computed once from
     that factor (one solve with d1 columns), so each step costs one solve
     with F, one matrix-vector product with V, the Newton run in d1
     coordinates and one evaluation of M for the reported residual.
-    Newton starts from member 1's part of the full solve's start, and its
-    iterates after that are the full Newton solve's, whose first step
-    meets the linear rows exactly.  Newton stops on R's norm in member
+    The run's predictor is member 1's part of the full step's explicit
+    predictor, so its iterates are the full Newton solve's, whose first
+    step meets the linear rows exactly.  It stops on R's norm in member
     1's metric weights, which is the composed norm of a defect whose
     member-2 rows are zero; the step reports the norm of the full
     composed step defect, as the other paths do.
@@ -620,38 +639,19 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     G = c * (K12 @ V[port])
     M1 = MonotoneOperatorSpec(d1, linear_part=L11, affine_offset=g1, nodewise=M.nodewise)
     Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
-    # (I + c DMc) s = r is solved as (I/c + DMc) s = r/c
-    solve_at = _newton_solver(Mc, 1.0 / c)
-    norm, norm1 = metric.norm, Metric(metric.weights[:d1]).norm
+    run = _theta_newton(Mc, h, theta, Metric(metric.weights[:d1]).norm, tol)
 
     def step(z, b):
         z1, z2 = z[:d1], z[d1:]
         b1, b2 = (b, b) if np.ndim(b) == 0 else (b[:d1], b[d1:])
         a = step2(z2, b2)
         w = K12 @ (theta * a[port] + (1.0 - theta) * z2[port]) - b1
-        rest = (1.0 - theta) * z1
-
-        def stage(p):
-            return theta * p + rest
-
-        def residual(p):
-            return p - z1 + h * (Mc(stage(p)) + w)
-
-        def solve(p, r):
-            return solve_at(stage(p), r / c)
-
-        # start from z1 or member 1's part of the explicit predictor
-        # z + h*(-M(z) + b), whichever has the smaller residual
-        r_z = residual(z1)
+        # member 1's part of the explicit predictor z + h*(-M(z) + b)
         predictor = z1 + h * (b1 - M1(z1) - K12 @ z2[port])
-        r_pred = residual(predictor)
-        res_pred, res_z = norm1(r_pred), norm1(r_z)
-        p0, r0, res0 = ((predictor, r_pred, res_pred) if res_pred <= res_z
-                        else (z1, r_z, res_z))
-        p, _ = newton(residual, solve, p0, norm1, tol, r0, res0)
+        p, _ = run(z1, -w, predictor)
         z_next = np.empty_like(z)
         z_next[:d1] = p
-        o = np.matmul(V, stage(p), out=z_next[d1:])
+        o = np.matmul(V, theta * p + (1.0 - theta) * z1, out=z_next[d1:])
         o *= -h
         o += a  # a - h V s
         # the full step defect z_next - z + h (M(stage) - b), in place
@@ -660,7 +660,7 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
         defect *= h
         defect += z_next
         defect -= z
-        return z_next, norm(defect)
+        return z_next, metric.norm(defect)
 
     return step
 

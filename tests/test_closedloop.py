@@ -229,10 +229,9 @@ def test_closed_loop_power_balance(cubic_loop):
     assert pb.max_residual <= 1e-9 * (1.0 + cls.sys.metric.inner(z0, z0))
 
 
-def test_feedback_extract_series(cubic_loop):
+def test_feedback_series(cubic_loop):
     _, cls = cubic_loop
     cfg = pf.IntegratorConfig(h_t=0.05)
     run = pf.simulate_closed_loop(cls, cfg, 2.0, x_p0=[1.0, 0.0])
-    series = pf.feedback_extract(cls, run.traj)
-    assert series.u_p.shape == (run.traj.times.size, 1)
-    assert np.allclose(series.u_p, run.feedback.u_p)
+    assert run.feedback.u_p.shape == (run.traj.times.size, 1)
+    assert np.allclose(run.feedback.u_p, cls.feedback(run.traj.states))

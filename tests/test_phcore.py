@@ -455,6 +455,12 @@ def test_trajectory_validation():
         # non-uniform sampling has no single step
         pf.Trajectory(np.array([0.0, 1.0, 3.0]), np.zeros((3, 1)),
                       np.zeros((3, 0))).step
+    # states and inputs are one row per time: a 1-D array of either is
+    # refused by name, not left to fail in an audit with an IndexError
+    with pytest.raises(pf.DimensionMismatch, match="states"):
+        pf.Trajectory(np.arange(3.0), np.zeros(3), np.zeros((3, 0)))
+    with pytest.raises(pf.DimensionMismatch, match="inputs"):
+        pf.Trajectory(np.arange(3.0), np.zeros((3, 1)), np.zeros(3))
 
 
 def test_semigroup_parameter_validation():
