@@ -33,8 +33,8 @@ import numpy as np
 from scipy.linalg import schur
 from scipy.linalg.lapack import dtrsyl
 
-from .errors import (EigenFailure, InsufficientData, InvalidParameter,
-                     NotHurwitz)
+from .errors import (DimensionMismatch, EigenFailure, InsufficientData,
+                     InvalidParameter, NotHurwitz)
 from .metric import Metric, adjoint as metric_adjoint
 
 _DENSE_DIM_CAP = 2000
@@ -174,8 +174,11 @@ def _log_linear_fit(times: np.ndarray, values: np.ndarray):
 
 def decay_fit(times: np.ndarray, values: np.ndarray) -> DecayFit:
     """Least-squares fit of log(value) against time."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    values = np.asarray(values, dtype=float).reshape(-1)
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    for name, v in (("times", times), ("values", values)):
+        if v.ndim != 1:
+            raise DimensionMismatch(f"decay fit {name} must be 1-D, got shape {v.shape}")
     if times.size != values.size:
         raise InsufficientData("times and values must have equal length")
     if times.size < 10:

@@ -53,6 +53,8 @@ class PlantSpec:
         B_p = np.asarray(self.B_p, dtype=float)
         if B_p.ndim == 1:
             B_p = B_p.reshape(-1, 1)
+        if B_p.ndim != 2:
+            raise DimensionMismatch(f"B_p must be a matrix, got shape {B_p.shape}")
         x_p0 = np.asarray(self.x_p0, dtype=float).reshape(-1)
         if B_p.shape[0] != self.M.dim or x_p0.size != self.M.dim:
             raise DimensionMismatch(f"B_p has {B_p.shape[0]} rows and x_p0 {x_p0.size} "
@@ -82,8 +84,8 @@ def linear_plant(R, B_p, x_p0, J=None) -> PlantSpec:
 
 def cubic_plant(R, kappa, B_p, x_p0) -> PlantSpec:
     """M_p(x) = R x + kappa * x^3 elementwise, kappa >= 0."""
-    if kappa < 0:
-        raise InvalidParameter("cubic coefficient kappa must be nonnegative")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise InvalidParameter("cubic coefficient kappa must be nonnegative and finite")
     return PlantSpec(cubic_operator(np.atleast_2d(np.asarray(R, dtype=float)), kappa), B_p, x_p0)
 
 
@@ -108,8 +110,8 @@ class CouplingSpec:
     def resolve(self, alpha: float) -> float:
         g = (1.0 / alpha) if isinstance(self.gamma, str) and self.gamma == "inv_alpha" \
             else float(self.gamma)
-        if g <= 0:
-            raise InvalidParameter("coupling gain gamma must be positive")
+        if not (np.isfinite(g) and g > 0):
+            raise InvalidParameter("coupling gain gamma must be positive and finite")
         return g
 
 

@@ -29,9 +29,12 @@ class Metric:
     _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size and np.min(w) <= 0.0:
-            raise InvalidParameter("metric weights must be strictly positive")
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim > 1:
+            raise DimensionMismatch(f"metric weights must be 1-D, got shape {w.shape}")
+        w = w.reshape(-1)
+        if w.size and not (np.all(np.isfinite(w)) and np.min(w) > 0.0):
+            raise InvalidParameter("metric weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_sqrt", np.sqrt(w))
 

@@ -35,7 +35,7 @@ from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
-from .operators import Nodewise, linear
+from .operators import linear
 from .phcore import implicit_stepper, steady_state
 
 
@@ -59,8 +59,8 @@ class Grid:
 
 
 def build_grid(t_f: float, N: int) -> Grid:
-    if t_f <= 0:
-        raise InvalidParameter("horizon t_f must be positive")
+    if not (np.isfinite(t_f) and t_f > 0):
+        raise InvalidParameter("horizon t_f must be positive and finite")
     if N < 2:
         raise InvalidParameter("grid needs at least N=2 intervals")
     if N >= np.iinfo(np.intp).max:
@@ -90,6 +90,8 @@ class LinearPlantModel:
         B = np.asarray(self.B, dtype=float)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
+        if B.ndim != 2:
+            raise DimensionMismatch(f"B must be a matrix, got shape {B.shape}")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         n = A.shape[0]
         if A.shape != (n, n):
@@ -150,9 +152,6 @@ class QuadraticStage:
     def grad(self, X: np.ndarray) -> np.ndarray:
         return X @ self.Q + self.q
 
-    def hess(self, X: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.Q, (X.shape[0],) + self.Q.shape)
-
     @property
     def is_quadratic(self) -> bool:
         return True
@@ -166,8 +165,8 @@ class LogCoshStage:
     globally Lipschitz gradient s*tanh(x/s)."""
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise InvalidParameter("logcosh scale must be positive")
+        if not (np.isfinite(scale) and scale > 0):
+            raise InvalidParameter("logcosh scale must be positive and finite")
         self.scale = float(scale)
 
     def value(self, X: np.ndarray) -> np.ndarray:
@@ -181,12 +180,6 @@ class LogCoshStage:
     def curvature(self, X: np.ndarray) -> np.ndarray:
         """The derivative of `grad`, entry by entry: the Hessian's diagonal."""
         return 1.0 - np.tanh(X / self.scale) ** 2
-
-    def hess(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape + (X.shape[-1],))
-        idx = np.arange(X.shape[-1])
-        out[..., idx, idx] = self.curvature(X)
-        return out
 
     @property
     def is_quadratic(self) -> bool:
@@ -204,8 +197,8 @@ class CostSpec:
     stage: object
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameter("control weight alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise InvalidParameter("control weight alpha must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +284,7 @@ class DiscretizedOCP:
         stages = np.concatenate([b.x[:N], b.u[:N], b.lam], axis=1)
         return np.concatenate([b.lam0, stages.ravel(), b.x[N], b.u[N]])
 
-    # -- cost and optimality operator ---------------------------------------
+    # -- cost --------------------------------------------------------------
     def grad_cost(self, z: np.ndarray) -> np.ndarray:
         """Metric gradient of the discrete cost at the primal part of the
         state z: nodewise (grad l, alpha*u), a primal vector."""
@@ -300,46 +293,11 @@ class DiscretizedOCP:
         g.u[:] = self.cost.alpha * s.u
         return g.primal
 
-    def m_opt(self, z: np.ndarray) -> np.ndarray:
-        """The optimality-system operator (gradient row, constraint row):
-        the saddle part times z plus the nodewise gradient of the cost
-        (`grad_cost`), so the gradient row is grad_cost(z) - C* (lam, lam0)
-        bit for bit."""
-        s, out = self.blocks(z), self.blocks(self.saddle @ z)
-        out.x[:] += self.cost.stage.grad(s.x)
-        out.u[:] += self.cost.alpha * s.u
-        return out.vector
-
-    def nodewise_gradient(self) -> tuple:
-        """m_opt's nodewise terms as the `Nodewise` pieces of the flow's
-        operator: the stage gradient on x and alpha u on u, for a stage
-        whose gradient acts entry by entry (it has a `curvature`)."""
-        stage, alpha = self.cost.stage, self.cost.alpha
-        b = self.blocks(np.arange(self.state_dim))
-        x, u = b.x.ravel(), b.u.ravel()
-        return (Nodewise(int(x[0]), int(x[-1]) + 1, stage.grad, stage.curvature),
-                Nodewise(int(u[0]), int(u[-1]) + 1, lambda v: alpha * v,
-                         lambda v: np.full(v.shape, alpha)))
-
     @cached_property
     def saddle(self) -> sparse.csr_matrix:
-        """The constant part [[0, -C*], [C, 0]] of m_opt's Jacobian."""
+        """The constant part [[0, -C*], [C, 0]] of the optimality operator
+        that `optimizer.assemble_optimizer` builds."""
         return sparse.bmat([[None, -self.C_star], [self.C, None]], format="csr")
-
-    def m_opt_jacobian(self, z: np.ndarray) -> sparse.csr_matrix:
-        """Jacobian [[H(z), -C*], [C, 0]] of m_opt: the saddle part plus
-        the Hessian H(z) = diag(l''(x_0), ..., l''(x_N), alpha I)."""
-        k = np.arange(self.N + 2)  # one n x n block per node
-        return self.saddle + sparse.block_diag([
-            sparse.bsr_matrix((self.cost.stage.hess(self.blocks(z).x), k[:-1], k)),
-            self.cost.alpha * sparse.identity((self.N + 1) * self.m),
-            sparse.csr_matrix((self.dual_dim, self.dual_dim))])
-
-    def kkt_target(self) -> np.ndarray:
-        """Right-hand side of the optimality system: (0, fbar, x0)."""
-        out = self.blocks(np.zeros(self.state_dim))
-        out.dual[:] = self.rhs
-        return out.vector
 
     def node_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """Re-register interval multipliers at the N+1 grid nodes.
@@ -502,11 +460,15 @@ def reduced_cost(ocp: DiscretizedOCP, u_nodes: np.ndarray) -> float:
 
 
 def kkt_residual(ocp: DiscretizedOCP, z) -> tuple[np.ndarray, float]:
-    """Residual of the optimality system at z, and its metric norm."""
+    """Residual (grad_cost(z) - C* (lam, lam0), C (x, u) - rhs) of the
+    optimality system at z, and its metric norm; built from these parts,
+    not from the flow's operator, so it checks what the flow solves."""
     vec = z.vector if isinstance(z, OptimizerState) else np.asarray(z, dtype=float)
     if vec.size != ocp.state_dim:
         raise DimensionMismatch("state vector length mismatch")
-    r = ocp.m_opt(vec) - ocp.kkt_target()
+    s = ocp.blocks(vec.reshape(-1))
+    r = np.concatenate([ocp.grad_cost(s.vector) - ocp.C_star @ s.dual,
+                        ocp.C @ s.primal - ocp.rhs])
     return r, ocp.state_metric.norm(r)
 
 
@@ -515,10 +477,10 @@ _KKT_TOL = 1e-8
 
 
 def kkt_solve(ocp: DiscretizedOCP, tol: float = _KKT_TOL) -> OptimizerState:
-    """Solve the discrete optimality system m_opt(z) = kkt_target(): the
-    KKT point is the steady state of the optimizer's flow, so this is
-    `phcore.steady_state` of `assemble_optimizer(ocp)` under
-    `constant_input(ocp)`, from z = 0, viewed through `blocks`."""
+    """Solve the discrete optimality system, whose residual is
+    `kkt_residual`: the KKT point is the steady state of the optimizer's
+    flow, so this is `phcore.steady_state` of `assemble_optimizer(ocp)`
+    under `constant_input(ocp)`, from z = 0, viewed through `blocks`."""
     from .optimizer import assemble_optimizer, constant_input  # optimizer imports ocp
 
     return ocp.blocks(steady_state(assemble_optimizer(ocp), constant_input(ocp), tol).x_bar)

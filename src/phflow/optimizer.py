@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
                      NonConvergence)
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
-from .operators import MonotoneOperatorSpec
+from .operators import MonotoneOperatorSpec, Nodewise
 from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, fold, implicit_stepper,
                      selection_port)
 
@@ -55,35 +56,48 @@ class IntegratorConfig:
     newton_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.h_t <= 0:
-            raise InvalidParameter("outer step h_t must be positive")
+        if not (np.isfinite(self.h_t) and self.h_t > 0):
+            raise InvalidParameter("outer step h_t must be positive and finite")
         if self.newton_tol is None:
             object.__setattr__(self, "newton_tol", 1e-10 * self.h_t)
+        if not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise InvalidParameter("newton_tol must be positive and finite")
         if not (isinstance(self.scheme, str) and self.scheme in _SCHEMES):
             raise InvalidParameter(
                 f"unknown scheme {self.scheme!r}; pick one of {tuple(_SCHEMES)}")
 
 
 def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
-    """Build the gradient-flow pH system for a discretized problem.
+    """Build the gradient-flow pH system for a discretized problem; its
+    drift is the one implementation of the optimality operator M_opt.
 
-    For quadratic stage costs the drift operator is linear and carries
-    its matrix, which lets the integrators prefactor one LU for the
-    whole run.  Otherwise it is the saddle part plus the nodewise
-    gradient (`DiscretizedOCP.nodewise_gradient`), so the implicit
-    step's Newton matrix is the saddle part's band plus a diagonal.  The
-    operator carries the problem's `stage_order`, so both factor banded
-    in time-stage order.
+    For a quadratic stage M_opt is linear, the saddle part plus the cost
+    Hessian diag(Q, ..., Q, alpha I) with the gradient at 0 as offset, so
+    the integrators prefactor one LU for the whole run.  Otherwise it is
+    the saddle part plus the stage gradient on x and alpha u on u as
+    nodewise pieces, so the implicit step's Newton matrix is the saddle
+    part's band plus a diagonal.  Both factor banded in `stage_order`.
     """
-    if ocp.cost.stage.is_quadratic:
-        zero = np.zeros(ocp.state_dim)
-        g0 = ocp.m_opt(zero)  # constant gradient offset from the linear cost term
-        M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.m_opt_jacobian(zero),
+    stage, alpha = ocp.cost.stage, ocp.cost.alpha
+    if stage.is_quadratic:
+        k = np.arange(ocp.N + 2)  # one n x n block of Q per node
+        L = ocp.saddle + sparse.block_diag([
+            sparse.bsr_matrix((np.broadcast_to(stage.Q, (ocp.N + 1, ocp.n, ocp.n)), k[:-1], k)),
+            alpha * sparse.identity((ocp.N + 1) * ocp.m),
+            sparse.csr_matrix((ocp.dual_dim, ocp.dual_dim))])
+        g0 = np.zeros(ocp.state_dim)
+        g0[:ocp.primal_dim] = ocp.grad_cost(g0)  # the linear cost term
+        M = MonotoneOperatorSpec(ocp.state_dim, linear_part=L,
                                  affine_offset=g0 if np.any(g0) else None,
                                  order=ocp.stage_order)
     else:
+        b = ocp.blocks(np.arange(ocp.state_dim))
+        x, u = b.x.ravel(), b.u.ravel()
+        phi = (Nodewise(int(x[0]), int(x[-1]) + 1, stage.grad, stage.curvature),
+               Nodewise(int(u[0]), int(u[-1]) + 1, lambda v: alpha * v,
+                        lambda v: np.full(v.shape, alpha)))
         M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.saddle,
-                                 nodewise=ocp.nodewise_gradient(), order=ocp.stage_order)
+                                 nodewise=phi, order=ocp.stage_order)
 
     # the port drives the multiplier block: B_opt = [0; I], a sparse selection
     B_opt = selection_port(ocp.state_dim, np.arange(ocp.primal_dim, ocp.state_dim))

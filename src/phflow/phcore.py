@@ -79,8 +79,12 @@ class PHSystem:
             B = sparse.csc_matrix(self.B, dtype=float)
         else:
             B = np.asarray(self.B, dtype=float)
+            if B.ndim == 1 and B.size == self.M.dim:
+                B = B.reshape(-1, 1)
             if B.ndim != 2:
-                B = B.reshape(self.M.dim, -1)
+                raise DimensionMismatch(
+                    f"B must be 2-D, or 1-D of the state dimension {self.M.dim}; "
+                    f"got shape {B.shape}")
         if B.shape[0] != self.M.dim:
             raise DimensionMismatch(
                 f"B has {B.shape[0]} rows, state dimension is {self.M.dim}"
@@ -144,6 +148,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.states, dtype=float)
         u = np.asarray(self.inputs, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise InvalidParameter("trajectory times must be finite")
         if np.any(np.diff(t) <= 0):
             raise InvalidParameter("trajectory times must be strictly increasing")
         for name, v in (("states", x), ("inputs", u)):

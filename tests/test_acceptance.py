@@ -113,9 +113,10 @@ def test_criterion_02_monotonicity_gap(di_ocp):
     nx = (ocp.N + 1) * ocp.n
     p = ocp.primal_dim
     worst = np.inf
+    m_opt = pf.assemble_optimizer(ocp).M
     for _ in range(1000):
         z1, z2 = rng.standard_normal((2, ocp.state_dim))
-        gap = ocp.state_metric.inner(ocp.m_opt(z1) - ocp.m_opt(z2), z1 - z2)
+        gap = ocp.state_metric.inner(m_opt(z1) - m_opt(z2), z1 - z2)
         du = (z1 - z2)[nx:p]
         worst = min(worst, gap - alpha * np.dot(wu * du, du))
     ok = worst >= -1e-10

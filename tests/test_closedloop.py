@@ -98,7 +98,12 @@ def test_closed_loop_matches_hand_assembled_matrix(loop_ocp):
     n = loop_ocp.n
     hand = np.zeros_like(L)
     hand[:n_p, :n_p] = np.eye(2)
-    hand[n_p:, n_p:] = loop_ocp.m_opt_jacobian(np.zeros(loop_ocp.state_dim)).toarray()
+    # the optimizer block [[diag(Q, ..., Q, alpha I), -C*], [C, 0]]
+    hand[n_p:n_p + p, n_p:n_p + p] = block_diag(
+        *[loop_ocp.cost.stage.Q] * (loop_ocp.N + 1),
+        loop_ocp.cost.alpha * np.eye((loop_ocp.N + 1) * loop_ocp.m))
+    hand[n_p:n_p + p, n_p + p:] = -loop_ocp.C_star.toarray()
+    hand[n_p + p:, n_p:n_p + p] = loop_ocp.C.toarray()
     hand[:n_p, n_p + p + d - n:] = DI_B @ DI_B.T       # plant row, lam0 cols
     hand[n_p + p + d - n:, :n_p] = -(DI_B @ DI_B.T)    # lam0 row, plant cols
     assert np.max(np.abs(L - hand)) <= 1e-12

@@ -317,6 +317,62 @@ def test_shifted_passivity_refuses_misshapen_steady_state(field, bad):
         pf.shifted_passivity_audit(sys, traj, pf.SteadyStatePair(**pair))
 
 
+SHAPE_HOLES = {
+    "PHSystem_B_3d": ("B", lambda: pf.PHSystem(pf.identity(2), np.ones((2, 2, 2)),
+                                               pf.Metric.euclidean(2), pf.Metric.euclidean(4))),
+    "PHSystem_B_flat": ("B", lambda: pf.PHSystem(pf.identity(2), np.ones(4),
+                                                 pf.Metric.euclidean(2), pf.Metric.euclidean(2))),
+    "LinearPlantModel_B": ("B", lambda: pf.LinearPlantModel(np.eye(2), np.ones((2, 1, 1)),
+                                                            0.0, np.zeros(2))),
+    "PlantSpec_B_p": ("B_p", lambda: pf.linear_plant(np.eye(2), np.ones((2, 1, 1)), np.zeros(2))),
+    "Metric": ("weights", lambda: pf.Metric(np.ones((2, 2)))),
+    "decay_fit_times": ("times", lambda: pf.decay_fit(np.ones((2, 6)), np.ones(12))),
+    "decay_fit_values": ("values", lambda: pf.decay_fit(np.arange(12.0), np.ones((2, 6)))),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_HOLES)
+def test_misshapen_array_is_refused_by_name(case):
+    # each of these used to be reshaped or flattened silently
+    field, build = SHAPE_HOLES[case]
+    with pytest.raises(pf.DimensionMismatch, match=field):
+        build()
+
+
+def test_flat_port_of_the_state_dimension_is_one_column():
+    sys = pf.PHSystem(pf.identity(2), np.ones(2), pf.Metric.euclidean(2),
+                      pf.Metric.euclidean(1))
+    assert sys.B.shape == (2, 1)
+
+
+FINITENESS_HOLES = {
+    "h_t_nan": ("h_t", lambda: pf.IntegratorConfig(h_t=np.nan)),
+    "h_t_inf": ("h_t", lambda: pf.IntegratorConfig(h_t=np.inf)),
+    "newton_tol_negative": ("newton_tol", lambda: pf.IntegratorConfig(h_t=0.1, newton_tol=-1.0)),
+    "newton_tol_nan": ("newton_tol", lambda: pf.IntegratorConfig(h_t=0.1, newton_tol=np.nan)),
+    "gamma_nan": ("gamma", lambda: pf.CouplingSpec(np.nan).resolve(1.0)),
+    "gamma_inf": ("gamma", lambda: pf.CouplingSpec(np.inf).resolve(1.0)),
+    "t_f_nan": ("t_f", lambda: pf.build_grid(np.nan, 4)),
+    "times_nan": ("times", lambda: pf.Trajectory([0.0, np.nan, 2.0], np.zeros((3, 1)),
+                                                 np.zeros((3, 1)))),
+    "alpha_nan": ("alpha", lambda: pf.CostSpec(np.nan, pf.LogCoshStage(1.0))),
+    "alpha_inf": ("alpha", lambda: pf.CostSpec(np.inf, pf.LogCoshStage(1.0))),
+    "scale_nan": ("scale", lambda: pf.LogCoshStage(np.nan)),
+    "weights_nan": ("weights", lambda: pf.Metric([1.0, np.nan])),
+    "weights_inf": ("weights", lambda: pf.Metric([1.0, np.inf])),
+    "kappa_nan": ("kappa", lambda: pf.cubic_plant(np.eye(1), np.nan, np.ones((1, 1)),
+                                                  np.zeros(1))),
+}
+
+
+@pytest.mark.parametrize("case", FINITENESS_HOLES)
+def test_non_finite_parameter_is_refused_by_name(case):
+    # NaN passes a "<= 0" check, so each of these used to be accepted
+    field, build = FINITENESS_HOLES[case]
+    with pytest.raises(pf.InvalidParameter, match=field):
+        build()
+
+
 def test_shifted_passivity_at_steady_state_is_flat():
     L = np.array([[1.0, 0.0], [0.0, 2.0]])
     B = np.eye(2)

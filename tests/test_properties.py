@@ -130,8 +130,9 @@ def test_m_opt_gap_bounded_by_stage_and_control_curvature(problem):
     # the constraint rows (C*, -C) cancel exactly in the gap, which leaves
     # <Q dx, dx> + alpha |du|^2 summed with the trapezoidal weights
     ocp, rng = problem
+    m_opt = pf.assemble_optimizer(ocp).M
     z1, z2 = rng.standard_normal((2, ocp.state_dim))
-    gap = ocp.state_metric.inner(ocp.m_opt(z1) - ocp.m_opt(z2), z1 - z2)
+    gap = ocp.state_metric.inner(m_opt(z1) - m_opt(z2), z1 - z2)
     dz = ocp.blocks(z1 - z2)
     w = ocp.grid.weights
     bound = (np.linalg.eigvalsh(ocp.cost.stage.Q)[0] * np.dot(w, np.sum(dz.x**2, axis=1))
@@ -249,22 +250,34 @@ def _states(rng, dim):
     return [rng.standard_normal(dim), 40.0 * rng.standard_normal(dim)]
 
 
+def _stage_hessians(ocp, z):
+    """The stage cost's n x n Hessian at each node of z: Q for a
+    quadratic stage, diag(l''(x_i)) for a logcosh one."""
+    stage, x = ocp.cost.stage, ocp.blocks(z).x
+    if stage.is_quadratic:
+        return [stage.Q] * x.shape[0]
+    return [np.diag(c) for c in stage.curvature(x)]
+
+
 @PROFILE
 @given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
 def test_hessian_and_jacobian_keep_the_block_diag_csr(problem):
-    # the Hessian block and the Jacobian against the sparse.block_diag
-    # and sparse.bmat constructions: same format, shape and values
+    # the optimizer's L in CSR, and its Hessian block and Jacobian against
+    # the sparse.block_diag and sparse.bmat constructions: same shape and
+    # values
     ocp, rng = problem
+    M = pf.assemble_optimizer(ocp).M
+    assert sparse.issparse(M.linear_part) and M.linear_part.format == "csr"
     for z in _states(rng, ocp.state_dim):
-        Hx = sparse.block_diag(ocp.cost.stage.hess(ocp.blocks(z).x), format="csr")
+        Hx = sparse.block_diag(_stage_hessians(ocp, z), format="csr")
         Hu = ocp.cost.alpha * sparse.identity((ocp.N + 1) * ocp.m, format="csr")
         H_old = sparse.block_diag([Hx, Hu], format="csr")
         J_old = sparse.bmat([[H_old, -ocp.C_star], [ocp.C, None]], format="csr")
-        J = ocp.m_opt_jacobian(z)
+        J = M.derivative(z)
         p = ocp.primal_dim
         for new, old in ((J[:p, :p], H_old), (J, J_old)):
-            assert new.format == "csr" and new.shape == old.shape
-            assert np.array_equal(new.toarray(), old.toarray())
+            assert new.shape == old.shape
+            assert np.array_equal(new, old.toarray())
 
 
 @PROFILE
@@ -274,7 +287,7 @@ def test_optimizer_steady_state_is_the_kkt_point(problem):
     # steady_state, which scales with the problem and not the start
     ocp, rng = problem
     sys = pf.assemble_optimizer(ocp)
-    target = min(1e-8, 1e-11 * (1.0 + ocp.state_metric.norm(ocp.kkt_target())))
+    target = min(1e-8, 1e-11 * (1.0 + ocp.dual_metric.norm(ocp.rhs)))
     for x_init in (None, rng.standard_normal(ocp.state_dim)):
         ss = pf.steady_state(sys, pf.constant_input(ocp), 1e-8, x_init)
         assert pf.kkt_residual(ocp, ss.x_bar)[1] <= target
@@ -291,7 +304,7 @@ def test_logcosh_flow_jacobian_is_sparse_and_exact(problem):
         J = M.derivative(z)
         dense = np.zeros((ocp.state_dim, ocp.state_dim))
         dense[:p, :p] = sparse.block_diag(
-            [*ocp.cost.stage.hess(ocp.blocks(z).x),
+            [*_stage_hessians(ocp, z),
              ocp.cost.alpha * np.eye((ocp.N + 1) * ocp.m)]).toarray()
         dense[:p, p:] = -ocp.C_star.toarray()
         dense[p:, :p] = ocp.C.toarray()
@@ -341,7 +354,7 @@ def _m_opt_jacobian_oracle(ocp, z):
     """[[H(z), -C*], [C, 0]] assembled densely from the stage Hessians."""
     p = ocp.primal_dim
     J = np.zeros((ocp.state_dim, ocp.state_dim))
-    J[:p, :p] = sparse.block_diag([*ocp.cost.stage.hess(ocp.blocks(z).x),
+    J[:p, :p] = sparse.block_diag([*_stage_hessians(ocp, z),
                                    ocp.cost.alpha * np.eye((ocp.N + 1) * ocp.m)]).toarray()
     J[:p, p:] = -ocp.C_star.toarray()
     J[p:, :p] = ocp.C.toarray()
@@ -414,7 +427,9 @@ def test_structured_evaluation_and_jacobian_match_the_member_formulas(op, rows):
         scale = float(np.max(np.abs(J) @ np.abs(z)) + np.max(np.abs(ref)))
         assert _gap(M(z), ref, scale) <= 1e-14
         if ocp is not None and kind in ("quadratic", "logcosh"):
-            assert np.array_equal(ocp.m_opt(z), ref)
+            r, p = pf.kkt_residual(ocp, z)[0], ocp.primal_dim
+            assert np.array_equal(r[:p], ref[:p])
+            assert np.array_equal(r[p:], ref[p:] - ocp.rhs)
             if kind == "logcosh":
                 assert np.array_equal(M(z), ref)
         assert _gap(M.derivative(z), J, float(np.max(np.abs(J)))) <= 1e-14
@@ -428,6 +443,25 @@ def test_structured_evaluation_and_jacobian_match_the_member_formulas(op, rows):
         ref = evaluate(z)
         scale = float(np.max(np.abs(jacobian(z)) @ np.abs(z)) + np.max(np.abs(ref)))
         assert _gap(row, ref, scale) <= 1e-14
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh)))
+def test_kkt_residual_is_the_flow_drift_less_its_input(problem):
+    # kkt_residual (grad_cost, C* and C) and the flow's drift (the L, g
+    # and phi of assemble_optimizer) share no code: the residual is
+    # M(z) - B u under the constant input, to rounding for a quadratic
+    # stage and bit for bit for a logcosh one, whose L is the saddle part
+    ocp, rng = problem
+    sys = pf.assemble_optimizer(ocp)
+    b = sys.B @ pf.constant_input(ocp)
+    for z in _states(rng, ocp.state_dim):
+        r, drift = pf.kkt_residual(ocp, z)[0], sys.M(z) - b
+        if sys.M.is_linear:
+            scale = float(np.max(abs(sys.M.linear_part) @ np.abs(z)) + np.max(np.abs(drift)))
+            assert _gap(r, drift, scale) <= 1e-14
+        else:
+            assert np.array_equal(r, drift)
 
 
 @st.composite
@@ -596,7 +630,7 @@ def test_stage_order_makes_every_solve_banded(problem):
     width = 2 * ocp.n + ocp.m - 1
     c = 0.5 * 0.01  # theta h of a midpoint step at h_t = 0.01
     z = rng.standard_normal(ocp.state_dim)
-    J = ocp.m_opt_jacobian(z)
+    J = sparse.csr_matrix(opt.M.derivative(z))
     step = sparse.identity(ocp.state_dim, format="csr") + c * J
     cases = [(J, order, False), (step, order, True)]
     if cls is not None:
