@@ -507,7 +507,7 @@ def run_spectrum(scn: Scenario, out_dir: Path):
     _check_report_horizon(scn)
     sys, oracle, flow = _optimizer_run(scn)
     report = fold(flow, ErrorSeries(flow, oracle.x_bar, ocp))[0]
-    DM = sys.M.derivative(oracle.x_bar)
+    DM = sys.M.jacobian(oracle.x_bar)  # CSR: only the certificate goes dense
     gen = metric_generator(DM, sys.metric)
     try:  # the certificate's Schur form also gives the abscissa
         cert = lyapunov_certificate(gen)

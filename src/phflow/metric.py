@@ -14,7 +14,7 @@ identities hold to machine precision instead of merely O(h).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class Metric:
     """Diagonal metric on R^dim given by strictly positive weights."""
 
     weights: np.ndarray
-    _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -36,7 +35,6 @@ class Metric:
         if w.size and not (np.all(np.isfinite(w)) and np.min(w) > 0.0):
             raise InvalidParameter("metric weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_sqrt", np.sqrt(w))
 
     @staticmethod
     def euclidean(dim: int) -> "Metric":
@@ -55,11 +53,6 @@ class Metric:
     def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Inner products <a_i, b_i> of matching rows of two stacks."""
         return np.einsum("ij,j,ij->i", a, self.weights, b)
-
-    def similarity(self, mat: np.ndarray) -> np.ndarray:
-        """Return W^(1/2) M W^(-1/2) as a dense array."""
-        mat = np.asarray(mat)
-        return (self._sqrt[:, None] * mat) / self._sqrt[None, :]
 
     def split(self, k: int) -> tuple["Metric", "Metric"]:
         return Metric(self.weights[:k]), Metric(self.weights[k:])

@@ -27,6 +27,7 @@ stationarity relation  alpha*u + B^T lambda = 0  exact at every node.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,6 +62,8 @@ class Grid:
 def build_grid(t_f: float, N: int) -> Grid:
     if not (np.isfinite(t_f) and t_f > 0):
         raise InvalidParameter("horizon t_f must be positive and finite")
+    if not isinstance(N, numbers.Integral):
+        raise InvalidParameter(f"grid size N must be an integer, got {N!r}")
     if N < 2:
         raise InvalidParameter("grid needs at least N=2 intervals")
     if N >= np.iinfo(np.intp).max:

@@ -114,13 +114,17 @@ class MonotoneOperatorSpec:
         return (np.zeros(self.dim) if self.affine_offset is None
                 else self.affine_offset)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Dense Jacobian DM(x) = L + diag(phi'(x)), for analysis."""
-        L = self.linear_part
-        J = L.toarray() if sparse.issparse(L) else L.copy()
+    def jacobian(self, x: np.ndarray) -> sparse.csr_matrix:
+        """Jacobian DM(x) = L + diag(phi'(x)) as a CSR matrix in canonical
+        form (sorted, no duplicates, no stored zeros), for analysis."""
         c = self._diagonal_coords
-        J[c, c] += self._diagonal(np.asarray(x, dtype=float))
-        return J
+        d = sparse.csr_matrix((self._diagonal(np.asarray(x, dtype=float)), (c, c)),
+                              shape=(self.dim, self.dim))
+        return sparse.csr_matrix(self.linear_part) + d
+
+    def derivative(self, x: np.ndarray) -> np.ndarray:
+        """The Jacobian DM(x) as a dense array: `jacobian(x).toarray()`."""
+        return self.jacobian(x).toarray()
 
     def _diagonal(self, x: np.ndarray) -> np.ndarray:
         """phi'(x) on the coordinates of the pieces, piece after piece."""

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import solve_continuous_lyapunov
 
 import phflow as pf
 from phflow import analysis
 from phflow.operators import cubic
+from conftest import make_double_integrator
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +287,64 @@ def test_metric_generator_matches_raw_spectrum(di_ocp):
     a1 = pf.spectral_abscissa(DM)
     a2 = float(np.max(np.linalg.eigvals(gen).real))
     assert a1 == pytest.approx(a2, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# memory of the analysis on the sparse Jacobian
+
+
+@pytest.fixture(scope="module")
+def sparse_generator():
+    """The CSR generator of a double integrator at N = 128 (dim 645) at
+    its KKT point, as `phflow spectrum` builds it."""
+    ocp = make_double_integrator(N=128)
+    sys = pf.assemble_optimizer(ocp)
+    DM = sys.M.jacobian(pf.kkt_solve(ocp).vector)
+    return pf.metric_generator(DM, sys.metric)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lyapunov_certificate_of_a_sparse_generator_holds_few_dense_arrays(
+        sparse_generator):
+    # T, U and Y, and half an array for the Sylvester update; the dense
+    # route (A^T P + P A + I, the Schur query's copy) held about eight
+    gen = sparse_generator
+    n = gen.shape[0]
+    assert sparse.isspmatrix_csr(gen) and 400 <= n <= 650
+    cert, peak = _traced_peak(pf.lyapunov_certificate, gen)
+    assert cert.valid()
+    assert peak <= 4 * n * n * 8
+
+
+def test_nonnormality_of_a_sparse_generator_allocates_no_dense_array(
+        sparse_generator):
+    n = sparse_generator.shape[0]
+    value, peak = _traced_peak(pf.nonnormality, sparse_generator)
+    assert value > 0.0
+    assert peak <= 0.5 * n * n * 8
+
+
+def test_dense_solves_refuse_an_empty_matrix():
+    with pytest.raises(pf.InvalidParameter, match="empty"):
+        pf.lyapunov_certificate(np.zeros((0, 0)))
+    with pytest.raises(pf.InvalidParameter, match="empty"):
+        pf.spectral_abscissa(np.zeros((0, 0)))
+
+
+def test_sparse_analysis_keeps_the_dense_cap():
+    with pytest.raises(pf.InvalidParameter, match="capped"):
+        pf.lyapunov_certificate(-sparse.identity(analysis._DENSE_DIM_CAP + 1,
+                                                 format="csr"))
+
+
+def test_metric_generator_refuses_a_metric_of_another_dimension():
+    with pytest.raises(pf.DimensionMismatch):
+        pf.metric_generator(np.eye(3), pf.Metric.euclidean(2))

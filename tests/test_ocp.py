@@ -28,6 +28,16 @@ def test_build_grid_rejects_tiny_N():
         pf.build_grid(-1.0, 4)
 
 
+@pytest.mark.parametrize("N", [4.0, float("nan"), 2.5, "8"])
+def test_build_grid_refuses_a_non_integer_N_by_name(N):
+    with pytest.raises(pf.InvalidParameter, match="grid size N must be an integer"):
+        pf.build_grid(1.0, N)
+
+
+def test_build_grid_takes_a_numpy_integer_N():
+    assert pf.build_grid(1.0, np.int64(4)).N == 4
+
+
 # ---------------------------------------------------------------------------
 # constraint assembly
 

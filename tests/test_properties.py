@@ -5,8 +5,9 @@ closed-loop coupling), the KKT point as the flow's steady state, the
 shared implicit step behind the resolvent, the semigroup and the
 implicit-midpoint flow, the Jacobians its Newton solve factors, the
 time-stage order in which they are banded, the linear step's solve
-with dgbtrf's interchanges folded into that order, and the sparse ports
-and coupling block against their dense counterparts."""
+with dgbtrf's interchanges folded into that order, the sparse ports
+and coupling block against their dense counterparts, and the spectrum
+analysis of a dense Jacobian against its CSR form."""
 
 import importlib.util
 import sys
@@ -27,11 +28,11 @@ PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
 
 
 @st.composite
-def problems(draw, logcosh=False):
-    """A random small quadratic OCP: N in 2..8, n in 1..3, m in 1..2,
+def problems(draw, logcosh=False, max_N=8):
+    """A random small quadratic OCP: N in 2..max_N, n in 1..3, m in 1..2,
     random A, B, x0 and q, SPD Q and alpha > 0; plus an rng for vectors.
     With logcosh the stage is logcosh at a random scale instead."""
-    N = draw(st.integers(2, 8))
+    N = draw(st.integers(2, max_N))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
     alpha = draw(st.floats(0.1, 5.0))
@@ -856,3 +857,32 @@ def test_lyapunov_certificate_matches_scipy(form):
     assert np.max(np.abs(cert.P - P)) <= 1e-12 * scale
     assert cert.residual <= 1e-10 * (1.0 + scale)
     assert cert.min_eig_P > 0
+
+
+@PROFILE
+@given(st.booleans().flatmap(lambda logcosh: problems(logcosh=logcosh, max_N=32)))
+def test_spectrum_analysis_of_a_dense_jacobian_matches_its_csr_form(problem):
+    # `phflow spectrum` analyses the CSR Jacobian at the KKT point, and
+    # the traced benchmark runner its dense `derivative`: both must write
+    # the same bytes, so every figure must agree to the last bit
+    ocp, _ = problem
+    sys = pf.assemble_optimizer(ocp)
+    z = pf.kkt_solve(ocp).vector
+    J = sys.M.jacobian(z)
+    D = sys.M.derivative(z)
+    assert sparse.isspmatrix_csr(J) and isinstance(D, np.ndarray)
+    gen_csr = pf.metric_generator(J, sys.metric)
+    gen_dense = pf.metric_generator(D, sys.metric)
+    assert sparse.isspmatrix_csr(gen_csr) and isinstance(gen_dense, np.ndarray)
+    assert gen_csr.toarray().tobytes() == gen_dense.tobytes()
+    args = (ocp.primal_dim, ocp.primal_metric, ocp.dual_metric)
+    b_csr, b_dense = pf.saddle_blocks(J, *args), pf.saddle_blocks(D, *args)
+    for name in ("dual_block_max", "adjoint_gap", "sigma_min_m2"):
+        assert getattr(b_csr, name) == getattr(b_dense, name)
+    assert pf.nonnormality(gen_csr) == pf.nonnormality(gen_dense)
+    c_csr = pf.lyapunov_certificate(gen_csr)
+    c_dense = pf.lyapunov_certificate(gen_dense)
+    assert c_csr.valid()
+    for name in ("abscissa", "residual", "min_eig_P"):
+        assert getattr(c_csr, name) == getattr(c_dense, name)
+    assert c_csr.P.tobytes() == c_dense.P.tobytes()
