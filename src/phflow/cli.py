@@ -248,8 +248,9 @@ def fmt(x) -> str:
 
 
 def _write_rows(fh, rows):
-    for row in rows:
-        fh.write(",".join(fmt(v) for v in row) + "\n")
+    # repr of a Python float is fmt's text
+    for row in np.asarray(rows, dtype=float).tolist():
+        fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows, trailer: str = ""):

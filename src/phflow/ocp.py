@@ -423,12 +423,16 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     # the trapezoid step is the implicit midpoint step of dx/dtau = A x + b
     step = implicit_stepper(linear(-A), h, 0.5, Metric.euclidean(n), 0.0)
     f = model.f_nodes(grid)
+    # the drive B ubar + fbar of every interval, B ubar row by row
+    ubar = 0.5 * (u_nodes[1:] + u_nodes[:-1])
+    drive = np.empty((N, n))
+    for i in range(N):
+        drive[i] = B @ ubar[i]
+    drive += 0.5 * (f[1:] + f[:-1])
     x = np.empty((N + 1, n))
     x[0] = model.x0
-    for i in range(1, N + 1):
-        fbar = 0.5 * (f[i] + f[i - 1])
-        ubar = 0.5 * (u_nodes[i] + u_nodes[i - 1]) if m else np.zeros(0)
-        x[i], _ = step(x[i - 1], B @ ubar + fbar)
+    for i in range(N):
+        step(x[i], drive[i], x[i + 1])
     if not np.all(np.isfinite(x)):
         raise SingularStep("forward marching produced non-finite states")
     return x

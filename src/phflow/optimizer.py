@@ -134,7 +134,11 @@ class FlowStream:
     integrate_flow collects, and z0 is its first state.  Each call of
     `blocks()` runs the flow from z0 and yields what `Trajectory.blocks`
     yields for that trajectory; the states of every block sit in one
-    buffer of _ROW_BLOCK + 1 rows, so a block is valid until the next.
+    buffer of _ROW_BLOCK + 1 rows, which each step writes its row of, so
+    a block is valid until the next.  A step whose residual misses tol
+    raises NonConvergence with its index; so does the first non-finite
+    state, found by one check of each block before any fold sees it (a
+    linear step measures no defect, see `implicit_stepper`).
     """
 
     times: np.ndarray
@@ -142,8 +146,12 @@ class FlowStream:
     theta: float
     step: float
     z0: np.ndarray
-    advance: Callable = field(repr=False)  # z -> (z_next, step residual)
+    advance: Callable = field(repr=False)  # (z, out) -> step residual, z_next in out
     tol: float = field(repr=False)
+
+    def _failed(self, k: int, residual: float):
+        return NonConvergence(f"implicit step failed at t={k * self.step:.4g}",
+                              residual=residual, step=k + 1)
 
     def blocks(self):
         n = self.times.size - 1
@@ -152,11 +160,12 @@ class FlowStream:
         for lo in range(0, n, _ROW_BLOCK):
             x = buf[:min(_ROW_BLOCK, n - lo) + 1]
             for i in range(x.shape[0] - 1):
-                x[i + 1], res = self.advance(x[i])
+                res = self.advance(x[i], x[i + 1])
                 if not res <= self.tol:
-                    k = lo + i
-                    raise NonConvergence(f"implicit step failed at t={k * self.step:.4g}",
-                                         residual=res, step=k + 1)
+                    raise self._failed(lo + i, res)
+            if not np.isfinite(x[1:]).all():
+                finite = np.isfinite(x[1:]).all(axis=1)
+                raise self._failed(lo + int(np.argmin(finite)), np.inf)
             yield lo, x, self.inputs[lo:lo + x.shape[0]]
             buf[0] = x[-1]  # the next block starts where this one ends
 
@@ -168,7 +177,8 @@ def stream_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     Each step is the implicit theta-step of the scheme (theta = 1/2 for
     midpoint, 1 for Euler), factored here once; the steps run as the
     blocks are taken, and a step whose residual misses the Newton
-    tolerance raises NonConvergence with its index."""
+    tolerance, or whose state is not finite, raises NonConvergence with
+    its index."""
     if T <= 0:
         raise InvalidParameter("integration horizon T must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -178,11 +188,13 @@ def stream_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     steps = _step_count(cfg.h_t, T)
     h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
     step = implicit_stepper(sys.M, h, theta, sys.metric, cfg.newton_tol)
+    # the input is constant: one read-only row repeated, never copied, and
+    # one read-only drive, which a linear step prepares once
     b = sys.B @ u_const
-    # the input is constant: one read-only row repeated, never copied
+    b.flags.writeable = False
     inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))
     return FlowStream(h * np.arange(steps + 1, dtype=float), inputs, theta, h, z0,
-                      lambda z: step(z, b), cfg.newton_tol)
+                      lambda z, out: step(z, b, out)[1], cfg.newton_tol)
 
 
 def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,

@@ -30,9 +30,11 @@ operator's `order` (the optimizer's time-stage order, or a closed
 loop's), and otherwise by LAPACK's dense LU or, when sparse, SuperLU.
 A Newton iteration copies the base, adds d = phi' on its diagonal
 (`_newton_solver`) and solves with `dgbtrs`.  A linear step factors
-once with no d, folds dgbtrf's row interchanges into its order
-(`_fold`), and solves each step by triangular band sweeps, with no
-product with L (`_linear_step`).  A steady-state solve holds one
+once with no d, folds dgbtrf's row interchanges into its order and
+scales U to a unit diagonal (`_fold`), and solves each step by unit
+triangular sweeps over bands only as wide as their columns reach
+(`_unit_bands`), with no product with L, writing the result straight
+into the caller's row (`_linear_step`).  A steady-state solve holds one
 `_Factor`, and so does `_theta_newton`, the one Newton run of every
 nonlinear implicit step: it alone defines the step's residual, Newton
 solve and start.  Where phi lives in leading coordinates ahead of a
@@ -49,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.blas import dgemv, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
@@ -355,8 +357,8 @@ class _Factor:
 
 def _fold(lu, piv, kl: int, ku: int, order):
     """The solve with dgbtrf's factors (lu, piv) of a band matrix in
-    `order`, as PA = L'U without row interchanges (a `_Folded`), or None
-    when its bands would hold more than twice the entries of lu.
+    `order`, as PA = L'DU' without row interchanges (a `_Folded`), or
+    None when its bands would hold more than twice the entries of lu.
 
     dgbtrf stores U in the top kl + ku + 1 rows of lu and, below them,
     the multipliers of each column j for the rows j+1..j+kl as they stood
@@ -365,16 +367,17 @@ def _fold(lu, piv, kl: int, ku: int, order):
     rank-one update each.  Here the interchanges P are composed with the
     order into one gather, and L' is the multipliers with every later
     interchange applied to the earlier columns, exactly: entry by entry,
-    wherever a chain of interchanges moves it.  The factors of a linear
-    step interchange few rows (in the first stages and the last rows),
-    but where interchanges chain they carry an early column's multipliers
-    well below the band.  So L' is split at the column s that minimises
-    the entries of two unit lower bands: a head, the columns [0, s) in a
-    band wide enough for them, down to the lowest row they reach (their
-    spill into the rows below s), and a tail, the columns [s, n) in a
-    band of about kl.  Pivoting that chains through much of the matrix
-    would make the head grow with the square of the chain; past twice
-    the entries of lu, dgbtrs keeps the solve.
+    wherever a chain of interchanges moves it.  U's rows are scaled to a
+    unit diagonal, U = D U', and the reciprocal diagonal 1/D is kept, so
+    neither sweep divides.  The factors of a linear step interchange few
+    rows (in the first stages and the last rows): there a chain carries
+    an early column's multipliers well below the band, and U fills up to
+    kl + ku above its diagonal, while every other column of L' reaches
+    kl and of U ku.  So each factor is cut into at most three bands
+    (`_unit_bands`), each only as wide as its own columns reach.
+    Pivoting that chains through much of the matrix would widen the
+    bands with the square of the chain; past twice the entries of lu,
+    dgbtrs keeps the solve.
     """
     n = order.size
     budget = 2 * lu.size
@@ -394,52 +397,103 @@ def _fold(lu, piv, kl: int, ku: int, order):
         reach = max(reach, int(np.max(blk - np.arange(lo, j), initial=0)))
         if reach * reach > budget:  # the band that holds this column is wider
             return None
-    # row - column of each multiplier; 0 for the slots below row n - 1 of
-    # the last columns, which the loop never moves and the sweeps never read
-    outside = rows >= n
-    off = rows
-    off -= np.arange(n)
-    off[outside] = 0
-    col_reach = np.max(off, axis=0, initial=0)
-    # the width and row count of the head, and the width of the tail, at
-    # every split s in [0, n]
-    head_w = np.concatenate([[0], np.maximum.accumulate(col_reach)])
-    head_n = np.concatenate([[0], np.maximum.accumulate(np.arange(n) + col_reach) + 1])
-    tail_w = np.concatenate([np.maximum.accumulate(col_reach[::-1])[::-1], [0]])
-    entries = (head_w + 1) * head_n + (tail_w + 1) * (n - np.arange(n + 1))
-    s = int(np.argmin(entries))
-    if entries[s] > budget:
+    # L': the multipliers, but the slots below row n - 1 of the last
+    # columns, which the loop never moves and no sweep reads
+    mult = lu[kl + ku + 1:]
+    t, j = np.nonzero((rows < n) & (mult != 0))
+    lower, s = _unit_bands(rows[t, j], j, mult[t, j], n, kl, lower=True)
+    del rows
+    # U': lu's row t holds U's entries kl + ku - t above the diagonal, in
+    # the rows i; its slots with i < 0, in the first columns, are not U's
+    diag = lu[kl + ku]
+    t, j = np.nonzero(lu[:kl + ku])
+    i = j - (kl + ku - t)
+    t, j, i = t[i >= 0], j[i >= 0], i[i >= 0]
+    upper, _ = _unit_bands(i, j, lu[t, j] / diag[i], n, ku, lower=False)
+    entries = n + sum((0 if ab is None else ab.size) + (0 if cross is None else cross[2].size)
+                      for _, _, ab, cross in lower + upper)
+    if entries > budget:
         return None
-    mult = lu[kl + ku + 1:2 * kl + ku + 1]
+    rank = np.empty_like(order)  # the position of each state index in the order
+    rank[order] = np.arange(n)
+    return _Folded(gather, rank, lower, 1.0 / diag, upper, s)
 
-    def band(lo, hi, width, size):
-        # unit lower band storage: entry (i, j) at row i - j of column j;
-        # an outside slot lands on the diagonal row, which dtbsv skips
-        ab = np.zeros((width + 1, size), order="F")
-        for t in range(kl):
-            ab[off[t, lo:hi], np.arange(hi - lo)] = mult[t, lo:hi]
-        return ab
 
-    head = band(0, s, head_w[s], head_n[s]) if s else None
-    tail = band(s, n, tail_w[s], n - s) if tail_w[s] else None
-    return _Folded(lu, kl + ku, order, gather, head, tail, s)
+def _unit_bands(rows, cols, vals, n: int, width: int, lower: bool):
+    """Cut the n x n unit triangular factor, lower or upper, whose
+    entries off the diagonal are vals at (rows, cols), into at most three
+    bands of columns: the columns before the bulk, the bulk, and the
+    columns after it.  The bulk holds no column that reaches more than
+    width from the diagonal, and the cuts are where the band entries are
+    fewest.  Each band is as wide as its own columns reach within it; the
+    entries of its columns in rows outside it (below it for a lower
+    factor, above it for an upper one) form one dense block, applied
+    after its sweep.
+
+    Returns the bands in sweep order (forward for lower, backward for
+    upper), each (lo, k, ab, cross): ab in dtbsv's storage of width k for
+    the columns [lo, lo + ab.shape[1]), or None for k = 0, and cross,
+    (r0, c0, E) with E at rows r0.. and columns c0.., or None; and the
+    start of the bulk."""
+    dist = np.abs(rows - cols)
+    reach = np.zeros(n, dtype=int)
+    np.maximum.at(reach, cols, dist)
+    big = np.flatnonzero(reach > width)
+    # at the split i the bulk is [a[i], b[i]): the wider columns big[:i]
+    # lie before it and big[i:] after it
+    a, b = np.concatenate([[0], big + 1]), np.concatenate([big, [n]])
+    w_a = np.concatenate([[0], np.maximum.accumulate(reach[big])])
+    w_b = np.concatenate([np.maximum.accumulate(reach[big][::-1])[::-1], [0]])
+    i = np.argmin(a * (w_a + 1) + (b - a) * (width + 1) + (n - b) * (w_b + 1))
+    a, b = int(a[i]), int(b[i])
+    bands = []
+    for lo, hi in ((0, a), (a, b), (b, n)):
+        mine = (cols >= lo) & (cols < hi)
+        inside = mine & (rows >= lo) & (rows < hi)
+        d = dist[inside]
+        kb = int(np.max(d, initial=0))
+        ab = None
+        if kb:
+            ab = np.zeros((kb + 1, hi - lo), order="F")
+            ab[d if lower else kb - d, cols[inside] - lo] = vals[inside]
+        cross = None
+        out = mine & ~inside
+        if np.any(out):
+            r, c = rows[out], cols[out]
+            r0, c0 = int(r.min()), int(c.min())
+            E = np.zeros((r.max() + 1 - r0, c.max() + 1 - c0), order="F")
+            E[r - r0, c - c0] = vals[out]
+            cross = (r0, c0, E)
+        if ab is not None or cross is not None:
+            bands.append((lo, kb, ab, cross))
+    return (bands if lower else bands[::-1]), a
+
+
+def _sweep(bands, y, lower: int):
+    """Solve with the unit triangular factor of `_unit_bands`' bands, in
+    place in y: one BLAS dtbsv call per band and one dgemv per block of
+    entries that cross a cut."""
+    for lo, k, ab, cross in bands:
+        if ab is not None:
+            dtbsv(k, ab, y, offx=lo, lower=lower, diag=1, overwrite_x=1)
+        if cross is not None:
+            r0, c0, E = cross
+            dgemv(-1.0, E, y, 1.0, y, offx=c0, offy=r0, overwrite_y=1)
 
 
 class _Folded:
     """The solve of `_fold`: gather the right side by the order and the
-    interchanges, sweep the head and the tail of L' and then U, one BLAS
-    dtbsv call each (U read from dgbtrf's array in place, with lda =
-    ldab, as dgbtrs reads it), and scatter the result back.  Every row
-    gets the updates of dgbtrs, in its column order and by the same axpy,
-    so the two solves agree to rounding (bit for bit where the axpy
-    rounds alike at every length).  A 2-D right side is solved column by
-    column."""
+    interchanges, solve in place with L', 1/D and U' (`sweep`), and
+    gather the result back by rank, the inverse of the order.  It agrees
+    with dgbtrs on the same factors to rounding.  A 2-D right side is
+    solved column by column.  s is where L's bulk begins: the columns
+    before it hold the chains of interchanges."""
 
-    __slots__ = ("lu", "k", "order", "gather", "head", "tail", "s")
+    __slots__ = ("gather", "rank", "lower", "dinv", "upper", "s")
 
-    def __init__(self, lu, k, order, gather, head, tail, s):
-        self.lu, self.k, self.order, self.gather = lu, k, order, gather
-        self.head, self.tail, self.s = head, tail, s
+    def __init__(self, gather, rank, lower, dinv, upper, s):
+        self.gather, self.rank = gather, rank
+        self.lower, self.dinv, self.upper, self.s = lower, dinv, upper, s
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -452,16 +506,15 @@ class _Folded:
 
     def _solve(self, r):
         y = r[self.gather]
-        if self.head is not None:
-            y = dtbsv(self.head.shape[0] - 1, self.head, y, lower=1, diag=1,
-                      overwrite_x=1)
-        if self.tail is not None:
-            y = dtbsv(self.tail.shape[0] - 1, self.tail, y, offx=self.s, lower=1, diag=1,
-                      overwrite_x=1)
-        y = dtbsv(self.k, self.lu, y, overwrite_x=1)
-        out = np.empty_like(y)
-        out[self.order] = y
-        return out
+        self.sweep(y)
+        return y[self.rank]
+
+    def sweep(self, y):
+        """Overwrite y, gathered, with the solution in the order: the
+        sweeps of L', one product with 1/D, the sweeps of U'."""
+        _sweep(self.lower, y, 1)
+        y *= self.dinv
+        _sweep(self.upper, y, 0)
 
 
 def _dense(A):
@@ -489,24 +542,60 @@ def _newton_solver(M: MonotoneOperatorSpec, shift: float):
 
 
 def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
-    """Return (step, solve) for a linear M: step(z, b) is the implicit
-    theta-step's z_next, and solve the solve with F = I + theta*h*L that
-    it is built on, factored once by one `_Factor` in M's order
+    """Return (step, solve) for a linear M: step(z, b, out=None) returns
+    the implicit theta-step's z_next, written into out when given (out
+    must not be z), and solve is the solve with F = I + theta*h*L that it
+    is built on, factored once by one `_Factor` in M's order
     (`_Factor.step_solver`).  The step's right side needs no product
     with L: I - (1-theta)*h*L = I/theta - ((1-theta)/theta) F, so
 
         z_next = F^{-1} (z/theta + h (b - g)) - ((1-theta)/theta) z,
 
     one solve and two vector operations; at theta = 1 the last term is
-    dropped, so the step is F^{-1} (z + h (b - g))."""
+    dropped, so the step is F^{-1} (z + h (b - g)).  With a `_Folded`
+    solve the step works in the gathered order: it gathers z into a
+    buffer, scales it by 1/theta, adds h (b - g) gathered, sweeps in
+    place, and gathers the result by rank straight into out.  A
+    read-only b is a constant input (`optimizer.stream_flow`'s): its
+    gathered drive is formed once, for as long as the same b is passed.
+    """
     solve = _Factor((theta * h) * M.linear_part, 1.0, order=M.order).step_solver()
-    offset, lag = M.offset, (1.0 - theta) / theta
+    offset, scale, lag = M.offset, 1.0 / theta, (1.0 - theta) / theta
+    if not isinstance(solve, _Folded):
+        def step(z, b, out=None):
+            z_next = solve(z * scale + h * (b - offset))
+            if out is not None:
+                out[:] = z_next
+                z_next = out
+            if lag:
+                z_next -= lag * z
+            return z_next
 
-    def step(z, b):
-        z_next = solve(z / theta + h * (b - offset))
-        if lag:
-            z_next -= lag * z
-        return z_next
+        return step, solve
+
+    gather, rank = solve.gather, solve.rank
+    zg, y = np.empty(M.dim), np.empty(M.dim)
+    held = [None, None]  # a read-only b and its gathered drive
+
+    def step(z, b, out=None):
+        if b is held[0]:
+            drive = held[1]
+        else:
+            drive = (h * (b - offset))[gather]
+            if isinstance(b, np.ndarray) and not b.flags.writeable:
+                held[:] = b, drive
+        # gather and rank are permutations: mode="clip" only skips the
+        # bounds checks
+        np.take(z, gather, out=zg, mode="clip")
+        np.multiply(zg, scale, out=y)
+        np.add(y, drive, out=y)
+        solve.sweep(y)
+        out = np.take(y, rank, out=out, mode="clip")
+        if lag == 1.0:  # midpoint: lag * z is z
+            np.subtract(out, z, out=out)
+        elif lag:
+            np.subtract(out, np.multiply(z, lag, out=zg), out=out)
+        return out
 
     return step, solve
 
@@ -549,19 +638,22 @@ def _theta_newton(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: fl
 
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Metric,
                      tol: float):
-    """Return step(z, b) -> (z_next, residual) solving the implicit step
+    """Return step(z, b, out=None) -> (z_next, residual) solving the
+    implicit step
 
-        z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b).
+        z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b),
 
-    theta = 1 with b = 0 is the resolvent (I + h M)^{-1}; theta = 1/2
-    is the implicit midpoint rule.  The residual is the metric norm of
-    the step equation's defect.  The structure of M picks one of three
-    paths:
+    written into out when given (a row of the caller's buffer) and into
+    a new array otherwise.  theta = 1 with b = 0 is the resolvent
+    (I + h M)^{-1}; theta = 1/2 is the implicit midpoint rule.  The
+    residual is the metric norm of the step equation's defect.  The
+    structure of M picks one of three paths:
 
     - Linear M factors I + theta*h*L once, folds its row interchanges
       into M's order, and steps with one solve and no product with L
-      (`_linear_step`); it reports residual 0, or inf when the result
-      is not finite.
+      (`_linear_step`).  It measures no defect and reports residual 0;
+      a non-finite z_next is the caller's to refuse (`FlowStream`
+      checks each block once, `semigroup_approx` each step).
     - When M's nodewise part phi lives in leading coordinates [0, d1)
       that M's order keeps in front and in place (a member without an
       order put first, as `couple` puts the plant), the rest of M is
@@ -575,9 +667,8 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
     if M.is_linear:
         step_linear, _ = _linear_step(M, h, theta)
 
-        def step(z, b):
-            z_next = step_linear(z, b)
-            return z_next, (0.0 if np.all(np.isfinite(z_next)) else np.inf)
+        def step(z, b, out=None):
+            return step_linear(z, b, out), 0.0
 
         return step
     if M.order is not None:
@@ -587,11 +678,15 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
 
     run = _theta_newton(M, h, theta, metric.norm, tol)
 
-    def step(z, b):
+    def step(z, b, out=None):
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
         drift = h * (-M(z) + b)
-        return run(z, b, z + drift, -drift)
+        z_next, res = run(z, b, z + drift, -drift)
+        if out is None:
+            return z_next, res
+        out[:] = z_next
+        return out, res
 
     return step
 
@@ -647,15 +742,15 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
     run = _theta_newton(Mc, h, theta, Metric(metric.weights[:d1]).norm, tol)
 
-    def step(z, b):
+    def step(z, b, out=None):
         z1, z2 = z[:d1], z[d1:]
         b1, b2 = (b, b) if np.ndim(b) == 0 else (b[:d1], b[d1:])
-        a = step2(z2, b2)
+        a = step2(z2, b2, np.empty(z2.size))
         w = K12 @ (theta * a[port] + (1.0 - theta) * z2[port]) - b1
         # member 1's part of the explicit predictor z + h*(-M(z) + b)
         predictor = z1 + h * (b1 - M1(z1) - K12 @ z2[port])
         p, _ = run(z1, -w, predictor)
-        z_next = np.empty_like(z)
+        z_next = np.empty_like(z) if out is None else out
         z_next[:d1] = p
         o = np.matmul(V, theta * p + (1.0 - theta) * z1, out=z_next[d1:])
         o *= -h
@@ -703,6 +798,8 @@ def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
     step = implicit_stepper(M, t / n, 1.0, metric or Metric.euclidean(M.dim), tol)
     for k in range(n):
         x, res = step(x, 0.0)
+        if not np.all(np.isfinite(x)):  # a linear step measures no defect
+            res = np.inf
         if not res <= tol:
             raise NonConvergence(f"resolvent step {k + 1} of {n} did not converge",
                                  residual=res)
@@ -850,16 +947,28 @@ class PowerBalance:
         """The energy rate of each interval of the states x, less lag."""
         return np.diff(0.5 * self.sys.metric.row_inner(x, x)) / self.h - lag
 
+    def _inputs(self, u):
+        """The stage inputs us of a block's intervals.  A constant input
+        (a stride-0 view, as every `optimizer.stream_flow` input is) has
+        one stage, formed from its first two rows and broadcast."""
+        if u.strides[0] == 0:
+            return np.broadcast_to(self._stage(u[:2], self.us_buf, "C"),
+                                   (u.shape[0] - 1, u.shape[1]))
+        return self._stage(u, self.us_buf, "C")
+
     def _supply(self, xs, us):
         """The supply <us, y> of each interval, and given ss the shifted
-        <us - u_bar, y - y_bar>, us shifted in place; y dies on return."""
+        <us - u_bar, y - y_bar>; y dies on return."""
         sys, ss = self.sys, self.ss
         y = sys.output(xs)
         supply = sys.input_metric.row_inner(us, y)
         if ss is None:
             return supply, None
         y -= ss.y_bar
-        us -= ss.u_bar
+        if us.strides[0] == 0:
+            us = np.broadcast_to(us[0] - ss.u_bar, us.shape)
+        else:
+            us -= ss.u_bar
         return supply, sys.input_metric.row_inner(us, y)
 
     def add(self, lo: int, x: np.ndarray, u: np.ndarray):
@@ -873,7 +982,7 @@ class PowerBalance:
         if ss is not None:  # x - x_bar is freed before the stage is formed
             rate_shifted = self._rate(x - ss.x_bar, lag)
         xs = self._stage(x, self.xs_buf, "F")
-        us = self._stage(u, self.us_buf, "C")
+        us = self._inputs(u)
         supply, supply_shifted = self._supply(xs, us)
         mx = _batch_eval(sys.M, xs)
         rows = slice(lo, lo + xs.shape[0])

@@ -752,10 +752,10 @@ def _assert_solves_agree(folded, gbtrs, rng, dim):
 
 
 def _reference_step(M, h_t, theta):
-    """The reference linear theta-step: one dgbtrs solve with
+    """The reference linear theta-step: one folded solve with
     I + theta h L of (I - (1-theta) h L) z + h (b - g)."""
     L = sparse.csr_matrix(M.linear_part)
-    solve = phcore._Factor((theta * h_t) * L, 1.0, order=M.order).solver()
+    solve = phcore._Factor((theta * h_t) * L, 1.0, order=M.order).step_solver()
     rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h_t) * L
     return lambda z, b: solve(rhs @ z + h_t * (b - M.offset))
 
@@ -780,13 +780,8 @@ def test_folded_step_solve_matches_dgbtrs(problem):
         assert np.linalg.norm(step(z, b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
-    # the N = 1024 chain problem of scripts/linear_loop_timing.py (the
-    # double integrator) at h_t = 0.01: dgbtrf interchanges rows in a
-    # chain through the first stages, which carries early multipliers
-    # about 60 rows down.  A fold that looks back over a fixed window of
-    # columns misses some of them and solves this system wrong by percents
-    # while staying finite; only a comparison with dgbtrs shows it
+def _timing_script(monkeypatch):
+    """scripts/linear_loop_timing.py as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "linear_loop_timing.py"
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the script pins them on import
@@ -794,6 +789,17 @@ def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
     spec = importlib.util.spec_from_file_location("linear_loop_timing", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
+    # the N = 1024 chain problem of scripts/linear_loop_timing.py (the
+    # double integrator) at h_t = 0.01: dgbtrf interchanges rows in a
+    # chain through the first stages, which carries early multipliers
+    # about 60 rows down.  A fold that looks back over a fixed window of
+    # columns misses some of them and solves this system wrong by percents
+    # while staying finite; only a comparison with dgbtrs shows it
+    script = _timing_script(monkeypatch)
     ocp, _, plant, _ = script._problem(1024, 2, 1)
     opt = pf.assemble_optimizer(ocp)
     loop = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")).sys
@@ -806,6 +812,32 @@ def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
         step, _ = phcore._linear_step(M, script.H_T, 1.0)
         z = rng.standard_normal(M.dim)
         assert np.array_equal(step(z, 0.0), _reference_step(M, script.H_T, 1.0)(z, 0.0))
+
+
+def test_folded_chain_factors_sweep_unit_bands_as_wide_as_their_reach(monkeypatch):
+    # the same N = 1024 chain problem: the pivoting fills U up to kl + ku
+    # above its diagonal and chains L' well below kl, but only in a few
+    # dozen columns.  Every sweep runs with a unit diagonal (U's rows are
+    # scaled once), and the bulk band of each factor, its sweep over the
+    # most columns, is no wider than the matrix's own band: kl for L' and
+    # ku for U; the solve still agrees with dgbtrs
+    script = _timing_script(monkeypatch)
+    ocp, _, _, _ = script._problem(1024, 2, 1)
+    M = pf.assemble_optimizer(ocp).M
+    factor = phcore._Factor((0.5 * script.H_T) * M.linear_part, 1.0, order=M.order)
+    folded, gbtrs = _step_solves(M, script.H_T, 0.5)
+    sweeps, real = [], phcore.dtbsv
+
+    def recorded(k, a, x, **kwargs):
+        sweeps.append((kwargs.get("lower", 0), kwargs.get("diag", 0), a.shape[1], k))
+        return real(k, a, x, **kwargs)
+
+    monkeypatch.setattr(phcore, "dtbsv", recorded)
+    _assert_solves_agree(folded, gbtrs, np.random.default_rng(7), M.dim)
+    assert {diag for _, diag, _, _ in sweeps} == {1}
+    for lower, width in ((1, factor.kl), (0, factor.ku)):
+        columns, k = max((n, k) for low, _, n, k in sweeps if low == lower)
+        assert columns > 0.9 * M.dim and k <= width
 
 
 @st.composite

@@ -3,6 +3,7 @@ bit for bit those of the stored trajectory, and no run may hold one."""
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,9 +136,9 @@ def test_failure_mid_stream_leaves_no_output(tmp_path, capsys, monkeypatch, mode
     def failing_stepper(*args, **kwargs):
         step, taken = real(*args, **kwargs), []
 
-        def fail_at_100(z, b):
+        def fail_at_100(z, b, out=None):
             taken.append(None)
-            z_next, res = step(z, b)
+            z_next, res = step(z, b, out)
             return z_next, (0.5 if len(taken) == 100 else res)
 
         return fail_at_100
@@ -149,6 +150,38 @@ def test_failure_mid_stream_leaves_no_output(tmp_path, capsys, monkeypatch, mode
     err = capsys.readouterr().err
     assert "NonConvergence" in err and "step 100," in err and "residual 5.000e-01" in err
     assert list(out.iterdir()) == []
+
+
+def test_linear_stream_refuses_an_overflow_before_any_fold_sees_its_block():
+    # the first coordinate grows by 39 a step (L = -1.9, h = 1, midpoint)
+    # from 1e199 and overflows at step 69, in the second block; the linear
+    # step measures no defect, so the stream checks each block once and
+    # raises what a check of every step would: the failed step's message,
+    # index and residual inf, before the block reaches any fold
+    M = pf.MonotoneOperatorSpec(2, np.diag([-1.9, 0.5]), order=np.arange(2))
+    sys = pf.PHSystem(M, np.zeros((2, 0)), pf.Metric.euclidean(2), pf.Metric.euclidean(0))
+    flow = stream_flow(sys, np.array([1e199, 1.0]), np.zeros(0), pf.IntegratorConfig(h_t=1.0),
+                       100.0)
+
+    class Seen:
+        def __init__(self):
+            self.blocks = []
+
+        def add(self, lo, x, u):
+            assert np.all(np.isfinite(x))
+            self.blocks.append(lo)
+
+        def report(self):
+            return None
+
+    seen = Seen()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(pf.NonConvergence) as info:
+            fold(flow, seen)
+    assert seen.blocks == [0]
+    assert str(info.value) == "implicit step failed at t=68"
+    assert info.value.step == 69 and info.value.residual == np.inf
 
 
 @pytest.mark.parametrize("mode", ["flow", "audit"])
