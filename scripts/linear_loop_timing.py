@@ -31,7 +31,15 @@ the same factor and step timings for the LQ optimizer on its own
 - ``logcosh_step_ms``: one step of the same optimizer with the logcosh
   stage of scale 1 in place of Q = I (a Newton solve in the whole
   optimizer state), the mean over ``--steps`` consecutive steps from the
-  default initial state, each solved to the default ``newton_tol``.
+  default initial state, each solved to the default ``newton_tol``;
+- ``logcosh_loop_step_ms``: one step of that logcosh optimizer closed
+  against the cubic plant (a Newton solve in the whole loop state), the
+  mean over ``--steps`` consecutive steps, each solved to the default
+  ``newton_tol``;
+- ``loop_assemble_ms``: closing the cubic loop from the model, grid and
+  cost: the problem's assembly, the plant's assembly with its
+  accretivity probe, the optimizer's, the coupling, the initial state
+  and the stepper.
 
 BLAS is pinned to one thread, and the script uses only the public API
 and ``phflow.phcore.implicit_stepper``.
@@ -72,6 +80,15 @@ def _problem(N: int, n: int, m: int):
     return ocp, logcosh, plant, cubic
 
 
+def _assemble_loop(model, grid, cost, spec):
+    """Close the cubic loop from scratch, up to its stepper."""
+    ocp = pf.assemble_ocp(model, grid, cost)
+    cls = pf.couple(pf.assemble_optimizer(ocp), pf.assemble_plant(spec), ocp,
+                    pf.CouplingSpec("inv_alpha"))
+    cls.initial_state(spec.x_p0)
+    return implicit_stepper(cls.sys.M, H_T, 0.5, cls.sys.metric, NEWTON_TOL)
+
+
 def _timed(fn):
     t = time.perf_counter()
     out = fn()
@@ -91,9 +108,11 @@ def _factor_and_step(sys, z0, b, steps: int):
 
 def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
     ocp, logcosh, plant, cubic = _problem(N, n, m)
+    cubic_spec = pf.PlantSpec(cubic.M, cubic.B, ocp.model.x0)
     best = dict.fromkeys(("couple_s", "factor_s", "step_ms", "cubic_setup_s",
                           "cubic_step_ms", "opt_factor_s", "opt_step_ms",
-                          "logcosh_step_ms"), np.inf)
+                          "logcosh_step_ms", "logcosh_loop_step_ms",
+                          "loop_assemble_ms"), np.inf)
     for _ in range(reps):
         opt = pf.assemble_optimizer(ocp)
         cls, couple_s = _timed(lambda: pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")))
@@ -107,9 +126,15 @@ def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
         lc_opt = pf.assemble_optimizer(logcosh)
         _, lc_step_s = _factor_and_step(lc_opt, pf.default_initial_state(logcosh),
                                         lc_opt.B @ pf.constant_input(logcosh), steps)
+        lc_cls = pf.couple(lc_opt, cubic, logcosh, pf.CouplingSpec("inv_alpha"))
+        _, lc_loop_step_s = _factor_and_step(lc_cls.sys, lc_cls.initial_state(cubic.dim * [1.0]),
+                                             np.zeros(lc_cls.dim), steps)
+        _, assemble_s = _timed(lambda: _assemble_loop(ocp.model, ocp.grid, ocp.cost,
+                                                      cubic_spec))
         for key, value in zip(best, (couple_s, loop[0], 1e3 * loop[1], cubic_loop[0],
                                      1e3 * cubic_loop[1], alone[0], 1e3 * alone[1],
-                                     1e3 * lc_step_s)):
+                                     1e3 * lc_step_s, 1e3 * lc_loop_step_s,
+                                     1e3 * assemble_s)):
             best[key] = min(best[key], value)
     return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
             "steps": steps, **best}

@@ -12,7 +12,9 @@ set (so ``<name>_state.csv`` is checked too), the same configs in the
 flow, audit and closedloop modes with ``integrator.scheme`` set to
 ``implicit_euler`` (so theta = 1 steps and audits are checked too),
 plus round 0 of every
-benchmark workload at seeds 0, 1 and 2, built by
+benchmark workload at seeds 0, 1 and 2 and rounds 1 to 9 of the
+``nonlinear`` workload at seed 0 (the closed loops and logcosh flows that a
+benchmark run of the workload reaches), built by
 ``perfbench/scenarios.make_config`` (read, never edited).  Each run goes
 through ``phflow.cli.run`` of this checkout's ``src/`` with BLAS pinned
 to one thread.  For every run the script prints its exit code and the
@@ -58,6 +60,8 @@ FULL_STATE_MODES = ("flow", "closedloop")
 # the modes whose output depends on the integrator's scheme
 EULER_MODES = ("flow", "audit", "closedloop")
 SEEDS = (0, 1, 2)
+# the later rounds of the nonlinear workload, at seed 0
+NONLINEAR_ROUNDS = range(1, 10)
 
 
 def runs(work: Path):
@@ -83,6 +87,12 @@ def runs(work: Path):
                 path = gen / f"{workload}-{seed}-{idx}.json"
                 scenarios.write_config(scenarios.make_config(kind, seed, 0, idx), path)
                 yield run_id, path, None
+    for round_idx in NONLINEAR_ROUNDS:
+        for idx, kind in enumerate(scenarios.WORKLOADS["nonlinear"]):
+            run_id = f"nonlinear:seed0:round{round_idx}:kind{idx}"
+            path = gen / f"nonlinear-0-r{round_idx}-{idx}.json"
+            scenarios.write_config(scenarios.make_config(kind, 0, round_idx, idx), path)
+            yield run_id, path, None
 
 
 def digest(work: Path):

@@ -14,6 +14,7 @@ identities hold to machine precision instead of merely O(h).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ class Metric:
         return float(np.dot(self.weights * a, b))
 
     def norm(self, a: np.ndarray) -> float:
-        return float(np.sqrt(np.dot(self.weights * a, a)))
+        # math.sqrt is the correctly rounded square root, as np.sqrt is
+        return math.sqrt(np.dot(self.weights * a, a))
 
     def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Inner products <a_i, b_i> of matching rows of two stacks."""

@@ -37,7 +37,7 @@ from scipy import sparse
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
 from .operators import linear
-from .phcore import implicit_stepper, steady_state
+from .phcore import _compressed, _entries, implicit_stepper, steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,12 @@ class DiscretizedOCP:
     @cached_property
     def saddle(self) -> sparse.csr_matrix:
         """The constant part [[0, -C*], [C, 0]] of the optimality operator
-        that `optimizer.assemble_optimizer` builds."""
-        return sparse.bmat([[None, -self.C_star], [self.C, None]], format="csr")
+        that `optimizer.assemble_optimizer` builds: the entries of -C* and
+        C placed by their index arrays, every stored entry kept."""
+        p = self.primal_dim
+        (r1, c1, v1), (r2, c2, v2) = _entries(self.C_star), _entries(self.C)
+        return _compressed(np.concatenate([r1, p + r2]), np.concatenate([p + c1, c2]),
+                           np.concatenate([-v1, v2]), (self.state_dim, self.state_dim))
 
     def node_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """Re-register interval multipliers at the N+1 grid nodes.
@@ -361,9 +365,12 @@ def assemble_constraint(model: LinearPlantModel, grid: Grid):
 
     C_h is the Kronecker stencil blocks kron(S_l, dxl) + kron(S_r, dxr)
     on (lam, x), kron(S_l + S_r, du) on (lam, u) and kron(e_0, I) on
-    (lam0, x), placed through the index views of `_state_blocks`; S_l and
-    S_r select each interval's left and right node, e_0 selects node 0.
-    Zero stencil coefficients are not stored.
+    (lam0, x); S_l and S_r select each interval's left and right node,
+    e_0 selects node 0.  Each interval's n rows carry the row blocks
+    [dxl dxr du du] at the columns of its two nodes' x and u, which the
+    index views of `_state_blocks` give, and lam0 carries I at x_0: one
+    construction from those index arrays.  Zero stencil coefficients are
+    not stored.
     """
     n, m, N, h = model.n, model.m, grid.N, grid.h
     A, B = model.A, model.B
@@ -371,22 +378,22 @@ def assemble_constraint(model: LinearPlantModel, grid: Grid):
     dxl = -eye / h - 0.5 * A   # left-endpoint x coefficient
     dxr = eye / h - 0.5 * A    # right-endpoint x coefficient
     du = -0.5 * B
-    S_l, S_r = sparse.eye(N, N + 1, k=0), sparse.eye(N, N + 1, k=1)
 
     # C maps the primal part of a state to its dual part; these index the
     # rows and columns of each block
     dim = (N + 1) * (2 * n + m)
     col = _state_blocks(np.arange(dim), N, n, m)
     row = _state_blocks(np.arange(dim) - col.primal.size, N, n, m)
-    coo = []
-    for r, c, block in ((row.lam, col.x, sparse.kron(S_l, dxl) + sparse.kron(S_r, dxr)),
-                        (row.lam, col.u, sparse.kron(S_l + S_r, du)),
-                        (row.lam0, col.x, sparse.kron(sparse.eye(1, N + 1), eye))):
-        block = block.tocoo()
-        coo.append((r.ravel()[block.row], c.ravel()[block.col], block.data))
-    rows, cols, vals = map(np.concatenate, zip(*coo))
-    C = sparse.csr_matrix((vals, (rows, cols)), shape=(col.dual.size, col.primal.size))
-    C.eliminate_zeros()
+    # interval i, row a: the columns of x_i, x_i+1, u_i, u_i+1 and the
+    # coefficients dxl[a], dxr[a], du[a], du[a]
+    at = np.concatenate([col.x[:-1], col.x[1:], col.u[:-1], col.u[1:]], axis=1)
+    coef = np.concatenate([dxl, dxr, du, du], axis=1)
+    shape = (N, n, at.shape[1])
+    rows = np.concatenate([np.broadcast_to(row.lam[:, :, None], shape).ravel(), row.lam0])
+    cols = np.concatenate([np.broadcast_to(at[:, None, :], shape).ravel(), col.x[0]])
+    vals = np.concatenate([np.broadcast_to(coef, shape).ravel(), np.ones(n)])
+    keep = vals != 0
+    C = _compressed(rows[keep], cols[keep], vals[keep], (col.dual.size, col.primal.size))
     f = model.f_nodes(grid)
     rhs = _state_blocks(np.zeros(dim), N, n, m)
     rhs.lam[:] = 0.5 * (f[1:] + f[:-1])

@@ -12,6 +12,18 @@ gradient part, and every operator has it: an evaluation is one matrix
 product plus the pieces, on one state or on a block of them, and a
 Jacobian is L plus phi' on the diagonal at fixed coordinates, which the
 implicit step's Newton solve adds onto the factor layout of L.
+
+Each operator binds its product with L once (`_bind_product`): for a
+CSR or CSC L the scipy sparsetools kernel that `L @ x` itself calls, into
+a zeroed output, so the sums are scipy's, term for term; for a dense L
+numpy's matmul.  The kernel lives in a private scipy module
+(`scipy.sparse._sparsetools`); the tests that compare the bound product
+with `L @ x` bit for bit guard against a scipy release that changes it.
+Calling an operator checks the state's shape; inside the package, the
+Newton residuals and step defects of `phcore`'s implicit steps, which
+pass states of the right shape by construction, evaluate M through the
+unchecked `_apply`, and the audits and the accretivity probe evaluate
+it on a block of states through the same bound product.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import DimensionMismatch, InvalidParameter
 
@@ -61,6 +74,7 @@ class MonotoneOperatorSpec:
     affine_offset: Optional[np.ndarray] = None
     nodewise: tuple = ()
     order: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _product: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = self.linear_part
@@ -68,11 +82,14 @@ class MonotoneOperatorSpec:
             L = np.asarray(L, dtype=float)
         elif L.format not in ("csr", "csc"):
             L = L.tocsr()
+        if sparse.issparse(L) and L.dtype != np.float64:
+            L = L.astype(float)
         if L.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"linear part has shape {L.shape}, operator expects "
                 f"({self.dim}, {self.dim})")
         object.__setattr__(self, "linear_part", L)
+        object.__setattr__(self, "_product", _bind_product(L))
         if self.affine_offset is not None:
             g = np.asarray(self.affine_offset, dtype=float)
             if g.shape != (self.dim,):
@@ -93,7 +110,12 @@ class MonotoneOperatorSpec:
             raise DimensionMismatch(
                 f"state has shape {x.shape}, operator expects ({self.dim},)"
             )
-        return self._structured(x, self.linear_part @ x)
+        return self._apply(x)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """M(x) into a new array, for a float state x of shape (dim,),
+        which it does not check."""
+        return self._structured(x, self._product(x))
 
     def _structured(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """L x + g + phi(x) given out = L x, for one state or, with out
@@ -128,12 +150,39 @@ class MonotoneOperatorSpec:
 
     def _diagonal(self, x: np.ndarray) -> np.ndarray:
         """phi'(x) on the coordinates of the pieces, piece after piece."""
+        if len(self.nodewise) == 1:
+            p, = self.nodewise
+            return p.dfn(x[p.lo:p.hi])
         return np.concatenate([p.dfn(x[p.lo:p.hi]) for p in self.nodewise] or [[]])
 
     @property
     def _diagonal_coords(self) -> np.ndarray:
         """The coordinates that `_diagonal` lists, in its order."""
         return np.concatenate([np.arange(p.lo, p.hi) for p in self.nodewise] or [[]]).astype(int)
+
+
+def _bind_product(L):
+    """Return product(x) = L x into a new array, for a float x of shape
+    (dim,), or of shape (dim, k) for k states at once.  For a CSR or CSC L
+    this is scipy's own `L @ x`, the sparsetools kernel (csr_matvec,
+    csr_matvecs or their CSC twins) into a zeroed output, without scipy's
+    dispatch; for a dense L it is numpy's matmul."""
+    if not sparse.issparse(L):
+        return L.__matmul__
+    rows, cols = L.shape
+    vec = getattr(_sparsetools, L.format + "_matvec")
+    vecs = getattr(_sparsetools, L.format + "_matvecs")
+    indptr, indices, data = L.indptr, L.indices, L.data
+
+    def product(x):
+        out = np.zeros((rows,) + x.shape[1:])
+        if x.ndim == 1:
+            vec(rows, cols, indptr, indices, data, x, out)
+        else:
+            vecs(rows, cols, x.shape[1], indptr, indices, data, x.ravel(), out.ravel())
+        return out
+
+    return product
 
 
 def linear(mat, offset=None) -> MonotoneOperatorSpec:

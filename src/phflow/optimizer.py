@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
@@ -35,8 +34,8 @@ from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec, Nodewise
-from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, fold, implicit_stepper,
-                     selection_port)
+from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, _compressed, _entries, fold,
+                     implicit_stepper, selection_port)
 
 # each scheme is the implicit theta-step of `implicit_stepper`
 _SCHEMES = {"implicit_midpoint": 0.5, "implicit_euler": 1.0}
@@ -77,14 +76,21 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
     the saddle part plus the stage gradient on x and alpha u on u as
     nodewise pieces, so the implicit step's Newton matrix is the saddle
     part's band plus a diagonal.  Both factor banded in `stage_order`.
+    The quadratic L is placed by index arrays in one construction, with
+    no stored zero: the saddle's entries, one n x n block of Q at each
+    node's x and alpha at every u.
     """
     stage, alpha = ocp.cost.stage, ocp.cost.alpha
     if stage.is_quadratic:
-        k = np.arange(ocp.N + 2)  # one n x n block of Q per node
-        L = ocp.saddle + sparse.block_diag([
-            sparse.bsr_matrix((np.broadcast_to(stage.Q, (ocp.N + 1, ocp.n, ocp.n)), k[:-1], k)),
-            alpha * sparse.identity((ocp.N + 1) * ocp.m),
-            sparse.csr_matrix((ocp.dual_dim, ocp.dual_dim))])
+        b, shape = ocp.blocks(np.arange(ocp.state_dim)), (ocp.N + 1, ocp.n, ocp.n)
+        u = b.u.ravel()
+        r, c, v = _entries(ocp.saddle)
+        rows, cols, vals = (np.concatenate(e) for e in (
+            (r, np.broadcast_to(b.x[:, :, None], shape).ravel(), u),
+            (c, np.broadcast_to(b.x[:, None, :], shape).ravel(), u),
+            (v, np.broadcast_to(stage.Q, shape).ravel(), np.full(u.size, alpha))))
+        keep = vals != 0
+        L = _compressed(rows[keep], cols[keep], vals[keep], (ocp.state_dim, ocp.state_dim))
         g0 = np.zeros(ocp.state_dim)
         g0[:ocp.primal_dim] = ocp.grad_cost(g0)  # the linear cost term
         M = MonotoneOperatorSpec(ocp.state_dim, linear_part=L,

@@ -22,12 +22,17 @@ state array that grows with the run is needed.
 
 Every operator has the form M(z) = L z + g + phi(z) (see `operators`):
 one matrix product plus a nodewise map.  So it is evaluated on a block
-of trajectory rows at once (`_batch_eval`), and its Jacobian is L plus
-phi' on the diagonal at fixed coordinates.  Every linear solve goes
-through a `_Factor`, which lays out and fills L + shift I once and
-factors it, plus a diagonal d, by LAPACK's banded LU (`dgbtrf`) in an
-operator's `order` (the optimizer's time-stage order, or a closed
-loop's), and otherwise by LAPACK's dense LU or, when sparse, SuperLU.
+of trajectory rows, or of the accretivity probe's samples, at once
+(`_batch_eval`), and its Jacobian is L plus phi' on the diagonal at
+fixed coordinates.  The block evaluations, and the Newton residuals and
+step defects of the implicit steps, which evaluate M through the
+unchecked `_apply`, go through the product that the operator binds once
+(see `operators`); every other evaluation keeps the shape check of
+M(x).  Every linear solve goes through a `_Factor`, which lays out and
+fills L + shift I once and factors it, plus a diagonal d, by LAPACK's
+banded LU (`dgbtrf`) in an operator's `order` (the optimizer's
+time-stage order, or a closed loop's), and otherwise by LAPACK's dense
+LU or, when sparse, SuperLU.
 A Newton iteration copies the base, adds d = phi' on its diagonal
 (`_newton_solver`) and solves with `dgbtrs`.  A linear step factors
 once with no d, folds dgbtrf's row interchanges into its order and
@@ -219,11 +224,11 @@ def newton(residual, solve, x0, norm, tol, r0=None, res0=None):
         if res <= tol:
             break
         step = solve(x, r)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         t = 1.0
         for _ in range(40):
-            x_trial = x - t * step
+            x_trial = x - step if t == 1.0 else x - t * step  # 1.0 * step is step
             r_trial = residual(x_trial)
             res_trial = norm(r_trial)
             if res_trial < res:
@@ -247,6 +252,30 @@ def _coords(A):
         return np.divmod(np.arange(A.size), A.shape[1])
     major = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
     return (major, A.indices) if A.format == "csr" else (A.indices, major)
+
+
+def _entries(A):
+    """(rows, columns, values) of the stored entries of a CSR or CSC A, or
+    of every entry of a dense A."""
+    r, c = _coords(A)
+    return r, c, (A.data if sparse.issparse(A) else A.ravel())
+
+
+def _compressed(rows, cols, vals, shape, fmt: str = "csr"):
+    """The CSR (fmt "csr") or CSC ("csc") matrix of the given shape with
+    vals at (rows, cols), no two of them at one position, in canonical
+    form: each row's (column's) entries sorted, and every entry stored,
+    zero or not.  One sort and one construction: the blocks of an
+    assembled matrix are placed by their index arrays, with the entries
+    and the order that scipy's kron, bmat and block_diag give."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
+    n_major, n_minor = shape if fmt == "csr" else shape[::-1]
+    order = np.argsort(major * n_minor + minor)
+    indptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    matrix = sparse.csr_matrix if fmt == "csr" else sparse.csc_matrix
+    return matrix((np.asarray(vals, dtype=float)[order], minor[order], indptr), shape=shape)
 
 
 class _Factor:
@@ -284,8 +313,8 @@ class _Factor:
         if self.order is None:
             if sparse.issparse(L):
                 self.base = (shift * sparse.identity(L.shape[0], format="csr") + L).tocsr()
-            else:
-                self.base = shift * np.eye(L.shape[0]) + L
+            else:  # column-major, the layout dgetrf factors in place
+                self.base = np.asfortranarray(shift * np.eye(L.shape[0]) + L)
             return
         rank = np.empty_like(self.order)  # position of each state index in the order
         rank[self.order] = np.arange(self.order.size)
@@ -319,7 +348,7 @@ class _Factor:
         c = self.coords
         if sparse.issparse(self.base):
             return _superlu(self.base + sparse.csr_matrix((d, (c, c)), shape=self.base.shape))
-        A = self.base.copy()
+        A = self.base.copy(order="F")
         A[c, c] += d
         return _dense(A)
 
@@ -518,8 +547,9 @@ class _Folded:
 
 
 def _dense(A):
-    """The solve with a dense A by LAPACK's dense LU."""
-    lu, piv, info = dgetrf(A)
+    """The solve with a dense A by LAPACK's dense LU, which overwrites A
+    (column-major, so LAPACK takes it without a copy)."""
+    lu, piv, info = dgetrf(A, overwrite_a=True)
     if info > 0:  # U has an exact zero on its diagonal
         return _singular
     return lambda r: dgetrs(lu, piv, r)[0]
@@ -586,11 +616,11 @@ def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
                 held[:] = b, drive
         # gather and rank are permutations: mode="clip" only skips the
         # bounds checks
-        np.take(z, gather, out=zg, mode="clip")
+        z.take(gather, out=zg, mode="clip")
         np.multiply(zg, scale, out=y)
         np.add(y, drive, out=y)
         solve.sweep(y)
-        out = np.take(y, rank, out=out, mode="clip")
+        out = y.take(rank, out=out, mode="clip")
         if lag == 1.0:  # midpoint: lag * z is z
             np.subtract(out, z, out=out)
         elif lag:
@@ -614,16 +644,13 @@ def _theta_newton(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: fl
     solve_at = _newton_solver(M, 1.0 / c)
 
     def run(z, b, predictor, r_z=None):
-        rest = (1.0 - theta) * z
+        rest = (1.0 - theta) * z  # the stage is theta p + rest
 
-        def stage(p):
-            return theta * p + rest
-
-        def residual(p):
-            return p - z - h * (-M(stage(p)) + b)
+        def residual(p):  # b - M(stage) is -M(stage) + b, bit for bit
+            return p - z - h * (b - M._apply(theta * p + rest))
 
         def solve(p, r):
-            return solve_at(stage(p), r / c)
+            return solve_at(theta * p + rest, r / c)
 
         if r_z is None:
             r_z = residual(z)
@@ -681,7 +708,7 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
     def step(z, b, out=None):
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
-        drift = h * (-M(z) + b)
+        drift = h * (b - M._apply(z))
         z_next, res = run(z, b, z + drift, -drift)
         if out is None:
             return z_next, res
@@ -741,22 +768,30 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     M1 = MonotoneOperatorSpec(d1, linear_part=L11, affine_offset=g1, nodewise=M.nodewise)
     Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
     run = _theta_newton(Mc, h, theta, Metric(metric.weights[:d1]).norm, tol)
+    a = np.empty(M.dim - d1)  # member 2's own step, rewritten by every step
+    # the last b and its parts: the same b gives the same views, so the
+    # linear step of a read-only b2 prepares its drive once
+    held = [None, None, None]
+    lag = 1.0 - theta
 
     def step(z, b, out=None):
         z1, z2 = z[:d1], z[d1:]
-        b1, b2 = (b, b) if np.ndim(b) == 0 else (b[:d1], b[d1:])
-        a = step2(z2, b2, np.empty(z2.size))
-        w = K12 @ (theta * a[port] + (1.0 - theta) * z2[port]) - b1
+        if b is not held[0]:
+            held[:] = (b, b, b) if np.ndim(b) == 0 else (b, b[:d1], b[d1:])
+        _, b1, b2 = held
+        step2(z2, b2, a)
+        z2p = z2[port]
+        w = K12 @ (theta * a[port] + lag * z2p) - b1
         # member 1's part of the explicit predictor z + h*(-M(z) + b)
-        predictor = z1 + h * (b1 - M1(z1) - K12 @ z2[port])
+        predictor = z1 + h * (b1 - M1._apply(z1) - K12 @ z2p)
         p, _ = run(z1, -w, predictor)
         z_next = np.empty_like(z) if out is None else out
         z_next[:d1] = p
-        o = np.matmul(V, theta * p + (1.0 - theta) * z1, out=z_next[d1:])
+        o = np.matmul(V, theta * p + lag * z1, out=z_next[d1:])
         o *= -h
         o += a  # a - h V s
         # the full step defect z_next - z + h (M(stage) - b), in place
-        defect = M(theta * z_next + (1.0 - theta) * z)
+        defect = M._apply(theta * z_next + lag * z)
         defect -= b
         defect *= h
         defect += z_next
@@ -836,26 +871,49 @@ def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
     if n_pairs < 1:
         raise InvalidParameter("n_pairs must be at least 1")
     gen = np.random.default_rng(rng)  # a Generator is returned as it is
+    if x_bar is not None:
+        x_bar = np.asarray(x_bar, dtype=float)
+        if x_bar.shape != (M.dim,):
+            raise DimensionMismatch(
+                f"x_bar has shape {x_bar.shape}, operator expects ({M.dim},)")
     min_gap = np.inf
     c_estimate = np.inf
     violation = False
-    for _ in range(n_pairs):
-        x1 = gen.standard_normal(M.dim)
-        if x_bar is not None:
-            x2 = np.asarray(x_bar, dtype=float)
-            x1 = x2 + x1
+    # the pairs in blocks of _ROW_BLOCK samples, X[i] = (x1, x2) of pair
+    # i, drawn in the order of a loop over the pairs: x1 then x2, or x1
+    # alone about x_bar
+    for lo in range(0, n_pairs, _ROW_BLOCK // 2):
+        k = min(_ROW_BLOCK // 2, n_pairs - lo)
+        if x_bar is None:
+            X = gen.standard_normal((k, 2, M.dim))
         else:
-            x2 = gen.standard_normal(M.dim)
-        d = x1 - x2
-        nd2 = metric.inner(d, d)
-        if nd2 == 0.0:
-            continue
-        gap = metric.inner(M(x1) - M(x2), d)
-        min_gap = min(min_gap, gap)
-        c_estimate = min(c_estimate, gap / nd2)
-        if gap < -tol * (1.0 + metric.inner(x1, x1) + metric.inner(x2, x2)):
-            violation = True
+            X = np.empty((k, 2, M.dim))
+            np.add(x_bar, gen.standard_normal((k, M.dim)), out=X[:, 0])
+            X[:, 1] = x_bar
+        sq, nd2, gaps = _pair_dots(M, metric, X)
+        for i in range(k):
+            if nd2[i] == 0.0:
+                continue
+            gap = float(gaps[i])
+            min_gap = min(min_gap, gap)
+            c_estimate = min(c_estimate, gap / float(nd2[i]))
+            if gap < -tol * (1.0 + float(sq[i, 0]) + float(sq[i, 1])):
+                violation = True
     return ProbeReport(float(min_gap), float(c_estimate), violation, n_pairs)
+
+
+def _pair_dots(M: MonotoneOperatorSpec, metric: Metric, X: np.ndarray):
+    """For the pairs X[i] = (x1, x2): the squared metric norms of x1 and
+    x2, ||x1 - x2||^2 and <M(x1) - M(x2), x1 - x2>, each a dot product of
+    contiguous rows, as `Metric.inner` takes it, with M evaluated on
+    every sample at once."""
+    w = metric.weights
+    MX = _batch_eval(M, X.reshape(-1, M.dim))
+    sq = _row_dots(w * X, X)
+    D = X[:, 0] - X[:, 1]
+    G = np.subtract(MX[0::2], MX[1::2], order="C")
+    del MX  # three blocks of samples at most are alive at once
+    return sq, _row_dots(w * D, D), _row_dots(w * G, D)
 
 
 @dataclass(frozen=True)
@@ -867,9 +925,15 @@ class PowerBalanceReport:
 
 
 def _batch_eval(M: MonotoneOperatorSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate M on each row of X into a new array: one matrix product
-    plus the nodewise pieces."""
-    return M._structured(X, (M.linear_part @ X.T).T)
+    """Evaluate M on each row of X into a new array: one bound matrix
+    product (see `operators`) plus the nodewise pieces."""
+    return M._structured(X, M._product(X.T).T)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each pair of matching rows (last axis) of a and b, row
+    by row as np.dot takes them (a stacked matmul of 1 x d by d x 1)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -1068,15 +1132,50 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     return SteadyStatePair(x, u_bar, sys.output(x))
 
 
-def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
-                   split1: int, split2: int) -> sparse.csr_matrix:
-    """Sparse skew coupling block added to diag(M1, M2) by interconnect.
+def _columns(B, lo: int, hi: int):
+    """(rows, columns - lo, values) of the columns [lo, hi) of an input
+    matrix: the stored entries of a sparse (CSC) B, every entry of a
+    dense one."""
+    if sparse.issparse(B):
+        s, e = B.indptr[lo], B.indptr[hi]
+        cols = np.repeat(np.arange(hi - lo), np.diff(B.indptr[lo:hi + 1]))
+        return B.indices[s:e], cols, B.data[s:e]
+    r, c = np.divmod(np.arange(B.shape[0] * (hi - lo)), hi - lo)
+    return r, c, B[:, lo:hi].ravel()
 
-    Its two blocks, B1c F b2c* in the rows of system 1 and its partner
-    -B2c F* b1c* in the rows of system 2, have rank at most
-    min(split1, split2) and are nonzero only in the rows and columns
-    that the coupled ports touch.
-    """
+
+def _port(sys: PHSystem, split: int):
+    """The state rows that the first split columns of sys.B reach, the
+    dense block Bc of those columns on them, and on them its metric
+    adjoint's block (Bc^T W) / w_port, entry by entry as
+    `metric.adjoint` forms a sparse adjoint."""
+    r, c, v = _columns(sys.B, 0, split)
+    keep = v != 0
+    rows, at = np.unique(r[keep], return_inverse=True)
+    block = np.zeros((rows.size, split))
+    block[at, c[keep]] = v[keep]
+    star = (block.T * sys.metric.weights[rows]) / sys.input_metric.weights[:split, None]
+    return rows, block, star
+
+
+def _chain(A, F, S):
+    """A @ F @ S for small dense factors, each product summed over its
+    inner index in ascending order from 0, term by term.  These are the
+    sums of scipy's sparse products (csr_matmat) of the same factors:
+    it adds the terms of the stored entries in that order, and the terms
+    of the zeros it skips change no finite sum."""
+    P = np.zeros((A.shape[0], F.shape[1]))
+    for j in range(F.shape[0]):
+        P += A[:, j, None] * F[j]
+    K = np.zeros((A.shape[0], S.shape[1]))
+    for k in range(S.shape[0]):
+        K += P[:, k, None] * S[k]
+    return K
+
+
+def _coupling_entries(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
+                      split1: int, split2: int):
+    """(rows, columns, values) of `coupling_block`, every value nonzero."""
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if not (0 <= split1 <= sys1.input_dim and 0 <= split2 <= sys2.input_dim):
         raise DimensionMismatch("port split outside the input dimension")
@@ -1084,16 +1183,34 @@ def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         raise DimensionMismatch(
             f"coupling map F has shape {F.shape}, expected ({split1}, {split2})"
         )
-    B1c = sparse.csc_matrix(sys1.B[:, :split1])
-    B2c = sparse.csc_matrix(sys2.B[:, :split2])
     p1, _ = sys1.input_metric.split(split1)
     p2, _ = sys2.input_metric.split(split2)
-    b1c_star = adjoint(B1c, p1, sys1.metric)
-    b2c_star = adjoint(B2c, p2, sys2.metric)
-    f_star = sparse.csr_matrix(adjoint(F, p2, p1))
-    F = sparse.csr_matrix(F)
-    return sparse.bmat([[None, B1c @ F @ b2c_star],
-                        [-B2c @ f_star @ b1c_star, None]], format="csr")
+    rows1, B1c, b1c_star = _port(sys1, split1)
+    rows2, B2c, b2c_star = _port(sys2, split2)
+    d1 = sys1.dim
+    blocks = ((rows1, d1 + rows2, _chain(B1c, F, b2c_star)),
+              (d1 + rows2, rows1, _chain(-B2c, adjoint(F, p2, p1), b1c_star)))
+    entries = []
+    for r, c, K in blocks:
+        i, j = np.nonzero(K)
+        entries.append((r[i], c[j], K[i, j]))
+    return tuple(map(np.concatenate, zip(*entries)))
+
+
+def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
+                   split1: int, split2: int) -> sparse.csr_matrix:
+    """Sparse skew coupling block added to diag(M1, M2) by interconnect.
+
+    Its two blocks, B1c F b2c* in the rows of system 1 and its partner
+    -B2c F* b1c* in the rows of system 2, have rank at most
+    min(split1, split2) and are nonzero only in the rows and columns
+    that the coupled ports touch.  Both are formed on those rows and
+    columns alone (`_chain`), bit for bit as the sparse products
+    `B1c @ F @ b2c*` and `-B2c @ F* @ b1c*` give them, with no stored
+    zero.
+    """
+    dim = sys1.dim + sys2.dim
+    return _compressed(*_coupling_entries(sys1, sys2, F, split1, split2), (dim, dim))
 
 
 def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
@@ -1117,10 +1234,11 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     concatenation (the identity
     for a member without one): `couple` puts the plant first, so a
     closed loop's order is the plant ahead of the optimizer's time
-    stages, and its matrices stay banded.
+    stages, and its matrices stay banded.  L and a sparse B are placed
+    by their index arrays, one construction each; L stores no zero, and
+    B every entry of a dense member's block.
     """
-    K = coupling_block(sys1, sys2, F, split1, split2)
-    d1 = sys1.dim
+    d1, dim = sys1.dim, sys1.dim + sys2.dim
     M1, M2 = sys1.M, sys2.M
     affine = None
     if M1.affine_offset is not None or M2.affine_offset is not None:
@@ -1131,17 +1249,27 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     if M1.order is not None or M2.order is not None:
         order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
                                 d1 + (np.arange(M2.dim) if M2.order is None else M2.order)])
+    (r1, c1, v1), (r2, c2, v2) = _entries(M1.linear_part), _entries(M2.linear_part)
+    rk, ck, vk = _coupling_entries(sys1, sys2, F, split1, split2)
+    rows, cols, vals = (np.concatenate(e) for e in ((rk, r1, d1 + r2), (ck, c1, d1 + c2),
+                                                     (vk, v1, v2)))
+    keep = vals != 0
+    L = _compressed(rows[keep], cols[keep], vals[keep], (dim, dim))
 
-    B = sparse.block_diag([sys1.B[:, split1:], sys2.B[:, split2:]], format="csc")
-    if not (sparse.issparse(sys1.B) or sparse.issparse(sys2.B)):
-        B = B.toarray()
+    o1, o2 = sys1.input_dim - split1, sys2.input_dim - split2
+    if sparse.issparse(sys1.B) or sparse.issparse(sys2.B):
+        (r1, c1, v1), (r2, c2, v2) = (_columns(sys1.B, split1, sys1.input_dim),
+                                      _columns(sys2.B, split2, sys2.input_dim))
+        B = _compressed(np.concatenate([r1, d1 + r2]), np.concatenate([c1, o1 + c2]),
+                        np.concatenate([v1, v2]), (dim, o1 + o2), "csc")
+    else:
+        B = np.zeros((dim, o1 + o2))  # each block added onto zeros, as toarray does
+        B[:d1, :o1] += sys1.B[:, split1:]
+        B[d1:, o1:] += sys2.B[:, split2:]
     _, open1 = sys1.input_metric.split(split1)
     _, open2 = sys2.input_metric.split(split2)
     return PHSystem(
-        MonotoneOperatorSpec(sys1.dim + sys2.dim,
-                             K + sparse.block_diag([M1.linear_part, M2.linear_part],
-                                                   format="csr"),
-                             affine, nodewise, order),
+        MonotoneOperatorSpec(dim, L, affine, nodewise, order),
         B,
         sys1.metric.concat(sys2.metric),
         open1.concat(open2),

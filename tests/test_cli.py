@@ -580,6 +580,25 @@ def test_singular_kkt_system_exits_3_with_residual(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, code", [(["--help"], 0), ([], 2)])
+def test_generate_golden_writes_only_to_an_explicit_out(args, code):
+    # --help, and a run without --out, leave the committed golden file's
+    # bytes as they are: only --out PATH writes
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "golden" / "kkt_double_integrator_N64.csv"
+    before = golden.read_bytes()
+    src = str(Path(phflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "generate_golden.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "--out" in proc.stdout + proc.stderr and "wrote" not in proc.stdout
+    assert golden.read_bytes() == before
+
+
 @pytest.mark.parametrize("mode, section, key, value, code, message", [
     ("solve", "ocp", "N", 1e300, 2, "ocp: grid size N exceeds"),
     ("solve", "ocp", "N", 10**18, 2, "ocp.N: too large to allocate"),
