@@ -13,8 +13,9 @@ gamma = 1/alpha.  For each N the script builds the loop with
 ``--reps`` repeats of:
 
 - ``couple_s``: closing the loop (coupling block and composed system);
-- ``factor_s``: building the implicit-midpoint stepper, which factors
-  I + h/2 L once;
+- ``factor_s``: building the implicit-midpoint stepper for the loop's
+  constant input, which factors I + h/2 L once and forms the step's
+  drive once, as ``phflow.optimizer.stream_flow`` builds it;
 - ``step_ms``: one step, the mean over ``--steps`` consecutive steps;
 - ``cubic_setup_s``: building the stepper of the same loop closed
   against the cubic plant R = I, kappa = 1 instead, which factors the
@@ -86,7 +87,7 @@ def _assemble_loop(model, grid, cost, spec):
     cls = pf.couple(pf.assemble_optimizer(ocp), pf.assemble_plant(spec), ocp,
                     pf.CouplingSpec("inv_alpha"))
     cls.initial_state(spec.x_p0)
-    return implicit_stepper(cls.sys.M, H_T, 0.5, cls.sys.metric, NEWTON_TOL)
+    return implicit_stepper(cls.sys.M, H_T, 0.5, cls.sys.metric, NEWTON_TOL, 0.0)
 
 
 def _timed(fn):
@@ -96,13 +97,17 @@ def _timed(fn):
 
 
 def _factor_and_step(sys, z0, b, steps: int):
-    step, factor_s = _timed(lambda: implicit_stepper(sys.M, H_T, 0.5, sys.metric, NEWTON_TOL))
-    z = z0
+    """The stepper built for the constant input b, as a flow builds it,
+    and its steps from z0, which alternate between two rows."""
+    step, factor_s = _timed(
+        lambda: implicit_stepper(sys.M, H_T, 0.5, sys.metric, NEWTON_TOL, b))
+    z, z_next = np.array(z0, dtype=float), np.empty(sys.dim)
     t = time.perf_counter()
     for _ in range(steps):
-        z, res = step(z, b)
+        res = step(z, z_next)
         if not res <= NEWTON_TOL:
             raise pf.NonConvergence("timed step failed", residual=res)
+        z, z_next = z_next, z
     return factor_s, (time.perf_counter() - t) / steps
 
 

@@ -36,8 +36,7 @@ from scipy import sparse
 
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
-from .operators import linear
-from .phcore import _compressed, _entries, implicit_stepper, steady_state
+from .phcore import _Factor, _compressed, _entries, steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,9 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     """March the trapezoidal stencil forward; exact discrete feasibility.
 
     The returned samples satisfy C_h (x, u) = rhs to machine precision
-    by construction.
+    by construction.  Each step is the linear midpoint step of dx/dtau =
+    A x + b_i, x_i+1 = F^{-1} (2 x_i + h b_i) - x_i, F = I - (h/2) A factored
+    once (`_Factor`); b_i varies, so it is not a constant-input stepper.
     """
     n, m, N, h = model.n, model.m, grid.N, grid.h
     u_nodes = np.asarray(u_nodes, dtype=float).reshape(N + 1, m)
@@ -427,19 +428,19 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     # exact singularity and near-singularity both invalidate the step
     if abs(np.linalg.det(lhs)) < 1e-14 * max(1.0, np.linalg.norm(lhs)) ** n:
         raise SingularStep("I - (h/2) A is singular; reduce the step h")
-    # the trapezoid step is the implicit midpoint step of dx/dtau = A x + b
-    step = implicit_stepper(linear(-A), h, 0.5, Metric.euclidean(n), 0.0)
+    solve = _Factor(lhs, 0.0).solver()
     f = model.f_nodes(grid)
-    # the drive B ubar + fbar of every interval, B ubar row by row
+    # h times the drive B ubar + fbar of every interval, B ubar row by row
     ubar = 0.5 * (u_nodes[1:] + u_nodes[:-1])
     drive = np.empty((N, n))
     for i in range(N):
         drive[i] = B @ ubar[i]
     drive += 0.5 * (f[1:] + f[:-1])
+    drive *= h
     x = np.empty((N + 1, n))
     x[0] = model.x0
     for i in range(N):
-        step(x[i], drive[i], x[i + 1])
+        np.subtract(solve(x[i] * 2.0 + drive[i]), x[i], out=x[i + 1])
     if not np.all(np.isfinite(x)):
         raise SingularStep("forward marching produced non-finite states")
     return x

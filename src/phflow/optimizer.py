@@ -140,11 +140,12 @@ class FlowStream:
     integrate_flow collects, and z0 is its first state.  Each call of
     `blocks()` runs the flow from z0 and yields what `Trajectory.blocks`
     yields for that trajectory; the states of every block sit in one
-    buffer of _ROW_BLOCK + 1 rows, which each step writes its row of, so
-    a block is valid until the next.  A step whose residual misses tol
+    buffer of _ROW_BLOCK + 1 rows, whose next row advance, the
+    `implicit_stepper` of the run's constant input, writes at each step,
+    so a block is valid until the next.  A step whose residual misses tol
     raises NonConvergence with its index; so does the first non-finite
     state, found by one check of each block before any fold sees it (a
-    linear step measures no defect, see `implicit_stepper`).
+    linear step measures no defect).
     """
 
     times: np.ndarray
@@ -181,10 +182,10 @@ def stream_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     """dz/dt = -M(z) + B u with a constant input on [0, T], as a stream.
 
     Each step is the implicit theta-step of the scheme (theta = 1/2 for
-    midpoint, 1 for Euler), factored here once; the steps run as the
-    blocks are taken, and a step whose residual misses the Newton
-    tolerance, or whose state is not finite, raises NonConvergence with
-    its index."""
+    midpoint, 1 for Euler), whose stepper, built here once for the drive
+    B u_const, is the stream's advance; the steps run as the blocks are
+    taken, and a step whose residual misses the Newton tolerance, or
+    whose state is not finite, raises NonConvergence with its index."""
     if T <= 0:
         raise InvalidParameter("integration horizon T must be positive")
     z0 = np.asarray(z0, dtype=float).reshape(-1)
@@ -193,14 +194,11 @@ def stream_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,
     u_const = np.array(u_const, dtype=float).reshape(sys.input_dim)
     steps = _step_count(cfg.h_t, T)
     h, theta = cfg.h_t, _SCHEMES[cfg.scheme]
-    step = implicit_stepper(sys.M, h, theta, sys.metric, cfg.newton_tol)
-    # the input is constant: one read-only row repeated, never copied, and
-    # one read-only drive, which a linear step prepares once
-    b = sys.B @ u_const
-    b.flags.writeable = False
+    step = implicit_stepper(sys.M, h, theta, sys.metric, cfg.newton_tol, sys.B @ u_const)
+    # the input is constant: one read-only row repeated, never copied
     inputs = np.broadcast_to(u_const, (steps + 1, u_const.size))
     return FlowStream(h * np.arange(steps + 1, dtype=float), inputs, theta, h, z0,
-                      lambda z, out: step(z, b, out)[1], cfg.newton_tol)
+                      step, cfg.newton_tol)
 
 
 def integrate_flow(sys: PHSystem, z0: np.ndarray, u_const: np.ndarray,

@@ -38,15 +38,16 @@ A Newton iteration copies the base, adds d = phi' on its diagonal
 once with no d, folds dgbtrf's row interchanges into its order and
 scales U to a unit diagonal (`_fold`), and solves each step by unit
 triangular sweeps over bands only as wide as their columns reach
-(`_unit_bands`), with no product with L, writing the result straight
-into the caller's row (`_linear_step`).  A steady-state solve holds one
-`_Factor`, and so does `_theta_newton`, the one Newton run of every
-nonlinear implicit step: it alone defines the step's residual, Newton
-solve and start.  Where phi lives in leading coordinates ahead of a
-linear banded rest, as in a cubic plant closed against an LQ optimizer,
-the stepper eliminates the linear rest, factoring its band once, and
-runs that Newton run on the leading block, whose factor is dense
-(`_condensed_stepper`).  The structure alone picks the path.
+(`_unit_bands`), with no product with L (`_linear_step`).  A
+steady-state solve holds one `_Factor`, and so does `_theta_newton`, the
+one Newton run of every nonlinear implicit step: it alone defines the
+step's residual, Newton solve and start.  Where phi lives in leading
+coordinates ahead of a linear banded rest, as in a cubic plant closed
+against an LQ optimizer, the stepper eliminates the linear rest,
+factoring its band once, and runs that Newton run on the leading block,
+whose factor is dense (`_condensed_stepper`).  The structure alone picks
+the path; on each, a stepper is built for its constant input and each
+step(z, out) writes z_next into the caller's row (`implicit_stepper`).
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def _fold(lu, piv, kl: int, ku: int, order):
     # columns, which the loop never moves and no sweep reads
     mult = lu[kl + ku + 1:]
     t, j = np.nonzero((rows < n) & (mult != 0))
-    lower, s = _unit_bands(rows[t, j], j, mult[t, j], n, kl, lower=True)
+    lower = _unit_bands(rows[t, j], j, mult[t, j], n, kl, lower=True)
     del rows
     # U': lu's row t holds U's entries kl + ku - t above the diagonal, in
     # the rows i; its slots with i < 0, in the first columns, are not U's
@@ -438,14 +439,14 @@ def _fold(lu, piv, kl: int, ku: int, order):
     t, j = np.nonzero(lu[:kl + ku])
     i = j - (kl + ku - t)
     t, j, i = t[i >= 0], j[i >= 0], i[i >= 0]
-    upper, _ = _unit_bands(i, j, lu[t, j] / diag[i], n, ku, lower=False)
+    upper = _unit_bands(i, j, lu[t, j] / diag[i], n, ku, lower=False)
     entries = n + sum((0 if ab is None else ab.size) + (0 if cross is None else cross[2].size)
                       for _, _, ab, cross in lower + upper)
     if entries > budget:
         return None
     rank = np.empty_like(order)  # the position of each state index in the order
     rank[order] = np.arange(n)
-    return _Folded(gather, rank, lower, 1.0 / diag, upper, s)
+    return _Folded(gather, rank, lower, 1.0 / diag, upper)
 
 
 def _unit_bands(rows, cols, vals, n: int, width: int, lower: bool):
@@ -462,8 +463,7 @@ def _unit_bands(rows, cols, vals, n: int, width: int, lower: bool):
     Returns the bands in sweep order (forward for lower, backward for
     upper), each (lo, k, ab, cross): ab in dtbsv's storage of width k for
     the columns [lo, lo + ab.shape[1]), or None for k = 0, and cross,
-    (r0, c0, E) with E at rows r0.. and columns c0.., or None; and the
-    start of the bulk."""
+    (r0, c0, E) with E at rows r0.. and columns c0.., or None."""
     dist = np.abs(rows - cols)
     reach = np.zeros(n, dtype=int)
     np.maximum.at(reach, cols, dist)
@@ -495,7 +495,7 @@ def _unit_bands(rows, cols, vals, n: int, width: int, lower: bool):
             cross = (r0, c0, E)
         if ab is not None or cross is not None:
             bands.append((lo, kb, ab, cross))
-    return (bands if lower else bands[::-1]), a
+    return bands if lower else bands[::-1]
 
 
 def _sweep(bands, y, lower: int):
@@ -515,14 +515,13 @@ class _Folded:
     interchanges, solve in place with L', 1/D and U' (`sweep`), and
     gather the result back by rank, the inverse of the order.  It agrees
     with dgbtrs on the same factors to rounding.  A 2-D right side is
-    solved column by column.  s is where L's bulk begins: the columns
-    before it hold the chains of interchanges."""
+    solved column by column."""
 
-    __slots__ = ("gather", "rank", "lower", "dinv", "upper", "s")
+    __slots__ = ("gather", "rank", "lower", "dinv", "upper")
 
-    def __init__(self, gather, rank, lower, dinv, upper, s):
+    def __init__(self, gather, rank, lower, dinv, upper):
         self.gather, self.rank = gather, rank
-        self.lower, self.dinv, self.upper, self.s = lower, dinv, upper, s
+        self.lower, self.dinv, self.upper = lower, dinv, upper
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -571,61 +570,49 @@ def _newton_solver(M: MonotoneOperatorSpec, shift: float):
     return lambda x, r: factor.solver(M._diagonal(x))(r)
 
 
-def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float):
-    """Return (step, solve) for a linear M: step(z, b, out=None) returns
-    the implicit theta-step's z_next, written into out when given (out
-    must not be z), and solve is the solve with F = I + theta*h*L that it
-    is built on, factored once by one `_Factor` in M's order
-    (`_Factor.step_solver`).  The step's right side needs no product
-    with L: I - (1-theta)*h*L = I/theta - ((1-theta)/theta) F, so
+def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float, b: np.ndarray):
+    """Return (step, solve) for a linear M under the constant input b, a
+    (dim,) array: the step of `implicit_stepper`, residual 0, and the
+    solve with F = I + theta*h*L, factored once by one `_Factor` in M's
+    order (`_Factor.step_solver`).  The step's right side needs no
+    product with L: I - (1-theta)*h*L = I/theta - ((1-theta)/theta) F, so
 
         z_next = F^{-1} (z/theta + h (b - g)) - ((1-theta)/theta) z,
 
-    one solve and two vector operations; at theta = 1 the last term is
-    dropped, so the step is F^{-1} (z + h (b - g)).  With a `_Folded`
-    solve the step works in the gathered order: it gathers z into a
-    buffer, scales it by 1/theta, adds h (b - g) gathered, sweeps in
-    place, and gathers the result by rank straight into out.  A
-    read-only b is a constant input (`optimizer.stream_flow`'s): its
-    gathered drive is formed once, for as long as the same b is passed.
+    one solve and two vector operations after the drive h (b - g), formed
+    here once; at theta = 1 the last term is dropped.  With a `_Folded`
+    solve the drive is gathered once, and each step gathers z into a
+    buffer, scales it by 1/theta, adds the drive, sweeps in place and
+    gathers the result by rank straight into out.
     """
     solve = _Factor((theta * h) * M.linear_part, 1.0, order=M.order).step_solver()
-    offset, scale, lag = M.offset, 1.0 / theta, (1.0 - theta) / theta
+    scale, lag = 1.0 / theta, (1.0 - theta) / theta
+    drive = h * (b - M.offset)
     if not isinstance(solve, _Folded):
-        def step(z, b, out=None):
-            z_next = solve(z * scale + h * (b - offset))
-            if out is not None:
-                out[:] = z_next
-                z_next = out
+        def step(z, out):
+            out[:] = solve(z * scale + drive)
             if lag:
-                z_next -= lag * z
-            return z_next
+                out -= lag * z
+            return 0.0
 
         return step, solve
 
-    gather, rank = solve.gather, solve.rank
+    gather, rank, drive = solve.gather, solve.rank, drive[solve.gather]
     zg, y = np.empty(M.dim), np.empty(M.dim)
-    held = [None, None]  # a read-only b and its gathered drive
 
-    def step(z, b, out=None):
-        if b is held[0]:
-            drive = held[1]
-        else:
-            drive = (h * (b - offset))[gather]
-            if isinstance(b, np.ndarray) and not b.flags.writeable:
-                held[:] = b, drive
+    def step(z, out):
         # gather and rank are permutations: mode="clip" only skips the
         # bounds checks
         z.take(gather, out=zg, mode="clip")
         np.multiply(zg, scale, out=y)
         np.add(y, drive, out=y)
         solve.sweep(y)
-        out = y.take(rank, out=out, mode="clip")
+        y.take(rank, out=out, mode="clip")
         if lag == 1.0:  # midpoint: lag * z is z
             np.subtract(out, z, out=out)
         elif lag:
             np.subtract(out, np.multiply(z, lag, out=zg), out=out)
-        return out
+        return 0.0
 
     return step, solve
 
@@ -664,16 +651,17 @@ def _theta_newton(M: MonotoneOperatorSpec, h: float, theta: float, norm, tol: fl
 
 
 def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Metric,
-                     tol: float):
-    """Return step(z, b, out=None) -> (z_next, residual) solving the
-    implicit step
+                     tol: float, b):
+    """Return step(z, out) -> residual for the implicit step
 
-        z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b),
+        z_next = z + h * (-M(theta*z_next + (1-theta)*z) + b)
 
-    written into out when given (a row of the caller's buffer) and into
-    a new array otherwise.  theta = 1 with b = 0 is the resolvent
+    under the constant input b, a scalar or a (dim,) vector, which is
+    copied here once into a (dim,) array; a b of another shape raises
+    DimensionMismatch.  Each step writes z_next into out, the caller's
+    row, which must not be z, and returns the metric norm of the step
+    equation's defect.  theta = 1 with b = 0 is the resolvent
     (I + h M)^{-1}; theta = 1/2 is the implicit midpoint rule.  The
-    residual is the metric norm of the step equation's defect.  The
     structure of M picks one of three paths:
 
     - Linear M factors I + theta*h*L once, folds its row interchanges
@@ -691,38 +679,35 @@ def implicit_stepper(M: MonotoneOperatorSpec, h: float, theta: float, metric: Me
       M, with the explicit predictor z + h*(-M(z) + b) as its
       alternative start.
     """
+    b = np.asarray(b, dtype=float)
+    if b.shape not in ((), (M.dim,)):
+        raise DimensionMismatch(f"step input b has shape {b.shape}, expected () or ({M.dim},)")
+    b = np.full(M.dim, b)
     if M.is_linear:
-        step_linear, _ = _linear_step(M, h, theta)
-
-        def step(z, b, out=None):
-            return step_linear(z, b, out), 0.0
-
-        return step
+        return _linear_step(M, h, theta, b)[0]
     if M.order is not None:
         d1 = max(p.hi for p in M.nodewise)
         if d1 < M.dim and np.array_equal(M.order[:d1], np.arange(d1)):
-            return _condensed_stepper(M, d1, h, theta, metric, tol)
+            return _condensed_stepper(M, d1, h, theta, metric, tol, b)
 
     run = _theta_newton(M, h, theta, metric.norm, tol)
 
-    def step(z, b, out=None):
+    def step(z, out):
         # the step residual at z_next = z is -drift, so the start costs
         # no more evaluations of M than the predictor alone
         drift = h * (b - M._apply(z))
-        z_next, res = run(z, b, z + drift, -drift)
-        if out is None:
-            return z_next, res
-        out[:] = z_next
-        return out, res
+        out[:], res = run(z, b, z + drift, -drift)
+        return res
 
     return step
 
 
 def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
-                       metric: Metric, tol: float):
+                       metric: Metric, tol: float, b: np.ndarray):
     """The implicit theta-step of M(x) = L x + g + phi(x) with phi on the
     leading coordinates [0, d1) alone, with the linear rest eliminated
-    exactly.
+    exactly: the step of `implicit_stepper` for the constant input b, a
+    (dim,) array split here once into b1 and b2 at d1.
 
     Split L into blocks at d1, L = [[L11, K12], [K21, L22]] (for a closed
     loop: the plant, the coupling and the optimizer), member 1 is
@@ -757,7 +742,8 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     M2 = MonotoneOperatorSpec(M.dim - d1, linear_part=L[d1:, d1:],
                               affine_offset=None if g is None else g[d1:],
                               order=M.order[d1:] - d1)
-    step2, solve2 = _linear_step(M2, h, theta)
+    b1 = b[:d1]
+    step2, solve2 = _linear_step(M2, h, theta, b[d1:])
     # member 1 reads member 2 only at the port coordinates (a closed
     # loop's lam0), so K12 is kept as its small dense block in them
     K12 = L[:d1, d1:].tocsc()
@@ -769,34 +755,27 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
     run = _theta_newton(Mc, h, theta, Metric(metric.weights[:d1]).norm, tol)
     a = np.empty(M.dim - d1)  # member 2's own step, rewritten by every step
-    # the last b and its parts: the same b gives the same views, so the
-    # linear step of a read-only b2 prepares its drive once
-    held = [None, None, None]
     lag = 1.0 - theta
 
-    def step(z, b, out=None):
+    def step(z, out):
         z1, z2 = z[:d1], z[d1:]
-        if b is not held[0]:
-            held[:] = (b, b, b) if np.ndim(b) == 0 else (b, b[:d1], b[d1:])
-        _, b1, b2 = held
-        step2(z2, b2, a)
+        step2(z2, a)
         z2p = z2[port]
         w = K12 @ (theta * a[port] + lag * z2p) - b1
         # member 1's part of the explicit predictor z + h*(-M(z) + b)
         predictor = z1 + h * (b1 - M1._apply(z1) - K12 @ z2p)
         p, _ = run(z1, -w, predictor)
-        z_next = np.empty_like(z) if out is None else out
-        z_next[:d1] = p
-        o = np.matmul(V, theta * p + lag * z1, out=z_next[d1:])
+        out[:d1] = p
+        o = np.matmul(V, theta * p + lag * z1, out=out[d1:])
         o *= -h
         o += a  # a - h V s
         # the full step defect z_next - z + h (M(stage) - b), in place
-        defect = M._apply(theta * z_next + lag * z)
+        defect = M._apply(theta * out + lag * z)
         defect -= b
         defect *= h
-        defect += z_next
+        defect += out
         defect -= z
-        return z_next, metric.norm(defect)
+        return metric.norm(defect)
 
     return step
 
@@ -830,9 +809,11 @@ def semigroup_approx(M: MonotoneOperatorSpec, t: float, n: int, x0: np.ndarray,
     x = np.asarray(x0, dtype=float).copy()
     if t == 0.0:
         return x
-    step = implicit_stepper(M, t / n, 1.0, metric or Metric.euclidean(M.dim), tol)
+    step = implicit_stepper(M, t / n, 1.0, metric or Metric.euclidean(M.dim), tol, 0.0)
+    y = np.empty_like(x)
     for k in range(n):
-        x, res = step(x, 0.0)
+        res = step(x, y)
+        x, y = y, x  # the steps alternate between two buffers
         if not np.all(np.isfinite(x)):  # a linear step measures no defect
             res = np.inf
         if not res <= tol:

@@ -374,8 +374,8 @@ def test_linear_step_solves_leave_no_cyclic_garbage():
     gc.disable()
     try:
         for sys in (opt, loop):
-            step = phcore.implicit_stepper(sys.M, 0.01, 0.5, sys.metric, 1e-10)
-            step(np.ones(sys.dim), np.zeros(sys.dim))
+            step = phcore.implicit_stepper(sys.M, 0.01, 0.5, sys.metric, 1e-10, np.zeros(sys.dim))
+            step(np.ones(sys.dim), np.empty(sys.dim))
             del step
             assert gc.collect() == 0
     finally:
@@ -438,13 +438,97 @@ def test_closed_loop_stepper_lays_out_the_band_once(monkeypatch, make_ocp):
     plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
     cls = pf.couple(pf.assemble_optimizer(ocp), plant, ocp, pf.CouplingSpec("inv_alpha"))
     layouts = _counted_layouts(monkeypatch)
-    step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric, 1e-11)
+    step = phcore.implicit_stepper(cls.sys.M, 0.02, 0.5, cls.sys.metric, 1e-11,
+                                   np.zeros(cls.dim))
     z = cls.initial_state(np.array([1.0, 0.0]))
     for _ in range(5):
-        z, res = step(z, np.zeros(cls.dim))
+        z_next = np.empty(cls.dim)
+        res = step(z, z_next)
+        z = z_next
         assert res <= 1e-11
     band = ocp.state_dim if cls.opt_sys.M.is_linear else cls.dim
     assert [f.order.size for f in layouts] == [band]
+
+
+# the builders each path of implicit_stepper calls
+STEPPER_PATHS = {
+    "linear": {"_linear_step"},
+    "dense linear": {"_linear_step"},
+    "condensed": {"_condensed_stepper", "_linear_step", "_theta_newton"},
+    "newton": {"_theta_newton"},
+}
+
+
+def _stepper_case(path, monkeypatch):
+    """(build, dim, z) for one path of implicit_stepper: build(b) is the
+    midpoint stepper of that path's operator for the input b, and records
+    the builders it calls; a folded LQ flow, a dense linear operator
+    without an order, a cubic plant closed against an LQ optimizer, and
+    the same loop without its order (the Newton run on the whole state)."""
+    ocp = make_double_integrator(N=16)
+    opt = pf.assemble_optimizer(ocp)
+    plant = pf.assemble_plant(pf.cubic_plant(np.eye(2), 1.0, DI_B, [1.0, 0.0]))
+    loop = pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")).sys
+    M, metric = {
+        "linear": (opt.M, opt.metric),
+        "dense linear": (pf.linear(np.array([[1.0, 2.0], [-2.0, 1.0]])), pf.Metric.euclidean(2)),
+        "condensed": (loop.M, loop.metric),
+        "newton": (pf.MonotoneOperatorSpec(loop.dim, loop.M.linear_part, loop.M.affine_offset,
+                                           loop.M.nodewise), loop.metric),
+    }[path]
+    called = set()
+    for name in ("_linear_step", "_condensed_stepper", "_theta_newton"):
+        def recorded(*args, _f=getattr(phcore, name), _name=name):
+            called.add(_name)
+            return _f(*args)
+        monkeypatch.setattr(phcore, name, recorded)
+
+    def build(b):
+        called.clear()
+        step = phcore.implicit_stepper(M, 0.02, 0.5, metric, 1e-11, b)
+        assert called == STEPPER_PATHS[path]
+        return step
+
+    z = 0.5 * np.random.default_rng(1).standard_normal(M.dim)
+    return build, M.dim, z
+
+
+def _step_once(step, z):
+    z_next = np.empty_like(z)
+    return z_next, step(z, z_next)
+
+
+@pytest.mark.parametrize("path", list(STEPPER_PATHS))
+def test_stepper_keeps_its_own_copy_of_the_input(monkeypatch, path):
+    # a stepper is built for its input: the caller's array, rewritten
+    # afterwards, changes no step, which a stepper built for the new
+    # values would take differently
+    build, dim, z = _stepper_case(path, monkeypatch)
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal(dim)
+    kept = b.copy()
+    step = build(b)
+    b[:] = rng.standard_normal(dim)
+    z_next, res = _step_once(step, z)
+    z_kept, res_kept = _step_once(build(kept), z)
+    assert np.array_equal(z_next, z_kept) and res == res_kept
+    assert not np.array_equal(z_next, _step_once(build(b), z)[0])
+
+
+@pytest.mark.parametrize("path", list(STEPPER_PATHS))
+def test_scalar_and_vector_zero_inputs_build_the_same_step(monkeypatch, path):
+    build, dim, z = _stepper_case(path, monkeypatch)
+    z_scalar, res_scalar = _step_once(build(0.0), z)
+    z_vector, res_vector = _step_once(build(np.zeros(dim)), z)
+    assert np.array_equal(z_scalar, z_vector) and res_scalar == res_vector
+
+
+@pytest.mark.parametrize("path", list(STEPPER_PATHS))
+def test_misshapen_step_input_is_refused_when_the_stepper_is_built(monkeypatch, path):
+    build, dim, _ = _stepper_case(path, monkeypatch)
+    for b in (np.zeros(dim + 1), np.zeros(1), np.zeros((1, dim)), np.zeros((dim, 1))):
+        with pytest.raises(pf.DimensionMismatch):
+            build(b)
 
 
 def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():

@@ -499,8 +499,9 @@ def test_condensed_loop_step_matches_the_banded_step(loop):
     general = pf.MonotoneOperatorSpec(M.dim, M.linear_part, M.affine_offset, M.nodewise)
     assert general.order is None
     b = np.zeros(M.dim)
-    z_c, res_c = phcore.implicit_stepper(M, h, theta, metric, tol)(z0, b)
-    z_g, res_g = phcore.implicit_stepper(general, h, theta, metric, tol)(z0, b)
+    z_c, z_g = np.empty(M.dim), np.empty(M.dim)
+    res_c = phcore.implicit_stepper(M, h, theta, metric, tol, b)(z0, z_c)
+    res_g = phcore.implicit_stepper(general, h, theta, metric, tol, b)(z0, z_g)
     assert res_c <= tol and res_g <= tol
     assert norm(z_c - z_g) <= 1e-11 * norm(z_g)
     cfg = pf.IntegratorConfig(h_t=h, scheme=scheme, newton_tol=tol)
@@ -508,6 +509,39 @@ def test_condensed_loop_step_matches_the_banded_step(loop):
     assert traj.states.shape[0] == 21
     audit = pf.power_balance_audit(cls.sys, traj)
     assert audit.max_residual <= 1e-10 * (1.0 + norm(z0) ** 2)
+
+
+def _march_reference(model, u_nodes, grid):
+    """The trapezoid march as each interval's implicit midpoint step of
+    dx/dtau = A x + b_i: a linear stepper built for that interval's
+    drive b_i = B ubar_i + fbar_i."""
+    n, N, h = model.n, grid.N, grid.h
+    f = model.f_nodes(grid)
+    ubar = 0.5 * (u_nodes[1:] + u_nodes[:-1])
+    x = np.empty((N + 1, n))
+    x[0] = model.x0
+    for i in range(N):
+        drive = model.B @ ubar[i] + 0.5 * (f[i + 1] + f[i])
+        step = phcore.implicit_stepper(pf.linear(-model.A), h, 0.5, pf.Metric.euclidean(n),
+                                       0.0, drive)
+        step(x[i], x[i + 1])
+    return x
+
+
+@PROFILE
+@given(st.integers(2, 64), st.integers(1, 4), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_input_to_state_is_the_linear_midpoint_step_bit_for_bit(N, n, m, per_node, seed):
+    # the march solves with one factor of I - (h/2) A; it must write the
+    # bits of a linear implicit stepper built for each interval's drive
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((N + 1, n) if per_node else n)
+    model = pf.LinearPlantModel(0.5 * rng.standard_normal((n, n)), rng.standard_normal((n, m)),
+                                f, rng.standard_normal(n))
+    grid = pf.build_grid(1.0, N)
+    u_nodes = rng.standard_normal((N + 1, m))
+    x = pf.input_to_state(model, u_nodes, grid)
+    assert np.array_equal(x, _march_reference(model, u_nodes, grid))
 
 
 @st.composite
@@ -770,14 +804,16 @@ def test_folded_step_solve_matches_dgbtrs(problem):
     M, h_t, theta, rng = problem
     folded, gbtrs = _step_solves(M, h_t, theta)
     _assert_solves_agree(folded, gbtrs, rng, M.dim)
-    step, _ = phcore._linear_step(M, h_t, theta)
     reference = _reference_step(M, h_t, theta)
     z, b = rng.standard_normal(M.dim), rng.standard_normal(M.dim)
+    step, _ = phcore._linear_step(M, h_t, theta, b)
+    z_next = np.empty(M.dim)
+    step(z, z_next)
     ref = reference(z, b)
     if theta == 1.0:
-        assert np.array_equal(step(z, b), ref)
+        assert np.array_equal(z_next, ref)
     else:
-        assert np.linalg.norm(step(z, b) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(z_next - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _timing_script(monkeypatch):
@@ -790,6 +826,13 @@ def _timing_script(monkeypatch):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def test_timing_script_measures_every_figure(monkeypatch):
+    # the script builds its steppers as a flow does; a change of the
+    # stepper's signature must fail here, not only in its CI run
+    report = _timing_script(monkeypatch).measure(16, 2, 1, 1, 2)
+    assert all(np.isfinite(value) for value in report.values())
 
 
 def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
@@ -807,11 +850,15 @@ def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
     for M in (opt.M, loop.M):
         for theta in (0.5, 1.0):
             folded, gbtrs = _step_solves(M, script.H_T, theta)
-            assert folded.s >= 50  # the head spans the chain
+            # the head spans the chain: the bulk L' band, the one sweeping
+            # the most columns, starts past it
+            bulk = max(folded.lower, key=lambda band: band[2].shape[1])
+            assert bulk[0] >= 50
             _assert_solves_agree(folded, gbtrs, rng, M.dim)
-        step, _ = phcore._linear_step(M, script.H_T, 1.0)
-        z = rng.standard_normal(M.dim)
-        assert np.array_equal(step(z, 0.0), _reference_step(M, script.H_T, 1.0)(z, 0.0))
+        step, _ = phcore._linear_step(M, script.H_T, 1.0, np.zeros(M.dim))
+        z, z_next = rng.standard_normal(M.dim), np.empty(M.dim)
+        step(z, z_next)
+        assert np.array_equal(z_next, _reference_step(M, script.H_T, 1.0)(z, 0.0))
 
 
 def test_folded_chain_factors_sweep_unit_bands_as_wide_as_their_reach(monkeypatch):
