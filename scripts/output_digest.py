@@ -12,7 +12,7 @@ set (so ``<name>_state.csv`` is checked too), the same configs in the
 flow, audit and closedloop modes with ``integrator.scheme`` set to
 ``implicit_euler`` (so theta = 1 steps and audits are checked too),
 plus round 0 of every
-benchmark workload at seeds 0, 1 and 2 and rounds 1 to 9 of the
+benchmark workload at seeds 0, 1 and 2 and rounds 1 to 49 of the
 ``nonlinear`` workload at seed 0 (the closed loops and logcosh flows that a
 benchmark run of the workload reaches), built by
 ``perfbench/scenarios.make_config`` (read, never edited).  Each run goes
@@ -61,7 +61,7 @@ FULL_STATE_MODES = ("flow", "closedloop")
 EULER_MODES = ("flow", "audit", "closedloop")
 SEEDS = (0, 1, 2)
 # the later rounds of the nonlinear workload, at seed 0
-NONLINEAR_ROUNDS = range(1, 10)
+NONLINEAR_ROUNDS = range(1, 50)
 
 
 def runs(work: Path):

@@ -8,9 +8,9 @@ from .errors import (AccretivityViolation, ConfigError, DimensionMismatch,
                      InvalidParameter, NonConvergence, NotHurwitz,
                      SingularStep, ToolkitError)
 from .metric import Metric, adjoint
-from .operators import MonotoneOperatorSpec, cubic, identity, linear, zero
+from .operators import MonotoneOperatorSpec, cubic, linear
 from .phcore import (PHSystem, ProbeReport, SteadyStatePair, Trajectory,
-                     accretivity_probe, coupling_block, interconnect,
+                     accretivity_probe, interconnect,
                      power_balance_audit, resolvent, semigroup_approx,
                      shifted_passivity_audit, steady_state)
 from .ocp import (CostSpec, DiscretizedOCP, Grid, LinearPlantModel,

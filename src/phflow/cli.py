@@ -136,6 +136,9 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
     cfg = _object(cfg, path[:-1], ("alpha", "stage"))
     alpha = _number(cfg, "alpha", path)
     stage_cfg = _object(_need(cfg, "stage", path), path + "stage", ("quadratic", "logcosh"))
+    if len(stage_cfg) != 1:  # none, or both
+        raise ConfigError("stage must be 'quadratic' or 'logcosh'",
+                          field=path + "stage")
     if "quadratic" in stage_cfg:
         qc = _object(stage_cfg["quadratic"], path + "stage.quadratic", ("Q", "q"))
         Q = _as_matrix(_need(qc, "Q", path + "stage.quadratic."), path + "stage.quadratic.Q")
@@ -144,12 +147,9 @@ def build_cost(cfg: dict, path: str = "ocp.cost.") -> CostSpec:
             stage = QuadraticStage(Q, q)
         except ToolkitError as exc:
             raise ConfigError(str(exc), field=path + "stage.quadratic")
-    elif "logcosh" in stage_cfg:
+    else:
         lc = _object(stage_cfg["logcosh"], path + "stage.logcosh", ("scale",))
         stage = LogCoshStage(_number(lc, "scale", path + "stage.logcosh.", 1.0))
-    else:
-        raise ConfigError("stage must be 'quadratic' or 'logcosh'",
-                          field=path + "stage")
     return CostSpec(alpha, stage)
 
 
@@ -175,25 +175,31 @@ def build_ocp(cfg: dict):
 def build_plant(cfg: dict, ocp):
     cfg = _object(cfg, "plant", ("kind", "B_p", "x_p0"))
     kind = _object(_need(cfg, "kind", "plant."), "plant.kind", ("linear", "cubic"))
+    if len(kind) != 1:  # none, or both
+        raise ConfigError("kind must be 'linear' or 'cubic'", field="plant.kind")
     B_p = _as_matrix(cfg.get("B_p", ocp.model.B), "plant.B_p")
     if B_p.shape[1] != ocp.m:  # the port the optimizer's control drives
         raise ConfigError(f"has {B_p.shape[1]} columns, the control dimension "
                           f"is {ocp.m}", field="plant.B_p")
     x_p0 = _array(_need(cfg, "x_p0", "plant."), "plant.x_p0").reshape(-1)
+    if "linear" in kind:
+        lc = _object(kind["linear"], "plant.kind.linear", ("R", "J"))
+        R = _as_matrix(_need(lc, "R", "plant.kind.linear."), "plant.kind.linear.R")
+        J = None if lc.get("J") is None else _as_matrix(lc["J"], "plant.kind.linear.J")
+    else:
+        cc = _object(kind["cubic"], "plant.kind.cubic", ("R", "kappa"))
+        R = _as_matrix(_need(cc, "R", "plant.kind.cubic."), "plant.kind.cubic.R")
+        kappa = _number(cc, "kappa", "plant.kind.cubic.", 0.0, low=0.0)
+    n_p = R.shape[0]  # a non-square R is refused below, under plant.kind
+    for name, size, what in (("B_p", B_p.shape[0], "rows"), ("x_p0", x_p0.size, "entries")):
+        if size != n_p and R.shape == (n_p, n_p):
+            raise ConfigError(f"has {size} {what}, the plant dimension is {n_p}",
+                              field=f"plant.{name}")
     try:
-        if "linear" in kind:
-            lc = _object(kind["linear"], "plant.kind.linear", ("R", "J"))
-            R = _as_matrix(_need(lc, "R", "plant.kind.linear."), "plant.kind.linear.R")
-            J = lc.get("J")
-            return linear_plant(R, B_p, x_p0, J=None if J is None else _as_matrix(J, "plant.kind.linear.J"))
-        if "cubic" in kind:
-            cc = _object(kind["cubic"], "plant.kind.cubic", ("R", "kappa"))
-            R = _as_matrix(_need(cc, "R", "plant.kind.cubic."), "plant.kind.cubic.R")
-            kappa = _number(cc, "kappa", "plant.kind.cubic.", 0.0, low=0.0)
-            return cubic_plant(R, kappa, B_p, x_p0)
+        return (linear_plant(R, B_p, x_p0, J=J) if "linear" in kind
+                else cubic_plant(R, kappa, B_p, x_p0))
     except (InvalidParameter, DimensionMismatch) as exc:
         raise ConfigError(str(exc), field="plant.kind")
-    raise ConfigError("kind must be 'linear' or 'cubic'", field="plant.kind")
 
 
 def build_integrator(cfg: dict, ocp) -> tuple[IntegratorConfig, float]:

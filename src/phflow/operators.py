@@ -185,20 +185,11 @@ def _bind_product(L):
     return product
 
 
-def linear(mat, offset=None) -> MonotoneOperatorSpec:
-    """Wrap a matrix (plus optional constant) as an operator;
-    accretivity is the caller's claim."""
+def linear(mat) -> MonotoneOperatorSpec:
+    """Wrap a matrix as an operator; accretivity is the caller's claim."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch("linear operator matrix must be square")
-    return MonotoneOperatorSpec(mat.shape[0], linear_part=mat, affine_offset=offset)
-
-
-def identity(dim: int) -> MonotoneOperatorSpec:
-    return linear(np.eye(dim))
-
-
-def zero(dim: int) -> MonotoneOperatorSpec:
-    return linear(np.zeros((dim, dim)))
+    return MonotoneOperatorSpec(mat.shape[0], linear_part=mat)
 
 
 def cubic(R, kappa: float = 0.0) -> MonotoneOperatorSpec:

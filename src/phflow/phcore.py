@@ -862,7 +862,7 @@ def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
     violation = False
     # the pairs in blocks of _ROW_BLOCK samples, X[i] = (x1, x2) of pair
     # i, drawn in the order of a loop over the pairs: x1 then x2, or x1
-    # alone about x_bar
+    # alone about x_bar; a pair with x1 = x2 is skipped
     for lo in range(0, n_pairs, _ROW_BLOCK // 2):
         k = min(_ROW_BLOCK // 2, n_pairs - lo)
         if x_bar is None:
@@ -872,15 +872,19 @@ def accretivity_probe(M: MonotoneOperatorSpec, metric: Metric, rng=0,
             np.add(x_bar, gen.standard_normal((k, M.dim)), out=X[:, 0])
             X[:, 1] = x_bar
         sq, nd2, gaps = _pair_dots(M, metric, X)
-        for i in range(k):
-            if nd2[i] == 0.0:
-                continue
-            gap = float(gaps[i])
-            min_gap = min(min_gap, gap)
-            c_estimate = min(c_estimate, gap / float(nd2[i]))
-            if gap < -tol * (1.0 + float(sq[i, 0]) + float(sq[i, 1])):
-                violation = True
+        keep = nd2 != 0.0
+        sq, nd2, gaps = sq[keep], nd2[keep], gaps[keep]
+        min_gap = _first_min(min_gap, gaps)
+        c_estimate = _first_min(c_estimate, gaps / nd2)
+        violation = violation or bool(np.any(gaps < -tol * (1.0 + sq[:, 0] + sq[:, 1])))
     return ProbeReport(float(min_gap), float(c_estimate), violation, n_pairs)
+
+
+def _first_min(current: float, values: np.ndarray) -> float:
+    """Python's min(current, v) for each v of values in turn: a NaN never
+    replaces, and of equal values (0.0 and -0.0 too) the earliest stays."""
+    values = values[values < current]
+    return float(values[np.argmin(values)]) if values.size else current
 
 
 def _pair_dots(M: MonotoneOperatorSpec, metric: Metric, X: np.ndarray):
@@ -1127,15 +1131,15 @@ def _columns(B, lo: int, hi: int):
 
 def _port(sys: PHSystem, split: int):
     """The state rows that the first split columns of sys.B reach, the
-    dense block Bc of those columns on them, and on them its metric
-    adjoint's block (Bc^T W) / w_port, entry by entry as
-    `metric.adjoint` forms a sparse adjoint."""
+    dense block Bc of those columns on them, and on them its
+    `metric.adjoint` from the port's metric to the rows' metric."""
     r, c, v = _columns(sys.B, 0, split)
     keep = v != 0
     rows, at = np.unique(r[keep], return_inverse=True)
     block = np.zeros((rows.size, split))
     block[at, c[keep]] = v[keep]
-    star = (block.T * sys.metric.weights[rows]) / sys.input_metric.weights[:split, None]
+    star = adjoint(block, Metric(sys.input_metric.weights[:split]),
+                   Metric(sys.metric.weights[rows]))
     return rows, block, star
 
 
@@ -1154,46 +1158,6 @@ def _chain(A, F, S):
     return K
 
 
-def _coupling_entries(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
-                      split1: int, split2: int):
-    """(rows, columns, values) of `coupling_block`, every value nonzero."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    if not (0 <= split1 <= sys1.input_dim and 0 <= split2 <= sys2.input_dim):
-        raise DimensionMismatch("port split outside the input dimension")
-    if F.shape != (split1, split2):
-        raise DimensionMismatch(
-            f"coupling map F has shape {F.shape}, expected ({split1}, {split2})"
-        )
-    p1, _ = sys1.input_metric.split(split1)
-    p2, _ = sys2.input_metric.split(split2)
-    rows1, B1c, b1c_star = _port(sys1, split1)
-    rows2, B2c, b2c_star = _port(sys2, split2)
-    d1 = sys1.dim
-    blocks = ((rows1, d1 + rows2, _chain(B1c, F, b2c_star)),
-              (d1 + rows2, rows1, _chain(-B2c, adjoint(F, p2, p1), b1c_star)))
-    entries = []
-    for r, c, K in blocks:
-        i, j = np.nonzero(K)
-        entries.append((r[i], c[j], K[i, j]))
-    return tuple(map(np.concatenate, zip(*entries)))
-
-
-def coupling_block(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
-                   split1: int, split2: int) -> sparse.csr_matrix:
-    """Sparse skew coupling block added to diag(M1, M2) by interconnect.
-
-    Its two blocks, B1c F b2c* in the rows of system 1 and its partner
-    -B2c F* b1c* in the rows of system 2, have rank at most
-    min(split1, split2) and are nonzero only in the rows and columns
-    that the coupled ports touch.  Both are formed on those rows and
-    columns alone (`_chain`), bit for bit as the sparse products
-    `B1c @ F @ b2c*` and `-B2c @ F* @ b1c*` give them, with no stored
-    zero.
-    """
-    dim = sys1.dim + sys2.dim
-    return _compressed(*_coupling_entries(sys1, sys2, F, split1, split2), (dim, dim))
-
-
 def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
                  split1: int, split2: int) -> PHSystem:
     """Power-preserving interconnection through the first port of each system.
@@ -1204,21 +1168,30 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         M(x1, x2) = (M1(x1) + B1^1 F (B2^1)* x2,
                      M2(x2) - B2^1 F* (B1^1)* x1),
 
-    whose added block is exactly skew in the product metric, so the
-    composition is again monotone whenever the constituents are.  The
-    remaining ports survive as B = diag(B1^2, B2^2), sparse when either
-    B_i is.  The composition has the members' form: its L is the sparse
-    K + diag(L1, L2), its g the members' offsets and its nodewise pieces
-    those of both members, member 2's shifted by its offset in the
-    state, so nested loops flatten into one operator.  When either
-    member carries an order, the composition carries their
-    concatenation (the identity
-    for a member without one): `couple` puts the plant first, so a
-    closed loop's order is the plant ahead of the optimizer's time
-    stages, and its matrices stay banded.  L and a sparse B are placed
-    by their index arrays, one construction each; L stores no zero, and
-    B every entry of a dense member's block.
+    whose added block K is exactly skew in the product metric, so the
+    composition is again monotone whenever the constituents are.  K's
+    two blocks, off the diagonal blocks, are formed on the rows and
+    columns that the coupled ports touch alone (`_chain`), bit for bit
+    as the sparse products `B1c @ F @ b2c*` and `-B2c @ F* @ b1c*`.
+    The remaining ports survive as B = diag(B1^2, B2^2), sparse when
+    either B_i is.  The composition has the members' form: its L is the
+    sparse K + diag(L1, L2), its g the members' offsets and its nodewise
+    pieces those of both members, member 2's shifted by its offset in
+    the state, so nested loops flatten into one operator.  When either
+    member carries an order, the composition carries their concatenation
+    (the identity for a member without one): `couple` puts the plant
+    first, so a closed loop's order is the plant ahead of the
+    optimizer's time stages, and its matrices stay banded.  L and a
+    sparse B are placed by their index arrays, one construction each; L
+    stores no zero, and B every entry of a dense member's block.
     """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    if not (0 <= split1 <= sys1.input_dim and 0 <= split2 <= sys2.input_dim):
+        raise DimensionMismatch("port split outside the input dimension")
+    if F.shape != (split1, split2):
+        raise DimensionMismatch(
+            f"coupling map F has shape {F.shape}, expected ({split1}, {split2})"
+        )
     d1, dim = sys1.dim, sys1.dim + sys2.dim
     M1, M2 = sys1.M, sys2.M
     affine = None
@@ -1230,10 +1203,17 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     if M1.order is not None or M2.order is not None:
         order = np.concatenate([np.arange(M1.dim) if M1.order is None else M1.order,
                                 d1 + (np.arange(M2.dim) if M2.order is None else M2.order)])
+    p1, open1 = sys1.input_metric.split(split1)
+    p2, open2 = sys2.input_metric.split(split2)
+    rows1, B1c, b1c_star = _port(sys1, split1)
+    rows2, B2c, b2c_star = _port(sys2, split2)
     (r1, c1, v1), (r2, c2, v2) = _entries(M1.linear_part), _entries(M2.linear_part)
-    rk, ck, vk = _coupling_entries(sys1, sys2, F, split1, split2)
-    rows, cols, vals = (np.concatenate(e) for e in ((rk, r1, d1 + r2), (ck, c1, d1 + c2),
-                                                     (vk, v1, v2)))
+    parts = [(r1, c1, v1), (d1 + r2, d1 + c2, v2)]
+    for r, c, K in ((rows1, d1 + rows2, _chain(B1c, F, b2c_star)),
+                    (d1 + rows2, rows1, _chain(-B2c, adjoint(F, p2, p1), b1c_star))):
+        i, j, v = _entries(K)
+        parts.append((r[i], c[j], v))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
     keep = vals != 0
     L = _compressed(rows[keep], cols[keep], vals[keep], (dim, dim))
 
@@ -1247,8 +1227,6 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
         B = np.zeros((dim, o1 + o2))  # each block added onto zeros, as toarray does
         B[:d1, :o1] += sys1.B[:, split1:]
         B[d1:, o1:] += sys2.B[:, split2:]
-    _, open1 = sys1.input_metric.split(split1)
-    _, open2 = sys2.input_metric.split(split2)
     return PHSystem(
         MonotoneOperatorSpec(dim, L, affine, nodewise, order),
         B,

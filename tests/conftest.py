@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import phflow as pf
 
@@ -32,6 +33,14 @@ def state_from(ocp, **blocks):
     for name, value in blocks.items():
         getattr(s, name)[...] = value
     return s
+
+
+def coupling_of(sys1, sys2, F, split1, split2):
+    """The skew coupling K that `interconnect` adds to diag(L1, L2): the
+    off-diagonal blocks of the composed L, which K alone fills, as CSR."""
+    L = pf.interconnect(sys1, sys2, F, split1, split2).M.linear_part.tocoo()
+    off = (L.row < sys1.dim) != (L.col < sys1.dim)
+    return sparse.csr_matrix((L.data[off], (L.row[off], L.col[off])), shape=L.shape)
 
 
 @pytest.fixture(scope="session")

@@ -182,7 +182,7 @@ def test_criterion_05_semigroup_formula():
     errs = [np.linalg.norm(pf.semigroup_approx(pf.linear(M), 1.0, n, x0) - exact)
             for n in (8, 16, 32, 64, 128)]
     ratios = [errs[i] / errs[i + 1] for i in range(4)]
-    scalar = pf.semigroup_approx(pf.identity(1), 1.0, 1000, np.array([1.0]))[0]
+    scalar = pf.semigroup_approx(pf.linear(np.eye(1)), 1.0, 1000, np.array([1.0]))[0]
     scalar_gap = abs(scalar - np.exp(-1.0))
     ok = all(r >= 1.8 for r in ratios) and scalar_gap < 1e-3
     report(5, ok, "error ratios " + ", ".join(f"{r:.2f}" for r in ratios)

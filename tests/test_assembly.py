@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import phflow as pf
+from conftest import coupling_of
 from phflow import phcore
 from phflow.metric import Metric, adjoint
 from phflow.ocp import assemble_constraint
@@ -194,7 +195,7 @@ def test_assembly_by_index_arrays_is_the_former_csr(problem):
     opt_lam0 = pf.PHSystem(opt.M, opt.B[:, lam0], opt.metric,
                            Metric(opt.input_metric.weights[lam0]))
     F = cls.gamma * ocp.model.B.T
-    _same_csr(pf.coupling_block(plant_sys, opt_lam0, F, ocp.m, ocp.n),
+    _same_csr(coupling_of(plant_sys, opt_lam0, F, ocp.m, ocp.n),
               _reference_coupling_block(plant_sys, opt_lam0, F, ocp.m, ocp.n))
     L, B = _reference_interconnect(plant_sys, opt_lam0, F, ocp.m, ocp.n)
     _same_csr(cls.sys.M.linear_part, L)
@@ -279,6 +280,6 @@ def test_probe_on_blocks_of_pairs_is_the_former_loop(problem, n_pairs, anchored)
 
 
 def test_probe_refuses_a_misshapen_anchor():
-    M = pf.identity(3)
+    M = pf.linear(np.eye(3))
     with pytest.raises(pf.DimensionMismatch):
         pf.accretivity_probe(M, Metric.euclidean(3), x_bar=np.zeros(2))

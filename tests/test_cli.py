@@ -446,6 +446,13 @@ def test_configs_sharing_a_file_name_are_refused(tmp_path, capsys, monkeypatch,
     ("coupling", "gamma", 0, "coupling.gamma"),
     ("coupling", "gamma", -1, "coupling.gamma"),
     ("coupling", "gamma", "x", "coupling.gamma"),
+    # a stage or plant kind must name exactly one alternative
+    ("ocp.cost", "stage", {}, "ocp.cost.stage"),
+    ("ocp.cost", "stage", {"quadratic": {"Q": [[1, 0], [0, 1]]},
+                           "logcosh": {"scale": 1.0}}, "ocp.cost.stage"),
+    ("plant", "kind", {}, "plant.kind"),
+    ("plant", "kind", {"linear": {"R": [[1, 0], [0, 1]]},
+                       "cubic": {"R": [[1, 0], [0, 1]], "kappa": 1.0}}, "plant.kind"),
 ])
 def test_malformed_input_exits_2_and_names_field(tmp_path, capsys, section,
                                                  key, value, field):
@@ -615,7 +622,9 @@ def test_generate_golden_writes_only_to_an_explicit_out(args, code):
      {"linear": {"R": [[1, 0], [0, 1]], "J": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}}, 2,
      "plant.kind: J has shape (3, 3), R has (2, 2)"),
     ("closedloop", "plant", "x_p0", [1.0, 0.0, 0.0], 2,
-     "plant.kind: B_p has 2 rows and x_p0 3 entries, the plant dimension is 2"),
+     "plant.x_p0: has 3 entries, the plant dimension is 2"),
+    ("closedloop", "plant", "B_p", [[0], [1], [0]], 2,
+     "plant.B_p: has 3 rows, the plant dimension is 2"),
     ("solve", "ocp.cost.stage.quadratic", "Q", [[[1, 0], [0, 1]]], 2,
      "ocp.cost.stage.quadratic.Q: must be a matrix"),
 ])
@@ -634,6 +643,25 @@ def test_extreme_inputs_exit_cleanly(tmp_path, capsys, mode, section, key,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"mode": "solve",')
+    for path, message in ((tmp_path / "missing.json", "config file not found"),
+                          (bad, "config is not valid JSON")):
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_output_dir_that_is_not_a_path_exits_2(tmp_path, capsys):
+    # without --out the run takes its directory from the config
+    cfg = write_config(tmp_path, output={"dir": 5})
+    assert phflow.cli.run(cfg, None) == 2
+    err = capsys.readouterr().err
+    assert "output.dir:" in err and "Traceback" not in err
 
 
 def test_jobs_capped_by_configs_and_cpus(tmp_path, monkeypatch):

@@ -625,7 +625,7 @@ def test_integrator_config_validation():
         pf.IntegratorConfig(h_t=0.1, scheme="leapfrog")
     with pytest.raises(pf.InvalidParameter, match="exceed max_steps"):
         pf.integrate_flow(  # 1e9 steps, above the fixed step limit
-            pf.PHSystem(pf.identity(1), np.zeros((1, 0)),
+            pf.PHSystem(pf.linear(np.eye(1)), np.zeros((1, 0)),
                         pf.Metric.euclidean(1), pf.Metric.euclidean(0)),
             np.array([1.0]), np.zeros(0), pf.IntegratorConfig(h_t=1e-9), 1.0)
 

@@ -4,6 +4,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import phflow as pf
+from conftest import coupling_of
 from phflow import phcore
 from phflow.operators import MonotoneOperatorSpec, Nodewise, derivative_gap
 
@@ -75,7 +76,7 @@ def test_factor_solves_the_shifted_matrix_plus_a_diagonal_on_each_path(monkeypat
 
 
 def test_resolvent_identity_operator():
-    x = pf.resolvent(pf.identity(1), 1.0, np.array([2.0]), EUC1)
+    x = pf.resolvent(pf.linear(np.eye(1)), 1.0, np.array([2.0]), EUC1)
     assert x == pytest.approx(np.array([1.0]))
 
 
@@ -87,15 +88,15 @@ def test_resolvent_cubic():
 
 def test_resolvent_zero_operator():
     z = np.array([3.0, -1.0])
-    out = pf.resolvent(pf.zero(2), 0.7, z, pf.Metric.euclidean(2))
+    out = pf.resolvent(pf.linear(np.zeros((2, 2))), 0.7, z, pf.Metric.euclidean(2))
     assert np.allclose(out, z)
 
 
 def test_resolvent_rejects_bad_parameters():
     with pytest.raises(pf.InvalidParameter):
-        pf.resolvent(pf.identity(1), 0.0, np.array([1.0]), EUC1)
+        pf.resolvent(pf.linear(np.eye(1)), 0.0, np.array([1.0]), EUC1)
     with pytest.raises(pf.InvalidParameter):
-        pf.resolvent(pf.identity(1), 1.0, np.array([1.0]), EUC1, tol=0.0)
+        pf.resolvent(pf.linear(np.eye(1)), 1.0, np.array([1.0]), EUC1, tol=0.0)
 
 
 @pytest.mark.parametrize("L", [np.eye(3), np.ones((2, 3)), np.ones(2),
@@ -157,14 +158,14 @@ def test_resolvent_contraction_on_sampled_pairs():
 
 
 def test_semigroup_scalar_closed_form():
-    out = pf.semigroup_approx(pf.identity(1), 1.0, 1000, np.array([1.0]))
+    out = pf.semigroup_approx(pf.linear(np.eye(1)), 1.0, 1000, np.array([1.0]))
     assert out[0] == pytest.approx((1.0 + 1e-3) ** (-1000), rel=1e-12)
     assert abs(out[0] - np.exp(-1.0)) < 1e-3
 
 
 def test_semigroup_zero_operator_is_identity():
     x0 = np.array([2.0, -1.0])
-    assert np.allclose(pf.semigroup_approx(pf.zero(2), 5.0, 17, x0), x0)
+    assert np.allclose(pf.semigroup_approx(pf.linear(np.zeros((2, 2))), 5.0, 17, x0), x0)
 
 
 def test_semigroup_first_order_against_matrix_exponential():
@@ -193,7 +194,7 @@ def test_semigroup_nonlinear_path():
 
 
 def test_probe_identity():
-    report = pf.accretivity_probe(pf.identity(4), pf.Metric.euclidean(4),
+    report = pf.accretivity_probe(pf.linear(np.eye(4)), pf.Metric.euclidean(4),
                                   rng=0, n_pairs=50)
     assert report.c_estimate == pytest.approx(1.0, abs=1e-12)
     assert not report.violation
@@ -254,7 +255,7 @@ def test_power_balance_skew_flow_conserves_norm():
 def test_power_balance_second_order_on_exact_solution():
     # sampling the exact decay of dx/dt = -x leaves only the O(h^2)
     # defect of the midpoint-form balance
-    sys = pf.PHSystem(pf.identity(1), np.zeros((1, 0)), EUC1,
+    sys = pf.PHSystem(pf.linear(np.eye(1)), np.zeros((1, 0)), EUC1,
                       pf.Metric.euclidean(0))
 
     def residual(h):
@@ -318,9 +319,9 @@ def test_shifted_passivity_refuses_misshapen_steady_state(field, bad):
 
 
 SHAPE_HOLES = {
-    "PHSystem_B_3d": ("B", lambda: pf.PHSystem(pf.identity(2), np.ones((2, 2, 2)),
+    "PHSystem_B_3d": ("B", lambda: pf.PHSystem(pf.linear(np.eye(2)), np.ones((2, 2, 2)),
                                                pf.Metric.euclidean(2), pf.Metric.euclidean(4))),
-    "PHSystem_B_flat": ("B", lambda: pf.PHSystem(pf.identity(2), np.ones(4),
+    "PHSystem_B_flat": ("B", lambda: pf.PHSystem(pf.linear(np.eye(2)), np.ones(4),
                                                  pf.Metric.euclidean(2), pf.Metric.euclidean(2))),
     "LinearPlantModel_B": ("B", lambda: pf.LinearPlantModel(np.eye(2), np.ones((2, 1, 1)),
                                                             0.0, np.zeros(2))),
@@ -340,7 +341,7 @@ def test_misshapen_array_is_refused_by_name(case):
 
 
 def test_flat_port_of_the_state_dimension_is_one_column():
-    sys = pf.PHSystem(pf.identity(2), np.ones(2), pf.Metric.euclidean(2),
+    sys = pf.PHSystem(pf.linear(np.eye(2)), np.ones(2), pf.Metric.euclidean(2),
                       pf.Metric.euclidean(1))
     assert sys.B.shape == (2, 1)
 
@@ -408,7 +409,7 @@ def test_shifted_norm_nonincreasing_with_constant_input():
 
 
 def test_steady_state_linear():
-    sys = pf.PHSystem(pf.identity(2), np.eye(2), pf.Metric.euclidean(2),
+    sys = pf.PHSystem(pf.linear(np.eye(2)), np.eye(2), pf.Metric.euclidean(2),
                       pf.Metric.euclidean(2))
     ss = pf.steady_state(sys, np.array([3.0, -1.0]))
     assert np.allclose(ss.x_bar, [3.0, -1.0])
@@ -444,7 +445,7 @@ def _two_port_systems():
 
 def test_interconnect_coupling_block_is_skew():
     sys1, sys2, F = _two_port_systems()
-    K = pf.coupling_block(sys1, sys2, F, 2, 2)
+    K = coupling_of(sys1, sys2, F, 2, 2)
     metric = sys1.metric.concat(sys2.metric)
     rng = np.random.default_rng(8)
     for _ in range(100):
@@ -455,8 +456,8 @@ def test_interconnect_coupling_block_is_skew():
 def test_interconnect_pure_rotation_conserves_energy():
     # two scalar lossless systems, fully coupled: a harmonic oscillator
     e1 = pf.Metric.euclidean(1)
-    sys1 = pf.PHSystem(pf.zero(1), np.array([[1.0]]), e1, e1)
-    sys2 = pf.PHSystem(pf.zero(1), np.array([[1.0]]), e1, e1)
+    sys1 = pf.PHSystem(pf.linear(np.zeros((1, 1))), np.array([[1.0]]), e1, e1)
+    sys2 = pf.PHSystem(pf.linear(np.zeros((1, 1))), np.array([[1.0]]), e1, e1)
     coupled = pf.interconnect(sys1, sys2, np.array([[1.0]]), 1, 1)
     assert coupled.input_dim == 0
     cfg = pf.IntegratorConfig(h_t=0.05)
@@ -521,13 +522,13 @@ def test_trajectory_validation():
 
 def test_semigroup_parameter_validation():
     with pytest.raises(pf.InvalidParameter):
-        pf.semigroup_approx(pf.identity(1), -1.0, 4, np.array([1.0]))
+        pf.semigroup_approx(pf.linear(np.eye(1)), -1.0, 4, np.array([1.0]))
     with pytest.raises(pf.InvalidParameter):
-        pf.semigroup_approx(pf.identity(1), 1.0, 0, np.array([1.0]))
+        pf.semigroup_approx(pf.linear(np.eye(1)), 1.0, 0, np.array([1.0]))
 
 
 def test_phsystem_autonomous_port():
-    sys = pf.PHSystem(pf.identity(2), np.zeros((2, 0)),
+    sys = pf.PHSystem(pf.linear(np.eye(2)), np.zeros((2, 0)),
                       pf.Metric.euclidean(2), pf.Metric.euclidean(0))
     assert sys.input_dim == 0
     assert sys.output(np.ones(2)).shape == (0,)

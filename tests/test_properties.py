@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import splu
 
 import phflow as pf
+from conftest import coupling_of
 from phflow import analysis, phcore
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
@@ -393,7 +394,7 @@ def package_operators(draw):
     lam0 = ocp.blocks(np.arange(ocp.state_dim) - ocp.primal_dim).lam0
     port = pf.PHSystem(opt.M, opt.B[:, lam0], opt.metric,
                        pf.Metric(opt.input_metric.weights[lam0]))
-    K = pf.coupling_block(plant, port, gamma * ocp.model.B.T, ocp.m, n).toarray()
+    K = coupling_of(plant, port, gamma * ocp.model.B.T, ocp.m, n).toarray()
 
     def loop_eval(z):
         return np.concatenate([plant_eval(z[:n]), _m_opt_oracle(ocp, z[n:])]) + K @ z
@@ -585,7 +586,7 @@ def test_output_of_a_row_stack_is_the_row_by_row_output(ports, rows):
     B, B_sparse, X, U, rng = ports
     xs = rng.standard_normal((rows, B.shape[0]))
     for mat in (B, B_sparse):
-        sys = pf.PHSystem(pf.identity(B.shape[0]), mat, X, U)
+        sys = pf.PHSystem(pf.linear(np.eye(B.shape[0])), mat, X, U)
         assert sparse.issparse(sys.b_star) == sparse.issparse(mat)
         stacked = sys.output(xs)
         assert isinstance(stacked, np.ndarray) and stacked.shape == (rows, B.shape[1])
@@ -599,7 +600,7 @@ def test_output_of_a_row_stack_is_the_row_by_row_output(ports, rows):
 def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
     # K = J - diag(DM_plant, DM_opt) is the closed loop's coupling block:
     # nonzero only between the plant and the lam0 block, and skew in the
-    # product metric, W K = -(W K)^T; coupling_block builds it sparse
+    # product metric, W K = -(W K)^T; interconnect builds it sparse
     ocp, rng = problem
     n = ocp.n
     G = rng.standard_normal((n, n))
@@ -615,8 +616,8 @@ def test_sparse_coupling_is_skew_and_confined_to_the_ports(problem, gamma):
     inside = np.zeros(K.shape, dtype=bool)
     inside[:n, lam0] = inside[lam0, :n] = True
     assert not np.any(K[~inside])
-    # coupling_block itself, here on the optimizer's first n ports
-    direct = pf.coupling_block(plant, opt, gamma * ocp.model.B.T, ocp.m, n)
+    # the K that interconnect forms, here on the optimizer's first n ports
+    direct = coupling_of(plant, opt, gamma * ocp.model.B.T, ocp.m, n)
     assert sparse.issparse(direct) and direct.nnz <= 2 * n * n
     for block in (K, direct.toarray()):
         WK = cls.sys.metric.weights[:, None] * block
