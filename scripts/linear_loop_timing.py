@@ -40,10 +40,17 @@ the same factor and step timings for the LQ optimizer on its own
 - ``loop_assemble_ms``: closing the cubic loop from the model, grid and
   cost: the problem's assembly, the plant's assembly with its
   accretivity probe, the optimizer's, the coupling, the initial state
-  and the stepper.
+  and the stepper;
+- ``cubic_factors_per_step``, ``logcosh_factors_per_step`` and
+  ``logcosh_loop_factors_per_step``: the Newton factorizations per step
+  of the cubic loop, the logcosh optimizer and the logcosh loop over
+  the same ``--steps`` steps, taken again untimed: the calls of
+  ``phflow._linalg.Factor.solver``, each of which factors one Newton
+  matrix.
 
-BLAS is pinned to one thread, and the script uses only the public API
-and ``phflow.phcore.implicit_stepper``.
+BLAS is pinned to one thread.  The script uses only the public API and
+``phflow.phcore.implicit_stepper``, and counts the factorizations on
+``phflow._linalg.Factor.solver``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import phflow as pf  # noqa: E402
+from phflow._linalg import Factor  # noqa: E402
 from phflow.phcore import implicit_stepper  # noqa: E402
 
 H_T = 0.01
@@ -96,19 +104,45 @@ def _timed(fn):
     return out, time.perf_counter() - t
 
 
-def _factor_and_step(sys, z0, b, steps: int):
-    """The stepper built for the constant input b, as a flow builds it,
-    and its steps from z0, which alternate between two rows."""
-    step, factor_s = _timed(
-        lambda: implicit_stepper(sys.M, H_T, 0.5, sys.metric, NEWTON_TOL, b))
-    z, z_next = np.array(z0, dtype=float), np.empty(sys.dim)
+def _stepper(sys, b):
+    """The stepper built for the constant input b, as a flow builds it."""
+    return implicit_stepper(sys.M, H_T, 0.5, sys.metric, NEWTON_TOL, b)
+
+
+def _steps(step, z0, steps: int) -> float:
+    """The mean time of `steps` steps from z0, which alternate between
+    two rows."""
+    z, z_next = np.array(z0, dtype=float), np.empty(np.size(z0))
     t = time.perf_counter()
     for _ in range(steps):
         res = step(z, z_next)
         if not res <= NEWTON_TOL:
             raise pf.NonConvergence("timed step failed", residual=res)
         z, z_next = z_next, z
-    return factor_s, (time.perf_counter() - t) / steps
+    return (time.perf_counter() - t) / steps
+
+
+def _factor_and_step(sys, z0, b, steps: int):
+    """The time to build the stepper and the mean time of its steps."""
+    step, factor_s = _timed(lambda: _stepper(sys, b))
+    return factor_s, _steps(step, z0, steps)
+
+
+def _factors_per_step(sys, z0, b, steps: int) -> float:
+    """The Newton factorizations per step of the same steps, untimed: the
+    calls of `Factor.solver` while the stepper steps."""
+    step, calls, solver = _stepper(sys, b), [], Factor.solver
+
+    def counted(self, d=()):
+        calls.append(1)
+        return solver(self, d)
+
+    Factor.solver = counted
+    try:
+        _steps(step, z0, steps)
+    finally:
+        Factor.solver = solver
+    return len(calls) / steps
 
 
 def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
@@ -117,29 +151,36 @@ def measure(N: int, n: int, m: int, reps: int, steps: int) -> dict:
     best = dict.fromkeys(("couple_s", "factor_s", "step_ms", "cubic_setup_s",
                           "cubic_step_ms", "opt_factor_s", "opt_step_ms",
                           "logcosh_step_ms", "logcosh_loop_step_ms",
-                          "loop_assemble_ms"), np.inf)
+                          "loop_assemble_ms", "cubic_factors_per_step",
+                          "logcosh_factors_per_step", "logcosh_loop_factors_per_step"),
+                         np.inf)
     for _ in range(reps):
         opt = pf.assemble_optimizer(ocp)
         cls, couple_s = _timed(lambda: pf.couple(opt, plant, ocp, pf.CouplingSpec("inv_alpha")))
         loop = _factor_and_step(cls.sys, cls.initial_state(plant.dim * [1.0]),
                                 np.zeros(cls.dim), steps)
         cubic_cls = pf.couple(opt, cubic, ocp, pf.CouplingSpec("inv_alpha"))
-        cubic_loop = _factor_and_step(cubic_cls.sys, cubic_cls.initial_state(cubic.dim * [1.0]),
-                                      np.zeros(cubic_cls.dim), steps)
+        cubic_run = (cubic_cls.sys, cubic_cls.initial_state(cubic.dim * [1.0]),
+                     np.zeros(cubic_cls.dim), steps)
+        cubic_loop = _factor_and_step(*cubic_run)
         alone = _factor_and_step(opt, pf.default_initial_state(ocp),
                                  opt.B @ pf.constant_input(ocp), steps)
         lc_opt = pf.assemble_optimizer(logcosh)
-        _, lc_step_s = _factor_and_step(lc_opt, pf.default_initial_state(logcosh),
-                                        lc_opt.B @ pf.constant_input(logcosh), steps)
+        lc_run = (lc_opt, pf.default_initial_state(logcosh),
+                  lc_opt.B @ pf.constant_input(logcosh), steps)
+        _, lc_step_s = _factor_and_step(*lc_run)
         lc_cls = pf.couple(lc_opt, cubic, logcosh, pf.CouplingSpec("inv_alpha"))
-        _, lc_loop_step_s = _factor_and_step(lc_cls.sys, lc_cls.initial_state(cubic.dim * [1.0]),
-                                             np.zeros(lc_cls.dim), steps)
+        lc_loop_run = (lc_cls.sys, lc_cls.initial_state(cubic.dim * [1.0]),
+                       np.zeros(lc_cls.dim), steps)
+        _, lc_loop_step_s = _factor_and_step(*lc_loop_run)
         _, assemble_s = _timed(lambda: _assemble_loop(ocp.model, ocp.grid, ocp.cost,
                                                       cubic_spec))
         for key, value in zip(best, (couple_s, loop[0], 1e3 * loop[1], cubic_loop[0],
                                      1e3 * cubic_loop[1], alone[0], 1e3 * alone[1],
                                      1e3 * lc_step_s, 1e3 * lc_loop_step_s,
-                                     1e3 * assemble_s)):
+                                     1e3 * assemble_s, _factors_per_step(*cubic_run),
+                                     _factors_per_step(*lc_run),
+                                     _factors_per_step(*lc_loop_run))):
             best[key] = min(best[key], value)
     return {"N": N, "n": n, "m": m, "dim": ocp.state_dim + plant.dim, "reps": reps,
             "steps": steps, **best}

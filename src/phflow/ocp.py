@@ -33,10 +33,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 
+from ._linalg import compressed, entries
 from .errors import DimensionMismatch, InvalidParameter, SingularStep
 from .metric import Metric, adjoint
-from .phcore import _Factor, _compressed, _entries, steady_state
+from .phcore import steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +303,9 @@ class DiscretizedOCP:
         that `optimizer.assemble_optimizer` builds: the entries of -C* and
         C placed by their index arrays, every stored entry kept."""
         p = self.primal_dim
-        (r1, c1, v1), (r2, c2, v2) = _entries(self.C_star), _entries(self.C)
-        return _compressed(np.concatenate([r1, p + r2]), np.concatenate([p + c1, c2]),
-                           np.concatenate([-v1, v2]), (self.state_dim, self.state_dim))
+        (r1, c1, v1), (r2, c2, v2) = entries(self.C_star), entries(self.C)
+        return compressed(np.concatenate([r1, p + r2]), np.concatenate([p + c1, c2]),
+                          np.concatenate([-v1, v2]), (self.state_dim, self.state_dim))
 
     def node_adjoint(self, lam: np.ndarray) -> np.ndarray:
         """Re-register interval multipliers at the N+1 grid nodes.
@@ -392,7 +394,7 @@ def assemble_constraint(model: LinearPlantModel, grid: Grid):
     cols = np.concatenate([np.broadcast_to(at[:, None, :], shape).ravel(), col.x[0]])
     vals = np.concatenate([np.broadcast_to(coef, shape).ravel(), np.ones(n)])
     keep = vals != 0
-    C = _compressed(rows[keep], cols[keep], vals[keep], (col.dual.size, col.primal.size))
+    C = compressed(rows[keep], cols[keep], vals[keep], (col.dual.size, col.primal.size))
     f = model.f_nodes(grid)
     rhs = _state_blocks(np.zeros(dim), N, n, m)
     rhs.lam[:] = 0.5 * (f[1:] + f[:-1])
@@ -419,16 +421,16 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     The returned samples satisfy C_h (x, u) = rhs to machine precision
     by construction.  Each step is the linear midpoint step of dx/dtau =
     A x + b_i, x_i+1 = F^{-1} (2 x_i + h b_i) - x_i, F = I - (h/2) A factored
-    once (`_Factor`); b_i varies, so it is not a constant-input stepper.
+    once; b_i varies, so it is not a constant-input stepper.
     """
     n, m, N, h = model.n, model.m, grid.N, grid.h
     u_nodes = np.asarray(u_nodes, dtype=float).reshape(N + 1, m)
     A, B = model.A, model.B
     lhs = np.eye(n) - 0.5 * h * A
-    # exact singularity and near-singularity both invalidate the step
-    if abs(np.linalg.det(lhs)) < 1e-14 * max(1.0, np.linalg.norm(lhs)) ** n:
+    lu, piv, info = dgetrf(lhs)
+    # exact singularity (info) and near-singularity (|det| from U) invalidate the step
+    if info > 0 or np.prod(np.abs(np.diag(lu))) < 1e-14 * max(1.0, np.linalg.norm(lhs)) ** n:
         raise SingularStep("I - (h/2) A is singular; reduce the step h")
-    solve = _Factor(lhs, 0.0).solver()
     f = model.f_nodes(grid)
     # h times the drive B ubar + fbar of every interval, B ubar row by row
     ubar = 0.5 * (u_nodes[1:] + u_nodes[:-1])
@@ -440,7 +442,7 @@ def input_to_state(model: LinearPlantModel, u_nodes: np.ndarray, grid: Grid) -> 
     x = np.empty((N + 1, n))
     x[0] = model.x0
     for i in range(N):
-        np.subtract(solve(x[i] * 2.0 + drive[i]), x[i], out=x[i + 1])
+        np.subtract(dgetrs(lu, piv, x[i] * 2.0 + drive[i])[0], x[i], out=x[i + 1])
     if not np.all(np.isfinite(x)):
         raise SingularStep("forward marching produced non-finite states")
     return x

@@ -65,7 +65,7 @@ class MonotoneOperatorSpec:
     order, set only inside the package, is a permutation of the state in
     which L is banded: the time-stage order of an optimizer
     (`DiscretizedOCP.stage_order`) or of a closed loop.  Every solve with
-    M's Jacobian goes through one `phcore._Factor` per solve site: banded
+    M's Jacobian goes through one `_linalg.Factor` per solve site: banded
     in M's order, dense or SuperLU without one.
     """
 

@@ -28,14 +28,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._linalg import compressed, entries
 from .analysis import _log_linear_fit
 from .errors import (DimensionMismatch, InsufficientData, InvalidParameter,
                      NonConvergence)
 # default_initial_state lives with the layout in ocp; it is re-exported here
 from .ocp import DiscretizedOCP, OptimizerState, default_initial_state  # noqa: F401
 from .operators import MonotoneOperatorSpec, Nodewise
-from .phcore import (_ROW_BLOCK, PHSystem, Trajectory, _compressed, _entries, fold,
-                     implicit_stepper, selection_port)
+from .phcore import _ROW_BLOCK, PHSystem, Trajectory, fold, implicit_stepper
 
 # each scheme is the implicit theta-step of `implicit_stepper`
 _SCHEMES = {"implicit_midpoint": 0.5, "implicit_euler": 1.0}
@@ -84,13 +84,13 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
     if stage.is_quadratic:
         b, shape = ocp.blocks(np.arange(ocp.state_dim)), (ocp.N + 1, ocp.n, ocp.n)
         u = b.u.ravel()
-        r, c, v = _entries(ocp.saddle)
+        r, c, v = entries(ocp.saddle)
         rows, cols, vals = (np.concatenate(e) for e in (
             (r, np.broadcast_to(b.x[:, :, None], shape).ravel(), u),
             (c, np.broadcast_to(b.x[:, None, :], shape).ravel(), u),
             (v, np.broadcast_to(stage.Q, shape).ravel(), np.full(u.size, alpha))))
         keep = vals != 0
-        L = _compressed(rows[keep], cols[keep], vals[keep], (ocp.state_dim, ocp.state_dim))
+        L = compressed(rows[keep], cols[keep], vals[keep], (ocp.state_dim, ocp.state_dim))
         g0 = np.zeros(ocp.state_dim)
         g0[:ocp.primal_dim] = ocp.grad_cost(g0)  # the linear cost term
         M = MonotoneOperatorSpec(ocp.state_dim, linear_part=L,
@@ -105,8 +105,8 @@ def assemble_optimizer(ocp: DiscretizedOCP) -> PHSystem:
         M = MonotoneOperatorSpec(ocp.state_dim, linear_part=ocp.saddle,
                                  nodewise=phi, order=ocp.stage_order)
 
-    # the port drives the multiplier block: B_opt = [0; I], a sparse selection
-    B_opt = selection_port(ocp.state_dim, np.arange(ocp.primal_dim, ocp.state_dim))
+    k = np.arange(ocp.dual_dim)  # the port drives the multipliers: B_opt = [0; I]
+    B_opt = compressed(ocp.primal_dim + k, k, np.ones(k.size), (ocp.state_dim, k.size), "csc")
     return PHSystem(M, B_opt, ocp.state_metric, ocp.dual_metric)
 
 

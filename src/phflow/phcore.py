@@ -28,26 +28,16 @@ fixed coordinates.  The block evaluations, and the Newton residuals and
 step defects of the implicit steps, which evaluate M through the
 unchecked `_apply`, go through the product that the operator binds once
 (see `operators`); every other evaluation keeps the shape check of
-M(x).  Every linear solve goes through a `_Factor`, which lays out and
-fills L + shift I once and factors it, plus a diagonal d, by LAPACK's
-banded LU (`dgbtrf`) in an operator's `order` (the optimizer's
-time-stage order, or a closed loop's), and otherwise by LAPACK's dense
-LU or, when sparse, SuperLU.
-A Newton iteration copies the base, adds d = phi' on its diagonal
-(`_newton_solver`) and solves with `dgbtrs`.  A linear step factors
-once with no d, folds dgbtrf's row interchanges into its order and
-scales U to a unit diagonal (`_fold`), and solves each step by unit
-triangular sweeps over bands only as wide as their columns reach
-(`_unit_bands`), with no product with L (`_linear_step`).  A
-steady-state solve holds one `_Factor`, and so does `_theta_newton`, the
-one Newton run of every nonlinear implicit step: it alone defines the
-step's residual, Newton solve and start.  Where phi lives in leading
-coordinates ahead of a linear banded rest, as in a cubic plant closed
-against an LQ optimizer, the stepper eliminates the linear rest,
-factoring its band once, and runs that Newton run on the leading block,
-whose factor is dense (`_condensed_stepper`).  The structure alone picks
-the path; on each, a stepper is built for its constant input and each
-step(z, out) writes z_next into the caller's row (`implicit_stepper`).
+M(x).  Every linear solve goes through a `Factor` (see `_linalg`).  A
+steady-state solve holds one, and so does `_theta_newton`, the one
+Newton run of every nonlinear implicit step: it alone defines the step's
+residual, Newton solve and start.  Where phi lives in leading
+coordinates ahead of a linear banded rest (a cubic plant closed against
+an LQ optimizer), the stepper eliminates the rest and runs that Newton
+run on the leading block alone (`_condensed_stepper`).  The structure
+alone picks the path; on each, a stepper is built for its constant input
+and each step(z, out) writes z_next into the caller's row
+(`implicit_stepper`).
 """
 
 from __future__ import annotations
@@ -57,15 +47,11 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dgemv, dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
-from scipy.sparse.linalg import splu
 
+from ._linalg import Factor, _Folded, compressed, entries, newton
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence
 from .metric import Metric, adjoint
 from .operators import MonotoneOperatorSpec, Nodewise
-
-_NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -122,14 +108,6 @@ class PHSystem:
         per row."""
         x = np.asarray(x, dtype=float)
         return self.b_star @ x if x.ndim == 1 else x @ self.b_star.T
-
-
-def selection_port(dim: int, rows) -> sparse.csc_matrix:
-    """Sparse input matrix whose column k is the unit vector of state
-    coordinate rows[k]: a port that acts on those coordinates alone."""
-    rows = np.asarray(rows, dtype=int)
-    return sparse.csc_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
-                             shape=(dim, rows.size))
 
 
 @dataclass(frozen=True)
@@ -205,376 +183,19 @@ def fold(run, *folds) -> list:
     return [f.report() for f in folds]
 
 
-def newton(residual, solve, x0, norm, tol, r0=None, res0=None):
-    """Damped Newton iteration for residual(x) = 0.
-
-    solve(x, r) returns the Newton step J(x)^{-1} r; r0 and res0, when
-    given, are residual(x0) and its norm (`_theta_newton` has both from
-    choosing the start).  The full step is taken whenever it lowers the
-    residual norm; otherwise the step is halved, with at most 40 trial
-    steps per iteration.  Returns the last iterate and its residual
-    norm, stopping early when the norm reaches tol, when the step is not
-    finite (a singular Newton matrix), when the line search cannot lower
-    the residual, or after _NEWTON_MAX_ITER iterations.  Callers judge
-    the returned residual; a non-finite one fails `res <= tol`.
-    """
-    x = x0
-    r = residual(x) if r0 is None else r0
-    res = norm(r) if res0 is None else res0
-    for _ in range(_NEWTON_MAX_ITER):
-        if res <= tol:
-            break
-        step = solve(x, r)
-        if not np.isfinite(step).all():
-            break
-        t = 1.0
-        for _ in range(40):
-            x_trial = x - step if t == 1.0 else x - t * step  # 1.0 * step is step
-            r_trial = residual(x_trial)
-            res_trial = norm(r_trial)
-            if res_trial < res:
-                x, r, res = x_trial, r_trial, res_trial
-                break
-            t *= 0.5
-        else:
-            break
-    return x, res
-
-
-def _singular(r):
-    """The solve of an exactly singular factor: non-finite values."""
-    return np.full(np.shape(r), np.nan)
-
-
-def _coords(A):
-    """Row and column of each entry of a CSR or CSC A, or of a dense A in
-    row-major order, in the order of its data."""
-    if not sparse.issparse(A):
-        return np.divmod(np.arange(A.size), A.shape[1])
-    major = np.repeat(np.arange(A.indptr.size - 1), np.diff(A.indptr))
-    return (major, A.indices) if A.format == "csr" else (A.indices, major)
-
-
-def _entries(A):
-    """(rows, columns, values) of the stored entries of a CSR or CSC A, or
-    of every entry of a dense A."""
-    r, c = _coords(A)
-    return r, c, (A.data if sparse.issparse(A) else A.ravel())
-
-
-def _compressed(rows, cols, vals, shape, fmt: str = "csr"):
-    """The CSR (fmt "csr") or CSC ("csc") matrix of the given shape with
-    vals at (rows, cols), no two of them at one position, in canonical
-    form: each row's (column's) entries sorted, and every entry stored,
-    zero or not.  One sort and one construction: the blocks of an
-    assembled matrix are placed by their index arrays, with the entries
-    and the order that scipy's kron, bmat and block_diag give."""
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
-    n_major, n_minor = shape if fmt == "csr" else shape[::-1]
-    order = np.argsort(major * n_minor + minor)
-    indptr = np.zeros(n_major + 1, dtype=np.int64)
-    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
-    matrix = sparse.csr_matrix if fmt == "csr" else sparse.csc_matrix
-    return matrix((np.asarray(vals, dtype=float)[order], minor[order], indptr), shape=shape)
-
-
-class _Factor:
-    """LU factors of L + shift I + diag(d), d on the coordinates coords,
-    for one solve site, by one of three paths.
-
-    - With an order (the time-stage order of an optimizer or a closed
-      loop, in which L is banded) the matrix is a LAPACK band array,
-      factored by LAPACK's banded LU (dgbtrf).  solver(d) solves with
-      dgbtrs: a Newton or KKT factor serves one or two solves and
-      interchanges most of its rows, so a fold would not pay.
-      step_solver(), for a linear step's factor, which serves every
-      step of a run and interchanges few rows, folds the interchanges
-      into the order once (`_fold`).
-    - Without an order a dense L is factored by LAPACK's dense LU
-      (dgetrf/dgetrs, called directly as the banded routines are: for
-      the small matrices of a plant's Newton step, scipy.linalg's
-      lu_factor/lu_solve wrappers cost more than the factorization), a
-      sparse L by SuperLU, the one generic sparse fallback.
-
-    L (CSR, CSC or dense) and shift are fixed at construction, which
-    lays out and fills L + shift I once: on the banded path the
-    bandwidths, the band array and the band position of every entry of
-    L and of the diagonal at coords.  Each `solver(d)` copies that base,
-    adds d at coords and factors the copy: a Newton iteration's is
-    solver(phi'(x)), a linear step's is step_solver(), with no d.  A
-    banded solver stays valid until the next call.  An exactly singular
-    matrix yields non-finite solutions on every path, which the callers
-    report as a failed solve.
-    """
-
-    def __init__(self, L, shift: float, coords=(), order=None):
-        self.coords = np.asarray(coords, dtype=int)
-        self.order = None if order is None else np.asarray(order)
-        if self.order is None:
-            if sparse.issparse(L):
-                self.base = (shift * sparse.identity(L.shape[0], format="csr") + L).tocsr()
-            else:  # column-major, the layout dgetrf factors in place
-                self.base = np.asfortranarray(shift * np.eye(L.shape[0]) + L)
-            return
-        rank = np.empty_like(self.order)  # position of each state index in the order
-        rank[self.order] = np.arange(self.order.size)
-        r, c = _coords(L)
-        i, j = rank[r], rank[c]  # band row and column of each entry
-        self.kl = int(np.max(i - j, initial=0))
-        self.ku = int(np.max(j - i, initial=0))
-        # LAPACK band storage, column-major: entry (i, j) at row kl + ku + i - j
-        # of column j; the top kl rows hold the fill of the row interchanges
-        ldab = 2 * self.kl + self.ku + 1
-        self.base = np.zeros(ldab * self.order.size)
-        pos = self.kl + self.ku + i - j + ldab * j
-        data = L.data if sparse.issparse(L) else L.ravel()
-        if sparse.issparse(L) and not L.has_canonical_format:  # duplicates add up
-            np.add.at(self.base, pos, data)
-        else:
-            self.base[pos] = data
-        self.flat = np.empty_like(self.base)
-        self.ab = self.flat.reshape((ldab, self.order.size), order="F")
-        if shift:
-            self.base.reshape(self.ab.shape, order="F")[self.kl + self.ku] += shift
-        self.dpos = self.kl + self.ku + ldab * rank[self.coords]
-
-    def solver(self, d=()):
-        """Return solve(r) = (L + shift I + diag(d))^{-1} r, d at coords
-        (empty without d)."""
-        if self.order is not None:
-            np.copyto(self.flat, self.base)
-            self.flat[self.dpos] += d
-            return self._banded()
-        c = self.coords
-        if sparse.issparse(self.base):
-            return _superlu(self.base + sparse.csr_matrix((d, (c, c)), shape=self.base.shape))
-        A = self.base.copy(order="F")
-        A[c, c] += d
-        return _dense(A)
-
-    def step_solver(self):
-        """Return solve(r) = (L + shift I)^{-1} r for a factor that serves
-        every step of a run (a linear step's): on the banded path with
-        dgbtrf's interchanges folded into the order (`_fold`), otherwise
-        solver()'s."""
-        if self.order is None:
-            return self.solver()
-        np.copyto(self.flat, self.base)
-        return self._banded(fold=True)
-
-    def _banded(self, fold=False):
-        """Factor the band array in place; the solve in the order, by
-        `_fold`'s sweeps when fold is set and the fold fits, else by
-        dgbtrs."""
-        lu, piv, info = dgbtrf(self.ab, self.kl, self.ku, overwrite_ab=True)
-        if info > 0:  # U has an exact zero on its diagonal
-            return _singular
-        kl, ku, order = self.kl, self.ku, self.order
-        folded = _fold(lu, piv, kl, ku, order) if fold else None
-        if folded is not None:
-            return folded
-
-        def solve(r):
-            x, _ = dgbtrs(lu, kl, ku, np.asarray(r, dtype=float)[order], piv,
-                          overwrite_b=True)
-            out = np.empty_like(x)
-            out[order] = x
-            return out
-
-        return solve
-
-
-def _fold(lu, piv, kl: int, ku: int, order):
-    """The solve with dgbtrf's factors (lu, piv) of a band matrix in
-    `order`, as PA = L'DU' without row interchanges (a `_Folded`), or
-    None when its bands would hold more than twice the entries of lu.
-
-    dgbtrf stores U in the top kl + ku + 1 rows of lu and, below them,
-    the multipliers of each column j for the rows j+1..j+kl as they stood
-    at step j, before the interchanges of the later steps; dgbtrs
-    therefore walks the columns one at a time, an interchange and a
-    rank-one update each.  Here the interchanges P are composed with the
-    order into one gather, and L' is the multipliers with every later
-    interchange applied to the earlier columns, exactly: entry by entry,
-    wherever a chain of interchanges moves it.  U's rows are scaled to a
-    unit diagonal, U = D U', and the reciprocal diagonal 1/D is kept, so
-    neither sweep divides.  The factors of a linear step interchange few
-    rows (in the first stages and the last rows): there a chain carries
-    an early column's multipliers well below the band, and U fills up to
-    kl + ku above its diagonal, while every other column of L' reaches
-    kl and of U ku.  So each factor is cut into at most three bands
-    (`_unit_bands`), each only as wide as its own columns reach.
-    Pivoting that chains through much of the matrix would widen the
-    bands with the square of the chain; past twice the entries of lu,
-    dgbtrs keeps the solve.
-    """
-    n = order.size
-    budget = 2 * lu.size
-    gather = order.copy()
-    # rows[t, j]: where the multiplier that dgbtrf stored for row j + 1 + t
-    # of column j stands after the interchanges so far
-    rows = np.arange(1, kl + 1)[:, None] + np.arange(n)
-    reach = kl  # bounds row - column over every multiplier
-    for j in np.flatnonzero(piv != np.arange(n)):
-        p = piv[j]
-        gather[[j, p]] = gather[[p, j]]
-        # only columns within reach of row j hold a multiplier in row j or p
-        lo = max(0, j - reach)
-        blk = rows[:, lo:j]
-        at_j, at_p = blk == j, blk == p
-        blk[at_j], blk[at_p] = p, j
-        reach = max(reach, int(np.max(blk - np.arange(lo, j), initial=0)))
-        if reach * reach > budget:  # the band that holds this column is wider
-            return None
-    # L': the multipliers, but the slots below row n - 1 of the last
-    # columns, which the loop never moves and no sweep reads
-    mult = lu[kl + ku + 1:]
-    t, j = np.nonzero((rows < n) & (mult != 0))
-    lower = _unit_bands(rows[t, j], j, mult[t, j], n, kl, lower=True)
-    del rows
-    # U': lu's row t holds U's entries kl + ku - t above the diagonal, in
-    # the rows i; its slots with i < 0, in the first columns, are not U's
-    diag = lu[kl + ku]
-    t, j = np.nonzero(lu[:kl + ku])
-    i = j - (kl + ku - t)
-    t, j, i = t[i >= 0], j[i >= 0], i[i >= 0]
-    upper = _unit_bands(i, j, lu[t, j] / diag[i], n, ku, lower=False)
-    entries = n + sum((0 if ab is None else ab.size) + (0 if cross is None else cross[2].size)
-                      for _, _, ab, cross in lower + upper)
-    if entries > budget:
-        return None
-    rank = np.empty_like(order)  # the position of each state index in the order
-    rank[order] = np.arange(n)
-    return _Folded(gather, rank, lower, 1.0 / diag, upper)
-
-
-def _unit_bands(rows, cols, vals, n: int, width: int, lower: bool):
-    """Cut the n x n unit triangular factor, lower or upper, whose
-    entries off the diagonal are vals at (rows, cols), into at most three
-    bands of columns: the columns before the bulk, the bulk, and the
-    columns after it.  The bulk holds no column that reaches more than
-    width from the diagonal, and the cuts are where the band entries are
-    fewest.  Each band is as wide as its own columns reach within it; the
-    entries of its columns in rows outside it (below it for a lower
-    factor, above it for an upper one) form one dense block, applied
-    after its sweep.
-
-    Returns the bands in sweep order (forward for lower, backward for
-    upper), each (lo, k, ab, cross): ab in dtbsv's storage of width k for
-    the columns [lo, lo + ab.shape[1]), or None for k = 0, and cross,
-    (r0, c0, E) with E at rows r0.. and columns c0.., or None."""
-    dist = np.abs(rows - cols)
-    reach = np.zeros(n, dtype=int)
-    np.maximum.at(reach, cols, dist)
-    big = np.flatnonzero(reach > width)
-    # at the split i the bulk is [a[i], b[i]): the wider columns big[:i]
-    # lie before it and big[i:] after it
-    a, b = np.concatenate([[0], big + 1]), np.concatenate([big, [n]])
-    w_a = np.concatenate([[0], np.maximum.accumulate(reach[big])])
-    w_b = np.concatenate([np.maximum.accumulate(reach[big][::-1])[::-1], [0]])
-    i = np.argmin(a * (w_a + 1) + (b - a) * (width + 1) + (n - b) * (w_b + 1))
-    a, b = int(a[i]), int(b[i])
-    bands = []
-    for lo, hi in ((0, a), (a, b), (b, n)):
-        mine = (cols >= lo) & (cols < hi)
-        inside = mine & (rows >= lo) & (rows < hi)
-        d = dist[inside]
-        kb = int(np.max(d, initial=0))
-        ab = None
-        if kb:
-            ab = np.zeros((kb + 1, hi - lo), order="F")
-            ab[d if lower else kb - d, cols[inside] - lo] = vals[inside]
-        cross = None
-        out = mine & ~inside
-        if np.any(out):
-            r, c = rows[out], cols[out]
-            r0, c0 = int(r.min()), int(c.min())
-            E = np.zeros((r.max() + 1 - r0, c.max() + 1 - c0), order="F")
-            E[r - r0, c - c0] = vals[out]
-            cross = (r0, c0, E)
-        if ab is not None or cross is not None:
-            bands.append((lo, kb, ab, cross))
-    return bands if lower else bands[::-1]
-
-
-def _sweep(bands, y, lower: int):
-    """Solve with the unit triangular factor of `_unit_bands`' bands, in
-    place in y: one BLAS dtbsv call per band and one dgemv per block of
-    entries that cross a cut."""
-    for lo, k, ab, cross in bands:
-        if ab is not None:
-            dtbsv(k, ab, y, offx=lo, lower=lower, diag=1, overwrite_x=1)
-        if cross is not None:
-            r0, c0, E = cross
-            dgemv(-1.0, E, y, 1.0, y, offx=c0, offy=r0, overwrite_y=1)
-
-
-class _Folded:
-    """The solve of `_fold`: gather the right side by the order and the
-    interchanges, solve in place with L', 1/D and U' (`sweep`), and
-    gather the result back by rank, the inverse of the order.  It agrees
-    with dgbtrs on the same factors to rounding.  A 2-D right side is
-    solved column by column."""
-
-    __slots__ = ("gather", "rank", "lower", "dinv", "upper")
-
-    def __init__(self, gather, rank, lower, dinv, upper):
-        self.gather, self.rank = gather, rank
-        self.lower, self.dinv, self.upper = lower, dinv, upper
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 1:
-            return self._solve(r)
-        out = np.empty_like(r)
-        for i in range(r.shape[1]):
-            out[:, i] = self._solve(r[:, i])
-        return out
-
-    def _solve(self, r):
-        y = r[self.gather]
-        self.sweep(y)
-        return y[self.rank]
-
-    def sweep(self, y):
-        """Overwrite y, gathered, with the solution in the order: the
-        sweeps of L', one product with 1/D, the sweeps of U'."""
-        _sweep(self.lower, y, 1)
-        y *= self.dinv
-        _sweep(self.upper, y, 0)
-
-
-def _dense(A):
-    """The solve with a dense A by LAPACK's dense LU, which overwrites A
-    (column-major, so LAPACK takes it without a copy)."""
-    lu, piv, info = dgetrf(A, overwrite_a=True)
-    if info > 0:  # U has an exact zero on its diagonal
-        return _singular
-    return lambda r: dgetrs(lu, piv, r)[0]
-
-
-def _superlu(A):
-    """The solve with a sparse A by SuperLU."""
-    try:
-        return splu(A.tocsc()).solve
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return _singular
-
-
 def _newton_solver(M: MonotoneOperatorSpec, shift: float):
-    """Return solve(x, r) = (DM(x) + shift I)^{-1} r by one `_Factor` in
+    """Return solve(x, r) = (DM(x) + shift I)^{-1} r by one `Factor` in
     M's order: L + shift I is laid out and filled here, and each call
     adds phi'(x) at its fixed diagonal positions."""
-    factor = _Factor(M.linear_part, shift, M._diagonal_coords, M.order)
+    factor = Factor(M.linear_part, shift, M._diagonal_coords, M.order)
     return lambda x, r: factor.solver(M._diagonal(x))(r)
 
 
 def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float, b: np.ndarray):
     """Return (step, solve) for a linear M under the constant input b, a
     (dim,) array: the step of `implicit_stepper`, residual 0, and the
-    solve with F = I + theta*h*L, factored once by one `_Factor` in M's
-    order (`_Factor.step_solver`).  The step's right side needs no
+    solve with F = I + theta*h*L, factored once by one `Factor` in M's
+    order (`Factor.step_solver`).  The step's right side needs no
     product with L: I - (1-theta)*h*L = I/theta - ((1-theta)/theta) F, so
 
         z_next = F^{-1} (z/theta + h (b - g)) - ((1-theta)/theta) z,
@@ -585,7 +206,7 @@ def _linear_step(M: MonotoneOperatorSpec, h: float, theta: float, b: np.ndarray)
     buffer, scales it by 1/theta, adds the drive, sweeps in place and
     gathers the result by rank straight into out.
     """
-    solve = _Factor((theta * h) * M.linear_part, 1.0, order=M.order).step_solver()
+    solve = Factor((theta * h) * M.linear_part, 1.0, order=M.order).step_solver()
     scale, lag = 1.0 / theta, (1.0 - theta) / theta
     drive = h * (b - M.offset)
     if not isinstance(solve, _Folded):
@@ -710,8 +331,8 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     (dim,) array split here once into b1 and b2 at d1.
 
     Split L into blocks at d1, L = [[L11, K12], [K21, L22]] (for a closed
-    loop: the plant, the coupling and the optimizer), member 1 is
-    M1(x1) = L11 x1 + g1 + phi(x1) and member 2 is linear.  With
+    loop: the plant, the coupling and the optimizer; see `_split`),
+    member 1 is M1(x1) = L11 x1 + g1 + phi(x1) and member 2 is linear.  With
     c = theta*h and F = I + c L22, the member-2 rows of the step give its
     next state as o = a - h V s, where a is member 2's own linear step
     from z2 with input b2, s = theta p + (1-theta) z1 is member 1's stage
@@ -723,7 +344,7 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
         R(p) = p - z1 + h (Mc(s) + w).
 
     Its Newton matrix I + c (DM1(s) - G) is d1 x d1: `_newton_solver`
-    holds L11 - G in a `_Factor` without an order (dense LU), and each
+    holds L11 - G in a `Factor` without an order (dense LU), and each
     iteration adds phi' on its diagonal.
     F is factored once per stepper, and V and G are computed once from
     that factor (one solve with d1 columns), so each step costs one solve
@@ -736,20 +357,15 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
     member-2 rows are zero; the step reports the norm of the full
     composed step defect, as the other paths do.
     """
-    L, g = sparse.csr_matrix(M.linear_part), M.affine_offset
-    c = theta * h
-    L11, g1 = L[:d1, :d1].toarray(), None if g is None else g[:d1]
-    M2 = MonotoneOperatorSpec(M.dim - d1, linear_part=L[d1:, d1:],
+    g, c = M.affine_offset, theta * h
+    L11, port, K12, K21, L22 = _split(M.linear_part, d1)
+    g1 = None if g is None else g[:d1]
+    M2 = MonotoneOperatorSpec(M.dim - d1, linear_part=L22,
                               affine_offset=None if g is None else g[d1:],
                               order=M.order[d1:] - d1)
     b1 = b[:d1]
     step2, solve2 = _linear_step(M2, h, theta, b[d1:])
-    # member 1 reads member 2 only at the port coordinates (a closed
-    # loop's lam0), so K12 is kept as its small dense block in them
-    K12 = L[:d1, d1:].tocsc()
-    port = np.flatnonzero(np.diff(K12.indptr))
-    K12 = K12[:, port].toarray()
-    V = solve2(L[d1:, :d1].toarray())
+    V = solve2(K21)
     G = c * (K12 @ V[port])
     M1 = MonotoneOperatorSpec(d1, linear_part=L11, affine_offset=g1, nodewise=M.nodewise)
     Mc = MonotoneOperatorSpec(d1, linear_part=L11 - G, affine_offset=g1, nodewise=M.nodewise)
@@ -778,6 +394,25 @@ def _condensed_stepper(M: MonotoneOperatorSpec, d1: int, h: float, theta: float,
         return metric.norm(defect)
 
     return step
+
+
+def _split(L, d1: int):
+    """(L11, port, K12, K21, L22): the blocks of L = [[L11, K12], [K21,
+    L22]] at d1 as slicing L gives them, L22 CSR and the others dense, from
+    one pass over its entries.  K12 keeps only the port columns that store
+    an entry (a closed loop's lam0), column-major as the CSC slice was: the
+    layout picks the BLAS kernel, and so the rounding, of its products."""
+    r, q, v = entries(L)
+    d2, top, left = L.shape[0] - d1, r < d1, q < d1
+    L11, K21 = np.zeros((d1, d1)), np.zeros((d2, d1))
+    L11[r[top & left], q[top & left]] = v[top & left]
+    K21[r[left & ~top] - d1, q[left & ~top]] = v[left & ~top]
+    at = top & ~left
+    port, col = np.unique(q[at] - d1, return_inverse=True)
+    K12 = np.zeros((d1, port.size), order="F")
+    K12[r[at], col] = v[at]
+    at = ~(top | left)
+    return L11, port, K12, K21, compressed(r[at] - d1, q[at] - d1, v[at], (d2, d2))
 
 
 def resolvent(M: MonotoneOperatorSpec, lam: float, z: np.ndarray,
@@ -1117,24 +752,12 @@ def steady_state(sys: PHSystem, u_bar: np.ndarray, tol: float = 1e-10,
     return SteadyStatePair(x, u_bar, sys.output(x))
 
 
-def _columns(B, lo: int, hi: int):
-    """(rows, columns - lo, values) of the columns [lo, hi) of an input
-    matrix: the stored entries of a sparse (CSC) B, every entry of a
-    dense one."""
-    if sparse.issparse(B):
-        s, e = B.indptr[lo], B.indptr[hi]
-        cols = np.repeat(np.arange(hi - lo), np.diff(B.indptr[lo:hi + 1]))
-        return B.indices[s:e], cols, B.data[s:e]
-    r, c = np.divmod(np.arange(B.shape[0] * (hi - lo)), hi - lo)
-    return r, c, B[:, lo:hi].ravel()
-
-
 def _port(sys: PHSystem, split: int):
     """The state rows that the first split columns of sys.B reach, the
     dense block Bc of those columns on them, and on them its
     `metric.adjoint` from the port's metric to the rows' metric."""
-    r, c, v = _columns(sys.B, 0, split)
-    keep = v != 0
+    r, c, v = entries(sys.B)
+    keep = (c < split) & (v != 0)
     rows, at = np.unique(r[keep], return_inverse=True)
     block = np.zeros((rows.size, split))
     block[at, c[keep]] = v[keep]
@@ -1207,22 +830,23 @@ def interconnect(sys1: PHSystem, sys2: PHSystem, F: np.ndarray,
     p2, open2 = sys2.input_metric.split(split2)
     rows1, B1c, b1c_star = _port(sys1, split1)
     rows2, B2c, b2c_star = _port(sys2, split2)
-    (r1, c1, v1), (r2, c2, v2) = _entries(M1.linear_part), _entries(M2.linear_part)
+    (r1, c1, v1), (r2, c2, v2) = entries(M1.linear_part), entries(M2.linear_part)
     parts = [(r1, c1, v1), (d1 + r2, d1 + c2, v2)]
     for r, c, K in ((rows1, d1 + rows2, _chain(B1c, F, b2c_star)),
                     (d1 + rows2, rows1, _chain(-B2c, adjoint(F, p2, p1), b1c_star))):
-        i, j, v = _entries(K)
+        i, j, v = entries(K)
         parts.append((r[i], c[j], v))
     rows, cols, vals = map(np.concatenate, zip(*parts))
     keep = vals != 0
-    L = _compressed(rows[keep], cols[keep], vals[keep], (dim, dim))
+    L = compressed(rows[keep], cols[keep], vals[keep], (dim, dim))
 
     o1, o2 = sys1.input_dim - split1, sys2.input_dim - split2
     if sparse.issparse(sys1.B) or sparse.issparse(sys2.B):
-        (r1, c1, v1), (r2, c2, v2) = (_columns(sys1.B, split1, sys1.input_dim),
-                                      _columns(sys2.B, split2, sys2.input_dim))
-        B = _compressed(np.concatenate([r1, d1 + r2]), np.concatenate([c1, o1 + c2]),
-                        np.concatenate([v1, v2]), (dim, o1 + o2), "csc")
+        (r1, c1, v1), (r2, c2, v2) = entries(sys1.B), entries(sys2.B)
+        k1, k2 = c1 >= split1, c2 >= split2  # the open columns
+        B = compressed(np.concatenate([r1[k1], d1 + r2[k2]]),
+                       np.concatenate([c1[k1] - split1, o1 + c2[k2] - split2]),
+                       np.concatenate([v1[k1], v2[k2]]), (dim, o1 + o2), "csc")
     else:
         B = np.zeros((dim, o1 + o2))  # each block added onto zeros, as toarray does
         B[:d1, :o1] += sys1.B[:, split1:]

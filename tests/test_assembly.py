@@ -228,6 +228,49 @@ def test_assembly_by_index_arrays_is_the_former_csr(problem):
 
 
 # ---------------------------------------------------------------------------
+# the condensed stepper's blocks of a closed loop against the former slices
+
+
+@st.composite
+def loops(draw):
+    """A cubic plant closed against an LQ optimizer, N in 2..32, n in
+    1..3, m in 1..2, with some zero entries in A and B."""
+    N, n, m = draw(st.integers(2, 32)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.7)
+    B = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.8)
+    model = pf.LinearPlantModel(A, B, 0.0, rng.standard_normal(n))
+    ocp = pf.assemble_ocp(model, pf.build_grid(1.0, N),
+                          pf.CostSpec(1.0, pf.QuadraticStage(np.eye(n))))
+    R = rng.standard_normal((n, n))
+    plant = pf.assemble_plant(pf.cubic_plant(R @ R.T + 0.1 * np.eye(n), 1.0, B,
+                                             rng.standard_normal(n)))
+    return pf.couple(pf.assemble_optimizer(ocp), plant, ocp).sys.M, n
+
+
+def _same_dense(a, b):
+    """Equal entries in the same memory layout, which picks the BLAS
+    kernel of a product and so its rounding."""
+    assert a.flags.c_contiguous == b.flags.c_contiguous
+    assert a.flags.f_contiguous == b.flags.f_contiguous
+    assert a.tobytes(order="A") == b.tobytes(order="A")
+
+
+@PROFILE
+@given(loops())
+def test_split_of_a_closed_loop_is_the_former_slices(loop):
+    M, d1 = loop
+    L11, port, K12, K21, L22 = phcore._split(M.linear_part, d1)
+    L = sparse.csr_matrix(M.linear_part)
+    _same_csr(L22, L[d1:, d1:])
+    _same_dense(L11, L[:d1, :d1].toarray())
+    _same_dense(K21, L[d1:, :d1].toarray())
+    ref = L[:d1, d1:].tocsc()
+    assert np.array_equal(port, np.flatnonzero(np.diff(ref.indptr)))
+    _same_dense(K12, ref[:, port].toarray())
+
+
+# ---------------------------------------------------------------------------
 # the accretivity probe on blocks of pairs against the former loop
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phflow as pf
+from phflow import ocp as ocp_module
 from conftest import (DI_A, DI_B, make_double_integrator, make_logcosh,
                       state_from)
 
@@ -222,6 +223,34 @@ def test_input_to_state_singular_step():
     model = scalar_model(A=4.0)
     with pytest.raises(pf.SingularStep):
         pf.input_to_state(model, np.zeros((3, 1)), grid)
+
+
+def test_input_to_state_factors_once_and_reads_singularity_from_that_lu(monkeypatch, di_ocp):
+    # one dense LU per march: the singularity checks read dgetrf's info
+    # and the diagonal of its U, with no determinant of their own
+    calls = []
+    dgetrf = ocp_module.dgetrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgetrf(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second LU for the determinant")
+
+    monkeypatch.setattr(ocp_module, "dgetrf", counted)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    u = np.random.default_rng(3).standard_normal((di_ocp.N + 1, 1))
+    pf.input_to_state(di_ocp.model, u, di_ocp.grid)
+    assert calls == [1]
+    grid = pf.build_grid(1.0, 2)
+    # exactly singular (a zero pivot, info > 0), then near-singular: I -
+    # (h/2) A is about 1e-15 with no zero pivot, below 1e-14
+    for A in (4.0, 4.0 - 4e-15):
+        calls.clear()
+        with pytest.raises(pf.SingularStep, match="singular; reduce the step h"):
+            pf.input_to_state(scalar_model(A=A), np.zeros((3, 1)), grid)
+        assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

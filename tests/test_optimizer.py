@@ -7,7 +7,7 @@ from scipy import sparse
 
 import phflow as pf
 from conftest import DI_B, make_double_integrator, make_logcosh
-from phflow import phcore
+from phflow import _linalg, phcore
 from phflow.operators import Nodewise
 
 
@@ -178,16 +178,16 @@ def _zero_piece(lo, hi):
 
 
 def _counted_layouts(monkeypatch):
-    """The banded `_Factor`s built from here on, in order: each lays out
+    """The banded `Factor`s built from here on, in order: each lays out
     its band once, at construction."""
-    layouts, init = [], phcore._Factor.__init__
+    layouts, init = [], _linalg.Factor.__init__
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         if self.order is not None:
             layouts.append(self)
 
-    monkeypatch.setattr(phcore._Factor, "__init__", counted_init)
+    monkeypatch.setattr(_linalg.Factor, "__init__", counted_init)
     return layouts
 
 
@@ -247,8 +247,8 @@ def _forbid_dense_and_superlu(monkeypatch, what):
         raise AssertionError(f"dense solve or SuperLU in {what}")
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    monkeypatch.setattr(phcore, "dgetrf", forbidden)
-    monkeypatch.setattr(phcore, "splu", forbidden)
+    monkeypatch.setattr(_linalg, "dgetrf", forbidden)
+    monkeypatch.setattr(_linalg, "splu", forbidden)
 
 
 def test_nonlinear_steps_never_factor_dense(monkeypatch):
@@ -289,7 +289,7 @@ def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
     z0 = cls.initial_state(np.array([1.0, 0.0]))
     n_p = cls.n_p
     band_factors, dense = [], []
-    dgbtrf, dgetrf, dgetrs = phcore.dgbtrf, phcore.dgetrf, phcore.dgetrs
+    dgbtrf, dgetrf, dgetrs = _linalg.dgbtrf, _linalg.dgetrf, _linalg.dgetrs
 
     def counted_dgbtrf(*args, **kwargs):
         band_factors.append(args[0].shape[1])
@@ -306,9 +306,9 @@ def test_cubic_lq_loop_factors_the_optimizer_band_once(monkeypatch):
 
     _forbid_dense_and_superlu(monkeypatch, "a cubic LQ loop's step")
     layouts = _counted_layouts(monkeypatch)
-    monkeypatch.setattr(phcore, "dgbtrf", counted_dgbtrf)
-    monkeypatch.setattr(phcore, "dgetrf", plant_sized_lu)
-    monkeypatch.setattr(phcore, "dgetrs", plant_sized_solve)
+    monkeypatch.setattr(_linalg, "dgbtrf", counted_dgbtrf)
+    monkeypatch.setattr(_linalg, "dgetrf", plant_sized_lu)
+    monkeypatch.setattr(_linalg, "dgetrs", plant_sized_solve)
     cfg = pf.IntegratorConfig(h_t=0.01)
     traj = pf.integrate_flow(cls.sys, z0, np.zeros(cls.sys.input_dim), cfg, 0.05)
     assert traj.times.size == 6
@@ -352,10 +352,10 @@ def test_linear_flow_factors_once_and_never_calls_dgbtrs(monkeypatch):
     z0, u = pf.default_initial_state(ocp), pf.constant_input(ocp)
     calls = {"dgbtrf": 0, "dgbtrs": 0}
     for name in calls:
-        def counted(*args, _f=getattr(phcore, name), _name=name, **kwargs):
+        def counted(*args, _f=getattr(_linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(phcore, name, counted)
+        monkeypatch.setattr(_linalg, name, counted)
     _forbid_dense_and_superlu(monkeypatch, "a linear flow")
     traj = pf.integrate_flow(sys, z0, u, pf.IntegratorConfig(h_t=0.01), 2.0)
     assert traj.times.size == 201
@@ -408,14 +408,14 @@ def test_equilibrium_solves_lay_out_the_band_once_per_run(monkeypatch):
     # is laid out once per run and every iteration factors a copy of it
     ocp = make_logcosh(N=32)
     sys = pf.assemble_optimizer(ocp)
-    factors, solver = [], phcore._Factor.solver
+    factors, solver = [], _linalg.Factor.solver
 
     def counted_solver(self, d=()):
         factors.append(self)
         return solver(self, d)
 
     layouts = _counted_layouts(monkeypatch)
-    monkeypatch.setattr(phcore._Factor, "solver", counted_solver)
+    monkeypatch.setattr(_linalg.Factor, "solver", counted_solver)
     for solve in (lambda: pf.kkt_solve(ocp),
                   lambda: pf.steady_state(sys, pf.constant_input(ocp))):
         layouts.clear()
@@ -538,12 +538,12 @@ def test_banded_lu_of_an_exactly_singular_matrix_is_not_finite():
     A = sparse.diags([np.ones(4), 2.0 * np.ones(5), np.ones(4)], [-1, 0, 1], format="lil")
     A[:, 2] = 0.0
     order = np.array([4, 3, 2, 1, 0])
-    x = phcore._Factor(A.tocsr(), 0.0, order=order).solver()(np.ones(5))
+    x = _linalg.Factor(A.tocsr(), 0.0, order=order).solver()(np.ones(5))
     assert x.shape == (5,) and not np.all(np.isfinite(x))
     regular = sparse.diags([np.ones(4), 3.0 * np.ones(5), np.ones(4)], [-1, 0, 1],
                            format="csr")
     r = np.arange(5.0)
-    assert np.allclose(regular @ phcore._Factor(regular, 0.0, order=order).solver()(r), r,
+    assert np.allclose(regular @ _linalg.Factor(regular, 0.0, order=order).solver()(r), r,
                        atol=1e-14)
 
 

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 
 import phflow as pf
 from conftest import coupling_of
-from phflow import phcore
+from phflow import _linalg, phcore
 from phflow.operators import MonotoneOperatorSpec, Nodewise, derivative_gap
 
 
@@ -46,20 +46,20 @@ def test_factor_solves_the_shifted_matrix_plus_a_diagonal_on_each_path(monkeypat
     coords = np.array([1, 2, 3, 7, 8])
     calls, layouts = {}, []
     for name in ("dgbtrf", "dgetrf", "splu"):
-        def counted(*args, _f=getattr(phcore, name), _name=name, **kwargs):
+        def counted(*args, _f=getattr(_linalg, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(phcore, name, counted)
-    coo = phcore._coords  # read once per band layout
-    monkeypatch.setattr(phcore, "_coords", lambda L: layouts.append(1) or coo(L))
+        monkeypatch.setattr(_linalg, name, counted)
+    read = _linalg.entries  # read once per band layout
+    monkeypatch.setattr(_linalg, "entries", lambda L: layouts.append(1) or read(L))
     order = rng.permutation(dim) if path == "banded" else None
     L = A.toarray() if path == "dense" else A
     r = rng.standard_normal(dim)
     ref = np.linalg.solve(A.toarray() + shift * np.eye(dim), r)
-    solve = phcore._Factor(L, shift, order=order).solver()
+    solve = _linalg.Factor(L, shift, order=order).solver()
     assert calls == {lu: 1}
     assert np.linalg.norm(solve(r) - ref) <= 1e-12 * np.linalg.norm(ref)
-    factor = phcore._Factor(L, shift, coords, order)
+    factor = _linalg.Factor(L, shift, coords, order)
     for k in range(3):
         d = rng.random(coords.size)
         full = A.toarray() + shift * np.eye(dim)

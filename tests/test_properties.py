@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 import phflow as pf
 from conftest import coupling_of
-from phflow import analysis, phcore
+from phflow import _linalg, analysis, phcore
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -678,7 +678,7 @@ def test_stage_order_makes_every_solve_banded(problem):
         assert np.array_equal(cls.sys.M.order[ocp.n:], ocp.n + order)
     for A, o, compare in cases:
         assert _bandwidths(A, o) == (width, width)
-        band = phcore._Factor(A.tocsr(), 0.0, order=o)
+        band = _linalg.Factor(A.tocsr(), 0.0, order=o)
         solve = band.solver()
         assert (band.kl, band.ku) == (width, width)
         if compare:  # the step matrices are well conditioned
@@ -701,13 +701,13 @@ def _coo_band(A, order, band, shift):
 
 def _factored_band(factor, d):
     """A copy of the band array that factor.solver(d) factors."""
-    seen, dgbtrf = [], phcore.dgbtrf
+    seen, dgbtrf = [], _linalg.dgbtrf
 
     def capture(ab, *args, **kwargs):
         seen.append(ab.copy())
         return dgbtrf(ab, *args, **kwargs)
 
-    with mock.patch.object(phcore, "dgbtrf", capture):
+    with mock.patch.object(_linalg, "dgbtrf", capture):
         factor.solver(d)
     return seen[0]
 
@@ -722,7 +722,7 @@ def test_band_positions_reproduce_a_coo_scatter(problem):
     ocp, opt, cls, rng = problem
     M = opt.M if cls is None else cls.sys.M
     coords = M._diagonal_coords
-    band = phcore._Factor(M.linear_part, 2.0, coords, M.order)
+    band = _linalg.Factor(M.linear_part, 2.0, coords, M.order)
     rank = np.argsort(M.order)
     for z in _states(rng, M.dim):
         d = M._diagonal(z)
@@ -743,7 +743,7 @@ def test_band_positions_reproduce_a_coo_scatter(problem):
     twice = sparse.csr_matrix((vals[k], cols[k], np.searchsorted(rows[k], np.arange(dim + 1))),
                               shape=(dim, dim))
     assert not twice.has_canonical_format
-    fresh = phcore._Factor(twice, 2.0, order=M.order)
+    fresh = _linalg.Factor(twice, 2.0, order=M.order)
     summed = L + 2.0 * sparse.identity(dim, format="csr")
     assert np.array_equal(_factored_band(fresh, ()), _coo_band(summed, M.order, fresh, 2.0))
 
@@ -776,8 +776,8 @@ def _step_solves(M, h_t, theta):
     """The folded solve with I + theta h L and dgbtrs on the same dgbtrf
     output: two factors of one band array, each factored once."""
     L = (theta * h_t) * M.linear_part
-    return (phcore._Factor(L, 1.0, order=M.order).step_solver(),
-            phcore._Factor(L, 1.0, order=M.order).solver())
+    return (_linalg.Factor(L, 1.0, order=M.order).step_solver(),
+            _linalg.Factor(L, 1.0, order=M.order).solver())
 
 
 def _assert_solves_agree(folded, gbtrs, rng, dim):
@@ -790,7 +790,7 @@ def _reference_step(M, h_t, theta):
     """The reference linear theta-step: one folded solve with
     I + theta h L of (I - (1-theta) h L) z + h (b - g)."""
     L = sparse.csr_matrix(M.linear_part)
-    solve = phcore._Factor((theta * h_t) * L, 1.0, order=M.order).step_solver()
+    solve = _linalg.Factor((theta * h_t) * L, 1.0, order=M.order).step_solver()
     rhs = sparse.identity(M.dim, format="csr") - ((1.0 - theta) * h_t) * L
     return lambda z, b: solve(rhs @ z + h_t * (b - M.offset))
 
@@ -832,8 +832,15 @@ def _timing_script(monkeypatch):
 def test_timing_script_measures_every_figure(monkeypatch):
     # the script builds its steppers as a flow does; a change of the
     # stepper's signature must fail here, not only in its CI run
+    solver = _linalg.Factor.solver
     report = _timing_script(monkeypatch).measure(16, 2, 1, 1, 2)
     assert all(np.isfinite(value) for value in report.values())
+    # each Newton step factors at least once, counted on Factor.solver,
+    # which the script puts back
+    for key in ("cubic_factors_per_step", "logcosh_factors_per_step",
+                "logcosh_loop_factors_per_step"):
+        assert report[key] >= 1.0, key
+    assert _linalg.Factor.solver is solver
 
 
 def test_folded_solve_of_a_long_chain_of_interchanges(monkeypatch):
@@ -872,15 +879,15 @@ def test_folded_chain_factors_sweep_unit_bands_as_wide_as_their_reach(monkeypatc
     script = _timing_script(monkeypatch)
     ocp, _, _, _ = script._problem(1024, 2, 1)
     M = pf.assemble_optimizer(ocp).M
-    factor = phcore._Factor((0.5 * script.H_T) * M.linear_part, 1.0, order=M.order)
+    factor = _linalg.Factor((0.5 * script.H_T) * M.linear_part, 1.0, order=M.order)
     folded, gbtrs = _step_solves(M, script.H_T, 0.5)
-    sweeps, real = [], phcore.dtbsv
+    sweeps, real = [], _linalg.dtbsv
 
     def recorded(k, a, x, **kwargs):
         sweeps.append((kwargs.get("lower", 0), kwargs.get("diag", 0), a.shape[1], k))
         return real(k, a, x, **kwargs)
 
-    monkeypatch.setattr(phcore, "dtbsv", recorded)
+    monkeypatch.setattr(_linalg, "dtbsv", recorded)
     _assert_solves_agree(folded, gbtrs, np.random.default_rng(7), M.dim)
     assert {diag for _, diag, _, _ in sweeps} == {1}
     for lower, width in ((1, factor.kl), (0, factor.ku)):
